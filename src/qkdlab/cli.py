@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
@@ -18,7 +17,7 @@ import sys
 import numpy as np
 
 from . import otp, qmath
-from .detection import DetectorConfig, records_to_csv
+from .detection import DetectorConfig, records_to_csv, sifted_to_csv
 from .protocol import (SessionConfig, run_session, transcript_summary,
                        transcript_to_dict)
 from .states import (EveConfig, QuartzPlate, TwoQubitState, add_white_noise,
@@ -197,19 +196,8 @@ def _ensure_out(out_dir: str):
 def cmd_session(cfg: dict, out_dir: str) -> int:
     _ensure_out(out_dir)
     transcript = run_session(cfg["session"])
-    records_to_csv(transcript.records, os.path.join(out_dir, "records.csv"))
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["trial", "alice", "bob", "agree"])
-    for r in transcript.records:
-        if r.kept and r.alice_basis == r.bob_basis:
-            writer.writerow([r.trial_index, r.alice_bit, r.bob_bit,
-                             int(r.alice_bit == r.bob_bit)])
-    with open(os.path.join(out_dir, "sifted.csv"), "w", encoding="utf-8",
-              newline="") as fh:
-        fh.write(buf.getvalue())
-
+    records_to_csv(transcript.trials, os.path.join(out_dir, "records.csv"))
+    sifted_to_csv(transcript.trials, os.path.join(out_dir, "sifted.csv"))
     _dump_json(transcript_to_dict(transcript), os.path.join(out_dir, "transcript.json"))
     summary = transcript_summary(transcript)
     _dump_json(summary, os.path.join(out_dir, "summary.json"))
@@ -310,11 +298,20 @@ def _load_key_bits(args) -> np.ndarray:
         return otp.hex_to_bits(args.key_hex)
     with open(args.key_file, encoding="utf-8") as fh:
         transcript = json.load(fh)
-    bits = otp.hex_to_bits(transcript["final_key_hex"])
-    return bits[:transcript["final_key_len"]]
+    if not isinstance(transcript, dict):
+        raise ConfigError("key file must be a JSON object")
+    key_hex = _take(transcript, "final_key_hex", str, "key file", required=True)
+    key_len = _take(transcript, "final_key_len", int, "key file", required=True)
+    bits = otp.hex_to_bits(key_hex)
+    if not 0 <= key_len <= len(bits):
+        raise ConfigError(f"key file final_key_len {key_len} does not fit "
+                          f"its {len(bits)}-bit final_key_hex")
+    return bits[:key_len]
 
 
 def cmd_otp(args) -> int:
+    if args.offset < 0:
+        raise ConfigError("--offset must be >= 0")
     if args.text is not None:
         data = otp.text_to_bits(args.text)
     else:

@@ -5,21 +5,20 @@ One dwell interval is one protocol trial.  Pair production is Poissonian
 of one coincidence per interval) and each detector adds independent Poisson
 dark counts.  A trial is kept only when exactly one event landed on exactly
 one detector per side, so kept trials are single-photon-faithful; a dark
-count paired with an empty interval can still fake a record with random
+count paired with an empty interval can still fake a trial with random
 bits, which is the instrumental error channel.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import qmath
 from .optics import MeasBasis
-from .states import EveConfig, TwoQubitState, angle_from_basis, basis_from_angle, dephase_bob
+from .states import (EveConfig, TwoQubitState, basis_from_angle, dephase_bob,
+                     intercept_branches)
 
 
 @dataclass(frozen=True)
@@ -33,18 +32,32 @@ class DetectorConfig:
             raise ValueError("detector rates and dwell must be nonnegative")
 
 
-@dataclass
-class TrialRecord:
-    """Outcome of one dwell interval."""
+BASES = (MeasBasis.HV, MeasBasis.DA)
 
-    trial_index: int
-    alice_basis: MeasBasis
-    bob_basis: MeasBasis
-    eve_applied: bool = False
-    eve_basis: MeasBasis | None = None
-    alice_bit: int | None = None
-    bob_bit: int | None = None
-    kept: bool = False
+
+@dataclass(frozen=True, eq=False)
+class Trials:
+    """Every dwell interval of a stream, one numpy column per field.
+
+    Row ``i`` is trial ``i``.  Bases are indices into :data:`BASES`; in
+    ``eve_basis``, ``alice_bit`` and ``bob_bit`` the value -1 stands for
+    "none" (Eve idle or acting along an unnamed axis; trial not kept).
+    """
+
+    alice_basis: np.ndarray   # int8
+    bob_basis: np.ndarray     # int8
+    eve_applied: np.ndarray   # bool
+    eve_basis: np.ndarray     # int8
+    alice_bit: np.ndarray     # int8
+    bob_bit: np.ndarray       # int8
+    kept: np.ndarray          # bool
+
+    def __len__(self) -> int:
+        return len(self.kept)
+
+    def sifted(self) -> np.ndarray:
+        """Mask of the kept trials where both parties used the same basis."""
+        return self.kept & (self.alice_basis == self.bob_basis)
 
 
 _PROJ4_CACHE: dict[tuple[str, str], list[np.ndarray]] = {}
@@ -72,191 +85,145 @@ def joint_probs(s: TwoQubitState, a: MeasBasis, b: MeasBasis) -> np.ndarray:
     return probs / probs.sum()
 
 
-def sample_trial(s: TwoQubitState, a: MeasBasis, b: MeasBasis, rng) -> tuple[int, int]:
-    """Draw one (alice_bit, bob_bit) pair from the joint distribution."""
-    cum = np.cumsum(joint_probs(s, a, b))
-    k = int(np.searchsorted(cum, rng.random(), side="right"))
-    return _BIT_PAIRS[min(k, 3)]
+def _eve_scenarios(s: TwoQubitState,
+                   eve: EveConfig) -> list[list[tuple[float, TwoQubitState | None]]]:
+    """Branches ``(weight, state)`` of the pair after Eve acts, one list per
+    basis she may pick (HV then DA under ``random_per_trial``)."""
+    if eve.mode == "absent":
+        return []
+    angles = [0.0, 45.0] if eve.basis_policy == "random_per_trial" else [eve.basis_angle]
+    if eve.mode == "dephasing":
+        return [[(1.0, dephase_bob(s, angle, eve.strength))] for angle in angles]
+    return [intercept_branches(s, basis_from_angle(angle)) for angle in angles]
 
 
-class _OutcomeSampler:
-    """Precomputed categorical tables for fast per-pair sampling.
+def _cumulative_tables(s: TwoQubitState, eve: EveConfig) -> np.ndarray:
+    """Cumulative joint-outcome tables over :data:`_BIT_PAIRS`.
 
-    Scenario keys name the state of the pair after Eve's (possible) action;
-    intercept-resend folds her outcome into an 8-way joint table so a single
-    uniform draw settles one pair.
+    Shape ``(scenarios, 2, 2, 4)``, indexed by scenario (0: Eve idle,
+    ``1 + k``: Eve acting with the k-th entry of :func:`_eve_scenarios`),
+    Alice's basis and Bob's basis.  Eve's outcome is not recorded, so her
+    branches are summed into one table.
     """
-
-    def __init__(self, base: TwoQubitState, eve: EveConfig):
-        self.base = base
-        self.states: dict = {"base": [(1.0, base)]}
-        if eve.mode == "dephasing":
-            for angle in self._eve_angles(eve):
-                self.states[("deph", angle)] = [(1.0, dephase_bob(base, angle, eve.strength))]
-        elif eve.mode == "intercept_resend":
-            for basis in self._eve_bases(eve):
-                plus2, minus2 = basis.projectors()
-                branches = []
-                for proj2 in (minus2, plus2):  # index by eve bit
-                    op = qmath.tensor(np.eye(2, dtype=complex), proj2)
-                    p = float(np.trace(base.rho @ op).real)
-                    if p > 0.0:
-                        branches.append((p, TwoQubitState(op @ base.rho @ op / p)))
-                    else:
-                        branches.append((0.0, None))
-                self.states[("ir", basis.value)] = branches
-        self._tables: dict = {}
-
-    @staticmethod
-    def _eve_bases(eve: EveConfig) -> list[MeasBasis]:
-        if eve.basis_policy == "random_per_trial":
-            return [MeasBasis.HV, MeasBasis.DA]
-        return [basis_from_angle(eve.basis_angle)]
-
-    @staticmethod
-    def _eve_angles(eve: EveConfig) -> list[float]:
-        if eve.basis_policy == "random_per_trial":
-            return [0.0, 45.0]
-        return [eve.basis_angle]
-
-    def table(self, key, a: MeasBasis, b: MeasBasis):
-        """(cumulative weights, outcome list) for one scenario and basis pair."""
-        tkey = (key, a.value, b.value)
-        if tkey not in self._tables:
-            weights, outcomes = [], []
-            for p_branch, state in self.states[key]:
-                if state is None:
-                    continue
-                probs = joint_probs(state, a, b)
-                for p, bits in zip(probs, _BIT_PAIRS):
-                    weights.append(p_branch * p)
-                    outcomes.append(bits)
-            cum = np.cumsum(weights)
-            cum /= cum[-1]
-            self._tables[tkey] = (cum, outcomes)
-        return self._tables[tkey]
-
-
-_BASES = (MeasBasis.HV, MeasBasis.DA)
+    scenarios = [[(1.0, s)]] + _eve_scenarios(s, eve)
+    tables = np.zeros((len(scenarios), 2, 2, 4))
+    for i, branches in enumerate(scenarios):
+        for a, b in np.ndindex(2, 2):
+            probs = sum(p * joint_probs(state, BASES[a], BASES[b])
+                        for p, state in branches if state is not None)
+            cum = np.cumsum(probs)
+            tables[i, a, b] = cum / cum[-1]
+    return tables
 
 
 def simulate_dwell_stream(s: TwoQubitState, config: DetectorConfig, n_intervals: int,
-                          basis_policy, eve: EveConfig, rng) -> list[TrialRecord]:
-    """Simulate ``n_intervals`` dwell intervals and return their records.
+                          basis_policy, eve: EveConfig, rng) -> Trials:
+    """Simulate ``n_intervals`` dwell intervals and return them as columns.
 
     ``basis_policy`` is either the string ``"random"`` (both parties draw HV
     or DA uniformly each interval) or a fixed ``(alice, bob)`` pair of
-    :class:`MeasBasis`.  The stream is sequential and fully determined by the
-    supplied generator; identical seeds reproduce identical record lists.
+    :class:`MeasBasis`.  Every column is drawn at once from the supplied
+    generator; identical seeds reproduce identical trials.
+
+    A kept interval has one of two shapes: exactly one pair and no dark
+    count, whose bits come from the joint outcome tables, or no pair and one
+    dark count per side, whose detectors give the bits.  Intervals with two
+    or more pairs are never kept, so their outcomes are never drawn.
     """
     if n_intervals < 1:
         raise ValueError("n_intervals must be >= 1")
-    sampler = _OutcomeSampler(s, eve)
-    mu_pairs = config.pair_rate * config.dwell
-    lam_dark = config.dark_rate * config.dwell
-    fixed = None if basis_policy == "random" else tuple(basis_policy)
-    records = []
-    for i in range(n_intervals):
-        if fixed is None:
-            a_basis = _BASES[rng.integers(2)]
-            b_basis = _BASES[rng.integers(2)]
+    n = n_intervals
+    if basis_policy == "random":
+        alice_basis = rng.integers(2, size=n, dtype=np.int8)
+        bob_basis = rng.integers(2, size=n, dtype=np.int8)
+    elif (isinstance(basis_policy, (tuple, list)) and len(basis_policy) == 2
+          and all(b in BASES for b in basis_policy)):
+        alice_basis = np.full(n, BASES.index(basis_policy[0]), dtype=np.int8)
+        bob_basis = np.full(n, BASES.index(basis_policy[1]), dtype=np.int8)
+    else:
+        raise ValueError("basis_policy must be 'random' or an (alice, bob) pair "
+                         f"of HV/DA bases, not {basis_policy!r}")
+
+    # scenario 0 is Eve idle; 1 + choice indexes her basis in _eve_scenarios
+    eve_applied = np.zeros(n, dtype=bool)
+    choice, named = 0, -1
+    if eve.mode != "absent":
+        eve_applied = rng.random(n) < eve.intercept_fraction
+        if eve.basis_policy == "random_per_trial":
+            choice = named = rng.integers(2, size=n, dtype=np.int8)
         else:
-            a_basis, b_basis = fixed
+            basis = basis_from_angle(eve.basis_angle)
+            named = -1 if basis is None else BASES.index(basis)
+    eve_basis = np.where(eve_applied, named, -1).astype(np.int8)
+    scenario = np.where(eve_applied, 1 + choice, 0)
 
-        eve_applied = False
-        eve_basis = None
-        key = "base"
-        if eve.mode != "absent":
-            eve_applied = rng.random() < eve.intercept_fraction
-            if eve_applied:
-                if eve.mode == "intercept_resend":
-                    if eve.basis_policy == "random_per_trial":
-                        eve_basis = _BASES[rng.integers(2)]
-                    else:
-                        eve_basis = basis_from_angle(eve.basis_angle)
-                    key = ("ir", eve_basis.value)
-                else:
-                    if eve.basis_policy == "random_per_trial":
-                        eve_basis = _BASES[rng.integers(2)]
-                        angle = angle_from_basis(eve_basis)
-                    else:
-                        angle = eve.basis_angle
-                        eve_basis = basis_from_angle(angle)
-                    key = ("deph", angle)
+    n_pairs = rng.poisson(config.pair_rate * config.dwell, size=n)
+    # dark counts per detector: alice 0, alice 1, bob 0, bob 1
+    darks = rng.poisson(config.dark_rate * config.dwell, size=(4, n))
+    dark_alice, dark_bob = darks[0] + darks[1], darks[2] + darks[3]
+    single_pair = (n_pairs == 1) & (dark_alice == 0) & (dark_bob == 0)
+    dark_only = (n_pairs == 0) & (dark_alice == 1) & (dark_bob == 1)
 
-        n_pairs = int(rng.poisson(mu_pairs))
-        alice_counts = [0, 0]
-        bob_counts = [0, 0]
-        if n_pairs:
-            cum, outcomes = sampler.table(key, a_basis, b_basis)
-            for _ in range(n_pairs):
-                k = int(np.searchsorted(cum, rng.random(), side="right"))
-                a_bit, b_bit = outcomes[min(k, len(outcomes) - 1)]
-                alice_counts[a_bit] += 1
-                bob_counts[b_bit] += 1
-        if lam_dark > 0.0:
-            darks = rng.poisson(lam_dark, size=4)
-            alice_counts[0] += int(darks[0])
-            alice_counts[1] += int(darks[1])
-            bob_counts[0] += int(darks[2])
-            bob_counts[1] += int(darks[3])
+    alice_bit = np.full(n, -1, dtype=np.int8)
+    bob_bit = np.full(n, -1, dtype=np.int8)
+    alice_bit[dark_only] = darks[1, dark_only]
+    bob_bit[dark_only] = darks[3, dark_only]
 
-        kept = (alice_counts[0] + alice_counts[1] == 1
-                and bob_counts[0] + bob_counts[1] == 1)
-        record = TrialRecord(trial_index=i, alice_basis=a_basis, bob_basis=b_basis,
-                             eve_applied=eve_applied, eve_basis=eve_basis, kept=kept)
-        if kept:
-            record.alice_bit = 1 if alice_counts[1] == 1 else 0
-            record.bob_bit = 1 if bob_counts[1] == 1 else 0
-        records.append(record)
-    return records
+    rows = _cumulative_tables(s, eve)[scenario[single_pair], alice_basis[single_pair],
+                                      bob_basis[single_pair]]
+    u = rng.random(len(rows))
+    k = np.minimum(np.count_nonzero(rows <= u[:, None], axis=1), 3)  # searchsorted, side="right"
+    bits = np.array(_BIT_PAIRS, dtype=np.int8)[k]
+    alice_bit[single_pair] = bits[:, 0]
+    bob_bit[single_pair] = bits[:, 1]
+
+    return Trials(alice_basis=alice_basis, bob_basis=bob_basis,
+                  eve_applied=eve_applied, eve_basis=eve_basis,
+                  alice_bit=alice_bit, bob_bit=bob_bit,
+                  kept=single_pair | dark_only)
 
 
 CSV_COLUMNS = ("trial_index", "alice_basis", "bob_basis", "eve_basis",
                "alice_bit", "bob_bit", "kept")
 
 
-def records_to_csv(records: list[TrialRecord], path=None) -> str:
-    """Serialize records; writes to ``path`` when given, returns the text."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for r in records:
-        writer.writerow([
-            r.trial_index, r.alice_basis.value, r.bob_basis.value,
-            r.eve_basis.value if r.eve_basis is not None else "",
-            "" if r.alice_bit is None else r.alice_bit,
-            "" if r.bob_bit is None else r.bob_bit,
-            int(r.kept),
-        ])
-    text = buf.getvalue()
+_BASIS_TEXT = np.array([b.value for b in BASES] + [""])   # index -1 -> ""
+_BIT_TEXT = np.array(["0", "1", ""])
+
+
+def _write_csv(header, columns, path) -> str:
+    """Join equal-length string columns into CSV text; writes to ``path``
+    when given, returns the text."""
+    lines = columns[0]
+    for column in columns[1:]:
+        lines = np.char.add(np.char.add(lines, ","), column)
+    text = "\n".join([",".join(header), *lines.tolist()]) + "\n"
     if path is not None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     return text
 
 
-def records_from_csv(source) -> list[TrialRecord]:
-    """Parse records written by :func:`records_to_csv` (path or text)."""
-    if isinstance(source, str) and "\n" in source:
-        fh = io.StringIO(source)
-        rows = list(csv.reader(fh))
-    else:
-        with open(source, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-    if rows and rows[0] == list(CSV_COLUMNS):
-        rows = rows[1:]
-    records = []
-    for row in rows:
-        idx, ab, bb, eb, abit, bbit, kept = row
-        records.append(TrialRecord(
-            trial_index=int(idx),
-            alice_basis=MeasBasis(ab),
-            bob_basis=MeasBasis(bb),
-            eve_applied=bool(eb),
-            eve_basis=MeasBasis(eb) if eb else None,
-            alice_bit=int(abit) if abit != "" else None,
-            bob_bit=int(bbit) if bbit != "" else None,
-            kept=bool(int(kept)),
-        ))
-    return records
+def records_to_csv(trials: Trials, path=None) -> str:
+    """One row per dwell interval; writes to ``path`` when given, returns
+    the text.  Absent bases and bits are empty fields."""
+    return _write_csv(CSV_COLUMNS, [
+        np.arange(len(trials)).astype(str),
+        _BASIS_TEXT[trials.alice_basis], _BASIS_TEXT[trials.bob_basis],
+        _BASIS_TEXT[trials.eve_basis],
+        _BIT_TEXT[trials.alice_bit], _BIT_TEXT[trials.bob_bit],
+        trials.kept.astype(np.int8).astype(str),
+    ], path)
+
+
+SIFTED_COLUMNS = ("trial", "alice", "bob", "agree")
+
+
+def sifted_to_csv(trials: Trials, path=None) -> str:
+    """One row per sifted trial: index, both bits and whether they agree."""
+    mask = trials.sifted()
+    alice, bob = trials.alice_bit[mask], trials.bob_bit[mask]
+    return _write_csv(SIFTED_COLUMNS, [
+        np.flatnonzero(mask).astype(str), _BIT_TEXT[alice], _BIT_TEXT[bob],
+        (alice == bob).astype(np.int8).astype(str),
+    ], path)

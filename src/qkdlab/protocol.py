@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .detection import DetectorConfig, TrialRecord, simulate_dwell_stream
+from .detection import DetectorConfig, Trials, simulate_dwell_stream
 from .states import EveConfig, add_white_noise, bell_phi_plus
 from . import otp
 
@@ -49,7 +49,7 @@ class SessionConfig:
 
 @dataclass
 class SessionTranscript:
-    records: list[TrialRecord]
+    trials: Trials
     sifted_alice: np.ndarray
     sifted_bob: np.ndarray
     qber_estimate: float | None
@@ -58,18 +58,15 @@ class SessionTranscript:
     final_key: np.ndarray
 
 
-def sift(records: list[TrialRecord]) -> tuple[np.ndarray, np.ndarray]:
-    """Keep the kept records where both parties used the same basis.
+def sift(trials: Trials) -> tuple[np.ndarray, np.ndarray]:
+    """Keep the kept trials where both parties used the same basis.
 
     Returns the two bit strings in trial order (H, D -> 1; V, A -> 0, the
     convention already applied by the detector layer).
     """
-    alice, bob = [], []
-    for r in records:
-        if r.kept and r.alice_basis == r.bob_basis:
-            alice.append(r.alice_bit)
-            bob.append(r.bob_bit)
-    return np.array(alice, dtype=np.uint8), np.array(bob, dtype=np.uint8)
+    mask = trials.sifted()
+    return (trials.alice_bit[mask].astype(np.uint8),
+            trials.bob_bit[mask].astype(np.uint8))
 
 
 def estimate_qber(alice_bits, bob_bits, sample_fraction: float, rng):
@@ -222,18 +219,18 @@ def run_session(config: SessionConfig) -> SessionTranscript:
     """Run a full key-distribution session from one seed."""
     rng = np.random.default_rng(config.seed)
     state = add_white_noise(bell_phi_plus(), config.source_noise)
-    records = simulate_dwell_stream(state, config.detector, config.n_intervals,
-                                    "random", config.eve, rng)
-    sifted_alice, sifted_bob = sift(records)
+    trials = simulate_dwell_stream(state, config.detector, config.n_intervals,
+                                   "random", config.eve, rng)
+    sifted_alice, sifted_bob = sift(trials)
     empty = np.zeros(0, dtype=np.uint8)
     if len(sifted_alice) == 0:
-        return SessionTranscript(records, sifted_alice, sifted_bob,
+        return SessionTranscript(trials, sifted_alice, sifted_bob,
                                  qber_estimate=None, aborted=True,
                                  leaked_bits=0, final_key=empty)
     qber, rem_alice, rem_bob, _ = estimate_qber(
         sifted_alice, sifted_bob, config.qber_sample_fraction, rng)
     if decide(qber, config.abort_threshold) == "abort" or len(rem_alice) == 0:
-        return SessionTranscript(records, sifted_alice, sifted_bob,
+        return SessionTranscript(trials, sifted_alice, sifted_bob,
                                  qber_estimate=qber, aborted=True,
                                  leaked_bits=0, final_key=empty)
     corrected_bob, leaked = reconcile(rem_alice, rem_bob,
@@ -242,7 +239,7 @@ def run_session(config: SessionConfig) -> SessionTranscript:
     pa_seed = int(rng.integers(0, 2 ** 63))
     final_key = privacy_amplify(corrected_bob, qber, leaked,
                                 config.pa_safety_bits, pa_seed)
-    return SessionTranscript(records, sifted_alice, sifted_bob,
+    return SessionTranscript(trials, sifted_alice, sifted_bob,
                              qber_estimate=qber, aborted=False,
                              leaked_bits=leaked, final_key=final_key)
 
@@ -252,8 +249,8 @@ def transcript_summary(t: SessionTranscript) -> dict:
     n = len(t.sifted_alice)
     agreement = float(np.mean(t.sifted_alice == t.sifted_bob)) if n else 0.0
     return {
-        "n_records": len(t.records),
-        "n_kept": sum(1 for r in t.records if r.kept),
+        "n_records": len(t.trials),
+        "n_kept": int(np.count_nonzero(t.trials.kept)),
         "n_sifted": n,
         "sifted_agreement": agreement,
         "qber_estimate": t.qber_estimate,
@@ -264,23 +261,9 @@ def transcript_summary(t: SessionTranscript) -> dict:
 
 
 def transcript_to_dict(t: SessionTranscript) -> dict:
-    """JSON-ready transcript (final key as lowercase hex plus bit length)."""
+    """JSON-ready run scalars and the final key (as lowercase hex plus bit
+    length); the per-trial data lives in the CSV files."""
     return {
-        "records": [
-            {
-                "trial_index": r.trial_index,
-                "alice_basis": r.alice_basis.value,
-                "bob_basis": r.bob_basis.value,
-                "eve_applied": r.eve_applied,
-                "eve_basis": r.eve_basis.value if r.eve_basis else None,
-                "alice_bit": r.alice_bit,
-                "bob_bit": r.bob_bit,
-                "kept": r.kept,
-            }
-            for r in t.records
-        ],
-        "sifted_alice": "".join(map(str, t.sifted_alice.tolist())),
-        "sifted_bob": "".join(map(str, t.sifted_bob.tolist())),
         "qber_estimate": t.qber_estimate,
         "aborted": t.aborted,
         "leaked_bits": t.leaked_bits,

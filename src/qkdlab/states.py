@@ -109,14 +109,6 @@ def basis_from_angle(angle_deg: float) -> MeasBasis | None:
     return None
 
 
-def angle_from_basis(basis: MeasBasis) -> float:
-    if basis == MeasBasis.HV:
-        return 0.0
-    if basis == MeasBasis.DA:
-        return 45.0
-    raise ValueError("only the linear bases HV and DA map to a plate angle")
-
-
 def bell_phi_plus() -> TwoQubitState:
     """The source state ``(|HH> + |VV>)/sqrt(2)`` as a density matrix."""
     rho = np.zeros((4, 4), dtype=complex)
@@ -163,25 +155,34 @@ def dephase_bob(s: TwoQubitState, basis_angle: float, gamma: float) -> TwoQubitS
     return TwoQubitState((1.0 - gamma) * rho + gamma * pinched)
 
 
+def intercept_branches(s: TwoQubitState,
+                       basis: MeasBasis) -> list[tuple[float, TwoQubitState | None]]:
+    """Eve's projective measurement of photon 2 in ``basis``, branch by branch.
+
+    Returns ``[(p_minus, post_minus), (p_plus, post_plus)]``, indexed by her
+    bit (plus -> 1, minus -> 0): each outcome's probability and the pair's
+    post-measurement state, which is ``None`` for a zero-probability branch.
+    The probability-weighted post states sum to ``dephase_bob(s, angle, 1)``.
+    """
+    branches = []
+    for proj2 in reversed(basis.projectors()):
+        op = qmath.tensor(_I2, proj2)
+        p = min(max(float(np.trace(s.rho @ op).real), 0.0), 1.0)
+        branches.append((p, TwoQubitState(op @ s.rho @ op / p) if p > 0.0 else None))
+    return branches
+
+
 def intercept_resend(s: TwoQubitState, basis: MeasBasis, rng) -> tuple[int, TwoQubitState]:
     """Eve measures photon 2 in ``basis`` and resends what she saw.
 
     Returns her bit (plus -> 1, minus -> 0) and the pair's post-measurement
-    state.  Averaging the post state over her outcomes reproduces
-    ``dephase_bob(s, angle, 1)`` exactly; a zero-probability branch is never
-    sampled.
+    state, drawn from :func:`intercept_branches`; a zero-probability branch
+    is never sampled.
     """
-    plus2, minus2 = basis.projectors()
-    p_plus_op = qmath.tensor(_I2, plus2)
-    p_minus_op = qmath.tensor(_I2, minus2)
-    prob_plus = float(np.trace(s.rho @ p_plus_op).real)
-    prob_plus = min(max(prob_plus, 0.0), 1.0)
-    if rng.random() < prob_plus:
-        bit, proj, prob = 1, p_plus_op, prob_plus
-    else:
-        bit, proj, prob = 0, p_minus_op, 1.0 - prob_plus
-    post = proj @ s.rho @ proj / prob
-    return bit, TwoQubitState(post)
+    (_, post_minus), (p_plus, post_plus) = intercept_branches(s, basis)
+    if rng.random() < p_plus:
+        return 1, post_plus
+    return 0, post_minus
 
 
 def plate_delay_fs(plate: QuartzPlate) -> float:

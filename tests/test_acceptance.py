@@ -13,11 +13,11 @@ import pytest
 
 from qkdlab import otp
 from qkdlab.cli import main
-from qkdlab.detection import DetectorConfig, joint_probs, sample_trial
+from qkdlab.detection import BASES, DetectorConfig, joint_probs, simulate_dwell_stream
 from qkdlab.optics import MeasBasis
 from qkdlab.protocol import SessionConfig, run_session
 from qkdlab.states import (EveConfig, QuartzPlate, add_white_noise, bell_phi_plus,
-                           dephase_bob, intercept_resend, plate_gamma)
+                           dephase_bob, plate_gamma)
 from qkdlab.tomography import (CHSH_CANONICAL_ANGLES, chsh, expected_probs,
                                fidelity, linear_entropy, reconstruct,
                                simulate_counts, tangle, von_neumann)
@@ -79,8 +79,9 @@ def test_criterion_3_intercept_resend_error_rates():
     t2 = run_session(SessionConfig(seed=18, n_intervals=24000, source_noise=0.0,
                                    detector=DetectorConfig(dark_rate=0.0),
                                    eve=eve_fixed, abort_threshold=0.45))
-    errs = [int(r.alice_bit != r.bob_bit) for r in t2.records
-            if r.kept and r.alice_basis == r.bob_basis == MeasBasis.HV]
+    trials = t2.trials
+    hv_sifted = trials.sifted() & (trials.alice_basis == BASES.index(MeasBasis.HV))
+    errs = (trials.alice_bit != trials.bob_bit)[hv_sifted]
     rate = float(np.mean(errs))
     assert abs(rate - 0.5) <= 4 * binomial_sigma(0.5, len(errs))
     print(f"criterion 3: PASS - random-basis QBER {qber:.4f} ~ 0.25 "
@@ -164,21 +165,24 @@ def test_criterion_7_chsh():
 
 
 def test_criterion_8_channel_equivalence():
-    n = 100000
     rng = np.random.default_rng(88)
     bell = bell_phi_plus()
+    detector = DetectorConfig(dark_rate=0.0)
     for basis, angle in ((MeasBasis.HV, 0.0), (MeasBasis.DA, 45.0)):
-        counts = np.zeros(4)
-        for _ in range(n):
-            _, post = intercept_resend(bell, basis, rng)
-            a_bit, b_bit = sample_trial(post, MeasBasis.HV, MeasBasis.HV, rng)
-            counts[(1 - a_bit) * 2 + (1 - b_bit)] += 1
+        eve = EveConfig(mode="intercept_resend", basis_angle=angle, basis_policy="fixed")
+        trials = simulate_dwell_stream(bell, detector, 300000,
+                                       (MeasBasis.HV, MeasBasis.HV), eve, rng)
+        assert trials.eve_applied.all()
+        a_bits, b_bits = trials.alice_bit[trials.kept], trials.bob_bit[trials.kept]
+        n = len(a_bits)
+        assert n >= 100000
+        counts = np.bincount((1 - a_bits) * 2 + (1 - b_bits), minlength=4)
         analytic = joint_probs(dephase_bob(bell, angle, 1.0),
                                MeasBasis.HV, MeasBasis.HV)
         for cell, p in zip(counts / n, analytic):
             assert abs(cell - p) <= 4 * binomial_sigma(max(p, 1e-12), n) + 1e-9
-    print(f"criterion 8: PASS - {n} intercept-resend trials match the "
-          f"dephasing channel cellwise in both bases")
+    print(f"criterion 8: PASS - >= 100000 intercept-resend trials per basis "
+          f"match the dephasing channel cellwise in both bases")
 
 
 def test_criterion_9_end_to_end_key_and_one_time_pad():

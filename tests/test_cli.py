@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -44,6 +45,32 @@ def test_session_writes_outputs_and_repeats_bytes(tmp_path):
     tree_a, tree_b = read_tree(tmp_path / "a"), read_tree(tmp_path / "b")
     assert set(tree_a) == {"records.csv", "sifted.csv", "transcript.json", "summary.json"}
     assert tree_a == tree_b
+
+
+def test_session_output_files_agree(tmp_path):
+    eve = {"mode": "intercept_resend", "basis_policy": "random_per_trial",
+           "intercept_fraction": 0.3}
+    body = session_body(n_intervals=3000, eve=eve, abort_threshold=0.3,
+                        detector={"dwell": 0.1, "pair_rate": 10.0, "dark_rate": 1.0})
+    cfg = write_config(tmp_path, "s.json", body)
+    assert main(["session", "--config", cfg, "--out", str(tmp_path / "a")]) in (0, 2)
+    out = tmp_path / "a"
+    with open(out / "records.csv", newline="") as fh:
+        records = list(csv.DictReader(fh))
+    with open(out / "sifted.csv", newline="") as fh:
+        sifted = list(csv.DictReader(fh))
+    summary = json.loads((out / "summary.json").read_text())
+    transcript = json.loads((out / "transcript.json").read_text())
+
+    expected = [{"trial": r["trial_index"], "alice": r["alice_bit"], "bob": r["bob_bit"],
+                 "agree": str(int(r["alice_bit"] == r["bob_bit"]))}
+                for r in records if r["kept"] == "1" and r["alice_basis"] == r["bob_basis"]]
+    assert sifted == expected
+    assert summary["n_records"] == len(records) == 3000
+    assert summary["n_kept"] == sum(r["kept"] == "1" for r in records)
+    assert summary["n_sifted"] == len(sifted) > 0
+    assert set(transcript) == {"qber_estimate", "aborted", "leaked_bits",
+                               "final_key_hex", "final_key_len"}
 
 
 def test_session_seed_override_changes_outputs(tmp_path):
@@ -176,6 +203,23 @@ def test_otp_key_file_with_offset(tmp_path, capsys):
     cipher_hex = capsys.readouterr().out.strip()
     expected = otp.encrypt(otp.text_to_bits("a"), key_bits[8:])
     assert cipher_hex == otp.bits_to_hex(expected)
+
+
+def test_otp_key_file_must_hold_a_key(tmp_path, capsys):
+    for i, body in enumerate(({"final_key_len": 8}, [1, 2],
+                              {"final_key_hex": "ab", "final_key_len": 9},
+                              {"final_key_hex": 171, "final_key_len": 8})):
+        path = tmp_path / f"key{i}.json"
+        path.write_text(json.dumps(body))
+        assert main(["otp", "encrypt", "--text", "a", "--key-file", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_otp_negative_offset_rejected(capsys):
+    key_hex = "deadbeef0123"
+    assert main(["otp", "encrypt", "--text", "a", "--key-hex", key_hex,
+                 "--offset", "-8"]) == 1
+    assert "offset" in capsys.readouterr().err
 
 
 def test_otp_short_key_exit_code(capsys):

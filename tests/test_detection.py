@@ -1,10 +1,12 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
 from qkdlab import qmath
-from qkdlab.detection import (DetectorConfig, TrialRecord, joint_probs,
-                              records_from_csv, records_to_csv, sample_trial,
-                              simulate_dwell_stream)
+from qkdlab.detection import (BASES, DetectorConfig, Trials, joint_probs,
+                              records_to_csv, sifted_to_csv, simulate_dwell_stream)
 from qkdlab.optics import MeasBasis, PolState
 from qkdlab.states import EveConfig, TwoQubitState, bell_phi_plus, bell_phi_plus_ket
 
@@ -58,18 +60,26 @@ def test_joint_probs_normalized_and_marginal_consistent(rng):
                 assert alice_marginal == pytest.approx(expected, abs=1e-10)
 
 
-def test_sample_trial_same_basis_always_agrees(rng):
+def _fixed_bases(state, a, b, n, seed=1234):
+    """Bits of the kept trials of a dark-free stream with fixed analysers."""
+    rng = np.random.default_rng(seed)
+    trials = simulate_dwell_stream(state, DetectorConfig(dark_rate=0.0), n, (a, b),
+                                   EveConfig(), rng)
+    return trials.alice_bit[trials.kept], trials.bob_bit[trials.kept]
+
+
+def test_sample_trial_same_basis_always_agrees():
     for state in (bell_phi_plus(), HV_MIXTURE):
-        for _ in range(2000):
-            a, b = sample_trial(state, MeasBasis.HV, MeasBasis.HV, rng)
-            assert a == b
+        alice, bob = _fixed_bases(state, MeasBasis.HV, MeasBasis.HV, 8000)
+        assert len(alice) >= 2000
+        assert np.array_equal(alice, bob)
 
 
-def test_sample_trial_cross_basis_agreement_half(rng):
-    n = 10000
-    agree = sum(a == b for a, b in
-                (sample_trial(bell_phi_plus(), MeasBasis.HV, MeasBasis.DA, rng)
-                 for _ in range(n)))
+def test_sample_trial_cross_basis_agreement_half():
+    alice, bob = _fixed_bases(bell_phi_plus(), MeasBasis.HV, MeasBasis.DA, 30000)
+    n = len(alice)
+    assert n >= 10000
+    agree = np.count_nonzero(alice == bob)
     assert abs(agree / n - 0.5) < 4 * binomial_sigma(0.5, n)
 
 
@@ -82,29 +92,40 @@ def _stream(seed=3, n=10000, dark=0.0, pair_rate=10.0, eve=None):
 
 def test_stream_keep_fraction_matches_poisson():
     n = 10000
-    records = _stream(n=n)
-    frac = sum(r.kept for r in records) / n
+    trials = _stream(n=n)
+    frac = np.count_nonzero(trials.kept) / n
     expected = np.exp(-1.0)  # exactly one pair in the interval
     assert abs(frac - expected) < 4 * binomial_sigma(expected, n)
 
 
 def test_stream_no_pairs_no_records_kept():
-    records = _stream(n=2000, pair_rate=0.0)
-    assert sum(r.kept for r in records) == 0
+    trials = _stream(n=2000, pair_rate=0.0)
+    assert np.count_nonzero(trials.kept) == 0
 
 
 def test_stream_dark_counts_reduce_keep_fraction():
-    base = sum(r.kept for r in _stream(seed=9, n=10000, dark=0.0))
-    noisy = sum(r.kept for r in _stream(seed=9, n=10000, dark=10.0))
+    base = np.count_nonzero(_stream(seed=9, n=10000, dark=0.0).kept)
+    noisy = np.count_nonzero(_stream(seed=9, n=10000, dark=10.0).kept)
     assert noisy < base
 
 
+def test_stream_dark_counts_alone_give_random_bits():
+    # no pairs: a trial is kept only when each side saw exactly one dark
+    # count, and those two detectors are independent coins
+    trials = _stream(seed=5, n=80000, dark=5.0, pair_rate=0.0)
+    assert np.count_nonzero(trials.kept) > 0
+    mask = trials.sifted()
+    n = np.count_nonzero(mask)
+    assert n >= 4000
+    qber = np.mean(trials.alice_bit[mask] != trials.bob_bit[mask])
+    assert abs(qber - 0.5) <= 4 * binomial_sigma(0.5, n)
+
+
 def test_stream_kept_records_have_bits():
-    for r in _stream(n=3000, dark=2.0):
-        if r.kept:
-            assert r.alice_bit in (0, 1) and r.bob_bit in (0, 1)
-        else:
-            assert r.alice_bit is None and r.bob_bit is None
+    trials = _stream(n=3000, dark=2.0)
+    for bits in (trials.alice_bit, trials.bob_bit):
+        assert np.isin(bits[trials.kept], (0, 1)).all()
+        assert (bits[~trials.kept] == -1).all()
 
 
 def test_stream_deterministic_given_seed():
@@ -116,33 +137,78 @@ def test_stream_deterministic_given_seed():
 def test_stream_eve_metadata_recorded():
     eve = EveConfig(mode="dephasing", basis_angle=45.0, strength=1.0,
                     intercept_fraction=0.5)
-    records = _stream(n=2000, eve=eve)
-    applied = [r for r in records if r.eve_applied]
-    assert 0 < len(applied) < len(records)
-    assert all(r.eve_basis == MeasBasis.DA for r in applied)
-    assert all(r.eve_basis is None for r in records if not r.eve_applied)
+    trials = _stream(n=2000, eve=eve)
+    applied = trials.eve_applied
+    assert 0 < np.count_nonzero(applied) < len(trials)
+    assert (trials.eve_basis[applied] == 1).all()  # BASES[1] is DA
+    assert (trials.eve_basis[~applied] == -1).all()
+
+
+def _parse_records_csv(text):
+    """Columns of a records.csv text as arrays in the ``Trials`` encoding."""
+    basis = {b.value: i for i, b in enumerate(BASES)} | {"": -1}
+    bit = {"0": 0, "1": 1, "": -1}
+    rows = list(csv.DictReader(io.StringIO(text)))
+
+    def column(name, table):
+        return np.array([table[r[name]] for r in rows])
+
+    return {
+        "trial_index": np.array([int(r["trial_index"]) for r in rows]),
+        "alice_basis": column("alice_basis", basis),
+        "bob_basis": column("bob_basis", basis),
+        "eve_basis": column("eve_basis", basis),
+        "alice_bit": column("alice_bit", bit),
+        "bob_bit": column("bob_bit", bit),
+        "kept": np.array([r["kept"] == "1" for r in rows]),
+    }
 
 
 def test_csv_roundtrip():
-    records = _stream(n=500, dark=1.0,
-                      eve=EveConfig(mode="intercept_resend",
-                                    basis_policy="random_per_trial",
-                                    intercept_fraction=0.7))
-    text = records_to_csv(records)
-    back = records_from_csv(text)
-    assert len(back) == len(records)
-    for r, s in zip(records, back):
-        assert (r.trial_index, r.alice_basis, r.bob_basis, r.eve_basis,
-                r.alice_bit, r.bob_bit, r.kept) == \
-               (s.trial_index, s.alice_basis, s.bob_basis, s.eve_basis,
-                s.alice_bit, s.bob_bit, s.kept)
+    trials = _stream(n=500, dark=1.0,
+                     eve=EveConfig(mode="intercept_resend",
+                                   basis_policy="random_per_trial",
+                                   intercept_fraction=0.7))
+    back = _parse_records_csv(records_to_csv(trials))
+    assert (back["trial_index"] == np.arange(len(trials))).all()
+    for name in ("alice_basis", "bob_basis", "eve_basis", "alice_bit", "bob_bit",
+                 "kept"):
+        assert (back[name] == getattr(trials, name)).all(), name
 
 
 def test_csv_file_roundtrip(tmp_path):
-    records = _stream(n=200)
+    trials = _stream(n=200)
     path = tmp_path / "records.csv"
-    records_to_csv(records, path)
-    assert len(records_from_csv(path)) == 200
+    text = records_to_csv(trials, path)
+    assert path.read_text(encoding="utf-8") == text
+    back = _parse_records_csv(text)
+    assert len(back["trial_index"]) == 200
+    assert (back["kept"] == trials.kept).all()
+
+
+def test_records_to_csv_golden_text(tmp_path):
+    # rows: sifted and agreeing; unkept with Eve idle; kept cross-basis;
+    # sifted and disagreeing
+    trials = Trials(
+        alice_basis=np.array([0, 1, 0, 1], dtype=np.int8),
+        bob_basis=np.array([0, 0, 1, 1], dtype=np.int8),
+        eve_applied=np.array([True, False, True, True]),
+        eve_basis=np.array([1, -1, 0, 1], dtype=np.int8),
+        alice_bit=np.array([1, -1, 0, 0], dtype=np.int8),
+        bob_bit=np.array([1, -1, 1, 1], dtype=np.int8),
+        kept=np.array([True, False, True, True]),
+    )
+    expected = ("trial_index,alice_basis,bob_basis,eve_basis,alice_bit,bob_bit,kept\n"
+                "0,HV,HV,DA,1,1,1\n"
+                "1,DA,HV,,,,0\n"
+                "2,HV,DA,HV,0,1,1\n"
+                "3,DA,DA,DA,0,1,1\n")
+    path = tmp_path / "records.csv"
+    assert records_to_csv(trials, path) == expected
+    assert path.read_bytes() == expected.encode()
+    sifted = "trial,alice,bob,agree\n0,1,1,1\n3,0,1,0\n"
+    assert sifted_to_csv(trials, tmp_path / "sifted.csv") == sifted
+    assert (tmp_path / "sifted.csv").read_bytes() == sifted.encode()
 
 
 def test_detector_config_validation():
@@ -151,3 +217,7 @@ def test_detector_config_validation():
     with pytest.raises(ValueError):
         simulate_dwell_stream(bell_phi_plus(), DetectorConfig(), 0, "random",
                               EveConfig(), np.random.default_rng(0))
+    for policy in ("fixed", (MeasBasis.HV,), (MeasBasis.HV, MeasBasis.RL)):
+        with pytest.raises(ValueError, match="basis_policy"):
+            simulate_dwell_stream(bell_phi_plus(), DetectorConfig(), 10, policy,
+                                  EveConfig(), np.random.default_rng(0))

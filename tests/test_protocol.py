@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qkdlab.detection import DetectorConfig, TrialRecord
+from qkdlab.detection import DetectorConfig, Trials
 from qkdlab.optics import MeasBasis
 from qkdlab.protocol import (SessionConfig, decide, estimate_qber, h2,
                              privacy_amplify, reconcile, run_session, sift,
@@ -14,45 +14,51 @@ from qkdlab import otp
 from conftest import binomial_sigma
 
 
-def _record(i, a_basis, b_basis, a_bit=None, b_bit=None, kept=True):
-    return TrialRecord(trial_index=i, alice_basis=a_basis, bob_basis=b_basis,
-                       alice_bit=a_bit, bob_bit=b_bit, kept=kept)
+HV, DA = 0, 1  # indices into qkdlab.detection.BASES
+
+
+def _trials(rows):
+    """Trials from (alice_basis, bob_basis, alice_bit, bob_bit, kept) rows;
+    a bit of -1 means "no bit"."""
+    a_basis, b_basis, a_bit, b_bit, kept = (np.array(col, dtype=np.int8)
+                                            for col in zip(*rows))
+    n = len(rows)
+    return Trials(alice_basis=a_basis, bob_basis=b_basis,
+                  eve_applied=np.zeros(n, dtype=bool),
+                  eve_basis=np.full(n, -1, dtype=np.int8),
+                  alice_bit=a_bit, bob_bit=b_bit, kept=kept.astype(bool))
 
 
 def test_sift_keeps_agreeing_same_basis_sample():
     # ten same-basis trials, the published sample run: all agree
     bits = [0, 0, 0, 1, 1, 0, 1, 0, 0, 0]
-    records = [_record(i, MeasBasis.HV, MeasBasis.HV, b, b) for i, b in enumerate(bits)]
-    alice, bob = sift(records)
+    alice, bob = sift(_trials([(HV, HV, b, b, True) for b in bits]))
     assert alice.tolist() == bits
     assert bob.tolist() == bits
     assert int(np.sum(alice != bob)) == 0
 
 
 def test_sift_all_cross_basis_empty():
-    records = [_record(i, MeasBasis.HV, MeasBasis.DA, 1, 0) for i in range(10)]
-    alice, bob = sift(records)
+    alice, bob = sift(_trials([(HV, DA, 1, 0, True)] * 10))
     assert len(alice) == 0 and len(bob) == 0
 
 
 def test_sift_mixed_list_keeps_order():
-    records = [
-        _record(0, MeasBasis.HV, MeasBasis.HV, 1, 1),
-        _record(1, MeasBasis.HV, MeasBasis.DA, 0, 0),
-        _record(2, MeasBasis.DA, MeasBasis.DA, 0, 1),
-        _record(3, MeasBasis.DA, MeasBasis.HV, 1, 1),
-        _record(4, MeasBasis.HV, MeasBasis.HV, 0, 0),
-        _record(5, MeasBasis.DA, MeasBasis.HV, 1, 0),
-    ]
-    alice, bob = sift(records)
+    trials = _trials([
+        (HV, HV, 1, 1, True),
+        (HV, DA, 0, 0, True),
+        (DA, DA, 0, 1, True),
+        (DA, HV, 1, 1, True),
+        (HV, HV, 0, 0, True),
+        (DA, HV, 1, 0, True),
+    ])
+    alice, bob = sift(trials)
     assert alice.tolist() == [1, 0, 0]  # trials 0, 2, 4 in order
     assert bob.tolist() == [1, 1, 0]
 
 
 def test_sift_ignores_discarded_trials():
-    records = [_record(0, MeasBasis.HV, MeasBasis.HV, None, None, kept=False),
-               _record(1, MeasBasis.HV, MeasBasis.HV, 1, 1)]
-    alice, _ = sift(records)
+    alice, _ = sift(_trials([(HV, HV, -1, -1, False), (HV, HV, 1, 1, True)]))
     assert alice.tolist() == [1]
 
 
@@ -238,15 +244,11 @@ def test_run_session_case_conditional_errors():
     # wrong-basis trials err half the time
     eve = EveConfig(mode="dephasing", basis_angle=0.0, strength=1.0)
     t = run_session(_session(seed=9, n=20000, eve=eve, threshold=0.3))
-    same_basis_err, cross = [], []
-    for r in t.records:
-        if not (r.kept and r.alice_basis == r.bob_basis):
-            continue
-        err = int(r.alice_bit != r.bob_bit)
-        if r.alice_basis == MeasBasis.HV:
-            same_basis_err.append(err)
-        else:
-            cross.append(err)
+    trials = t.trials
+    errors = trials.alice_bit != trials.bob_bit
+    sifted = trials.sifted()
+    same_basis_err = errors[sifted & (trials.alice_basis == HV)]
+    cross = errors[sifted & (trials.alice_basis == DA)]
     assert sum(same_basis_err) == 0
     rate = np.mean(cross)
     assert abs(rate - 0.5) < 4 * binomial_sigma(0.5, len(cross))

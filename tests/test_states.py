@@ -180,21 +180,6 @@ def test_plate_gamma_partial_plate():
     assert 0.5 < remaining < 0.85
 
 
-def test_monte_carlo_intercept_matches_dephasing(rng):
-    from qkdlab.detection import joint_probs, sample_trial
-    n = 20000
-    basis = MeasBasis.HV
-    counts = np.zeros(4)
-    bell = bell_phi_plus()
-    for _ in range(n):
-        _, post = intercept_resend(bell, basis, rng)
-        a_bit, b_bit = sample_trial(post, MeasBasis.HV, MeasBasis.HV, rng)
-        counts[(1 - a_bit) * 2 + (1 - b_bit)] += 1
-    analytic = joint_probs(dephase_bob(bell, 0.0, 1.0), MeasBasis.HV, MeasBasis.HV)
-    for cell, p in zip(counts / n, analytic):
-        assert abs(cell - p) <= 4 * binomial_sigma(max(p, 1e-9), n) + 1e-9
-
-
 def test_composed_dephasing_loses_nonlocality(rng):
     from qkdlab.tomography import chsh
     s = dephase_bob(dephase_bob(bell_phi_plus(), 0.0, 1.0), 45.0, 1.0)

@@ -4,8 +4,7 @@ two-photon state tomography, CHSH tests and one-time-pad messaging."""
 
 from .optics import AnalyzerSetting, MeasBasis, PolState, analyzer_chain, hwp, projector, qwp
 from .states import (EveConfig, QuartzPlate, TwoQubitState, add_white_noise,
-                     bell_phi_plus, dephase_bob, intercept_branches, intercept_resend,
-                     plate_gamma)
+                     bell_phi_plus, dephase_bob, intercept_branches, plate_gamma)
 from .detection import DetectorConfig, Trials, joint_probs, simulate_dwell_stream
 from .protocol import (SessionConfig, SessionTranscript, decide, estimate_qber,
                        h2, privacy_amplify, reconcile, run_session, sift)

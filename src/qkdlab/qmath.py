@@ -27,8 +27,8 @@ def as_complex(m) -> np.ndarray:
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.conj(m).T
+    """Conjugate transpose of a matrix or of each matrix in a stack."""
+    return np.conj(m).swapaxes(-1, -2)
 
 
 def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
@@ -84,13 +84,13 @@ def herm_eig(m: np.ndarray):
 
     Returns ``(w, v)`` with ``w`` real and sorted high-to-low and ``v``
     holding the matching eigenvectors as columns, so that
-    ``m == v @ diag(w) @ v.conj().T`` to within 1e-8.
+    ``m == v @ diag(w) @ v.conj().T`` to within 1e-8.  Works on a stack.
     """
     m = as_complex(m)
     if not is_hermitian(m):
         raise ValueError("herm_eig: input is not Hermitian")
     w, v = np.linalg.eigh(m)
-    return w[::-1], v[:, ::-1]
+    return w[..., ::-1], v[..., ::-1]
 
 
 def nearest_physical(m: np.ndarray) -> np.ndarray:
@@ -99,15 +99,15 @@ def nearest_physical(m: np.ndarray) -> np.ndarray:
     Eigendecompose, clip negative eigenvalues to zero and renormalize the
     trace to exactly 1.  A matrix that is already PSD passes through
     unchanged (up to the trace renormalization).  Raises if the whole
-    spectrum clips away.
+    spectrum clips away, for any matrix of a stack.
     """
     w, v = herm_eig(m)
-    w = np.clip(w.real, 0.0, None)
-    total = w.sum()
-    if total <= 0.0:
+    w = np.clip(w, 0.0, None)
+    total = w.sum(axis=-1, keepdims=True)
+    if np.any(total <= 0.0):
         raise ValueError("unphysical reconstruction: no positive eigenvalue mass")
     w = w / total
-    rho = (v * w) @ dagger(v)
+    rho = (v * w[..., None, :]) @ dagger(v)
     return (rho + dagger(rho)) / 2.0
 
 

@@ -13,7 +13,7 @@ modeled:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -170,19 +170,6 @@ def intercept_branches(s: TwoQubitState,
         p = min(max(float(np.trace(s.rho @ op).real), 0.0), 1.0)
         branches.append((p, TwoQubitState(op @ s.rho @ op / p) if p > 0.0 else None))
     return branches
-
-
-def intercept_resend(s: TwoQubitState, basis: MeasBasis, rng) -> tuple[int, TwoQubitState]:
-    """Eve measures photon 2 in ``basis`` and resends what she saw.
-
-    Returns her bit (plus -> 1, minus -> 0) and the pair's post-measurement
-    state, drawn from :func:`intercept_branches`; a zero-probability branch
-    is never sampled.
-    """
-    (_, post_minus), (p_plus, post_plus) = intercept_branches(s, basis)
-    if rng.random() < p_plus:
-        return 1, post_plus
-    return 0, post_minus
 
 
 def plate_delay_fs(plate: QuartzPlate) -> float:

@@ -158,8 +158,11 @@ def test_nearest_physical_clip_rule():
 
 
 def test_nearest_physical_all_negative_errors():
+    bad = np.diag([-1.0, 0.0, 0.0, 0.0]).astype(complex)
     with pytest.raises(ValueError, match="unphysical"):
-        qmath.nearest_physical(np.diag([-1.0, 0.0, 0.0, 0.0]).astype(complex))
+        qmath.nearest_physical(bad)
+    with pytest.raises(ValueError, match="unphysical"):  # one bad matrix in a stack
+        qmath.nearest_physical(np.stack([bell_phi_plus().rho, bad]))
 
 
 def test_nearest_physical_idempotent(rng):

@@ -5,9 +5,9 @@ from qkdlab import qmath
 from qkdlab.optics import MeasBasis
 from qkdlab.states import (EveConfig, QuartzPlate, TwoQubitState, add_white_noise,
                            basis_from_angle, bell_phi_plus, bell_phi_plus_ket,
-                           dephase_bob, intercept_resend, plate_delay_fs, plate_gamma)
+                           dephase_bob, intercept_branches, plate_delay_fs, plate_gamma)
 
-from conftest import assert_close, binomial_sigma, random_density
+from conftest import assert_close, random_density
 
 BELL_MATRIX = np.array([
     [0.5, 0, 0, 0.5],
@@ -22,16 +22,6 @@ HV_MIXTURE = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
 P_D = 0.5 * np.array([[1, 1], [1, 1]], dtype=complex)
 P_A = 0.5 * np.array([[1, -1], [-1, 1]], dtype=complex)
 I2 = np.eye(2, dtype=complex)
-
-
-class _ForcedRng:
-    """Stub generator whose random() pins intercept_resend to one branch."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def random(self):
-        return self.value
 
 
 def test_bell_matrix_corners():
@@ -123,31 +113,33 @@ def test_dephase_full_strength_idempotent(rng):
     assert_close(dephase_bob(once, 0.0, 1.0).rho, once.rho, tol=1e-12)
 
 
-def test_intercept_eve_bit_is_fair_on_entangled_input(rng):
-    n = 4000
-    bits = [intercept_resend(bell_phi_plus(), MeasBasis.DA, rng)[0] for _ in range(n)]
-    freq = np.mean(bits)
-    assert abs(freq - 0.5) < 4 * binomial_sigma(0.5, n)
+def test_intercept_eve_bit_is_fair_on_entangled_input():
+    (p_minus, post_minus), (p_plus, post_plus) = intercept_branches(bell_phi_plus(),
+                                                                    MeasBasis.DA)
+    assert p_minus == pytest.approx(0.5, abs=1e-12)
+    assert p_plus == pytest.approx(0.5, abs=1e-12)
+    assert post_minus is not None and post_plus is not None
 
 
-def test_intercept_on_eigenstate_is_invisible(rng):
+def test_intercept_on_eigenstate_is_invisible():
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = 1.0
-    s = TwoQubitState(rho)
-    for _ in range(50):
-        bit, post = intercept_resend(s, MeasBasis.HV, rng)
-        assert bit == 1
-        assert_close(post.rho, rho, tol=1e-12)
+    (p_minus, post_minus), (p_plus, post_plus) = intercept_branches(TwoQubitState(rho),
+                                                                    MeasBasis.HV)
+    assert (p_minus, post_minus) == (0.0, None)  # Eve's bit is always 1
+    assert p_plus == 1.0
+    assert_close(post_plus.rho, rho, tol=1e-12)
 
 
 def test_intercept_branch_average_equals_full_dephasing():
     for state in (bell_phi_plus(), TwoQubitState(random_density(np.random.default_rng(5)))):
         for basis, angle in ((MeasBasis.HV, 0.0), (MeasBasis.DA, 45.0)):
             plus2, _ = basis.projectors()
-            p_plus = np.trace(state.rho @ np.kron(I2, plus2)).real
-            _, post_plus = intercept_resend(state, basis, _ForcedRng(0.0))
-            _, post_minus = intercept_resend(state, basis, _ForcedRng(0.999999999))
-            mixture = p_plus * post_plus.rho + (1.0 - p_plus) * post_minus.rho
+            (p_minus, post_minus), (p_plus, post_plus) = intercept_branches(state, basis)
+            assert p_plus == pytest.approx(np.trace(state.rho @ np.kron(I2, plus2)).real,
+                                           abs=1e-12)
+            assert p_minus + p_plus == pytest.approx(1.0, abs=1e-12)
+            mixture = p_plus * post_plus.rho + p_minus * post_minus.rho
             assert_close(mixture, dephase_bob(state, angle, 1.0).rho, tol=1e-12)
 
 

@@ -3,8 +3,9 @@ import pytest
 
 from qkdlab.optics import PolState
 from qkdlab.states import TwoQubitState, add_white_noise, bell_phi_plus, dephase_bob
-from qkdlab.tomography import (CHSH_CANONICAL_ANGLES, TOMO_SCHEDULE,
-                               ReconstructionError, bootstrap_metrics, chsh,
+from qkdlab.tomography import (_BLOCK, CHSH_CANONICAL_ANGLES, TOMO_SCHEDULE,
+                               ReconstructionError, _replica_metrics,
+                               bootstrap_metrics, chsh,
                                correlator, expected_probs, fidelity,
                                linear_entropy, reconstruct, run_tomography,
                                simulate_counts, state_metrics, tangle,
@@ -77,6 +78,11 @@ def test_reconstruct_input_validation():
         reconstruct(np.zeros(16))  # no flux
     with pytest.raises(ReconstructionError):
         reconstruct(-np.ones(16))
+    for bad in (np.nan, np.inf):
+        counts = np.ones(16)
+        counts[5] = bad
+        with pytest.raises(ReconstructionError, match="finite"):
+            reconstruct(counts)
 
 
 def test_reconstruct_degenerate_counts_give_physical_state():
@@ -153,10 +159,36 @@ def test_bootstrap_degenerate_counts_surface_clean_error():
 
 def test_bootstrap_values_clamped():
     metrics = bootstrap_metrics(_exact_counts(HV_MIXTURE, n=200), replicas=50, seed=3)
-    for value in (metrics.tangle, metrics.von_neumann, metrics.linear_entropy,
-                  metrics.fidelity):
-        assert -1e-12 <= value <= 1.0 + 1e-12
+    for value, top in ((metrics.tangle, 1.0), (metrics.von_neumann, 2.0),
+                       (metrics.linear_entropy, 1.0), (metrics.fidelity, 1.0)):
+        assert -1e-12 <= value <= top + 1e-12
     assert metrics.clamp_events >= 0
+
+
+def test_bootstrap_entropy_spread_above_one_bit():
+    # a fully dephased noisy pair has ~1.1 bits of entropy: clamping at 1 bit
+    # would collapse the spread and count a clamp on nearly every replica
+    for angle, seed in ((0.0, 23), (45.0, 25)):
+        state = dephase_bob(add_white_noise(bell_phi_plus(), 0.04), angle, 1.0)
+        counts = simulate_counts(state, 10000, np.random.default_rng(seed))
+        run = run_tomography(counts, replicas=200, seed=seed)
+        assert run.metrics.von_neumann > 1.0
+        assert run.metrics.von_neumann_sigma > 0.01
+        assert run.metrics.clamp_events == 0
+
+
+def test_bootstrap_blocks_match_single_state_path():
+    # replica k's metrics must not depend on the block it is stacked in
+    counts = simulate_counts(add_white_noise(bell_phi_plus(), 0.04), 10000,
+                             np.random.default_rng(7))
+    replicas = 2 * _BLOCK + 3
+    rows = _replica_metrics(counts.astype(float), replicas, seed=11)
+    assert rows.shape == (replicas, 4)
+    for k in (0, _BLOCK - 1, _BLOCK, 2 * _BLOCK - 1, 2 * _BLOCK, replicas - 1):
+        rng = np.random.default_rng(np.random.SeedSequence([11, k]))
+        rho = reconstruct(rng.poisson(counts))
+        expected = (tangle(rho), von_neumann(rho), linear_entropy(rho), fidelity(rho))
+        assert_close(rows[k], expected, tol=1e-9)
 
 
 def test_bootstrap_needs_replicas():

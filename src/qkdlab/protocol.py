@@ -194,13 +194,21 @@ def reconcile(alice_bits, bob_bits, passes: int = 4, *, qber_est: float, rng):
 
 def privacy_amplify(key_bits, qber: float, leaked_bits: int, safety: int,
                     rng_seed: int) -> np.ndarray:
-    """Compress the reconciled key with a seeded binary Toeplitz matrix.
+    """Compress the reconciled key with a seeded binary Toeplitz hash.
 
     The output length is ``floor(n (1 - h2(qber)) - leaked_bits - safety)``
-    clamped at zero; the matrix is built from ``n + m - 1`` seeded bits so
-    the result is a pure function of ``(key, rng_seed)``.
+    clamped at zero.  The m×n Toeplitz matrix ``T[i, j] = s[i - j + n - 1]``
+    is defined by ``n + m - 1`` seeded bits ``s``, so the result is a pure
+    function of ``(key, rng_seed)``.  It is never built: ``T @ key`` is the
+    "valid" part of the linear convolution ``s ∗ key`` (output ``i`` is
+    entry ``i + n - 1``), computed exactly as an FFT product over float64
+    and reduced mod 2.  Every exact value is an integer at most ``n``; if any
+    computed value lies 0.25 or more from the nearest integer the function
+    raises ``ArithmeticError`` rather than return a wrong bit.  Time and
+    memory are O((n + m) log(n + m)).  Raises ``ValueError`` for a key that
+    is empty or not a flat sequence of 0s and 1s.
     """
-    key = np.asarray(key_bits, dtype=np.uint8)
+    key = otp.as_bits(key_bits)
     n = len(key)
     if n == 0:
         raise ValueError("privacy_amplify needs a nonempty key")
@@ -209,10 +217,17 @@ def privacy_amplify(key_bits, qber: float, leaked_bits: int, safety: int,
         return np.zeros(0, dtype=np.uint8)
     rng = np.random.default_rng(rng_seed)
     seed_bits = rng.integers(0, 2, size=n + m - 1, dtype=np.uint8)
-    # T[i, j] = seed_bits[i - j + n - 1]: constant along diagonals.
-    idx = np.arange(m)[:, None] - np.arange(n)[None, :] + (n - 1)
-    toeplitz = seed_bits[idx]
-    return ((toeplitz @ key.astype(np.int64)) % 2).astype(np.uint8)
+    # A circular convolution of length >= n + m - 1 leaves entries
+    # n - 1 .. n + m - 2 free of wrap-around.
+    size = 1 << (n + m - 2).bit_length()
+    conv = np.fft.irfft(np.fft.rfft(seed_bits, size) * np.fft.rfft(key, size),
+                        size)[n - 1:n + m - 1]
+    counts = np.rint(conv)
+    error = float(np.max(np.abs(conv - counts)))
+    if error >= 0.25:
+        raise ArithmeticError(
+            f"privacy_amplify: FFT rounding error {error:.3g} at n={n}")
+    return (counts.astype(np.int64) & 1).astype(np.uint8)
 
 
 def run_session(config: SessionConfig) -> SessionTranscript:

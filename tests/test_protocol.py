@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -206,6 +207,83 @@ def test_privacy_amplify_deterministic():
     assert a.tolist() != c.tolist()
 
 
+def _seed_bits(n, m, rng_seed):
+    return np.random.default_rng(rng_seed).integers(0, 2, size=n + m - 1,
+                                                    dtype=np.uint8)
+
+
+def _dense_toeplitz_hash(key, m, rng_seed):
+    """Reference: materialise the m×n Toeplitz matrix and multiply."""
+    n = len(key)
+    seed_bits = _seed_bits(n, m, rng_seed)
+    idx = np.arange(m)[:, None] - np.arange(n)[None, :] + (n - 1)
+    return ((seed_bits[idx] @ key.astype(np.int64)) % 2).astype(np.uint8)
+
+
+# (n, m) with m = 1, m = n, n = 1, odd n, and n + m - 1 around powers of two.
+@pytest.mark.parametrize("n,m", [
+    (1, 1), (2, 1), (2, 2), (3, 2), (7, 7), (31, 1), (32, 32), (33, 32),
+    (33, 33), (64, 1), (64, 64), (65, 64), (65, 65), (129, 128), (255, 17),
+    (256, 256), (257, 200), (1001, 1001), (1024, 1), (1025, 1024)])
+def test_privacy_amplify_matches_dense_matrix(n, m):
+    rng = np.random.default_rng(n * 7919 + m)
+    for key in (rng.integers(0, 2, n, dtype=np.uint8),
+                np.ones(n, dtype=np.uint8)):
+        # qber 0 and no safety margin: m = n - leaked_bits.
+        out = privacy_amplify(key, 0.0, n - m, 0, rng_seed=m)
+        assert out.dtype == np.uint8
+        assert out.tolist() == _dense_toeplitz_hash(key, m, m).tolist()
+
+
+def test_privacy_amplify_exact_against_integer_convolution():
+    n = 30_000
+    key = np.random.default_rng(11).integers(0, 2, n, dtype=np.uint8)
+    out = privacy_amplify(key, 0.03, 500, 30, rng_seed=12)
+    m = math.floor(n * (1.0 - h2(0.03)) - 500 - 30)
+    seed_bits = _seed_bits(n, m, 12).astype(np.int64)
+    expected = np.convolve(seed_bits, key.astype(np.int64), "valid") % 2
+    assert len(out) == m
+    assert np.array_equal(out, expected)
+
+
+def test_privacy_amplify_million_bit_key_stays_bounded():
+    n = 1_000_000
+    key = np.random.default_rng(13).integers(0, 2, n, dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        out = privacy_amplify(key, 0.02, 1000, 30, rng_seed=14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    m = math.floor(n * (1.0 - h2(0.02)) - 1000 - 30)
+    assert len(out) == m
+    assert peak < 200e6, f"traced peak {peak / 1e6:.0f} MB"
+    seed_bits = _seed_bits(n, m, 14)
+    rows = np.random.default_rng(15).choice(m, 62, replace=False).tolist()
+    for i in rows + [0, m - 1]:
+        # Row i of the Toeplitz matrix is seed_bits[i:i + n] reversed.
+        window = seed_bits[i:i + n][::-1].astype(np.int64)
+        assert out[i] == int(window @ key) % 2, i
+
+
+def test_privacy_amplify_rounding_check_raises(monkeypatch):
+    real_irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft",
+                        lambda *args: real_irfft(*args) + 0.3)
+    key = np.ones(64, dtype=np.uint8)
+    with pytest.raises(ArithmeticError, match="rounding"):
+        privacy_amplify(key, 0.0, 0, 0, rng_seed=1)
+
+
+def test_privacy_amplify_rejects_non_bit_keys():
+    for key in (np.full(64, 2, dtype=np.uint8), [0, 1, 3],
+                np.ones((8, 8), dtype=np.uint8)):
+        with pytest.raises(ValueError, match="0s and 1s"):
+            privacy_amplify(key, 0.0, 0, 0, rng_seed=1)
+    with pytest.raises(ValueError, match="nonempty"):
+        privacy_amplify(np.zeros(0, dtype=np.uint8), 0.0, 0, 0, rng_seed=1)
+
+
 def _session(seed, n=8000, noise=0.0, dark=0.0, eve=None, threshold=0.11):
     return SessionConfig(seed=seed, n_intervals=n, source_noise=noise,
                          detector=DetectorConfig(dwell=0.1, pair_rate=10.0,
@@ -261,6 +339,17 @@ def test_run_session_abort_gives_empty_keys():
         assert t.aborted
         assert len(t.final_key) == 0
         assert t.qber_estimate > 0.11
+
+
+def test_run_session_million_intervals_distils_a_key():
+    # Keygen physics (QBER ~3 %) at 10^6 intervals: privacy amplification
+    # hashes ~10^5 reconciled bits, whose m×n matrix would need tens of GB.
+    config = SessionConfig(seed=0, n_intervals=1_000_000, source_noise=0.04,
+                           detector=DetectorConfig(dwell=0.1, pair_rate=10.0,
+                                                   dark_rate=0.9))
+    t = run_session(config)
+    assert not t.aborted
+    assert len(t.final_key) > 0
 
 
 def test_transcript_invariants():

@@ -12,6 +12,6 @@ from .tomography import (TOMO_SCHEDULE, ReconstructionError, StateMetrics,
                          TomographyRun, bootstrap_metrics, chsh, fidelity,
                          linear_entropy, reconstruct, run_tomography,
                          simulate_counts, state_metrics, tangle, von_neumann)
-from .otp import KeyStream, decrypt, encrypt
+from .otp import decrypt, encrypt
 
 __version__ = "0.1.0"

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -49,6 +50,8 @@ def _take(section: dict, key: str, types, where: str, required=False, default=No
     if not isinstance(value, types if isinstance(types, tuple) else (types,)) \
             or isinstance(value, bool) and types is not bool:
         raise ConfigError(f"key '{key}' in {where} has the wrong type")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"key '{key}' in {where} must be a finite number")
     return value
 
 
@@ -163,8 +166,9 @@ def load_config(path: str, kind: str, seed_override: int | None = None) -> dict:
         out["counts_file"] = _take(raw, "counts_file", str, "config", default=None)
     elif kind == "bell":
         angles = _take(raw, "angles", list, "config", default=list(CHSH_CANONICAL_ANGLES))
-        if len(angles) != 4 or not all(isinstance(a, (int, float)) for a in angles):
-            raise ConfigError("angles must be four numbers [a, a', b, b']")
+        if len(angles) != 4 or not all(isinstance(a, (int, float)) and math.isfinite(a)
+                                       for a in angles):
+            raise ConfigError("angles must be four finite numbers [a, a', b, b']")
         out["angles"] = [float(a) for a in angles]
     return out
 

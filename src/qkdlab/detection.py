@@ -28,7 +28,7 @@ class DetectorConfig:
     dark_rate: float = 0.1      # dark counts per second per detector
 
     def __post_init__(self):
-        if self.dwell < 0 or self.pair_rate < 0 or self.dark_rate < 0:
+        if not (self.dwell >= 0 and self.pair_rate >= 0 and self.dark_rate >= 0):
             raise ValueError("detector rates and dwell must be nonnegative")
 
 
@@ -60,18 +60,12 @@ class Trials:
         return self.kept & (self.alice_basis == self.bob_basis)
 
 
-_PROJ4_CACHE: dict[tuple[str, str], list[np.ndarray]] = {}
-
-
 def _joint_projectors(a: MeasBasis, b: MeasBasis) -> list[np.ndarray]:
-    key = (a.value, b.value)
-    if key not in _PROJ4_CACHE:
-        ap, am = a.projectors()
-        bp, bm = b.projectors()
-        # order matches joint_probs: (1,1), (1,0), (0,1), (0,0)
-        _PROJ4_CACHE[key] = [qmath.tensor(ap, bp), qmath.tensor(ap, bm),
-                             qmath.tensor(am, bp), qmath.tensor(am, bm)]
-    return _PROJ4_CACHE[key]
+    ap, am = a.projectors()
+    bp, bm = b.projectors()
+    # order matches joint_probs: (1,1), (1,0), (0,1), (0,0)
+    return [qmath.tensor(ap, bp), qmath.tensor(ap, bm),
+            qmath.tensor(am, bp), qmath.tensor(am, bm)]
 
 
 _BIT_PAIRS = ((1, 1), (1, 0), (0, 1), (0, 0))

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -158,14 +157,3 @@ def analyzer_chain(setting: AnalyzerSetting) -> np.ndarray:
     the deflected port is the orthogonal projector.
     """
     return _P_VERTICAL @ hwp(setting.hwp_angle) @ qwp(setting.qwp_angle)
-
-
-@lru_cache(maxsize=None)
-def _analyzer_povm_cached(state_name: str) -> np.ndarray:
-    a = analyzer_chain(ANALYZER_SETTINGS[PolState(state_name)])
-    return a.conj().T @ a
-
-
-def analyzer_povm(s: PolState) -> np.ndarray:
-    """A†A of the state's analyzer chain (equals |s><s| for every row)."""
-    return _analyzer_povm_cached(s.value).copy()

@@ -68,33 +68,3 @@ def decrypt(cipher, key) -> np.ndarray:
     """XOR is an involution, so decryption is encryption."""
     return encrypt(cipher, key)
 
-
-class KeyStream:
-    """Strict-prefix key consumption across multiple messages.
-
-    Each encrypt/decrypt call uses the next ``len(data)`` unused key bits and
-    advances the offset, so one session key can protect several messages
-    without ever reusing pad material.
-    """
-
-    def __init__(self, key):
-        self.key = as_bits(key)
-        self.offset = 0
-
-    @property
-    def remaining(self) -> int:
-        return len(self.key) - self.offset
-
-    def take(self, n_bits: int) -> np.ndarray:
-        if n_bits > self.remaining:
-            raise ValueError(
-                f"key exhausted: {n_bits} bits requested, {self.remaining} left")
-        chunk = self.key[self.offset:self.offset + n_bits]
-        self.offset += n_bits
-        return chunk
-
-    def encrypt(self, data) -> np.ndarray:
-        data = as_bits(data)
-        return data ^ self.take(len(data))
-
-    decrypt = encrypt

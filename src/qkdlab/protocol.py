@@ -104,65 +104,6 @@ def h2(x: float) -> float:
     return float(-x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x))
 
 
-class _BlockLedger:
-    """Cascade bookkeeping: blocks with disclosed parities.
-
-    A block's parity is disclosed once (one message); after a bit flip the
-    receiver re-checks cached parities locally at no extra leakage, and only
-    fresh bisection parities count as new messages.
-    """
-
-    def __init__(self, alice, bob):
-        self.alice = alice
-        self.bob = bob
-        self.blocks: list[np.ndarray] = []
-        self.alice_parity: list[int] = []
-        self.containing: dict[int, list[int]] = {}
-        self.leak = 0
-
-    def parity(self, bits, idx) -> int:
-        return int(bits[idx].sum() & 1)
-
-    def add_block(self, idx: np.ndarray) -> int:
-        self.leak += 1  # first disclosure of this block's parity
-        bid = len(self.blocks)
-        self.blocks.append(idx)
-        self.alice_parity.append(self.parity(self.alice, idx))
-        for j in idx.tolist():
-            self.containing.setdefault(j, []).append(bid)
-        return bid
-
-    def mismatch(self, bid: int) -> bool:
-        return self.alice_parity[bid] != self.parity(self.bob, self.blocks[bid])
-
-    def bisect(self, idx: np.ndarray) -> int:
-        """Locate one error inside an odd-parity block; one message per level."""
-        idx = idx.tolist()
-        while len(idx) > 1:
-            mid = (len(idx) + 1) // 2
-            left = np.array(idx[:mid])
-            self.leak += 1
-            if self.parity(self.alice, left) != self.parity(self.bob, left):
-                idx = idx[:mid]
-            else:
-                idx = idx[mid:]
-        return idx[0]
-
-    def resolve(self, bid: int):
-        """Fix errors reachable from this block, cascading through every
-        earlier block whose cached parity now disagrees."""
-        stack = [bid]
-        while stack:
-            b = stack.pop()
-            if not self.mismatch(b):
-                continue
-            j = self.bisect(self.blocks[b])
-            self.bob[j] ^= 1
-            for other in self.containing[j]:
-                if other != b and self.mismatch(other):
-                    stack.append(other)
-
-
 def reconcile(alice_bits, bob_bits, passes: int = 4, *, qber_est: float, rng):
     """Cascade error correction of Bob's string against Alice's.
 
@@ -172,24 +113,61 @@ def reconcile(alice_bits, bob_bits, passes: int = 4, *, qber_est: float, rng):
     odd-parity block is bisected to one error, and each correction re-checks
     all previously formed blocks containing the flipped bit.  Returns
     ``(corrected_bob, leaked_bits)`` with the exact count of parity messages
-    exchanged.
+    exchanged: one per block and one per bisection level.
+
+    The whole state is the error string ``err = alice ^ bob``: a block's two
+    parities differ exactly when its error count is odd, and a correction
+    flips one error bit.  Bit ``j`` lies in block ``rank[q][j] // size[q]``
+    of pass ``q``, where ``rank[q]`` inverts that pass's permutation.
     """
-    alice = np.asarray(alice_bits, dtype=np.uint8).copy()
-    bob = np.asarray(bob_bits, dtype=np.uint8).copy()
+    alice = np.asarray(alice_bits, dtype=np.uint8)
+    bob = np.asarray(bob_bits, dtype=np.uint8)
     if alice.shape != bob.shape:
         raise ValueError("reconcile needs equal-length strings")
-    n = len(alice)
+    err = alice ^ bob
+    n = len(err)
     if n == 0:
-        return bob, 0
-    ledger = _BlockLedger(alice, bob)
+        return bob.copy(), 0
     k1 = math.ceil(0.73 / max(qber_est, 0.01))
+    orders, ranks, sizes = [], [], []
+    leak = 0
+
+    def block(q, b):
+        return orders[q][b * sizes[q]:(b + 1) * sizes[q]]
+
+    def odd(idx) -> bool:
+        return bool(err[idx].sum() & 1)
+
     for p in range(passes):
         k = min(n, k1 * (2 ** p))
         order = rng.permutation(n)
-        for start in range(0, n, k):
-            bid = ledger.add_block(order[start:start + k])
-            ledger.resolve(bid)
-    return ledger.bob, ledger.leak
+        rank = np.empty(n, dtype=np.intp)
+        rank[order] = np.arange(n)
+        orders.append(order)
+        ranks.append(rank)
+        sizes.append(k)
+        for b in range(math.ceil(n / k)):
+            leak += 1  # first disclosure of this block's parity
+            stack = [(p, b)]
+            while stack:
+                idx = block(*stack.pop())
+                if not odd(idx):
+                    continue
+                while len(idx) > 1:  # bisection: one message per level
+                    mid = (len(idx) + 1) // 2
+                    leak += 1
+                    idx = idx[:mid] if odd(idx[:mid]) else idx[mid:]
+                j = idx[0]
+                err[j] ^= 1
+                # Re-check every formed block holding j, in creation order,
+                # at no new leakage: their parities are already disclosed.
+                # In this pass only blocks up to the current one are formed,
+                # and the block just bisected is now even, so stays off.
+                for q in range(p + 1):
+                    c = int(ranks[q][j]) // sizes[q]
+                    if (q < p or c <= b) and odd(block(q, c)):
+                        stack.append((q, c))
+    return alice ^ err, leak
 
 
 def privacy_amplify(key_bits, qber: float, leaked_bits: int, safety: int,

@@ -115,9 +115,3 @@ def mat_to_json(m: np.ndarray) -> list:
     """Row-major nested lists of [re, im] pairs (the CLI wire format)."""
     m = as_complex(m)
     return [[[float(z.real), float(z.imag)] for z in row] for row in m]
-
-
-def mat_from_json(data) -> np.ndarray:
-    """Inverse of :func:`mat_to_json`."""
-    return np.array([[complex(re, im) for re, im in row] for row in data],
-                    dtype=complex)

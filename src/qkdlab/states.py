@@ -63,9 +63,9 @@ class QuartzPlate:
     axis_angle_deg: float = 0.0
 
     def __post_init__(self):
-        if self.thickness_mm < 0:
+        if not self.thickness_mm >= 0:
             raise ValueError("plate thickness must be nonnegative")
-        if self.coherence_time_fs <= 0:
+        if not self.coherence_time_fs > 0:
             raise ValueError("coherence time must be positive")
 
 

@@ -177,6 +177,26 @@ def test_bell_prints_canonical_violation(tmp_path, capsys):
     assert payload["s_value"] == pytest.approx(2 * np.sqrt(2), abs=1e-9)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_bell_rejects_non_finite_angle(tmp_path, capsys, bad):
+    cfg = write_config(tmp_path, "b.json",
+                       {"kind": "bell", "seed": 2, "source_noise": 0.0,
+                        "angles": [0.0, 45.0, bad, 67.5], "eve": {"mode": "absent"}})
+    assert main(["bell", "--config", cfg, "--out", str(tmp_path / "a")]) == 1
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "a" / "bell.json").exists()
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_session_rejects_non_finite_number(tmp_path, capsys, bad):
+    body = session_body(detector={"dwell": 0.1, "pair_rate": 10.0, "dark_rate": bad})
+    cfg = write_config(tmp_path, "s.json", body)
+    assert main(["session", "--config", cfg, "--out", str(tmp_path / "a")]) == 1
+    err = capsys.readouterr().err
+    assert "dark_rate" in err and "finite" in err
+    assert not (tmp_path / "a").exists()
+
+
 def test_bell_rejects_intercept_mode(tmp_path):
     cfg = write_config(tmp_path, "b.json",
                        {"kind": "bell", "seed": 2,

@@ -214,6 +214,9 @@ def test_records_to_csv_golden_text(tmp_path):
 def test_detector_config_validation():
     with pytest.raises(ValueError):
         DetectorConfig(dwell=-0.1)
+    for field in ("dwell", "pair_rate", "dark_rate"):
+        with pytest.raises(ValueError, match="nonnegative"):
+            DetectorConfig(**{field: float("nan")})
     with pytest.raises(ValueError):
         simulate_dwell_stream(bell_phi_plus(), DetectorConfig(), 0, "random",
                               EveConfig(), np.random.default_rng(0))

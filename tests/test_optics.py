@@ -5,7 +5,7 @@ import pytest
 
 from qkdlab import optics
 from qkdlab.optics import (ANALYZER_SETTINGS, AnalyzerSetting, MeasBasis, PolState,
-                           analyzer_chain, analyzer_povm, hwp,
+                           analyzer_chain, hwp,
                            hwp_angle_from_horizontal, projector, qwp)
 
 from conftest import assert_close
@@ -133,13 +133,19 @@ def test_analyzer_chain_is_the_stated_composition():
     assert_close(analyzer_chain(setting), expected, tol=1e-15)
 
 
+def _analyzer_povm(s):
+    """A†A of the state's analyzer chain."""
+    chain = analyzer_chain(ANALYZER_SETTINGS[s])
+    return chain.conj().T @ chain
+
+
 def test_analyzer_povm_equals_projector():
     for s in STATES:
-        assert_close(analyzer_povm(s), projector(s), tol=1e-10)
+        assert_close(_analyzer_povm(s), projector(s), tol=1e-10)
 
 
 def test_two_photon_settings_tomographically_complete():
     from qkdlab.tomography import TOMO_SCHEDULE
-    povms = [np.kron(analyzer_povm(a), analyzer_povm(b)) for a, b in TOMO_SCHEDULE]
+    povms = [np.kron(_analyzer_povm(a), _analyzer_povm(b)) for a, b in TOMO_SCHEDULE]
     gram = np.array([[np.trace(p @ q).real for q in povms] for p in povms])
     assert np.linalg.matrix_rank(gram, tol=1e-8) == 16

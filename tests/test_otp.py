@@ -66,29 +66,6 @@ def test_hex_encoding_roundtrip():
     assert otp.bits_to_hex([]) == ""
 
 
-def test_keystream_tracks_offsets():
-    stream = otp.KeyStream(np.arange(16) % 2)
-    first = stream.encrypt([1, 1, 1, 1])
-    assert stream.offset == 4
-    second = stream.encrypt([1, 1, 1, 1])
-    assert stream.offset == 8
-    assert first.tolist() != second.tolist() or True  # offsets advanced
-    assert stream.remaining == 8
-    with pytest.raises(ValueError, match="exhausted"):
-        stream.encrypt(np.ones(9, np.uint8))
-
-
-def test_keystream_decrypt_matches_offsets():
-    key = np.random.default_rng(0).integers(0, 2, 64).astype(np.uint8)
-    alice = otp.KeyStream(key)
-    bob = otp.KeyStream(key)
-    msg1 = otp.text_to_bits("ok")
-    msg2 = otp.text_to_bits("go")
-    c1, c2 = alice.encrypt(msg1), alice.encrypt(msg2)
-    assert bob.decrypt(c1).tolist() == msg1.tolist()
-    assert bob.decrypt(c2).tolist() == msg2.tolist()
-
-
 def test_as_bits_validation():
     with pytest.raises(ValueError):
         otp.as_bits([0, 2, 1])

@@ -1,9 +1,12 @@
+import hashlib
 import math
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from qkdlab.cli import load_config
 from qkdlab.detection import DetectorConfig, Trials
 from qkdlab.optics import MeasBasis
 from qkdlab.protocol import (SessionConfig, decide, estimate_qber, h2,
@@ -172,6 +175,107 @@ def test_reconcile_length_mismatch_rejected():
     with pytest.raises(ValueError):
         reconcile(np.zeros(8, np.uint8), np.zeros(9, np.uint8), 4,
                   qber_est=0.05, rng=np.random.default_rng(0))
+
+
+class _LedgerCascade:
+    """Reference Cascade: caches Alice's block parities and indexes, for
+    every bit, the blocks that contain it."""
+
+    def __init__(self, alice, bob):
+        self.alice = alice
+        self.bob = bob
+        self.blocks = []
+        self.alice_parity = []
+        self.containing = {}
+        self.leak = 0
+
+    def parity(self, bits, idx):
+        return int(bits[idx].sum() & 1)
+
+    def add_block(self, idx):
+        self.leak += 1
+        bid = len(self.blocks)
+        self.blocks.append(idx)
+        self.alice_parity.append(self.parity(self.alice, idx))
+        for j in idx.tolist():
+            self.containing.setdefault(j, []).append(bid)
+        return bid
+
+    def mismatch(self, bid):
+        return self.alice_parity[bid] != self.parity(self.bob, self.blocks[bid])
+
+    def bisect(self, idx):
+        idx = idx.tolist()
+        while len(idx) > 1:
+            mid = (len(idx) + 1) // 2
+            left = np.array(idx[:mid])
+            self.leak += 1
+            if self.parity(self.alice, left) != self.parity(self.bob, left):
+                idx = idx[:mid]
+            else:
+                idx = idx[mid:]
+        return idx[0]
+
+    def resolve(self, bid):
+        stack = [bid]
+        while stack:
+            b = stack.pop()
+            if not self.mismatch(b):
+                continue
+            j = self.bisect(self.blocks[b])
+            self.bob[j] ^= 1
+            for other in self.containing[j]:
+                if other != b and self.mismatch(other):
+                    stack.append(other)
+
+
+def _ledger_reconcile(alice_bits, bob_bits, passes, qber_est, rng):
+    alice = np.asarray(alice_bits, dtype=np.uint8).copy()
+    bob = np.asarray(bob_bits, dtype=np.uint8).copy()
+    n = len(alice)
+    if n == 0:
+        return bob, 0
+    ledger = _LedgerCascade(alice, bob)
+    k1 = math.ceil(0.73 / max(qber_est, 0.01))
+    for p in range(passes):
+        k = min(n, k1 * (2 ** p))
+        order = rng.permutation(n)
+        for start in range(0, n, k):
+            ledger.resolve(ledger.add_block(order[start:start + k]))
+    return ledger.bob, ledger.leak
+
+
+def test_reconcile_matches_ledger_reference():
+    for n in (1, 2, 7, 64, 257, 1000, 13000):
+        for qber in (0.0, 0.005, 0.03, 0.08, 0.15, 0.3):
+            for passes in (1, 2, 4, 6):
+                case = (n, qber, passes)
+                data = np.random.default_rng([n, passes, round(qber * 1000)])
+                alice = data.integers(0, 2, n, dtype=np.uint8)
+                bob = alice ^ (data.random(n) < qber).astype(np.uint8)
+                seed = int(data.integers(0, 2 ** 32))
+                got, leak = reconcile(alice, bob, passes, qber_est=qber,
+                                      rng=np.random.default_rng(seed))
+                want, want_leak = _ledger_reconcile(alice, bob, passes, qber,
+                                                    np.random.default_rng(seed))
+                assert got.dtype == np.uint8, case
+                assert np.array_equal(got, want), case
+                assert leak == want_leak, case
+
+
+def test_session_keys_golden():
+    # Frozen figures: a change here changes the distilled keys.
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                        "session_no_eve_imperfect.json")
+    preset = run_session(load_config(path, "session")["session"])
+    assert (preset.leaked_bits, len(preset.final_key)) == (270, 625)
+    keygen = run_session(SessionConfig(
+        seed=3, n_intervals=100_000, source_noise=0.04,
+        detector=DetectorConfig(dwell=0.1, pair_rate=10.0, dark_rate=0.9)))
+    assert (keygen.leaked_bits, len(keygen.final_key)) == (2775, 5596)
+    digest = hashlib.sha256(otp.bits_to_hex(keygen.final_key).encode()).hexdigest()
+    assert digest == ("a6dae8a596919ae6c3f4a94eee76d5b9"
+                      "885323beb37ba37ea2e8f033e02b526b")
 
 
 def test_privacy_amplify_golden_vector():

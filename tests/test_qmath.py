@@ -177,4 +177,6 @@ def test_matrix_json_roundtrip(rng):
     m = random_density(rng)
     data = qmath.mat_to_json(m)
     assert isinstance(data[0][0], list) and len(data[0][0]) == 2
-    assert_close(qmath.mat_from_json(data), m, tol=1e-15)
+    assert data == [[[z.real, z.imag] for z in row] for row in m.tolist()]
+    assert qmath.mat_to_json([[1, 0.5j], [-0.5j, 2.5]]) == [
+        [[1.0, 0.0], [0.0, 0.5]], [[0.0, -0.5], [2.5, 0.0]]]

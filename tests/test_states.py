@@ -192,6 +192,13 @@ def test_eve_config_validation():
     assert basis_from_angle(30.0) is None
 
 
+def test_quartz_plate_validation_rejects_nan():
+    with pytest.raises(ValueError, match="thickness"):
+        QuartzPlate(thickness_mm=float("nan"))
+    with pytest.raises(ValueError, match="coherence"):
+        QuartzPlate(thickness_mm=1.0, coherence_time_fs=float("nan"))
+
+
 def test_state_validation_rejects_bad_matrices():
     with pytest.raises(ValueError):
         TwoQubitState(np.eye(4, dtype=complex))  # trace 4

@@ -166,8 +166,8 @@ def load_config(path: str, kind: str, seed_override: int | None = None) -> dict:
         out["counts_file"] = _take(raw, "counts_file", str, "config", default=None)
     elif kind == "bell":
         angles = _take(raw, "angles", list, "config", default=list(CHSH_CANONICAL_ANGLES))
-        if len(angles) != 4 or not all(isinstance(a, (int, float)) and math.isfinite(a)
-                                       for a in angles):
+        if len(angles) != 4 or not all(isinstance(a, (int, float)) and not isinstance(a, bool)
+                                       and math.isfinite(a) for a in angles):
             raise ConfigError("angles must be four finite numbers [a, a', b, b']")
         out["angles"] = [float(a) for a in angles]
     return out
@@ -200,8 +200,9 @@ def _ensure_out(out_dir: str):
 def cmd_session(cfg: dict, out_dir: str) -> int:
     _ensure_out(out_dir)
     transcript = run_session(cfg["session"])
-    records_to_csv(transcript.trials, os.path.join(out_dir, "records.csv"))
-    sifted_to_csv(transcript.trials, os.path.join(out_dir, "sifted.csv"))
+    for name, write in (("records.csv", records_to_csv), ("sifted.csv", sifted_to_csv)):
+        with open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="") as fh:
+            write(transcript.trials, fh)
     _dump_json(transcript_to_dict(transcript), os.path.join(out_dir, "transcript.json"))
     summary = transcript_summary(transcript)
     _dump_json(summary, os.path.join(out_dir, "summary.json"))

@@ -11,6 +11,7 @@ bits, which is the instrumental error channel.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,45 +180,57 @@ def simulate_dwell_stream(s: TwoQubitState, config: DetectorConfig, n_intervals:
 
 CSV_COLUMNS = ("trial_index", "alice_basis", "bob_basis", "eve_basis",
                "alice_bit", "bob_bit", "kept")
-
-
-_BASIS_TEXT = np.array([b.value for b in BASES] + [""])   # index -1 -> ""
-_BIT_TEXT = np.array(["0", "1", ""])
-
-
-def _write_csv(header, columns, path) -> str:
-    """Join equal-length string columns into CSV text; writes to ``path``
-    when given, returns the text."""
-    lines = columns[0]
-    for column in columns[1:]:
-        lines = np.char.add(np.char.add(lines, ","), column)
-    text = "\n".join([",".join(header), *lines.tolist()]) + "\n"
-    if path is not None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    return text
-
-
-def records_to_csv(trials: Trials, path=None) -> str:
-    """One row per dwell interval; writes to ``path`` when given, returns
-    the text.  Absent bases and bits are empty fields."""
-    return _write_csv(CSV_COLUMNS, [
-        np.arange(len(trials)).astype(str),
-        _BASIS_TEXT[trials.alice_basis], _BASIS_TEXT[trials.bob_basis],
-        _BASIS_TEXT[trials.eve_basis],
-        _BIT_TEXT[trials.alice_bit], _BIT_TEXT[trials.bob_bit],
-        trials.kept.astype(np.int8).astype(str),
-    ], path)
-
-
 SIFTED_COLUMNS = ("trial", "alice", "bob", "agree")
 
+_CHUNK_ROWS = 1 << 16
 
-def sifted_to_csv(trials: Trials, path=None) -> str:
-    """One row per sifted trial: index, both bits and whether they agree."""
+# Field texts of the values 0, 1 and -1 ("none"), at index ``value % 3``.
+_BASIS_FIELD = tuple(b.value for b in BASES) + ("",)
+_BIT_FIELD = ("0", "1", "")
+_VALUES = (0, 1, -1)
+
+# Everything after the index of a records.csv row, at the code that
+# :func:`records_to_csv` packs from its six fields: 3**5 * 2 = 486 entries.
+_RECORD_SUFFIX = tuple(
+    f",{_BASIS_FIELD[a]},{_BASIS_FIELD[b]},{_BASIS_FIELD[e]},"
+    f"{_BIT_FIELD[x]},{_BIT_FIELD[y]},{k}\n"
+    for a, b, e, x, y, k in itertools.product(*[_VALUES] * 5, (0, 1)))
+
+# Everything after the index of a sifted.csv row, at ``3 * (alice % 3) + bob % 3``.
+_SIFTED_SUFFIX = tuple(f",{_BIT_FIELD[x]},{_BIT_FIELD[y]},{int(x == y)}\n"
+                       for x, y in itertools.product(_VALUES, _VALUES))
+
+
+def _write_rows(fh, header, index: np.ndarray, code: np.ndarray, suffix) -> None:
+    """Write the header, then row ``f"{index[i]}{suffix[code[i]]}"`` for every
+    ``i``, joined and written ``_CHUNK_ROWS`` rows at a time."""
+    fh.write(",".join(header) + "\n")
+    for start in range(0, len(code), _CHUNK_ROWS):
+        stop = start + _CHUNK_ROWS
+        fh.write("".join([f"{i}{suffix[c]}" for i, c in
+                          zip(index[start:stop].tolist(), code[start:stop].tolist())]))
+
+
+def records_to_csv(trials: Trials, fh) -> None:
+    """Write one row per dwell interval to the open text file ``fh``.
+
+    Absent bases and bits are empty fields.  The six fields after the index
+    take at most 486 value combinations, so each row is its index plus one
+    entry of a precomputed suffix table, and rows are written in chunks of
+    ``_CHUNK_ROWS``: the file is never held in memory whole.
+    """
+    code = np.zeros(len(trials), dtype=np.int16)
+    for column in (trials.alice_basis, trials.bob_basis, trials.eve_basis,
+                   trials.alice_bit, trials.bob_bit):
+        code = 3 * code + column % 3
+    _write_rows(fh, CSV_COLUMNS, np.arange(len(trials)), 2 * code + trials.kept,
+                _RECORD_SUFFIX)
+
+
+def sifted_to_csv(trials: Trials, fh) -> None:
+    """Write one row per sifted trial to the open text file ``fh``: index,
+    both bits and whether they agree.  Streamed in chunks from a suffix
+    table over the two bits, like :func:`records_to_csv`."""
     mask = trials.sifted()
-    alice, bob = trials.alice_bit[mask], trials.bob_bit[mask]
-    return _write_csv(SIFTED_COLUMNS, [
-        np.flatnonzero(mask).astype(str), _BIT_TEXT[alice], _BIT_TEXT[bob],
-        (alice == bob).astype(np.int8).astype(str),
-    ], path)
+    code = 3 * (trials.alice_bit[mask] % 3) + trials.bob_bit[mask] % 3
+    _write_rows(fh, SIFTED_COLUMNS, np.flatnonzero(mask), code, _SIFTED_SUFFIX)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 
@@ -71,6 +72,23 @@ def test_session_output_files_agree(tmp_path):
     assert summary["n_sifted"] == len(sifted) > 0
     assert set(transcript) == {"qber_estimate", "aborted", "leaked_bits",
                                "final_key_hex", "final_key_len"}
+
+
+# Frozen figures: a change here changes the bytes of the CSV outputs.
+@pytest.mark.parametrize("preset,code,records_sha,sifted_sha", [
+    ("session_no_eve_imperfect", 0,
+     "56c0b48a69d87a57602bad33bd2df168530e6cf3aa9ed751024dd89037c0d833",
+     "c223a8504c02340f9eed975cc8560ed9afb20ade9ee452ba34e9019f081a5ac0"),
+    ("session_intercept_random", 2,
+     "7e15a6562abf6a8fc27bff702075e92324d932c23440d1f725b2af83f932f2ae",
+     "f0cad899c08f733de560be47c44f3e7dcb3db35ce8cc938454035c96ce9122a0"),
+])
+def test_session_csv_golden(tmp_path, preset, code, records_sha, sifted_sha):
+    cfg = os.path.join(CONFIG_DIR, preset + ".json")
+    assert main(["session", "--config", cfg, "--out", str(tmp_path)]) == code
+    tree = read_tree(tmp_path)
+    assert hashlib.sha256(tree["records.csv"]).hexdigest() == records_sha
+    assert hashlib.sha256(tree["sifted.csv"]).hexdigest() == sifted_sha
 
 
 def test_session_seed_override_changes_outputs(tmp_path):
@@ -184,6 +202,16 @@ def test_bell_rejects_non_finite_angle(tmp_path, capsys, bad):
                         "angles": [0.0, 45.0, bad, 67.5], "eve": {"mode": "absent"}})
     assert main(["bell", "--config", cfg, "--out", str(tmp_path / "a")]) == 1
     assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "a" / "bell.json").exists()
+
+
+@pytest.mark.parametrize("angles", [[True, 45.0, 22.5, 67.5], [0.0, 45.0, 22.5, False]])
+def test_bell_rejects_boolean_angle(tmp_path, capsys, angles):
+    cfg = write_config(tmp_path, "b.json",
+                       {"kind": "bell", "seed": 2, "source_noise": 0.0,
+                        "angles": angles, "eve": {"mode": "absent"}})
+    assert main(["bell", "--config", cfg, "--out", str(tmp_path / "a")]) == 1
+    assert "angles must be four finite numbers" in capsys.readouterr().err
     assert not (tmp_path / "a" / "bell.json").exists()
 
 

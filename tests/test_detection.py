@@ -1,12 +1,15 @@
 import csv
 import io
+import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qkdlab import qmath
-from qkdlab.detection import (BASES, DetectorConfig, Trials, joint_probs,
-                              records_to_csv, sifted_to_csv, simulate_dwell_stream)
+from qkdlab.detection import (BASES, CSV_COLUMNS, SIFTED_COLUMNS, DetectorConfig,
+                              Trials, joint_probs, records_to_csv, sifted_to_csv,
+                              simulate_dwell_stream)
 from qkdlab.optics import MeasBasis, PolState
 from qkdlab.states import EveConfig, TwoQubitState, bell_phi_plus, bell_phi_plus_ket
 
@@ -128,9 +131,15 @@ def test_stream_kept_records_have_bits():
         assert (bits[~trials.kept] == -1).all()
 
 
+def _csv_text(write, trials) -> str:
+    fh = io.StringIO()
+    write(trials, fh)
+    return fh.getvalue()
+
+
 def test_stream_deterministic_given_seed():
-    a = records_to_csv(_stream(seed=42, n=2000, dark=0.5))
-    b = records_to_csv(_stream(seed=42, n=2000, dark=0.5))
+    a = _csv_text(records_to_csv, _stream(seed=42, n=2000, dark=0.5))
+    b = _csv_text(records_to_csv, _stream(seed=42, n=2000, dark=0.5))
     assert a == b
 
 
@@ -169,7 +178,7 @@ def test_csv_roundtrip():
                      eve=EveConfig(mode="intercept_resend",
                                    basis_policy="random_per_trial",
                                    intercept_fraction=0.7))
-    back = _parse_records_csv(records_to_csv(trials))
+    back = _parse_records_csv(_csv_text(records_to_csv, trials))
     assert (back["trial_index"] == np.arange(len(trials))).all()
     for name in ("alice_basis", "bob_basis", "eve_basis", "alice_bit", "bob_bit",
                  "kept"):
@@ -179,8 +188,10 @@ def test_csv_roundtrip():
 def test_csv_file_roundtrip(tmp_path):
     trials = _stream(n=200)
     path = tmp_path / "records.csv"
-    text = records_to_csv(trials, path)
-    assert path.read_text(encoding="utf-8") == text
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        records_to_csv(trials, fh)
+    text = _csv_text(records_to_csv, trials)
+    assert path.read_bytes() == text.encode()
     back = _parse_records_csv(text)
     assert len(back["trial_index"]) == 200
     assert (back["kept"] == trials.kept).all()
@@ -203,12 +214,102 @@ def test_records_to_csv_golden_text(tmp_path):
                 "1,DA,HV,,,,0\n"
                 "2,HV,DA,HV,0,1,1\n"
                 "3,DA,DA,DA,0,1,1\n")
-    path = tmp_path / "records.csv"
-    assert records_to_csv(trials, path) == expected
-    assert path.read_bytes() == expected.encode()
     sifted = "trial,alice,bob,agree\n0,1,1,1\n3,0,1,0\n"
-    assert sifted_to_csv(trials, tmp_path / "sifted.csv") == sifted
-    assert (tmp_path / "sifted.csv").read_bytes() == sifted.encode()
+    for write, text in ((records_to_csv, expected), (sifted_to_csv, sifted)):
+        assert _csv_text(write, trials) == text
+        path = tmp_path / "out.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            write(trials, fh)
+        assert path.read_bytes() == text.encode()
+
+
+def _char_add_csv(header, columns) -> str:
+    """Reference: the former writer, which joins whole string columns with
+    ``np.char.add`` and returns the file as one string."""
+    lines = columns[0]
+    for column in columns[1:]:
+        lines = np.char.add(np.char.add(lines, ","), column)
+    return "\n".join([",".join(header), *lines.tolist()]) + "\n"
+
+
+_BASIS_TEXT = np.array([b.value for b in BASES] + [""])   # index -1 -> ""
+_BIT_TEXT = np.array(["0", "1", ""])
+
+
+def _oracle_records_csv(trials):
+    return _char_add_csv(CSV_COLUMNS, [
+        np.arange(len(trials)).astype(str),
+        _BASIS_TEXT[trials.alice_basis], _BASIS_TEXT[trials.bob_basis],
+        _BASIS_TEXT[trials.eve_basis],
+        _BIT_TEXT[trials.alice_bit], _BIT_TEXT[trials.bob_bit],
+        trials.kept.astype(np.int8).astype(str),
+    ])
+
+
+def _oracle_sifted_csv(trials):
+    mask = trials.sifted()
+    alice, bob = trials.alice_bit[mask], trials.bob_bit[mask]
+    return _char_add_csv(SIFTED_COLUMNS, [
+        np.flatnonzero(mask).astype(str), _BIT_TEXT[alice], _BIT_TEXT[bob],
+        (alice == bob).astype(np.int8).astype(str),
+    ])
+
+
+def _assert_writers_match_oracle(trials):
+    for write, oracle in ((records_to_csv, _oracle_records_csv),
+                          (sifted_to_csv, _oracle_sifted_csv)):
+        got, want = _csv_text(write, trials), oracle(trials)
+        if got != want:
+            # name the first differing line rather than diffing megabytes
+            pairs = itertools.zip_longest(got.splitlines(True), want.splitlines(True))
+            i, (line, expected) = next((i, p) for i, p in enumerate(pairs) if p[0] != p[1])
+            pytest.fail(f"{write.__name__} line {i}: {line!r}, oracle {expected!r}")
+
+
+def test_csv_writers_match_oracle_on_every_field_combination():
+    # one row per combination of the six fields after the index, with -1 in
+    # every column that admits it: 3**5 * 2 = 486 rows
+    rows = np.array(list(itertools.product((0, 1, -1), (0, 1, -1), (0, 1, -1),
+                                           (0, 1, -1), (0, 1, -1), (0, 1))))
+    assert len(rows) == 486
+    a, b, e, x, y, k = (rows[:, i].astype(np.int8) for i in range(6))
+    trials = Trials(alice_basis=a, bob_basis=b, eve_applied=e != -1, eve_basis=e,
+                    alice_bit=x, bob_bit=y, kept=k.astype(bool))
+    _assert_writers_match_oracle(trials)
+
+
+@pytest.mark.parametrize("n", [1, 65535, 65536, 65537, 2 * 65536 + 3])
+def test_csv_writers_match_oracle_across_chunks(n):
+    eve = EveConfig(mode="intercept_resend", basis_policy="random_per_trial",
+                    intercept_fraction=0.5)
+    _assert_writers_match_oracle(_stream(seed=n, n=n, dark=1.0, eve=eve))
+
+
+def test_sifted_csv_without_sifted_trials_is_the_header():
+    trials = simulate_dwell_stream(bell_phi_plus(), DetectorConfig(), 500,
+                                   (MeasBasis.HV, MeasBasis.DA), EveConfig(),
+                                   np.random.default_rng(8))
+    assert trials.kept.any() and not trials.sifted().any()
+    _assert_writers_match_oracle(trials)
+    assert _csv_text(sifted_to_csv, trials) == "trial,alice,bob,agree\n"
+
+
+def test_csv_writers_stream_a_million_trials_in_bounded_memory(tmp_path):
+    n = 1_000_000
+    trials = _stream(seed=5, n=n, dark=0.9)
+    tracemalloc.start()
+    try:
+        for write, name in ((records_to_csv, "records.csv"), (sifted_to_csv, "sifted.csv")):
+            with open(tmp_path / name, "w", encoding="utf-8", newline="") as fh:
+                write(trials, fh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6, f"traced peak {peak / 1e6:.0f} MB"
+    with open(tmp_path / "records.csv", "rb") as fh:
+        assert sum(1 for _ in fh) == n + 1
+    with open(tmp_path / "sifted.csv", "rb") as fh:
+        assert sum(1 for _ in fh) == np.count_nonzero(trials.sifted()) + 1
 
 
 def test_detector_config_validation():

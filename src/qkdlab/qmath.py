@@ -94,19 +94,31 @@ def herm_eig(m: np.ndarray):
 
 
 def nearest_physical(m: np.ndarray) -> np.ndarray:
-    """Project a Hermitian, unit-trace matrix onto the physical cone.
+    """Project a Hermitian matrix, scaled to unit trace, onto the physical states.
 
-    Eigendecompose, clip negative eigenvalues to zero and renormalize the
-    trace to exactly 1.  A matrix that is already PSD passes through
-    unchanged (up to the trace renormalization).  Raises if the whole
-    spectrum clips away, for any matrix of a stack.
+    The Smolin-Gambetta-Smith rule (PRL 108, 070502, 2012) gives the
+    density matrix nearest in 2-norm: with the eigenvalues in descending
+    order, walk up from the smallest, zeroing each one that stays negative
+    after the mass already zeroed is spread evenly over the ones above it,
+    then shift the survivors by that spread.  A PSD matrix passes through
+    unchanged (up to the trace scaling).  Raises if the trace is not
+    positive, which covers a spectrum with no positive eigenvalue mass, for
+    any matrix of a stack.
     """
     w, v = herm_eig(m)
-    w = np.clip(w, 0.0, None)
     total = w.sum(axis=-1, keepdims=True)
     if np.any(total <= 0.0):
-        raise ValueError("unphysical reconstruction: no positive eigenvalue mass")
+        raise ValueError("unphysical reconstruction: trace is not positive")
     w = w / total
+    dim = w.shape[-1]
+    zeroed = np.zeros_like(total)      # eigenvalue mass zeroed so far
+    kept = np.full(total.shape, dim)   # the leading `kept` eigenvalues survive
+    # With unit trace the largest eigenvalue always survives.
+    for i in range(dim - 1, 0, -1):
+        drop = (kept == i + 1) & (w[..., i:i + 1] + zeroed / (i + 1) < 0.0)
+        zeroed = zeroed + np.where(drop, w[..., i:i + 1], 0.0)
+        kept = kept - drop
+    w = np.where(np.arange(dim) < kept, w + zeroed / kept, 0.0)
     rho = (v * w[..., None, :]) @ dagger(v)
     return (rho + dagger(rho)) / 2.0
 

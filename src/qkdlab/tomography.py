@@ -1,10 +1,11 @@
 """Two-photon state tomography, state metrics and the CHSH correlator.
 
 Reconstruction is linear inversion against the fixed 16-setting projective
-schedule, followed by a physicality projection (eigenvalue clipping); it is
-exact on noise-free expected counts.  Metric uncertainties come from a
-Poisson parametric bootstrap that reconstructs its replicas in stacks
-through the same path as a single counts vector.
+schedule, followed by the Smolin-Gambetta-Smith projection onto the nearest
+physical state; it is exact on noise-free expected counts.  Metric
+uncertainties come from a Poisson parametric bootstrap that draws and
+reconstructs its replicas in stacks through the same path as a single counts
+vector.
 """
 
 from __future__ import annotations
@@ -52,8 +53,9 @@ def _inversion_operators() -> np.ndarray:
 
 _INVERSION = _inversion_operators()
 _FLUX = slice(0, 4)  # the HH, HV, VV, VH quartet
-# Replicas per stacked reconstruction in the bootstrap: large enough to
-# amortise numpy's per-call cost, small enough to keep peak memory flat.
+# Replicas per random stream and stacked reconstruction in the bootstrap:
+# large enough to amortise numpy's per-call cost, small enough to keep peak
+# memory flat.  Changing it reshuffles every replica's counts.
 _BLOCK = 256
 
 
@@ -101,7 +103,7 @@ def reconstruct(counts) -> TwoQubitState:
 
     The total flux is estimated from the HH+HV+VV+VH quartet, the normalized
     counts are inverted through the schedule's design matrix, and the result
-    is clipped to the nearest physical state.  Exact expected counts
+    is projected onto the nearest physical state.  Exact expected counts
     reproduce the input state to floating-point accuracy.
     """
     return TwoQubitState(_physical_states(_checked_counts(counts)))
@@ -189,16 +191,17 @@ def state_metrics(s: TwoQubitState, target_ket: np.ndarray | None = None) -> Sta
 
 def _replica_metrics(counts: np.ndarray, replicas: int, seed: int) -> np.ndarray:
     """Raw (tangle, von Neumann, linear entropy, fidelity) of each replica,
-    shape (replicas, 4), reconstructed ``_BLOCK`` replicas at a time."""
+    shape (replicas, 4), drawn and reconstructed ``_BLOCK`` replicas at a time."""
     rows = np.empty((replicas, 4))
     target = bell_phi_plus_ket()
     for lo in range(0, replicas, _BLOCK):
-        block = range(lo, min(lo + _BLOCK, replicas))
-        resampled = np.array([
-            np.random.default_rng(np.random.SeedSequence([seed, k])).poisson(counts)
-            for k in block], dtype=float)
-        rho = _physical_states(resampled)
-        rows[lo:block.stop] = np.stack(
+        hi = min(lo + _BLOCK, replicas)
+        # spawn_key keeps block 0 off the stream of default_rng(seed), which
+        # may have drawn the counts themselves; SeedSequence([seed, 0]) would
+        # not, as it hashes like SeedSequence(seed).
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(lo // _BLOCK,)))
+        rho = _physical_states(rng.poisson(counts, size=(hi - lo, counts.size)).astype(float))
+        rows[lo:hi] = np.stack(
             [_tangle(rho), _von_neumann(rho), _linear_entropy(rho), _fidelity(rho, target)], -1)
     return rows
 
@@ -206,12 +209,14 @@ def _replica_metrics(counts: np.ndarray, replicas: int, seed: int) -> np.ndarray
 def bootstrap_metrics(counts, replicas: int = 200, seed: int = 0) -> StateMetrics:
     """Poisson parametric bootstrap of the reconstruction metrics.
 
-    Replica ``k`` resamples counts' ~ Poisson(counts) on a random stream
-    derived from ``(seed, k)``, reconstructs and computes the metrics, so a
-    replica's values do not depend on which others share its stacked
-    reconstruction.  Each metric is clamped to its physical range (von
-    Neumann entropy to [0, 2] bits, the others to [0, 1]) before
-    aggregation; clamping events are counted in the result.
+    Replica ``k`` resamples counts' ~ Poisson(counts), reconstructs and
+    computes the metrics.  Its counts are row ``k % _BLOCK`` of the draw
+    ``poisson(counts, size=(_BLOCK, 16))`` from
+    ``default_rng(SeedSequence(seed, spawn_key=(k // _BLOCK,)))``; a short
+    last block draws a prefix of those rows.  So a replica's values depend
+    on ``(seed, k)`` alone, not on ``replicas``.  Each metric is clamped to
+    its physical range (von Neumann entropy to [0, 2] bits, the others to
+    [0, 1]) before aggregation; clamping events are counted in the result.
     """
     if replicas < 2:
         raise ValueError("bootstrap needs at least 2 replicas")

@@ -153,8 +153,36 @@ def test_nearest_physical_keeps_physical():
 
 def test_nearest_physical_clip_rule():
     m = np.diag([0.6, 0.5, 0.0, -0.1]).astype(complex)
-    expected = np.diag([0.6, 0.5, 0.0, 0.0]).astype(complex) / 1.1
+    expected = np.diag([0.55, 0.45, 0.0, 0.0]).astype(complex)
     assert_close(qmath.nearest_physical(m), expected)
+
+
+def _sgs_reference(mu):
+    """The Smolin-Gambetta-Smith loop as the paper states it, one spectrum
+    at a time: mu descending with unit sum -> the physical eigenvalues."""
+    lam, i, a = list(mu), len(mu), 0.0
+    while mu[i - 1] + a / i < 0.0:
+        lam[i - 1] = 0.0
+        a += mu[i - 1]
+        i -= 1
+    return [m + a / i if j < i else 0.0 for j, m in enumerate(lam)]
+
+
+def test_nearest_physical_matches_the_sgs_loop(rng):
+    # [1.03, 0.12, 0.1, -0.25]: the walk stops at 0.1, although 0.12 would
+    # fall below zero under the spread, so the survivors are 0.12 and above
+    m = np.diag([1.03, 0.12, 0.1, -0.25]).astype(complex)
+    expected = np.diag([1.03 - 0.25 / 3, 0.12 - 0.25 / 3, 0.1 - 0.25 / 3, 0.0])
+    assert_close(qmath.nearest_physical(m), expected)
+    # unit-trace matrices whose projection zeroes none to three eigenvalues
+    shifts = rng.uniform(0.0, 0.2, size=200)
+    stack = np.array([(random_density(rng) - s * np.eye(4)) / (1.0 - 4.0 * s)
+                      for s in shifts])
+    projected = qmath.nearest_physical(stack)
+    for m, rho in zip(stack, projected):
+        w, v = qmath.herm_eig(m)
+        oracle = (v * _sgs_reference(w)) @ v.conj().T
+        assert_close(rho, oracle, tol=1e-9)
 
 
 def test_nearest_physical_all_negative_errors():

@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+from qkdlab.cli import _prepared_state, load_config
 from qkdlab.optics import PolState
 from qkdlab.states import TwoQubitState, add_white_noise, bell_phi_plus, dephase_bob
 from qkdlab.tomography import (_BLOCK, CHSH_CANONICAL_ANGLES, TOMO_SCHEDULE,
@@ -185,10 +188,69 @@ def test_bootstrap_blocks_match_single_state_path():
     rows = _replica_metrics(counts.astype(float), replicas, seed=11)
     assert rows.shape == (replicas, 4)
     for k in (0, _BLOCK - 1, _BLOCK, 2 * _BLOCK - 1, 2 * _BLOCK, replicas - 1):
-        rng = np.random.default_rng(np.random.SeedSequence([11, k]))
-        rho = reconstruct(rng.poisson(counts))
+        rng = np.random.default_rng(np.random.SeedSequence(11, spawn_key=(k // _BLOCK,)))
+        rho = reconstruct(rng.poisson(counts, size=(_BLOCK, 16))[k % _BLOCK])
         expected = (tangle(rho), von_neumann(rho), linear_entropy(rho), fidelity(rho))
         assert_close(rows[k], expected, tol=1e-9)
+
+
+def test_bootstrap_replica_does_not_depend_on_replica_count():
+    # a short last block draws a prefix of a full block's rows
+    counts = simulate_counts(add_white_noise(bell_phi_plus(), 0.04), 10000,
+                             np.random.default_rng(5)).astype(float)
+    short = _replica_metrics(counts, _BLOCK + 3, seed=9)
+    full = _replica_metrics(counts, 2 * _BLOCK, seed=9)
+    assert_close(short, full[:_BLOCK + 3], tol=1e-9)
+
+
+def test_bootstrap_replica_zero_does_not_replay_the_counts_stream():
+    # cmd_tomo draws the counts from default_rng(seed) and bootstraps with
+    # the same seed: replica 0's resampling noise must not repeat the counts'
+    # own noise, which would make it a copy of the counts' deviation
+    state = add_white_noise(bell_phi_plus(), 0.04)
+    truth = fidelity(state)
+    replica_noise, counts_noise = [], []
+    for seed in range(200):
+        counts = simulate_counts(state, 10000, np.random.default_rng(seed))
+        point = fidelity(reconstruct(counts))
+        replica_noise.append(_replica_metrics(counts.astype(float), 1, seed)[0, 3] - point)
+        counts_noise.append(point - truth)
+    assert abs(np.corrcoef(replica_noise, counts_noise)[0, 1]) < 0.25
+
+
+def test_reconstruct_bias_is_that_of_the_sgs_projection():
+    # Werner p = 0.04 at 1e4 counts per setting: linear inversion is non-PSD
+    # in most seeds.  Means over 400 seeds (s.e. ~0.0006 on fidelity, ~0.002
+    # on tangle, ~0.003 on entropy): clip-and-renormalise 0.9592 / 0.8487 /
+    # 0.2733 bits, Smolin-Gambetta-Smith 0.9658 / 0.8728 / 0.2344 bits,
+    # truth 0.9700 / 0.8836 / 0.2419 bits.  Each bound lies midway between
+    # the two rules, about 4 s.e. of a 200-seed mean from either.
+    state = add_white_noise(bell_phi_plus(), 0.04)
+    values = np.array([
+        [fidelity(rho), tangle(rho), von_neumann(rho)]
+        for rho in (reconstruct(simulate_counts(state, 10000, np.random.default_rng(seed)))
+                    for seed in range(200))])
+    mean_fidelity, mean_tangle, mean_entropy = values.mean(axis=0)
+    assert mean_fidelity == pytest.approx(0.9658, abs=0.0033)
+    assert mean_tangle == pytest.approx(0.8728, abs=0.012)
+    assert mean_entropy == pytest.approx(0.2344, abs=0.019)
+
+
+def test_bootstrap_golden():
+    # Frozen figures: a change here reshuffles the replica streams.
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                        "tomo_no_eve.json")
+    cfg = load_config(path, "tomo")
+    counts = simulate_counts(_prepared_state(cfg), cfg["n_per_setting"],
+                             np.random.default_rng(cfg["seed"]))
+    metrics = bootstrap_metrics(counts, replicas=cfg["replicas"], seed=cfg["seed"])
+    assert metrics.as_dict() == pytest.approx({
+        "tangle": 0.8353694275550733, "tangle_sigma": 0.042291580006019326,
+        "von_neumann": 0.29110943834738107, "von_neumann_sigma": 0.06490797117764187,
+        "linear_entropy": 0.11338216568275956,
+        "linear_entropy_sigma": 0.028333663503631753,
+        "fidelity": 0.9553442599684174, "fidelity_sigma": 0.011482494711947327,
+        "clamp_events": 0}, rel=1e-9)
 
 
 def test_bootstrap_needs_replicas():

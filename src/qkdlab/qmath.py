@@ -57,28 +57,6 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(as_complex(a), as_complex(b))
 
 
-def partial_trace(rho: np.ndarray, subsystem: int, check: bool = True) -> np.ndarray:
-    """Trace out one photon of a two-photon operator.
-
-    ``subsystem`` names the photon that is removed (1 = first, 2 = second),
-    so ``partial_trace(tensor(a, b), 2) == a * trace(b)``.
-
-    With ``check=True`` (the default) the input must satisfy the density
-    invariants; pass ``check=False`` for general operators.
-    """
-    rho = as_complex(rho)
-    if rho.shape != (4, 4):
-        raise ValueError("partial_trace expects a 4x4 matrix")
-    if subsystem not in (1, 2):
-        raise ValueError("subsystem must be 1 or 2")
-    if check and not is_density(rho):
-        raise ValueError("partial_trace: input is not a valid density matrix")
-    r = rho.reshape(2, 2, 2, 2)  # [a, b, a', b']
-    if subsystem == 1:
-        return np.einsum("abad->bd", r)
-    return np.einsum("abcb->ac", r)
-
-
 def herm_eig(m: np.ndarray):
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
@@ -93,17 +71,18 @@ def herm_eig(m: np.ndarray):
     return w[..., ::-1], v[..., ::-1]
 
 
-def nearest_physical(m: np.ndarray) -> np.ndarray:
-    """Project a Hermitian matrix, scaled to unit trace, onto the physical states.
+def physical_spectrum(m: np.ndarray):
+    """Spectrum of the physical state nearest a Hermitian matrix scaled to unit trace.
 
     The Smolin-Gambetta-Smith rule (PRL 108, 070502, 2012) gives the
     density matrix nearest in 2-norm: with the eigenvalues in descending
     order, walk up from the smallest, zeroing each one that stays negative
     after the mass already zeroed is spread evenly over the ones above it,
-    then shift the survivors by that spread.  A PSD matrix passes through
-    unchanged (up to the trace scaling).  Raises if the trace is not
-    positive, which covers a spectrum with no positive eigenvalue mass, for
-    any matrix of a stack.
+    then shift the survivors by that spread.  Returns ``(w, v)`` as
+    ``herm_eig`` does: ``w`` descending and nonnegative with unit sum, each
+    zeroed eigenvalue exactly 0.0, and ``v`` the eigenvectors of ``m`` as
+    columns.  Raises if the trace is not positive, which covers a spectrum
+    with no positive eigenvalue mass, for any matrix of a stack.
     """
     w, v = herm_eig(m)
     total = w.sum(axis=-1, keepdims=True)
@@ -118,7 +97,18 @@ def nearest_physical(m: np.ndarray) -> np.ndarray:
         drop = (kept == i + 1) & (w[..., i:i + 1] + zeroed / (i + 1) < 0.0)
         zeroed = zeroed + np.where(drop, w[..., i:i + 1], 0.0)
         kept = kept - drop
-    w = np.where(np.arange(dim) < kept, w + zeroed / kept, 0.0)
+    return np.where(np.arange(dim) < kept, w + zeroed / kept, 0.0), v
+
+
+def nearest_physical(m: np.ndarray) -> np.ndarray:
+    """Project a Hermitian matrix, scaled to unit trace, onto the physical states.
+
+    The density matrix ``v diag(w) v^dagger``, made exactly Hermitian, of
+    ``physical_spectrum(m)``.  A PSD matrix passes through unchanged (up to
+    the trace scaling).  Raises as ``physical_spectrum`` does; works on a
+    stack.
+    """
+    w, v = physical_spectrum(m)
     rho = (v * w[..., None, :]) @ dagger(v)
     return (rho + dagger(rho)) / 2.0
 

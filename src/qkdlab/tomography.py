@@ -2,10 +2,12 @@
 
 Reconstruction is linear inversion against the fixed 16-setting projective
 schedule, followed by the Smolin-Gambetta-Smith projection onto the nearest
-physical state; it is exact on noise-free expected counts.  Metric
-uncertainties come from a Poisson parametric bootstrap that draws and
-reconstructs its replicas in stacks through the same path as a single counts
-vector.
+physical state; it is exact on noise-free expected counts.  Every metric
+(tangle, von Neumann and linear entropy, fidelity) is read from one kernel
+over the eigenvalues and eigenvectors of the state, which the projection
+already computes.  Metric uncertainties come from a Poisson parametric
+bootstrap that draws and reconstructs its replicas in stacks through the same
+path as a single counts vector.
 """
 
 from __future__ import annotations
@@ -68,16 +70,22 @@ def _checked_counts(counts) -> np.ndarray:
     return counts
 
 
-def _physical_states(counts: np.ndarray) -> np.ndarray:
-    """Counts of shape (..., 16) -> physical density matrices (..., 4, 4)."""
+def _linear_inversion(counts: np.ndarray) -> np.ndarray:
+    """Counts of shape (..., 16) -> unit-trace Hermitian estimates (..., 4, 4)."""
     flux = counts[..., _FLUX].sum(axis=-1, keepdims=True)
     if np.any(flux <= 0):
         raise ReconstructionError("zero flux estimate: the HH/HV/VV/VH counts are empty")
-    # einsum rounds a row the same alone or in a stack; BLAS need not, and the
-    # square roots in the tangle turn a last-bit difference into ~1e-8.
-    rho_lin = np.einsum("...k,kij->...ij", counts / flux, _INVERSION)
+    # einsum rounds a row the same alone or in a stack; BLAS need not, and a
+    # replica's metrics must not depend on the block it is drawn in.
+    return np.einsum("...k,kij->...ij", counts / flux, _INVERSION)
+
+
+def _physical_spectrum(counts: np.ndarray):
+    """Counts of shape (..., 16) -> the SGS spectrum ``(w, v)`` of the
+    physical states, as ``qmath.physical_spectrum`` returns it."""
+    rho_lin = _linear_inversion(counts)
     try:
-        return qmath.nearest_physical(rho_lin)
+        return qmath.physical_spectrum(rho_lin)
     except ValueError as exc:
         raise ReconstructionError(str(exc)) from exc
 
@@ -106,56 +114,76 @@ def reconstruct(counts) -> TwoQubitState:
     is projected onto the nearest physical state.  Exact expected counts
     reproduce the input state to floating-point accuracy.
     """
-    return TwoQubitState(_physical_states(_checked_counts(counts)))
+    rho_lin = _linear_inversion(_checked_counts(counts))
+    try:
+        rho = qmath.nearest_physical(rho_lin)
+    except ValueError as exc:
+        raise ReconstructionError(str(exc)) from exc
+    return TwoQubitState(rho)
 
 
 _SIGMA_YY = np.kron(np.array([[0, -1j], [1j, 0]]), np.array([[0, -1j], [1j, 0]])).real
-# The metrics below take one density matrix or a stack (..., 4, 4).  For two
-# qubits (tangle, von Neumann entropy in bits, linear entropy, fidelity) lie
-# in [0, _METRIC_MAX]; bootstrap values are clamped to that range.
+# Tangle, von Neumann entropy in bits, linear entropy and fidelity of a
+# two-qubit state lie in [0, _METRIC_MAX]; bootstrap values are clamped to
+# that range.
 _METRIC_MAX = np.array([1.0, 2.0, 1.0, 1.0])
 
 
-def _tangle(rho: np.ndarray) -> np.ndarray:
-    m = rho @ _SIGMA_YY @ rho.conj() @ _SIGMA_YY
-    lams = np.sort(np.sqrt(np.clip(np.linalg.eigvals(m).real, 0.0, None)), axis=-1)
-    c = np.maximum(0.0, lams[..., 3] - lams[..., 2] - lams[..., 1] - lams[..., 0])
-    return c * c
+def _spectral_metrics(w: np.ndarray, v: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """(tangle, von Neumann entropy, linear entropy, fidelity), shape (..., 4),
+    of the states ``v diag(w) v^dagger`` with ``w`` nonnegative, unit sum,
+    on a stack.
+
+    The Wootters concurrence (PRL 80, 2245, 1998) is max(0, s1 - s2 - s3 -
+    s4) over the descending singular values of diag(sqrt w) V^dagger Y V*
+    diag(sqrt w), Y = sigma_y x sigma_y: the square roots of the
+    eigenvalues of rho Y rho* Y, without taking roots of their rounding
+    noise when rho is rank-deficient.
+    """
+    root = np.sqrt(w)
+    overlaps = qmath.dagger(v) @ _SIGMA_YY @ v.conj()
+    sv = np.linalg.svd(root[..., :, None] * overlaps * root[..., None, :], compute_uv=False)
+    c = np.maximum(0.0, sv[..., 0] - sv[..., 1] - sv[..., 2] - sv[..., 3])
+    # 0 log 0 = 0; adding 0.0 turns a pure state's -0.0 into 0.0
+    entropy = -(w * np.log2(np.where(w > 0.0, w, 1.0))).sum(axis=-1) + 0.0
+    linear = 4.0 / 3.0 * (1.0 - (w * w).sum(axis=-1))
+    fid = (w * np.abs(target.conj() @ v) ** 2).sum(axis=-1)
+    return np.stack([c * c, entropy, linear, fid], axis=-1)
 
 
-def _von_neumann(rho: np.ndarray) -> np.ndarray:
-    w = np.clip(qmath.herm_eig(rho)[0], 0.0, None)
-    return -(w * np.log2(np.where(w > 0.0, w, 1.0))).sum(axis=-1)
+def _target_ket(target_ket) -> np.ndarray:
+    if target_ket is None:
+        return bell_phi_plus_ket()
+    t = np.asarray(target_ket, dtype=complex)
+    if t.shape != (4,) or not abs(np.vdot(t, t).real - 1.0) <= qmath.TRACE_TOL:
+        raise ValueError("target_ket must be a unit-norm vector of length 4")
+    return t
 
 
-def _linear_entropy(rho: np.ndarray) -> np.ndarray:
-    purity = np.trace(rho @ rho, axis1=-2, axis2=-1).real
-    return 4.0 / 3.0 * (1.0 - purity)
-
-
-def _fidelity(rho: np.ndarray, target_ket: np.ndarray) -> np.ndarray:
-    return (target_ket.conj() @ rho @ target_ket).real
+def _point_metrics(s: TwoQubitState, target_ket=None) -> np.ndarray:
+    w, v = qmath.herm_eig(s.rho)
+    return _spectral_metrics(np.clip(w, 0.0, None), v, _target_ket(target_ket))
 
 
 def tangle(s: TwoQubitState) -> float:
     """Squared Wootters concurrence: 0 separable, 1 maximally entangled."""
-    return float(_tangle(s.rho))
+    return float(_point_metrics(s)[0])
 
 
 def von_neumann(s: TwoQubitState) -> float:
     """-Tr(rho log2 rho), with 0 log 0 = 0."""
-    return float(_von_neumann(s.rho))
+    return float(_point_metrics(s)[1])
 
 
 def linear_entropy(s: TwoQubitState) -> float:
     """(4/3)(1 - Tr rho^2): 0 pure, 2/3 two-state mixture, 1 maximally mixed."""
-    return float(_linear_entropy(s.rho))
+    return float(_point_metrics(s)[2])
 
 
 def fidelity(s: TwoQubitState, target_ket: np.ndarray | None = None) -> float:
-    """<t|rho|t> against a pure target (default: the entangled source state)."""
-    t = bell_phi_plus_ket() if target_ket is None else np.asarray(target_ket, dtype=complex)
-    return float(_fidelity(s.rho, t))
+    """<t|rho|t> against a pure target (default: the entangled source state);
+    a target that is not a unit-norm length-4 vector raises ValueError."""
+    return float(_point_metrics(s, target_ket)[3])
 
 
 @dataclass
@@ -184,9 +212,9 @@ class StateMetrics:
 
 
 def state_metrics(s: TwoQubitState, target_ket: np.ndarray | None = None) -> StateMetrics:
-    """Raw (unclamped) metrics of a single state."""
-    return StateMetrics(tangle(s), von_neumann(s), linear_entropy(s),
-                        fidelity(s, target_ket))
+    """Raw (unclamped) metrics of a single state; the target is checked as
+    in ``fidelity``."""
+    return StateMetrics(*map(float, _point_metrics(s, target_ket)))
 
 
 def _replica_metrics(counts: np.ndarray, replicas: int, seed: int) -> np.ndarray:
@@ -200,9 +228,8 @@ def _replica_metrics(counts: np.ndarray, replicas: int, seed: int) -> np.ndarray
         # may have drawn the counts themselves; SeedSequence([seed, 0]) would
         # not, as it hashes like SeedSequence(seed).
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(lo // _BLOCK,)))
-        rho = _physical_states(rng.poisson(counts, size=(hi - lo, counts.size)).astype(float))
-        rows[lo:hi] = np.stack(
-            [_tangle(rho), _von_neumann(rho), _linear_entropy(rho), _fidelity(rho, target)], -1)
+        w, v = _physical_spectrum(rng.poisson(counts, size=(hi - lo, counts.size)).astype(float))
+        rows[lo:hi] = _spectral_metrics(w, v, target)
     return rows
 
 
@@ -247,10 +274,10 @@ def run_tomography(counts, replicas: int = 200, seed: int = 0) -> TomographyRun:
     """Reconstruct a counts vector and bootstrap its metric uncertainties."""
     counts = np.asarray(counts, dtype=float)
     rho_hat = reconstruct(counts)
-    point = state_metrics(rho_hat)
+    point = _spectral_metrics(*_physical_spectrum(counts), bell_phi_plus_ket())
     boot = bootstrap_metrics(counts, replicas=replicas, seed=seed)
-    metrics = replace(boot, tangle=point.tangle, von_neumann=point.von_neumann,
-                      linear_entropy=point.linear_entropy, fidelity=point.fidelity)
+    metrics = replace(boot, tangle=float(point[0]), von_neumann=float(point[1]),
+                      linear_entropy=float(point[2]), fidelity=float(point[3]))
     return TomographyRun(counts=counts, total_estimate=float(counts[_FLUX].sum()),
                          rho_hat=rho_hat, metrics=metrics)
 

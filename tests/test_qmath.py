@@ -59,61 +59,6 @@ def test_tensor_bilinear(rng):
                      qmath.tensor(a, c) + x * qmath.tensor(b, c), tol=1e-12)
 
 
-def _trace_out_first_by_hand(rho):
-    out = np.zeros((2, 2), dtype=complex)
-    for b in range(2):
-        for d in range(2):
-            out[b, d] = sum(rho[2 * a + b, 2 * a + d] for a in range(2))
-    return out
-
-
-def _trace_out_second_by_hand(rho):
-    out = np.zeros((2, 2), dtype=complex)
-    for a in range(2):
-        for c in range(2):
-            out[a, c] = sum(rho[2 * a + b, 2 * c + b] for b in range(2))
-    return out
-
-
-def test_partial_trace_bell_both_halves():
-    rho = bell_phi_plus().rho
-    assert_close(_trace_out_second_by_hand(rho), I2 / 2, tol=1e-12)
-    assert_close(qmath.partial_trace(rho, 2), I2 / 2)
-    assert_close(qmath.partial_trace(rho, 1), I2 / 2)
-
-
-def test_partial_trace_product_state():
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = 1.0  # both photons horizontal
-    assert_close(qmath.partial_trace(rho, 1), P_H)
-
-
-def test_partial_trace_hv_mixture():
-    rho = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
-    assert_close(qmath.partial_trace(rho, 2), I2 / 2)
-
-
-def test_partial_trace_matches_hand_oracle(rng):
-    for _ in range(50):
-        rho = random_density(rng)
-        assert_close(qmath.partial_trace(rho, 1), _trace_out_first_by_hand(rho), tol=1e-12)
-        assert_close(qmath.partial_trace(rho, 2), _trace_out_second_by_hand(rho), tol=1e-12)
-        assert np.trace(qmath.partial_trace(rho, 2)).real == pytest.approx(1.0, abs=1e-10)
-
-
-def test_partial_trace_tensor_property(rng):
-    for _ in range(50):
-        a = random_hermitian(rng, 2)
-        b = random_hermitian(rng, 2)
-        assert_close(qmath.partial_trace(qmath.tensor(a, b), 2, check=False),
-                     a * np.trace(b), tol=1e-10)
-
-
-def test_partial_trace_rejects_non_density():
-    with pytest.raises(ValueError):
-        qmath.partial_trace(np.eye(4, dtype=complex), 2)  # trace 4
-
-
 def test_herm_eig_known_spectra():
     w, _ = qmath.herm_eig(bell_phi_plus().rho)
     assert_close(w, [1.0, 0.0, 0.0, 0.0], tol=1e-12)

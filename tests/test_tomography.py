@@ -5,9 +5,11 @@ import pytest
 
 from qkdlab.cli import _prepared_state, load_config
 from qkdlab.optics import PolState
-from qkdlab.states import TwoQubitState, add_white_noise, bell_phi_plus, dephase_bob
-from qkdlab.tomography import (_BLOCK, CHSH_CANONICAL_ANGLES, TOMO_SCHEDULE,
-                               ReconstructionError, _replica_metrics,
+from qkdlab.states import (TwoQubitState, add_white_noise, bell_phi_plus, bell_phi_plus_ket,
+                           dephase_bob)
+from qkdlab import qmath
+from qkdlab.tomography import (_BLOCK, _SIGMA_YY, CHSH_CANONICAL_ANGLES, TOMO_SCHEDULE,
+                               ReconstructionError, _replica_metrics, _spectral_metrics,
                                bootstrap_metrics, chsh,
                                correlator, expected_probs, fidelity,
                                linear_entropy, reconstruct, run_tomography,
@@ -128,6 +130,61 @@ def test_tangle_closed_form_under_dephasing():
     assert tangle(dephase_bob(bell_phi_plus(), 0.0, 0.5)) == pytest.approx(0.25, abs=1e-9)
 
 
+def _random_unitary(rng, dim):
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@pytest.mark.parametrize("p", (0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95))
+def test_spectral_tangle_exact_on_rank_deficient_spectra(rng, p):
+    # p|phi+><phi+| + (1 - p)|HV><HV| has concurrence p, and local unitaries
+    # keep it; eigenvalues of rho Y rho* Y near zero would have their
+    # rounding noise square-rooted into ~1e-8
+    s2 = np.sqrt(0.5)
+    kets = np.array([[s2, 0, 0, s2], [0, 1, 0, 0], [s2, 0, 0, -s2], [0, 0, 1, 0]]).T
+    w = np.array([p, 1.0 - p, 0.0, 0.0])
+    for _ in range(20):
+        v = np.kron(_random_unitary(rng, 2), _random_unitary(rng, 2)) @ kets
+        assert abs(_spectral_metrics(w, v, bell_phi_plus_ket())[0] - p * p) < 1e-12
+
+
+def _oracle_metrics(rho, target):
+    """The matrix formulas: Wootters' eigenvalues of rho Y rho* Y, the
+    entropy of eigvalsh, the purity trace and <t|rho|t>."""
+    m = rho @ _SIGMA_YY @ rho.conj() @ _SIGMA_YY
+    lams = np.sort(np.sqrt(np.clip(np.linalg.eigvals(m).real, 0.0, None)))
+    c = max(0.0, lams[3] - lams[2] - lams[1] - lams[0])
+    w = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
+    entropy = -(w * np.log2(np.where(w > 0.0, w, 1.0))).sum()
+    linear = 4.0 / 3.0 * (1.0 - np.trace(rho @ rho).real)
+    return c * c, entropy, linear, (target.conj() @ rho @ target).real
+
+
+def test_spectral_metrics_match_matrix_formulas_on_full_rank_states(rng):
+    stack = np.array([random_density(rng) for _ in range(256)])
+    target = rng.normal(size=4) + 1j * rng.normal(size=4)
+    target /= np.linalg.norm(target)
+    w, v = qmath.herm_eig(stack)
+    metrics = _spectral_metrics(np.clip(w, 0.0, None), v, target)
+    for rho, row in zip(stack, metrics):
+        assert_close(row, _oracle_metrics(rho, target), tol=1e-9)
+
+
+def test_fidelity_target_must_be_a_unit_ket():
+    s = bell_phi_plus()
+    for bad in ([1, 0, 0, 1], [1, 0]):
+        with pytest.raises(ValueError, match="unit-norm"):
+            fidelity(s, bad)
+        with pytest.raises(ValueError, match="unit-norm"):
+            state_metrics(s, bad)
+    assert fidelity(s, np.array([1, 0, 0, 1]) / np.sqrt(2)) == pytest.approx(1.0, abs=1e-12)
+    # a pure state's entropy is +0.0, not -0.0
+    hh = np.diag([1.0, 0.0, 0.0, 0.0])
+    for entropy in (von_neumann(TwoQubitState(hh.astype(complex))),
+                    _spectral_metrics(np.diag(hh), np.eye(4), bell_phi_plus_ket())[1]):
+        assert entropy == 0.0 and np.copysign(1.0, entropy) == 1.0
+
+
 def test_entropies_monotone_in_dephasing_strength():
     gammas = [0.0, 0.25, 0.5, 0.75, 1.0]
     vn = [von_neumann(dephase_bob(bell_phi_plus(), 0.0, g)) for g in gammas]
@@ -245,7 +302,7 @@ def test_bootstrap_golden():
                              np.random.default_rng(cfg["seed"]))
     metrics = bootstrap_metrics(counts, replicas=cfg["replicas"], seed=cfg["seed"])
     assert metrics.as_dict() == pytest.approx({
-        "tangle": 0.8353694275550733, "tangle_sigma": 0.042291580006019326,
+        "tangle": 0.8353694316321768, "tangle_sigma": 0.042291581793766415,
         "von_neumann": 0.29110943834738107, "von_neumann_sigma": 0.06490797117764187,
         "linear_entropy": 0.11338216568275956,
         "linear_entropy_sigma": 0.028333663503631753,

@@ -141,6 +141,8 @@ def load_config(path: str, kind: str, seed_override: int | None = None) -> dict:
     seed = _take(raw, "seed", int, "config", required=seed_override is None)
     if seed_override is not None:
         seed = seed_override
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
     eve = _apply_plate(_parse_eve(raw.get("eve")), _parse_plate(raw.get("plate")))
     out = {
         "kind": kind,

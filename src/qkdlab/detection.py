@@ -201,14 +201,43 @@ _SIFTED_SUFFIX = tuple(f",{_BIT_FIELD[x]},{_BIT_FIELD[y]},{int(x == y)}\n"
                        for x, y in itertools.product(_VALUES, _VALUES))
 
 
-def _write_rows(fh, header, index: np.ndarray, code: np.ndarray, suffix) -> None:
-    """Write the header, then row ``f"{index[i]}{suffix[code[i]]}"`` for every
-    ``i``, joined and written ``_CHUNK_ROWS`` rows at a time."""
+def _byte_table(suffixes) -> np.ndarray:
+    """The ASCII bytes of ``suffixes``, one zero-padded row per entry."""
+    encoded = [text.encode("ascii") for text in suffixes]
+    table = np.zeros((len(encoded), max(map(len, encoded))), dtype=np.uint8)
+    for row, text in zip(table, encoded):
+        row[:len(text)] = np.frombuffer(text, dtype=np.uint8)
+    return table
+
+
+# No field text holds a NUL byte, so the zero padding is what a row drops.
+_RECORD_TABLE = _byte_table(_RECORD_SUFFIX)
+_SIFTED_TABLE = _byte_table(_SIFTED_SUFFIX)
+_DIGITS = np.frombuffer(b"0123456789", dtype=np.uint8)
+
+
+def _write_rows(fh, header, index: np.ndarray, code: np.ndarray, table) -> None:
+    """Write the header, then row ``index[i]`` in decimal followed by the
+    bytes of ``table[code[i]]`` for every ``i``, ``_CHUNK_ROWS`` rows at a time.
+
+    ``index`` must increase, so a chunk splits into runs of one decimal width
+    ``w``.  A run is a byte matrix: ``w`` digit columns, then the run's table
+    rows; dropping its zero bytes leaves the rows' text in order.
+    """
     fh.write(",".join(header) + "\n")
     for start in range(0, len(code), _CHUNK_ROWS):
-        stop = start + _CHUNK_ROWS
-        fh.write("".join([f"{i}{suffix[c]}" for i, c in
-                          zip(index[start:stop].tolist(), code[start:stop].tolist())]))
+        chunk = index[start:start + _CHUNK_ROWS]
+        codes = code[start:start + _CHUNK_ROWS]
+        lo, hi = len(str(chunk[0])), len(str(chunk[-1]))
+        cuts = np.searchsorted(chunk, [10 ** w for w in range(lo, hi)]).tolist()
+        for w, a, b in zip(range(lo, hi + 1), [0] + cuts, cuts + [len(chunk)]):
+            rows = np.empty((b - a, w + table.shape[1]), dtype=np.uint8)
+            rest = chunk[a:b]
+            for col in range(w - 1, -1, -1):
+                rest, digit = np.divmod(rest, 10)
+                rows[:, col] = _DIGITS.take(digit)
+            rows[:, w:] = table.take(codes[a:b], axis=0)
+            fh.write(rows[rows != 0].tobytes().decode("ascii"))
 
 
 def records_to_csv(trials: Trials, fh) -> None:
@@ -216,15 +245,15 @@ def records_to_csv(trials: Trials, fh) -> None:
 
     Absent bases and bits are empty fields.  The six fields after the index
     take at most 486 value combinations, so each row is its index plus one
-    entry of a precomputed suffix table, and rows are written in chunks of
-    ``_CHUNK_ROWS``: the file is never held in memory whole.
+    entry of a precomputed suffix table.  Rows are built as bytes by numpy,
+    ``_CHUNK_ROWS`` at a time: the file is never held in memory whole.
     """
     code = np.zeros(len(trials), dtype=np.int16)
     for column in (trials.alice_basis, trials.bob_basis, trials.eve_basis,
                    trials.alice_bit, trials.bob_bit):
         code = 3 * code + column % 3
     _write_rows(fh, CSV_COLUMNS, np.arange(len(trials)), 2 * code + trials.kept,
-                _RECORD_SUFFIX)
+                _RECORD_TABLE)
 
 
 def sifted_to_csv(trials: Trials, fh) -> None:
@@ -233,4 +262,4 @@ def sifted_to_csv(trials: Trials, fh) -> None:
     table over the two bits, like :func:`records_to_csv`."""
     mask = trials.sifted()
     code = 3 * (trials.alice_bit[mask] % 3) + trials.bob_bit[mask] % 3
-    _write_rows(fh, SIFTED_COLUMNS, np.flatnonzero(mask), code, _SIFTED_SUFFIX)
+    _write_rows(fh, SIFTED_COLUMNS, np.flatnonzero(mask), code, _SIFTED_TABLE)

@@ -117,8 +117,11 @@ def reconcile(alice_bits, bob_bits, passes: int = 4, *, qber_est: float, rng):
 
     The whole state is the error string ``err = alice ^ bob``: a block's two
     parities differ exactly when its error count is odd, and a correction
-    flips one error bit.  Bit ``j`` lies in block ``rank[q][j] // size[q]``
-    of pass ``q``, where ``rank[q]`` inverts that pass's permutation.
+    flips one error bit.  Each pass keeps one parity per block, all computed
+    at the pass's start and toggled with every flip, so a block check is a
+    lookup; a bisection reads its block's bits once.  Bit ``j`` lies in
+    block ``rank[q][j] // size[q]`` of pass ``q``, where ``rank[q]`` inverts
+    that pass's permutation, so no per-bit block index is kept.
     """
     alice = np.asarray(alice_bits, dtype=np.uint8)
     bob = np.asarray(bob_bits, dtype=np.uint8)
@@ -129,14 +132,8 @@ def reconcile(alice_bits, bob_bits, passes: int = 4, *, qber_est: float, rng):
     if n == 0:
         return bob.copy(), 0
     k1 = math.ceil(0.73 / max(qber_est, 0.01))
-    orders, ranks, sizes = [], [], []
+    orders, ranks, sizes, parities = [], [], [], []
     leak = 0
-
-    def block(q, b):
-        return orders[q][b * sizes[q]:(b + 1) * sizes[q]]
-
-    def odd(idx) -> bool:
-        return bool(err[idx].sum() & 1)
 
     for p in range(passes):
         k = min(n, k1 * (2 ** p))
@@ -146,18 +143,25 @@ def reconcile(alice_bits, bob_bits, passes: int = 4, *, qber_est: float, rng):
         orders.append(order)
         ranks.append(rank)
         sizes.append(k)
-        for b in range(math.ceil(n / k)):
+        parities.append(np.bitwise_xor.reduceat(err[order], np.arange(0, n, k)).tolist())
+        for b in range(len(parities[p])):
             leak += 1  # first disclosure of this block's parity
             stack = [(p, b)]
             while stack:
-                idx = block(*stack.pop())
-                if not odd(idx):
+                q, c = stack.pop()
+                if not parities[q][c]:
                     continue
-                while len(idx) > 1:  # bisection: one message per level
-                    mid = (len(idx) + 1) // 2
+                idx = orders[q][c * sizes[q]:(c + 1) * sizes[q]]
+                bits = err[idx].tolist()
+                lo, hi = 0, len(bits)
+                while hi - lo > 1:  # bisection: one message per level
+                    mid = lo + (hi - lo + 1) // 2
                     leak += 1
-                    idx = idx[:mid] if odd(idx[:mid]) else idx[mid:]
-                j = idx[0]
+                    if sum(bits[lo:mid]) & 1:
+                        hi = mid
+                    else:
+                        lo = mid
+                j = idx[lo]
                 err[j] ^= 1
                 # Re-check every formed block holding j, in creation order,
                 # at no new leakage: their parities are already disclosed.
@@ -165,7 +169,8 @@ def reconcile(alice_bits, bob_bits, passes: int = 4, *, qber_est: float, rng):
                 # and the block just bisected is now even, so stays off.
                 for q in range(p + 1):
                     c = int(ranks[q][j]) // sizes[q]
-                    if (q < p or c <= b) and odd(block(q, c)):
+                    parities[q][c] ^= 1
+                    if (q < p or c <= b) and parities[q][c]:
                         stack.append((q, c))
     return alice ^ err, leak
 

@@ -127,6 +127,17 @@ def test_missing_seed_rejected(tmp_path):
     assert main(["session", "--config", cfg, "--out", str(tmp_path / "a")]) == 1
 
 
+@pytest.mark.parametrize("config_seed, override", [(-1, None), (5, "-1")])
+def test_negative_seed_rejected_before_any_output(tmp_path, capsys, config_seed, override):
+    cfg = write_config(tmp_path, "s.json", session_body(seed=config_seed))
+    argv = ["session", "--config", cfg, "--out", str(tmp_path / "a")]
+    if override is not None:
+        argv += ["--seed", override]
+    assert main(argv) == 1
+    assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "a").exists()
+
+
 def test_eve_validation_propagates(tmp_path):
     cfg = write_config(tmp_path, "s.json",
                        session_body(eve={"mode": "dephasing", "strength": 2.0}))

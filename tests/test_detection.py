@@ -1,4 +1,6 @@
+import collections
 import csv
+import dataclasses
 import io
 import itertools
 import tracemalloc
@@ -6,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qkdlab import detection
 from qkdlab.detection import (BASES, CSV_COLUMNS, SIFTED_COLUMNS, DetectorConfig,
                               Trials, joint_probs, records_to_csv, sifted_to_csv,
                               simulate_dwell_stream)
@@ -240,9 +243,10 @@ _BASIS_TEXT = np.array([b.value for b in BASES] + [""])   # index -1 -> ""
 _BIT_TEXT = np.array(["0", "1", ""])
 
 
-def _oracle_records_csv(trials):
+def _oracle_records_csv(trials, start=0):
+    """``start`` is the index of the first trial, when ``trials`` is a slice."""
     return _char_add_csv(CSV_COLUMNS, [
-        np.arange(len(trials)).astype(str),
+        np.arange(start, start + len(trials)).astype(str),
         _BASIS_TEXT[trials.alice_basis], _BASIS_TEXT[trials.bob_basis],
         _BASIS_TEXT[trials.eve_basis],
         _BIT_TEXT[trials.alice_bit], _BIT_TEXT[trials.bob_bit],
@@ -250,11 +254,11 @@ def _oracle_records_csv(trials):
     ])
 
 
-def _oracle_sifted_csv(trials):
+def _oracle_sifted_csv(trials, start=0):
     mask = trials.sifted()
     alice, bob = trials.alice_bit[mask], trials.bob_bit[mask]
     return _char_add_csv(SIFTED_COLUMNS, [
-        np.flatnonzero(mask).astype(str), _BIT_TEXT[alice], _BIT_TEXT[bob],
+        (start + np.flatnonzero(mask)).astype(str), _BIT_TEXT[alice], _BIT_TEXT[bob],
         (alice == bob).astype(np.int8).astype(str),
     ])
 
@@ -298,6 +302,11 @@ def test_sifted_csv_without_sifted_trials_is_the_header():
     assert _csv_text(sifted_to_csv, trials) == "trial,alice,bob,agree\n"
 
 
+def _trial_slice(trials, start, stop):
+    return Trials(**{f.name: getattr(trials, f.name)[start:stop]
+                     for f in dataclasses.fields(Trials)})
+
+
 def test_csv_writers_stream_a_million_trials_in_bounded_memory(tmp_path):
     n = 1_000_000
     trials = _stream(seed=5, n=n, dark=0.9)
@@ -314,6 +323,40 @@ def test_csv_writers_stream_a_million_trials_in_bounded_memory(tmp_path):
         assert sum(1 for _ in fh) == n + 1
     with open(tmp_path / "sifted.csv", "rb") as fh:
         assert sum(1 for _ in fh) == np.count_nonzero(trials.sifted()) + 1
+    # the first and last 2000 rows of each file, against the oracle on the
+    # trials those rows come from
+    for name, oracle, trial_of_row in (
+            ("records.csv", _oracle_records_csv, np.arange(n)),
+            ("sifted.csv", _oracle_sifted_csv, np.flatnonzero(trials.sifted()))):
+        with open(tmp_path / name, encoding="utf-8", newline="") as fh:
+            lines = iter(fh)
+            head = [next(lines) for _ in range(2001)]
+            tail = collections.deque(lines, maxlen=2000)
+        stop, start = trial_of_row[1999] + 1, trial_of_row[-2000]
+        assert "".join(head) == oracle(_trial_slice(trials, 0, stop)), name
+        assert head[0] + "".join(tail) == oracle(_trial_slice(trials, start, n),
+                                                 start=start), name
+
+
+@pytest.mark.parametrize("table, suffix", [
+    (detection._RECORD_TABLE, detection._RECORD_SUFFIX),
+    (detection._SIFTED_TABLE, detection._SIFTED_SUFFIX)])
+def test_write_rows_across_every_decimal_width(monkeypatch, table, suffix):
+    # 0, 9, 10, 99, 100, ..., 10**12 - 1, 10**12 and 60 neighbours on each
+    # side of every width edge
+    index = np.unique(np.concatenate([np.arange(10 ** w - 60, 10 ** w + 60)
+                                      for w in range(13)]))
+    index = index[index >= 0]
+    assert {0, 9, 10, 10 ** 12 - 1, 10 ** 12} <= set(index.tolist())
+    code = np.arange(len(index)) % len(suffix)
+    assert len(index) >= len(suffix)
+    # the second chunk starts at the first 7-digit index
+    monkeypatch.setattr(detection, "_CHUNK_ROWS", int(np.searchsorted(index, 10 ** 6)))
+    fh = io.StringIO()
+    detection._write_rows(fh, ("i", "rest"), index, code, table)
+    want = "i,rest\n" + "".join(f"{i}{suffix[c]}"
+                                 for i, c in zip(index.tolist(), code.tolist()))
+    assert fh.getvalue() == want
 
 
 def test_detector_config_validation():

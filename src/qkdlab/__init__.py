@@ -2,7 +2,7 @@
 quantum key distribution: protocol sessions with configurable eavesdroppers,
 two-photon state tomography, CHSH tests and one-time-pad messaging."""
 
-from .optics import AnalyzerSetting, MeasBasis, PolState, analyzer_chain, hwp, projector, qwp
+from .optics import MeasBasis, PolState, projector
 from .states import (EveConfig, QuartzPlate, TwoQubitState, add_white_noise,
                      bell_phi_plus, dephase_bob, intercept_branches, plate_gamma)
 from .detection import DetectorConfig, Trials, joint_probs, simulate_dwell_stream

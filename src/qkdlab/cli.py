@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -55,51 +56,37 @@ def _take(section: dict, key: str, types, where: str, required=False, default=No
     return value
 
 
-def _parse_eve(section: dict | None) -> EveConfig:
-    if section is None:
-        return EveConfig()
-    _check_keys(section, {"mode", "basis_angle", "strength",
-                          "intercept_fraction", "basis_policy"}, "eve")
+_TYPES = {"float": float, "int": int, "str": str}
+
+
+def _parse_section(cls, section: dict, where: str, **fixed):
+    """Build the dataclass ``cls`` from a config section.
+
+    Each field not given in ``fixed`` is read from the key of the same name,
+    typed by the field's annotation; an absent key takes the field's default,
+    and a field without one is required.
+    """
+    kwargs = dict(fixed)
+    for f in dataclasses.fields(cls):
+        if f.name not in fixed and (f.name in section or f.default is dataclasses.MISSING):
+            kwargs[f.name] = _take(section, f.name, _TYPES[f.type], where, required=True)
     try:
-        return EveConfig(
-            mode=_take(section, "mode", str, "eve", default="absent"),
-            basis_angle=_take(section, "basis_angle", float, "eve", default=0.0),
-            strength=_take(section, "strength", float, "eve", default=1.0),
-            intercept_fraction=_take(section, "intercept_fraction", float, "eve", default=1.0),
-            basis_policy=_take(section, "basis_policy", str, "eve", default="fixed"),
-        )
+        return cls(**kwargs)
     except ValueError as exc:
-        raise ConfigError(f"eve: {exc}") from exc
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _parse_plate(section: dict | None) -> QuartzPlate | None:
+def _field_names(cls) -> set:
+    return {f.name for f in dataclasses.fields(cls)}
+
+
+def _parse_nested(raw: dict, key: str, cls):
+    """The config's ``key`` section as a ``cls``, or None when it is absent."""
+    section = raw.get(key)
     if section is None:
         return None
-    _check_keys(section, {"thickness_mm", "birefringence",
-                          "coherence_time_fs", "axis_angle_deg"}, "plate")
-    try:
-        return QuartzPlate(
-            thickness_mm=_take(section, "thickness_mm", float, "plate", required=True),
-            birefringence=_take(section, "birefringence", float, "plate", default=0.00776),
-            coherence_time_fs=_take(section, "coherence_time_fs", float, "plate", default=54.0),
-            axis_angle_deg=_take(section, "axis_angle_deg", float, "plate", default=0.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"plate: {exc}") from exc
-
-
-def _parse_detector(section: dict | None) -> DetectorConfig:
-    if section is None:
-        return DetectorConfig()
-    _check_keys(section, {"dwell", "pair_rate", "dark_rate"}, "detector")
-    try:
-        return DetectorConfig(
-            dwell=_take(section, "dwell", float, "detector", default=0.1),
-            pair_rate=_take(section, "pair_rate", float, "detector", default=10.0),
-            dark_rate=_take(section, "dark_rate", float, "detector", default=0.1),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"detector: {exc}") from exc
+    _check_keys(section, _field_names(cls), key)
+    return _parse_section(cls, section, key)
 
 
 def _apply_plate(eve: EveConfig, plate: QuartzPlate | None) -> EveConfig:
@@ -130,9 +117,7 @@ def load_config(path: str, kind: str, seed_override: int | None = None) -> dict:
 
     common = {"kind", "seed", "source_noise", "eve", "plate"}
     per_kind = {
-        "session": common | {"n_intervals", "detector", "qber_sample_fraction",
-                             "abort_threshold", "reconciliation_passes",
-                             "pa_safety_bits"},
+        "session": common | _field_names(SessionConfig),
         "tomo": common | {"n_per_setting", "replicas", "counts_file"},
         "bell": common | {"angles"},
     }
@@ -143,25 +128,19 @@ def load_config(path: str, kind: str, seed_override: int | None = None) -> dict:
         seed = seed_override
     if seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {seed}")
-    eve = _apply_plate(_parse_eve(raw.get("eve")), _parse_plate(raw.get("plate")))
+    eve = _apply_plate(_parse_nested(raw, "eve", EveConfig) or EveConfig(),
+                       _parse_nested(raw, "plate", QuartzPlate))
     out = {
         "kind": kind,
         "seed": seed,
-        "source_noise": _take(raw, "source_noise", float, "config", default=0.0),
+        "source_noise": _take(raw, "source_noise", float, "config",
+                              default=SessionConfig.source_noise),
         "eve": eve,
     }
     if kind == "session":
-        out["session"] = SessionConfig(
-            seed=seed,
-            n_intervals=_take(raw, "n_intervals", int, "config", default=10000),
-            source_noise=out["source_noise"],
-            eve=eve,
-            detector=_parse_detector(raw.get("detector")),
-            qber_sample_fraction=_take(raw, "qber_sample_fraction", float, "config", default=0.2),
-            abort_threshold=_take(raw, "abort_threshold", float, "config", default=0.11),
-            reconciliation_passes=_take(raw, "reconciliation_passes", int, "config", default=4),
-            pa_safety_bits=_take(raw, "pa_safety_bits", int, "config", default=30),
-        )
+        out["session"] = _parse_section(
+            SessionConfig, raw, "config", seed=seed, source_noise=out["source_noise"],
+            eve=eve, detector=_parse_nested(raw, "detector", DetectorConfig) or DetectorConfig())
     elif kind == "tomo":
         out["n_per_setting"] = _take(raw, "n_per_setting", float, "config", default=10000.0)
         out["replicas"] = _take(raw, "replicas", int, "config", default=200)
@@ -195,13 +174,9 @@ def _dump_json(obj, path):
         fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _ensure_out(out_dir: str):
-    os.makedirs(out_dir, exist_ok=True)
-
-
 def cmd_session(cfg: dict, out_dir: str) -> int:
-    _ensure_out(out_dir)
     transcript = run_session(cfg["session"])
+    os.makedirs(out_dir, exist_ok=True)
     for name, write in (("records.csv", records_to_csv), ("sifted.csv", sifted_to_csv)):
         with open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="") as fh:
             write(transcript.trials, fh)
@@ -228,8 +203,11 @@ def _read_counts_csv(path) -> np.ndarray:
     for row in rows:
         if len(row) != 3:
             raise ConfigError(f"counts file row has {len(row)} fields, expected 3")
+        key = (row[0].strip(), row[1].strip())
+        if key in table:
+            raise ConfigError(f"counts file repeats the {key[0]}{key[1]} setting")
         try:
-            table[(row[0].strip(), row[1].strip())] = float(row[2])
+            table[key] = float(row[2])
         except ValueError as exc:
             raise ConfigError(f"bad count value {row[2]!r}") from exc
     counts = []
@@ -252,7 +230,6 @@ def _write_counts_csv(counts, path):
 
 
 def cmd_tomo(cfg: dict, out_dir: str) -> int:
-    _ensure_out(out_dir)
     if cfg["counts_file"]:
         counts = _read_counts_csv(cfg["counts_file"])
     else:
@@ -260,6 +237,7 @@ def cmd_tomo(cfg: dict, out_dir: str) -> int:
         counts = simulate_counts(_prepared_state(cfg), cfg["n_per_setting"], rng)
     run = run_tomography(counts, replicas=cfg["replicas"], seed=cfg["seed"])
 
+    os.makedirs(out_dir, exist_ok=True)
     _write_counts_csv(run.counts, os.path.join(out_dir, "counts.csv"))
     _dump_json({"basis_order": list(BASIS_LABELS),
                 "rho": qmath.mat_to_json(run.rho_hat.rho)},
@@ -282,7 +260,6 @@ def cmd_tomo(cfg: dict, out_dir: str) -> int:
 
 
 def cmd_bell(cfg: dict, out_dir: str) -> int:
-    _ensure_out(out_dir)
     state = _prepared_state(cfg)
     a, a_prime, b, b_prime = cfg["angles"]
     table = {
@@ -292,6 +269,7 @@ def cmd_bell(cfg: dict, out_dir: str) -> int:
         "E(a',b')": correlator(state, a_prime, b_prime),
     }
     s_value = chsh(state, a, a_prime, b, b_prime)
+    os.makedirs(out_dir, exist_ok=True)
     _dump_json({"angles": cfg["angles"], "correlators": table, "s_value": s_value},
                os.path.join(out_dir, "bell.json"))
     for name, value in table.items():

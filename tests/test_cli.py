@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 
 from qkdlab import otp
-from qkdlab.cli import main
+from qkdlab.cli import ConfigError, _apply_plate, load_config, main
+from qkdlab.detection import DetectorConfig
+from qkdlab.protocol import SessionConfig
+from qkdlab.states import EveConfig, QuartzPlate
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -193,6 +196,54 @@ def test_tomo_malformed_counts_file(tmp_path, capsys):
     cfg = write_config(tmp_path, "t.json", body)
     assert main(["tomo", "--config", cfg, "--out", str(tmp_path / "a")]) == 1
     assert "missing" in capsys.readouterr().err
+
+
+def test_tomo_counts_file_repeated_setting_rejected(tmp_path, capsys):
+    body = {"kind": "tomo", "seed": 8, "n_per_setting": 5000, "replicas": 25}
+    main(["tomo", "--config", write_config(tmp_path, "t.json", body),
+          "--out", str(tmp_path / "a")])
+    counts = tmp_path / "a" / "counts.csv"
+    counts.write_text(counts.read_text() + "H,H,999999\n")
+    cfg = write_config(tmp_path, "t2.json", dict(body, counts_file=str(counts)))
+    assert main(["tomo", "--config", cfg, "--out", str(tmp_path / "b")]) == 1
+    assert "counts file repeats the HH setting" in capsys.readouterr().err
+    assert not (tmp_path / "b" / "metrics.json").exists()
+
+
+@pytest.mark.parametrize("kind, body", [
+    ("tomo", {"n_per_setting": 0}),
+    ("tomo", {"replicas": 1}),
+    ("tomo", {"counts_file": "malformed.csv"}),
+    ("bell", {"eve": {"mode": "intercept_resend"}}),
+])
+def test_failed_run_leaves_no_output_directory(tmp_path, monkeypatch, capsys, kind, body):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "malformed.csv").write_text("setting_a,setting_b,count\nH,H,100\n")
+    cfg = write_config(tmp_path, "c.json", dict(body, kind=kind, seed=1))
+    assert main([kind, "--config", cfg, "--out", str(tmp_path / "a")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "a").exists()
+
+
+def test_omitted_keys_take_the_dataclass_defaults(tmp_path):
+    cfg = write_config(tmp_path, "s.json", {"kind": "session", "seed": 5})
+    assert load_config(cfg, "session")["session"] == SessionConfig(seed=5)
+
+    cfg = write_config(tmp_path, "d.json", {"kind": "session", "seed": 5,
+                                            "detector": {"dark_rate": 0.7}})
+    assert load_config(cfg, "session")["session"].detector == DetectorConfig(dark_rate=0.7)
+
+    cfg = write_config(tmp_path, "t.json", {"kind": "tomo", "seed": 5,
+                                            "eve": {"mode": "dephasing"},
+                                            "plate": {"thickness_mm": 1.0}})
+    expected = _apply_plate(EveConfig(mode="dephasing"), QuartzPlate(1.0))
+    assert load_config(cfg, "tomo")["eve"] == expected
+
+    cfg = write_config(tmp_path, "p.json", {"kind": "tomo", "seed": 5,
+                                            "eve": {"mode": "dephasing"},
+                                            "plate": {"birefringence": 0.01}})
+    with pytest.raises(ConfigError, match="missing required key 'thickness_mm' in plate"):
+        load_config(cfg, "tomo")
 
 
 def test_bell_prints_canonical_violation(tmp_path, capsys):

@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import otp, qmath
-from .detection import DetectorConfig, records_to_csv, sifted_to_csv
+from .detection import DetectorConfig, records_to_csv
 from .protocol import (SessionConfig, run_session, transcript_summary,
                        transcript_to_dict)
 from .states import (EveConfig, QuartzPlate, TwoQubitState, add_white_noise,
@@ -82,9 +82,11 @@ def _field_names(cls) -> set:
 
 def _parse_nested(raw: dict, key: str, cls):
     """The config's ``key`` section as a ``cls``, or None when it is absent."""
-    section = raw.get(key)
-    if section is None:
+    if key not in raw:
         return None
+    section = raw[key]
+    if not isinstance(section, dict):
+        raise ConfigError(f"config section '{key}' must be a JSON object")
     _check_keys(section, _field_names(cls), key)
     return _parse_section(cls, section, key)
 
@@ -177,9 +179,8 @@ def _dump_json(obj, path):
 def cmd_session(cfg: dict, out_dir: str) -> int:
     transcript = run_session(cfg["session"])
     os.makedirs(out_dir, exist_ok=True)
-    for name, write in (("records.csv", records_to_csv), ("sifted.csv", sifted_to_csv)):
-        with open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="") as fh:
-            write(transcript.trials, fh)
+    with open(os.path.join(out_dir, "records.csv"), "w", encoding="utf-8", newline="") as fh:
+        records_to_csv(transcript.trials, fh)
     _dump_json(transcript_to_dict(transcript), os.path.join(out_dir, "transcript.json"))
     summary = transcript_summary(transcript)
     _dump_json(summary, os.path.join(out_dir, "summary.json"))

@@ -47,7 +47,6 @@ class Trials:
 
     alice_basis: np.ndarray   # int8
     bob_basis: np.ndarray     # int8
-    eve_applied: np.ndarray   # bool
     eve_basis: np.ndarray     # int8
     alice_bit: np.ndarray     # int8
     bob_bit: np.ndarray       # int8
@@ -172,15 +171,12 @@ def simulate_dwell_stream(s: TwoQubitState, config: DetectorConfig, n_intervals:
     alice_bit[single_pair] = bits[:, 0]
     bob_bit[single_pair] = bits[:, 1]
 
-    return Trials(alice_basis=alice_basis, bob_basis=bob_basis,
-                  eve_applied=eve_applied, eve_basis=eve_basis,
-                  alice_bit=alice_bit, bob_bit=bob_bit,
-                  kept=single_pair | dark_only)
+    return Trials(alice_basis=alice_basis, bob_basis=bob_basis, eve_basis=eve_basis,
+                  alice_bit=alice_bit, bob_bit=bob_bit, kept=single_pair | dark_only)
 
 
 CSV_COLUMNS = ("trial_index", "alice_basis", "bob_basis", "eve_basis",
                "alice_bit", "bob_bit", "kept")
-SIFTED_COLUMNS = ("trial", "alice", "bob", "agree")
 
 _CHUNK_ROWS = 1 << 16
 
@@ -196,10 +192,6 @@ _RECORD_SUFFIX = tuple(
     f"{_BIT_FIELD[x]},{_BIT_FIELD[y]},{k}\n"
     for a, b, e, x, y, k in itertools.product(*[_VALUES] * 5, (0, 1)))
 
-# Everything after the index of a sifted.csv row, at ``3 * (alice % 3) + bob % 3``.
-_SIFTED_SUFFIX = tuple(f",{_BIT_FIELD[x]},{_BIT_FIELD[y]},{int(x == y)}\n"
-                       for x, y in itertools.product(_VALUES, _VALUES))
-
 
 def _byte_table(suffixes) -> np.ndarray:
     """The ASCII bytes of ``suffixes``, one zero-padded row per entry."""
@@ -212,7 +204,6 @@ def _byte_table(suffixes) -> np.ndarray:
 
 # No field text holds a NUL byte, so the zero padding is what a row drops.
 _RECORD_TABLE = _byte_table(_RECORD_SUFFIX)
-_SIFTED_TABLE = _byte_table(_SIFTED_SUFFIX)
 _DIGITS = np.frombuffer(b"0123456789", dtype=np.uint8)
 
 
@@ -255,11 +246,3 @@ def records_to_csv(trials: Trials, fh) -> None:
     _write_rows(fh, CSV_COLUMNS, np.arange(len(trials)), 2 * code + trials.kept,
                 _RECORD_TABLE)
 
-
-def sifted_to_csv(trials: Trials, fh) -> None:
-    """Write one row per sifted trial to the open text file ``fh``: index,
-    both bits and whether they agree.  Streamed in chunks from a suffix
-    table over the two bits, like :func:`records_to_csv`."""
-    mask = trials.sifted()
-    code = 3 * (trials.alice_bit[mask] % 3) + trials.bob_bit[mask] % 3
-    _write_rows(fh, SIFTED_COLUMNS, np.flatnonzero(mask), code, _SIFTED_TABLE)

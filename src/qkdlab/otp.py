@@ -9,6 +9,8 @@ exactly ``len(data)`` bits from the front.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 
@@ -34,23 +36,21 @@ def bits_to_text(bits) -> str:
 
 
 def hex_to_bits(hex_string: str) -> np.ndarray:
-    nibbles = [int(c, 16) for c in hex_string.strip().lower()]
-    out = np.zeros(4 * len(nibbles), dtype=np.uint8)
-    for i, v in enumerate(nibbles):
-        for j in range(4):
-            out[4 * i + j] = (v >> (3 - j)) & 1
-    return out
+    """Bits of the hex digits in ``hex_string``, 4 per digit.  Surrounding
+    whitespace is ignored, either case is accepted and the digit count may be
+    odd; any other character raises ValueError."""
+    digits = hex_string.strip()
+    if not re.fullmatch("[0-9a-fA-F]*", digits):
+        raise ValueError(f"not a hex string: {hex_string!r}")
+    packed = np.frombuffer(bytes.fromhex(digits + "0" * (len(digits) % 2)), dtype=np.uint8)
+    return np.unpackbits(packed)[:4 * len(digits)]
 
 
 def bits_to_hex(bits) -> str:
     """Lowercase hex; the tail is zero-padded to a whole nibble, so callers
     that need exact lengths should record the bit count separately."""
     bits = as_bits(bits)
-    if len(bits) == 0:
-        return ""
-    pad = (-len(bits)) % 4
-    padded = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)])
-    return "".join(f"{int(v):x}" for v in padded.reshape(-1, 4) @ (8, 4, 2, 1))
+    return np.packbits(bits).tobytes().hex()[:(len(bits) + 3) // 4]
 
 
 def encrypt(data, key) -> np.ndarray:

@@ -259,12 +259,10 @@ def transcript_summary(t: SessionTranscript) -> dict:
 
 
 def transcript_to_dict(t: SessionTranscript) -> dict:
-    """JSON-ready run scalars and the final key (as lowercase hex plus bit
-    length); the per-trial data lives in the CSV files."""
+    """The final key as lowercase hex plus its bit length, the key file that
+    ``qkdlab otp --key-file`` reads; the run's scalars are in
+    :func:`transcript_summary` and the per-trial data in ``records.csv``."""
     return {
-        "qber_estimate": t.qber_estimate,
-        "aborted": t.aborted,
-        "leaked_bits": t.leaked_bits,
         "final_key_hex": otp.bits_to_hex(t.final_key),
         "final_key_len": int(len(t.final_key)),
     }

@@ -172,7 +172,7 @@ def test_criterion_8_channel_equivalence():
         eve = EveConfig(mode="intercept_resend", basis_angle=angle, basis_policy="fixed")
         trials = simulate_dwell_stream(bell, detector, 300000,
                                        (MeasBasis.HV, MeasBasis.HV), eve, rng)
-        assert trials.eve_applied.all()
+        assert (trials.eve_basis == BASES.index(basis)).all()
         a_bits, b_bits = trials.alice_bit[trials.kept], trials.bob_bit[trials.kept]
         n = len(a_bits)
         assert n >= 100000

@@ -47,7 +47,7 @@ def test_session_writes_outputs_and_repeats_bytes(tmp_path):
     assert main(["session", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
     assert main(["session", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
     tree_a, tree_b = read_tree(tmp_path / "a"), read_tree(tmp_path / "b")
-    assert set(tree_a) == {"records.csv", "sifted.csv", "transcript.json", "summary.json"}
+    assert set(tree_a) == {"records.csv", "transcript.json", "summary.json"}
     assert tree_a == tree_b
 
 
@@ -61,37 +61,31 @@ def test_session_output_files_agree(tmp_path):
     out = tmp_path / "a"
     with open(out / "records.csv", newline="") as fh:
         records = list(csv.DictReader(fh))
-    with open(out / "sifted.csv", newline="") as fh:
-        sifted = list(csv.DictReader(fh))
     summary = json.loads((out / "summary.json").read_text())
     transcript = json.loads((out / "transcript.json").read_text())
 
-    expected = [{"trial": r["trial_index"], "alice": r["alice_bit"], "bob": r["bob_bit"],
-                 "agree": str(int(r["alice_bit"] == r["bob_bit"]))}
-                for r in records if r["kept"] == "1" and r["alice_basis"] == r["bob_basis"]]
-    assert sifted == expected
+    sifted = [r for r in records if r["kept"] == "1" and r["alice_basis"] == r["bob_basis"]]
     assert summary["n_records"] == len(records) == 3000
     assert summary["n_kept"] == sum(r["kept"] == "1" for r in records)
     assert summary["n_sifted"] == len(sifted) > 0
-    assert set(transcript) == {"qber_estimate", "aborted", "leaked_bits",
-                               "final_key_hex", "final_key_len"}
+    assert summary["sifted_agreement"] == pytest.approx(
+        sum(r["alice_bit"] == r["bob_bit"] for r in sifted) / len(sifted))
+    assert set(transcript) == {"final_key_hex", "final_key_len"}
+    assert transcript["final_key_len"] == summary["final_key_bits"]
 
 
-# Frozen figures: a change here changes the bytes of the CSV outputs.
-@pytest.mark.parametrize("preset,code,records_sha,sifted_sha", [
+# Frozen figures: a change here changes the bytes of records.csv.
+@pytest.mark.parametrize("preset,code,records_sha", [
     ("session_no_eve_imperfect", 0,
-     "56c0b48a69d87a57602bad33bd2df168530e6cf3aa9ed751024dd89037c0d833",
-     "c223a8504c02340f9eed975cc8560ed9afb20ade9ee452ba34e9019f081a5ac0"),
+     "56c0b48a69d87a57602bad33bd2df168530e6cf3aa9ed751024dd89037c0d833"),
     ("session_intercept_random", 2,
-     "7e15a6562abf6a8fc27bff702075e92324d932c23440d1f725b2af83f932f2ae",
-     "f0cad899c08f733de560be47c44f3e7dcb3db35ce8cc938454035c96ce9122a0"),
+     "7e15a6562abf6a8fc27bff702075e92324d932c23440d1f725b2af83f932f2ae"),
 ])
-def test_session_csv_golden(tmp_path, preset, code, records_sha, sifted_sha):
+def test_session_csv_golden(tmp_path, preset, code, records_sha):
     cfg = os.path.join(CONFIG_DIR, preset + ".json")
     assert main(["session", "--config", cfg, "--out", str(tmp_path)]) == code
     tree = read_tree(tmp_path)
     assert hashlib.sha256(tree["records.csv"]).hexdigest() == records_sha
-    assert hashlib.sha256(tree["sifted.csv"]).hexdigest() == sifted_sha
 
 
 def test_session_seed_override_changes_outputs(tmp_path):
@@ -107,15 +101,26 @@ def test_session_abort_exit_code(tmp_path):
     cfg = write_config(tmp_path, "s.json", session_body(seed=13, eve=eve))
     code = main(["session", "--config", cfg, "--out", str(tmp_path / "a")])
     assert code == 2
+    summary = json.loads((tmp_path / "a" / "summary.json").read_text())
+    assert summary["aborted"] is True
     transcript = json.loads((tmp_path / "a" / "transcript.json").read_text())
-    assert transcript["aborted"] is True
-    assert transcript["final_key_hex"] == ""
+    assert transcript == {"final_key_hex": "", "final_key_len": 0}
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path, "s.json", session_body(qber_sampel_fraction=0.2))
     assert main(["session", "--config", cfg, "--out", str(tmp_path / "a")]) == 1
     assert "unknown key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, section", [
+    ("eve", 5), ("plate", [1]), ("eve", []), ("detector", "x"), ("eve", None)])
+def test_config_section_must_be_an_object(tmp_path, capsys, key, section):
+    cfg = write_config(tmp_path, "s.json", session_body(**{key: section}))
+    assert main(["session", "--config", cfg, "--out", str(tmp_path / "a")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: config section '{key}' must be a JSON object\n"
+    assert not (tmp_path / "a").exists()
 
 
 def test_wrong_kind_rejected(tmp_path):
@@ -313,6 +318,18 @@ def test_otp_key_file_with_offset(tmp_path, capsys):
     cipher_hex = capsys.readouterr().out.strip()
     expected = otp.encrypt(otp.text_to_bits("a"), key_bits[8:])
     assert cipher_hex == otp.bits_to_hex(expected)
+
+
+def test_session_transcript_is_an_otp_key_file(tmp_path, capsys):
+    cfg = os.path.join(CONFIG_DIR, "session_no_eve_ideal.json")
+    assert main(["session", "--config", cfg, "--out", str(tmp_path)]) == 0
+    key_file = str(tmp_path / "transcript.json")
+    capsys.readouterr()
+    assert main(["otp", "encrypt", "--text", "QKD", "--key-file", key_file]) == 0
+    cipher_hex = capsys.readouterr().out.strip()
+    assert main(["otp", "decrypt", "--hex", cipher_hex, "--key-file", key_file]) == 0
+    plain_hex = capsys.readouterr().out.strip()
+    assert otp.bits_to_text(otp.hex_to_bits(plain_hex)) == "QKD"
 
 
 def test_otp_key_file_must_hold_a_key(tmp_path, capsys):

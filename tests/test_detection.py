@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 
 from qkdlab import detection
-from qkdlab.detection import (BASES, CSV_COLUMNS, SIFTED_COLUMNS, DetectorConfig,
-                              Trials, joint_probs, records_to_csv, sifted_to_csv,
-                              simulate_dwell_stream)
+from qkdlab.detection import (BASES, CSV_COLUMNS, DetectorConfig, Trials, joint_probs,
+                              records_to_csv, simulate_dwell_stream)
 from qkdlab.optics import MeasBasis, PolState
 from qkdlab.states import EveConfig, TwoQubitState, bell_phi_plus, bell_phi_plus_ket
 
@@ -154,10 +153,9 @@ def test_stream_eve_metadata_recorded():
     eve = EveConfig(mode="dephasing", basis_angle=45.0, strength=1.0,
                     intercept_fraction=0.5)
     trials = _stream(n=2000, eve=eve)
-    applied = trials.eve_applied
+    applied = trials.eve_basis != -1
     assert 0 < np.count_nonzero(applied) < len(trials)
     assert (trials.eve_basis[applied] == 1).all()  # BASES[1] is DA
-    assert (trials.eve_basis[~applied] == -1).all()
 
 
 def _parse_records_csv(text):
@@ -210,7 +208,6 @@ def test_records_to_csv_golden_text(tmp_path):
     trials = Trials(
         alice_basis=np.array([0, 1, 0, 1], dtype=np.int8),
         bob_basis=np.array([0, 0, 1, 1], dtype=np.int8),
-        eve_applied=np.array([True, False, True, True]),
         eve_basis=np.array([1, -1, 0, 1], dtype=np.int8),
         alice_bit=np.array([1, -1, 0, 0], dtype=np.int8),
         bob_bit=np.array([1, -1, 1, 1], dtype=np.int8),
@@ -221,13 +218,11 @@ def test_records_to_csv_golden_text(tmp_path):
                 "1,DA,HV,,,,0\n"
                 "2,HV,DA,HV,0,1,1\n"
                 "3,DA,DA,DA,0,1,1\n")
-    sifted = "trial,alice,bob,agree\n0,1,1,1\n3,0,1,0\n"
-    for write, text in ((records_to_csv, expected), (sifted_to_csv, sifted)):
-        assert _csv_text(write, trials) == text
-        path = tmp_path / "out.csv"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            write(trials, fh)
-        assert path.read_bytes() == text.encode()
+    assert _csv_text(records_to_csv, trials) == expected
+    path = tmp_path / "out.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        records_to_csv(trials, fh)
+    assert path.read_bytes() == expected.encode()
 
 
 def _char_add_csv(header, columns) -> str:
@@ -254,24 +249,13 @@ def _oracle_records_csv(trials, start=0):
     ])
 
 
-def _oracle_sifted_csv(trials, start=0):
-    mask = trials.sifted()
-    alice, bob = trials.alice_bit[mask], trials.bob_bit[mask]
-    return _char_add_csv(SIFTED_COLUMNS, [
-        (start + np.flatnonzero(mask)).astype(str), _BIT_TEXT[alice], _BIT_TEXT[bob],
-        (alice == bob).astype(np.int8).astype(str),
-    ])
-
-
-def _assert_writers_match_oracle(trials):
-    for write, oracle in ((records_to_csv, _oracle_records_csv),
-                          (sifted_to_csv, _oracle_sifted_csv)):
-        got, want = _csv_text(write, trials), oracle(trials)
-        if got != want:
-            # name the first differing line rather than diffing megabytes
-            pairs = itertools.zip_longest(got.splitlines(True), want.splitlines(True))
-            i, (line, expected) = next((i, p) for i, p in enumerate(pairs) if p[0] != p[1])
-            pytest.fail(f"{write.__name__} line {i}: {line!r}, oracle {expected!r}")
+def _assert_records_match_oracle(trials):
+    got, want = _csv_text(records_to_csv, trials), _oracle_records_csv(trials)
+    if got != want:
+        # name the first differing line rather than diffing megabytes
+        pairs = itertools.zip_longest(got.splitlines(True), want.splitlines(True))
+        i, (line, expected) = next((i, p) for i, p in enumerate(pairs) if p[0] != p[1])
+        pytest.fail(f"records_to_csv line {i}: {line!r}, oracle {expected!r}")
 
 
 def test_csv_writers_match_oracle_on_every_field_combination():
@@ -281,25 +265,16 @@ def test_csv_writers_match_oracle_on_every_field_combination():
                                            (0, 1, -1), (0, 1, -1), (0, 1))))
     assert len(rows) == 486
     a, b, e, x, y, k = (rows[:, i].astype(np.int8) for i in range(6))
-    trials = Trials(alice_basis=a, bob_basis=b, eve_applied=e != -1, eve_basis=e,
+    trials = Trials(alice_basis=a, bob_basis=b, eve_basis=e,
                     alice_bit=x, bob_bit=y, kept=k.astype(bool))
-    _assert_writers_match_oracle(trials)
+    _assert_records_match_oracle(trials)
 
 
 @pytest.mark.parametrize("n", [1, 65535, 65536, 65537, 2 * 65536 + 3])
 def test_csv_writers_match_oracle_across_chunks(n):
     eve = EveConfig(mode="intercept_resend", basis_policy="random_per_trial",
                     intercept_fraction=0.5)
-    _assert_writers_match_oracle(_stream(seed=n, n=n, dark=1.0, eve=eve))
-
-
-def test_sifted_csv_without_sifted_trials_is_the_header():
-    trials = simulate_dwell_stream(bell_phi_plus(), DetectorConfig(), 500,
-                                   (MeasBasis.HV, MeasBasis.DA), EveConfig(),
-                                   np.random.default_rng(8))
-    assert trials.kept.any() and not trials.sifted().any()
-    _assert_writers_match_oracle(trials)
-    assert _csv_text(sifted_to_csv, trials) == "trial,alice,bob,agree\n"
+    _assert_records_match_oracle(_stream(seed=n, n=n, dark=1.0, eve=eve))
 
 
 def _trial_slice(trials, start, stop):
@@ -312,48 +287,39 @@ def test_csv_writers_stream_a_million_trials_in_bounded_memory(tmp_path):
     trials = _stream(seed=5, n=n, dark=0.9)
     tracemalloc.start()
     try:
-        for write, name in ((records_to_csv, "records.csv"), (sifted_to_csv, "sifted.csv")):
-            with open(tmp_path / name, "w", encoding="utf-8", newline="") as fh:
-                write(trials, fh)
+        with open(tmp_path / "records.csv", "w", encoding="utf-8", newline="") as fh:
+            records_to_csv(trials, fh)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 64e6, f"traced peak {peak / 1e6:.0f} MB"
     with open(tmp_path / "records.csv", "rb") as fh:
         assert sum(1 for _ in fh) == n + 1
-    with open(tmp_path / "sifted.csv", "rb") as fh:
-        assert sum(1 for _ in fh) == np.count_nonzero(trials.sifted()) + 1
-    # the first and last 2000 rows of each file, against the oracle on the
-    # trials those rows come from
-    for name, oracle, trial_of_row in (
-            ("records.csv", _oracle_records_csv, np.arange(n)),
-            ("sifted.csv", _oracle_sifted_csv, np.flatnonzero(trials.sifted()))):
-        with open(tmp_path / name, encoding="utf-8", newline="") as fh:
-            lines = iter(fh)
-            head = [next(lines) for _ in range(2001)]
-            tail = collections.deque(lines, maxlen=2000)
-        stop, start = trial_of_row[1999] + 1, trial_of_row[-2000]
-        assert "".join(head) == oracle(_trial_slice(trials, 0, stop)), name
-        assert head[0] + "".join(tail) == oracle(_trial_slice(trials, start, n),
-                                                 start=start), name
+    # the first and last 2000 rows, against the oracle on the trials they
+    # come from
+    with open(tmp_path / "records.csv", encoding="utf-8", newline="") as fh:
+        lines = iter(fh)
+        head = [next(lines) for _ in range(2001)]
+        tail = collections.deque(lines, maxlen=2000)
+    assert "".join(head) == _oracle_records_csv(_trial_slice(trials, 0, 2000))
+    assert head[0] + "".join(tail) == _oracle_records_csv(
+        _trial_slice(trials, n - 2000, n), start=n - 2000)
 
 
-@pytest.mark.parametrize("table, suffix", [
-    (detection._RECORD_TABLE, detection._RECORD_SUFFIX),
-    (detection._SIFTED_TABLE, detection._SIFTED_SUFFIX)])
-def test_write_rows_across_every_decimal_width(monkeypatch, table, suffix):
+def test_write_rows_across_every_decimal_width(monkeypatch):
     # 0, 9, 10, 99, 100, ..., 10**12 - 1, 10**12 and 60 neighbours on each
     # side of every width edge
     index = np.unique(np.concatenate([np.arange(10 ** w - 60, 10 ** w + 60)
                                       for w in range(13)]))
     index = index[index >= 0]
     assert {0, 9, 10, 10 ** 12 - 1, 10 ** 12} <= set(index.tolist())
+    suffix = detection._RECORD_SUFFIX
     code = np.arange(len(index)) % len(suffix)
     assert len(index) >= len(suffix)
     # the second chunk starts at the first 7-digit index
     monkeypatch.setattr(detection, "_CHUNK_ROWS", int(np.searchsorted(index, 10 ** 6)))
     fh = io.StringIO()
-    detection._write_rows(fh, ("i", "rest"), index, code, table)
+    detection._write_rows(fh, ("i", "rest"), index, code, detection._RECORD_TABLE)
     want = "i,rest\n" + "".join(f"{i}{suffix[c]}"
                                  for i, c in zip(index.tolist(), code.tolist()))
     assert fh.getvalue() == want

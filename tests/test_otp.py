@@ -59,11 +59,28 @@ def test_text_encoding_msb_first():
     assert otp.bits_to_text(bits) == "Q"
 
 
-def test_hex_encoding_roundtrip():
+def _nibble_hex(bits) -> str:
+    """Reference codec: one digit per 4 bits, the tail zero-padded."""
+    padded = [int(b) for b in bits] + [0] * (-len(bits) % 4)
+    return "".join(f"{8 * a + 4 * b + 2 * c + d:x}" for a, b, c, d in zip(*[iter(padded)] * 4))
+
+
+def test_hex_encoding_roundtrip(rng):
     assert otp.hex_to_bits("a5").tolist() == [1, 0, 1, 0, 0, 1, 0, 1]
     assert otp.bits_to_hex([1, 0, 1, 0, 0, 1, 0, 1]) == "a5"
     assert otp.bits_to_hex([1, 0, 1]) == "a"  # tail zero-padded to a nibble
     assert otp.bits_to_hex([]) == ""
+    for n in range(70):
+        bits = rng.integers(0, 2, n).astype(np.uint8)
+        digits = otp.bits_to_hex(bits)
+        assert digits == _nibble_hex(bits)
+        assert otp.hex_to_bits(digits).tolist() == bits.tolist() + [0] * (-n % 4)
+    # odd digit count, upper case and surrounding whitespace are accepted
+    assert otp.hex_to_bits(" \tA5F\n").tolist() == [1, 0, 1, 0, 0, 1, 0, 1, 1, 1, 1, 1]
+    assert otp.hex_to_bits("").tolist() == []
+    for bad in ("a b", "a5 b6 c7", "0x1f", "g"):
+        with pytest.raises(ValueError):
+            otp.hex_to_bits(bad)
 
 
 def test_as_bits_validation():

@@ -28,7 +28,6 @@ def _trials(rows):
                                             for col in zip(*rows))
     n = len(rows)
     return Trials(alice_basis=a_basis, bob_basis=b_basis,
-                  eve_applied=np.zeros(n, dtype=bool),
                   eve_basis=np.full(n, -1, dtype=np.int8),
                   alice_bit=a_bit, bob_bit=b_bit, kept=kept.astype(bool))
 

@@ -188,7 +188,7 @@ def cmd_session(cfg: dict, out_dir: str) -> int:
           f"{summary['sifted_agreement']:.4f}, qber "
           f"{-1.0 if summary['qber_estimate'] is None else summary['qber_estimate']:.4f}, "
           f"final key {summary['final_key_bits']} bits"
-          + (" [aborted]" if summary["aborted"] else ""))
+          + (f" [aborted: {summary['abort_reason']}]" if summary["aborted"] else ""))
     return 2 if transcript.aborted else 0
 
 

@@ -47,15 +47,25 @@ class SessionConfig:
             raise ValueError("pa_safety_bits must be nonnegative")
 
 
+# Bits of the universal-hash tag that checks the reconciled strings agree.
+TAG_BITS = 64
+
+
 @dataclass
 class SessionTranscript:
+    """What a session keeps.  ``final_key`` is Bob's final key and
+    ``alice_final_key`` Alice's, each hashed from that party's own reconciled
+    string; ``abort_reason`` is None unless ``aborted``."""
+
     trials: Trials
     sifted_alice: np.ndarray
     sifted_bob: np.ndarray
     qber_estimate: float | None
     aborted: bool
+    abort_reason: str | None
     leaked_bits: int
     final_key: np.ndarray
+    alice_final_key: np.ndarray
 
 
 def sift(trials: Trials) -> tuple[np.ndarray, np.ndarray]:
@@ -175,31 +185,24 @@ def reconcile(alice_bits, bob_bits, passes: int = 4, *, qber_est: float, rng):
     return alice ^ err, leak
 
 
-def privacy_amplify(key_bits, qber: float, leaked_bits: int, safety: int,
-                    rng_seed: int) -> np.ndarray:
-    """Compress the reconciled key with a seeded binary Toeplitz hash.
+def _toeplitz_hash(key: np.ndarray, m: int, rng_seed: int) -> np.ndarray:
+    """``T @ key`` over GF(2) for the m×n binary Toeplitz matrix
+    ``T[i, j] = s[i - j + n - 1]``, whose ``n + m - 1`` bits ``s`` are drawn
+    from ``rng_seed``.
 
-    The output length is ``floor(n (1 - h2(qber)) - leaked_bits - safety)``
-    clamped at zero.  The m×n Toeplitz matrix ``T[i, j] = s[i - j + n - 1]``
-    is defined by ``n + m - 1`` seeded bits ``s``, so the result is a pure
-    function of ``(key, rng_seed)``.  It is never built: ``T @ key`` is the
-    "valid" part of the linear convolution ``s ∗ key`` (output ``i`` is
-    entry ``i + n - 1``), computed exactly as an FFT product over float64
-    and reduced mod 2.  Every exact value is an integer at most ``n``; if any
-    computed value lies 0.25 or more from the nearest integer the function
-    raises ``ArithmeticError`` rather than return a wrong bit.  Time and
-    memory are O((n + m) log(n + m)).  Raises ``ValueError`` for a key that
-    is empty or not a flat sequence of 0s and 1s.
+    ``T`` is never built: ``T @ key`` is the "valid" part of the linear
+    convolution ``s ∗ key`` (output ``i`` is entry ``i + n - 1``), computed
+    exactly as an FFT product over float64 and reduced mod 2.  Every exact
+    value is an integer at most ``n``; if any computed value lies 0.25 or
+    more from the nearest integer the function raises ``ArithmeticError``
+    rather than return a wrong bit.  Time and memory are
+    O((n + m) log(n + m)).  Output bit ``i`` depends on ``s[i:i + n]`` only,
+    and the seeded draw of ``s`` is prefix-stable, so a shorter ``m`` gives a
+    prefix of the longer output.
     """
-    key = otp.as_bits(key_bits)
     n = len(key)
-    if n == 0:
-        raise ValueError("privacy_amplify needs a nonempty key")
-    m = math.floor(n * (1.0 - h2(qber)) - leaked_bits - safety)
-    if m <= 0:
-        return np.zeros(0, dtype=np.uint8)
-    rng = np.random.default_rng(rng_seed)
-    seed_bits = rng.integers(0, 2, size=n + m - 1, dtype=np.uint8)
+    seed_bits = np.random.default_rng(rng_seed).integers(0, 2, size=n + m - 1,
+                                                         dtype=np.uint8)
     # A circular convolution of length >= n + m - 1 leaves entries
     # n - 1 .. n + m - 2 free of wrap-around.
     size = 1 << (n + m - 2).bit_length()
@@ -209,37 +212,75 @@ def privacy_amplify(key_bits, qber: float, leaked_bits: int, safety: int,
     error = float(np.max(np.abs(conv - counts)))
     if error >= 0.25:
         raise ArithmeticError(
-            f"privacy_amplify: FFT rounding error {error:.3g} at n={n}")
+            f"Toeplitz hash: FFT rounding error {error:.3g} at n={n}")
     return (counts.astype(np.int64) & 1).astype(np.uint8)
 
 
+def privacy_amplify(key_bits, qber: float, leaked_bits: int, safety: int,
+                    rng_seed: int) -> np.ndarray:
+    """Compress the reconciled key with a seeded binary Toeplitz hash.
+
+    The output length is ``floor(n (1 - h2(qber)) - leaked_bits - safety)``
+    clamped at zero, and the output is :func:`_toeplitz_hash` of the key, a
+    pure function of ``(key, rng_seed)``.  Raises ``ValueError`` for a key
+    that is empty or not a flat sequence of 0s and 1s.
+    """
+    key = otp.as_bits(key_bits)
+    n = len(key)
+    if n == 0:
+        raise ValueError("privacy_amplify needs a nonempty key")
+    m = math.floor(n * (1.0 - h2(qber)) - leaked_bits - safety)
+    if m <= 0:
+        return np.zeros(0, dtype=np.uint8)
+    return _toeplitz_hash(key, m, rng_seed)
+
+
 def run_session(config: SessionConfig) -> SessionTranscript:
-    """Run a full key-distribution session from one seed."""
+    """Run a full key-distribution session from one seed.
+
+    After Cascade, Alice and Bob compare a :data:`TAG_BITS`-bit Toeplitz
+    hash of their reconciled strings, seeded by a value drawn after the
+    privacy-amplification seed; the tag counts as leaked, and a mismatch
+    aborts the session.  Each party then hashes its own string to its final
+    key.
+    """
     rng = np.random.default_rng(config.seed)
     state = add_white_noise(bell_phi_plus(), config.source_noise)
     trials = simulate_dwell_stream(state, config.detector, config.n_intervals,
                                    "random", config.eve, rng)
     sifted_alice, sifted_bob = sift(trials)
     empty = np.zeros(0, dtype=np.uint8)
+
+    def abort(reason, qber=None, leaked=0):
+        return SessionTranscript(trials, sifted_alice, sifted_bob, qber_estimate=qber,
+                                 aborted=True, abort_reason=reason, leaked_bits=leaked,
+                                 final_key=empty, alice_final_key=empty)
+
     if len(sifted_alice) == 0:
-        return SessionTranscript(trials, sifted_alice, sifted_bob,
-                                 qber_estimate=None, aborted=True,
-                                 leaked_bits=0, final_key=empty)
+        return abort("no_sifted_bits")
     qber, rem_alice, rem_bob, _ = estimate_qber(
         sifted_alice, sifted_bob, config.qber_sample_fraction, rng)
-    if decide(qber, config.abort_threshold) == "abort" or len(rem_alice) == 0:
-        return SessionTranscript(trials, sifted_alice, sifted_bob,
-                                 qber_estimate=qber, aborted=True,
-                                 leaked_bits=0, final_key=empty)
+    if decide(qber, config.abort_threshold) == "abort":
+        return abort("qber_above_threshold", qber)
+    if len(rem_alice) == 0:
+        return abort("nothing_left_after_sampling", qber)
     corrected_bob, leaked = reconcile(rem_alice, rem_bob,
                                       config.reconciliation_passes,
                                       qber_est=qber, rng=rng)
     pa_seed = int(rng.integers(0, 2 ** 63))
+    tag_seed = int(rng.integers(0, 2 ** 63))
+    leaked += TAG_BITS
+    if not np.array_equal(_toeplitz_hash(rem_alice, TAG_BITS, tag_seed),
+                          _toeplitz_hash(corrected_bob, TAG_BITS, tag_seed)):
+        return abort("key_verification_failed", qber, leaked)
     final_key = privacy_amplify(corrected_bob, qber, leaked,
                                 config.pa_safety_bits, pa_seed)
+    alice_final_key = privacy_amplify(rem_alice, qber, leaked,
+                                      config.pa_safety_bits, pa_seed)
     return SessionTranscript(trials, sifted_alice, sifted_bob,
-                             qber_estimate=qber, aborted=False,
-                             leaked_bits=leaked, final_key=final_key)
+                             qber_estimate=qber, aborted=False, abort_reason=None,
+                             leaked_bits=leaked, final_key=final_key,
+                             alice_final_key=alice_final_key)
 
 
 def transcript_summary(t: SessionTranscript) -> dict:
@@ -253,6 +294,7 @@ def transcript_summary(t: SessionTranscript) -> dict:
         "sifted_agreement": agreement,
         "qber_estimate": t.qber_estimate,
         "aborted": t.aborted,
+        "abort_reason": t.abort_reason,
         "leaked_bits": t.leaked_bits,
         "final_key_bits": int(len(t.final_key)),
     }

@@ -49,6 +49,7 @@ def test_session_writes_outputs_and_repeats_bytes(tmp_path):
     tree_a, tree_b = read_tree(tmp_path / "a"), read_tree(tmp_path / "b")
     assert set(tree_a) == {"records.csv", "transcript.json", "summary.json"}
     assert tree_a == tree_b
+    assert json.loads(tree_a["summary.json"])["abort_reason"] is None
 
 
 def test_session_output_files_agree(tmp_path):
@@ -103,6 +104,7 @@ def test_session_abort_exit_code(tmp_path):
     assert code == 2
     summary = json.loads((tmp_path / "a" / "summary.json").read_text())
     assert summary["aborted"] is True
+    assert summary["abort_reason"] == "qber_above_threshold"
     transcript = json.loads((tmp_path / "a" / "transcript.json").read_text())
     assert transcript == {"final_key_hex": "", "final_key_len": 0}
 

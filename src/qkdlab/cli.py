@@ -177,10 +177,10 @@ def _dump_json(obj, path):
 
 
 def cmd_session(cfg: dict, out_dir: str) -> int:
-    transcript = run_session(cfg["session"])
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "records.csv"), "w", encoding="utf-8", newline="") as fh:
-        records_to_csv(transcript.trials, fh)
+        transcript = run_session(
+            cfg["session"], sink=lambda start, trials: records_to_csv(trials, fh, start))
     _dump_json(transcript_to_dict(transcript), os.path.join(out_dir, "transcript.json"))
     summary = transcript_summary(transcript)
     _dump_json(summary, os.path.join(out_dir, "summary.json"))

@@ -4,8 +4,10 @@
 noise, the configured eavesdropper channel, the dwell-interval detector
 stream, basis sifting, error-rate estimation on a disclosed sample, the
 abort decision, Cascade information reconciliation, and Toeplitz privacy
-amplification down to the final key.  Every step draws from one seeded
-random stream, so a transcript is a pure function of its config.
+amplification down to the final key, with a hash check that both parties
+hold the same string.  Every random draw comes from a generator spawned from
+the config's seed, so a transcript is a pure function of its config; the
+intervals are simulated in blocks and never held all at once.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .detection import DetectorConfig, Trials, simulate_dwell_stream
+from .detection import BLOCK_INTERVALS, DetectorConfig, Trials, simulate_dwell_stream
 from .states import EveConfig, add_white_noise, bell_phi_plus
 from . import otp
 
@@ -53,11 +55,13 @@ TAG_BITS = 64
 
 @dataclass
 class SessionTranscript:
-    """What a session keeps.  ``final_key`` is Bob's final key and
+    """What a session keeps: its size and kept count per block, never the
+    intervals themselves.  ``final_key`` is Bob's final key and
     ``alice_final_key`` Alice's, each hashed from that party's own reconciled
     string; ``abort_reason`` is None unless ``aborted``."""
 
-    trials: Trials
+    n_intervals: int
+    kept_per_block: np.ndarray
     sifted_alice: np.ndarray
     sifted_bob: np.ndarray
     qber_estimate: float | None
@@ -114,6 +118,9 @@ def h2(x: float) -> float:
     return float(-x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x))
 
 
+_INT32_MAX = np.iinfo(np.int32).max
+
+
 def reconcile(alice_bits, bob_bits, passes: int = 4, *, qber_est: float, rng):
     """Cascade error correction of Bob's string against Alice's.
 
@@ -131,12 +138,17 @@ def reconcile(alice_bits, bob_bits, passes: int = 4, *, qber_est: float, rng):
     at the pass's start and toggled with every flip, so a block check is a
     lookup; a bisection reads its block's bits once.  Bit ``j`` lies in
     block ``rank[q][j] // size[q]`` of pass ``q``, where ``rank[q]`` inverts
-    that pass's permutation, so no per-bit block index is kept.
+    that pass's permutation, so no per-bit block index is kept.  Orders and
+    ranks are int32, 32 bytes per bit over four passes, so a string may hold
+    at most 2**31 - 1 bits.
     """
     alice = np.asarray(alice_bits, dtype=np.uint8)
     bob = np.asarray(bob_bits, dtype=np.uint8)
     if alice.shape != bob.shape:
         raise ValueError("reconcile needs equal-length strings")
+    if len(alice) > _INT32_MAX:
+        raise ValueError(f"reconcile indexes bits as int32: {len(alice)} bits "
+                         f"exceed {_INT32_MAX}")
     err = alice ^ bob
     n = len(err)
     if n == 0:
@@ -147,9 +159,10 @@ def reconcile(alice_bits, bob_bits, passes: int = 4, *, qber_est: float, rng):
 
     for p in range(passes):
         k = min(n, k1 * (2 ** p))
-        order = rng.permutation(n)
-        rank = np.empty(n, dtype=np.intp)
-        rank[order] = np.arange(n)
+        order = np.arange(n, dtype=np.int32)
+        rng.shuffle(order)   # the permutation rng.permutation(n) gives
+        rank = np.empty(n, dtype=np.int32)
+        rank[order] = np.arange(n, dtype=np.int32)
         orders.append(order)
         ranks.append(rank)
         sizes.append(k)
@@ -235,8 +248,17 @@ def privacy_amplify(key_bits, qber: float, leaked_bits: int, safety: int,
     return _toeplitz_hash(key, m, rng_seed)
 
 
-def run_session(config: SessionConfig) -> SessionTranscript:
+def run_session(config: SessionConfig, sink=None) -> SessionTranscript:
     """Run a full key-distribution session from one seed.
+
+    The intervals are simulated in blocks of ``BLOCK_INTERVALS``.  Block
+    ``b`` draws from its own generator, spawned from the seed with key
+    ``(0, b)``, so an interval's record depends on the seed and its index
+    alone, and a shorter session's records are a prefix of a longer one's.
+    Each block is passed to ``sink(start, trials)``, if given, where
+    ``start`` is its first interval's index; the session keeps only its
+    sifted bits and kept count.  Sifting's sample, Cascade and the hash
+    seeds draw from the generator with key ``(1,)``.
 
     After Cascade, Alice and Bob compare a :data:`TAG_BITS`-bit Toeplitz
     hash of their reconciled strings, seeded by a value drawn after the
@@ -244,17 +266,29 @@ def run_session(config: SessionConfig) -> SessionTranscript:
     aborts the session.  Each party then hashes its own string to its final
     key.
     """
-    rng = np.random.default_rng(config.seed)
     state = add_white_noise(bell_phi_plus(), config.source_noise)
-    trials = simulate_dwell_stream(state, config.detector, config.n_intervals,
-                                   "random", config.eve, rng)
-    sifted_alice, sifted_bob = sift(trials)
+    n = config.n_intervals
+    alice_parts, bob_parts, kept = [], [], []
+    for block, start in enumerate(range(0, n, BLOCK_INTERVALS)):
+        rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0, block)))
+        trials = simulate_dwell_stream(state, config.detector,
+                                       min(BLOCK_INTERVALS, n - start),
+                                       "random", config.eve, rng)
+        if sink is not None:
+            sink(start, trials)
+        alice, bob = sift(trials)
+        alice_parts.append(alice)
+        bob_parts.append(bob)
+        kept.append(np.count_nonzero(trials.kept))
+    sifted_alice, sifted_bob = np.concatenate(alice_parts), np.concatenate(bob_parts)
+    kept_per_block = np.array(kept, dtype=np.int64)
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(1,)))
     empty = np.zeros(0, dtype=np.uint8)
 
     def abort(reason, qber=None, leaked=0):
-        return SessionTranscript(trials, sifted_alice, sifted_bob, qber_estimate=qber,
-                                 aborted=True, abort_reason=reason, leaked_bits=leaked,
-                                 final_key=empty, alice_final_key=empty)
+        return SessionTranscript(n, kept_per_block, sifted_alice, sifted_bob,
+                                 qber_estimate=qber, aborted=True, abort_reason=reason,
+                                 leaked_bits=leaked, final_key=empty, alice_final_key=empty)
 
     if len(sifted_alice) == 0:
         return abort("no_sifted_bits")
@@ -277,7 +311,7 @@ def run_session(config: SessionConfig) -> SessionTranscript:
                                 config.pa_safety_bits, pa_seed)
     alice_final_key = privacy_amplify(rem_alice, qber, leaked,
                                       config.pa_safety_bits, pa_seed)
-    return SessionTranscript(trials, sifted_alice, sifted_bob,
+    return SessionTranscript(n, kept_per_block, sifted_alice, sifted_bob,
                              qber_estimate=qber, aborted=False, abort_reason=None,
                              leaked_bits=leaked, final_key=final_key,
                              alice_final_key=alice_final_key)
@@ -288,8 +322,8 @@ def transcript_summary(t: SessionTranscript) -> dict:
     n = len(t.sifted_alice)
     agreement = float(np.mean(t.sifted_alice == t.sifted_bob)) if n else 0.0
     return {
-        "n_records": len(t.trials),
-        "n_kept": int(np.count_nonzero(t.trials.kept)),
+        "n_records": t.n_intervals,
+        "n_kept": int(t.kept_per_block.sum()),
         "n_sifted": n,
         "sifted_agreement": agreement,
         "qber_estimate": t.qber_estimate,

@@ -1,7 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from qkdlab import qmath
+from qkdlab.detection import Trials
+from qkdlab.protocol import run_session
 
 
 def random_hermitian(rng, dim=4):
@@ -31,3 +35,13 @@ def assert_close(actual, expected, tol=1e-10):
 
 def binomial_sigma(p, n):
     return np.sqrt(p * (1.0 - p) / n)
+
+
+def session_with_trials(config):
+    """``run_session(config)`` and every interval it simulated, joined from
+    the blocks it passed to its sink."""
+    blocks = []
+    transcript = run_session(config, sink=lambda start, trials: blocks.append(trials))
+    trials = Trials(**{f.name: np.concatenate([getattr(b, f.name) for b in blocks])
+                       for f in dataclasses.fields(Trials)})
+    return transcript, trials

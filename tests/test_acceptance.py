@@ -22,7 +22,7 @@ from qkdlab.tomography import (CHSH_CANONICAL_ANGLES, chsh, expected_probs,
                                fidelity, linear_entropy, reconstruct,
                                simulate_counts, tangle, von_neumann)
 
-from conftest import binomial_sigma
+from conftest import binomial_sigma, session_with_trials
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -76,10 +76,9 @@ def test_criterion_3_intercept_resend_error_rates():
     # fixed wrong basis: Eve pinned to DA, condition on HV-sifted trials
     eve_fixed = EveConfig(mode="intercept_resend", basis_angle=45.0,
                           basis_policy="fixed")
-    t2 = run_session(SessionConfig(seed=18, n_intervals=24000, source_noise=0.0,
-                                   detector=DetectorConfig(dark_rate=0.0),
-                                   eve=eve_fixed, abort_threshold=0.45))
-    trials = t2.trials
+    _, trials = session_with_trials(SessionConfig(
+        seed=18, n_intervals=24000, source_noise=0.0,
+        detector=DetectorConfig(dark_rate=0.0), eve=eve_fixed, abort_threshold=0.45))
     hv_sifted = trials.sifted() & (trials.alice_basis == BASES.index(MeasBasis.HV))
     errs = (trials.alice_bit != trials.bob_bit)[hv_sifted]
     rate = float(np.mean(errs))

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -77,16 +78,56 @@ def test_session_output_files_agree(tmp_path):
 
 # Frozen figures: a change here changes the bytes of records.csv.
 @pytest.mark.parametrize("preset,code,records_sha", [
-    ("session_no_eve_imperfect", 0,
-     "56c0b48a69d87a57602bad33bd2df168530e6cf3aa9ed751024dd89037c0d833"),
-    ("session_intercept_random", 2,
-     "7e15a6562abf6a8fc27bff702075e92324d932c23440d1f725b2af83f932f2ae"),
+    pytest.param("session_no_eve_imperfect", 0,
+                 "754afe8cda44b4b487f7df3e0d4eb07b54eca8ddc51607d0a082010f89549812",
+                 id="session_no_eve_imperfect"),
+    pytest.param("session_intercept_random", 2,
+                 "a9f95164f1ac84a2444c255c8045a0d40be5bf8ae3e9f82af8b3426dd447432d",
+                 id="session_intercept_random"),
 ])
 def test_session_csv_golden(tmp_path, preset, code, records_sha):
     cfg = os.path.join(CONFIG_DIR, preset + ".json")
     assert main(["session", "--config", cfg, "--out", str(tmp_path)]) == code
     tree = read_tree(tmp_path)
     assert hashlib.sha256(tree["records.csv"]).hexdigest() == records_sha
+
+
+def test_shorter_session_records_are_a_prefix(tmp_path):
+    # 70 000 intervals end inside the second block of 65 536
+    trees = []
+    for n in (70_000, 140_000):
+        cfg = write_config(tmp_path, f"s{n}.json",
+                           session_body(n_intervals=n, source_noise=0.04,
+                                        detector={"dwell": 0.1, "pair_rate": 10.0,
+                                                  "dark_rate": 0.9}))
+        assert main(["session", "--config", cfg, "--out", str(tmp_path / str(n))]) == 0
+        trees.append(read_tree(tmp_path / str(n)))
+    short, long = trees[0]["records.csv"], trees[1]["records.csv"]
+    assert short.count(b"\n") == 70_001 and long.count(b"\n") == 140_001
+    assert long.startswith(short)
+
+
+def test_intercept_session_memory_is_bounded_by_the_key(tmp_path):
+    # 4*10^6 intervals abort at QBER ~0.25 before Cascade: only the sifted
+    # bits (~0.7 MB per party) and one block at a time stay in memory
+    eve = {"mode": "intercept_resend", "basis_policy": "random_per_trial",
+           "intercept_fraction": 1.0}
+    cfg = write_config(tmp_path, "s.json", session_body(n_intervals=4_000_000, eve=eve))
+    tracemalloc.start()
+    try:
+        code = main(["session", "--config", cfg, "--out", str(tmp_path / "a")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 32e6, f"traced peak {peak / 1e6:.1f} MB"
+    summary = json.loads((tmp_path / "a" / "summary.json").read_text())
+    assert summary["n_records"] == 4_000_000
+    assert summary["abort_reason"] == "qber_above_threshold"
+    records = tmp_path / "a" / "records.csv"
+    with open(records, "rb") as fh:
+        assert sum(1 for _ in fh) == 4_000_001
+    records.unlink()
 
 
 def test_session_seed_override_changes_outputs(tmp_path):

@@ -3,20 +3,27 @@ import csv
 import dataclasses
 import io
 import itertools
+import math
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from qkdlab import detection
-from qkdlab.detection import (BASES, CSV_COLUMNS, DetectorConfig, Trials, joint_probs,
-                              records_to_csv, simulate_dwell_stream)
+from qkdlab.cli import load_config
+from qkdlab.detection import (BASES, CSV_COLUMNS, DetectorConfig, Trials, expected_rates,
+                              joint_probs, records_to_csv, simulate_dwell_stream)
 from qkdlab.optics import MeasBasis, PolState
-from qkdlab.states import EveConfig, TwoQubitState, bell_phi_plus, bell_phi_plus_ket
+from qkdlab.states import (EveConfig, TwoQubitState, add_white_noise, bell_phi_plus,
+                           bell_phi_plus_ket)
 
 from conftest import assert_close, binomial_sigma, random_density
 
 HV_MIXTURE = TwoQubitState(np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex))
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+HALF_INTERCEPTION = EveConfig(mode="intercept_resend", basis_policy="random_per_trial",
+                              intercept_fraction=0.5)
 
 
 def test_joint_probs_bell_same_basis():
@@ -135,6 +142,59 @@ def test_stream_kept_records_have_bits():
     for bits in (trials.alice_bit, trials.bob_bit):
         assert np.isin(bits[trials.kept], (0, 1)).all()
         assert (bits[~trials.kept] == -1).all()
+
+
+def test_expected_rates_closed_form():
+    lam, mu = 1.0, 0.09   # keygen: 10 pairs/s and 0.9 darks/s over 0.1 s
+    p1 = lam * math.exp(-lam - 4 * mu)
+    p0 = math.exp(-lam) * (2 * mu * math.exp(-2 * mu)) ** 2
+    keygen = DetectorConfig(dwell=0.1, pair_rate=10.0, dark_rate=0.9)
+    rates = expected_rates(add_white_noise(bell_phi_plus(), 0.04), keygen, EveConfig())
+    assert (rates.single_pair, rates.dark_only) == pytest.approx((p1, p0), rel=1e-12)
+    assert rates.kept == pytest.approx(0.26498, abs=5e-6)
+    # white noise 0.04 errs with probability 0.02; dark-only bits are coins
+    assert rates.qber == pytest.approx((0.02 * p1 + 0.5 * p0) / (p1 + p0), rel=1e-9)
+    dark_free = DetectorConfig(dark_rate=0.0)
+    for eve, qber in ((EveConfig(), 0.0), (HALF_INTERCEPTION, 0.125),
+                      (EveConfig(mode="intercept_resend", basis_policy="random_per_trial"),
+                       0.25),
+                      (EveConfig(mode="dephasing", basis_angle=45.0, strength=1.0), 0.25)):
+        rates = expected_rates(bell_phi_plus(), dark_free, eve)
+        assert rates.kept == pytest.approx(math.exp(-1.0), rel=1e-12)
+        assert rates.qber == pytest.approx(qber, abs=1e-12), eve
+    darks_only = expected_rates(bell_phi_plus(), DetectorConfig(pair_rate=0.0, dark_rate=5.0),
+                                EveConfig())
+    assert darks_only.qber == pytest.approx(0.5, abs=1e-12)
+    nothing = expected_rates(bell_phi_plus(), DetectorConfig(pair_rate=0.0, dark_rate=0.0),
+                             EveConfig())
+    assert nothing.kept == 0.0 and math.isnan(nothing.qber)
+
+
+def _session_cases():
+    """Every session preset, and the ideal one with half interception."""
+    def preset(name):
+        return load_config(os.path.join(CONFIG_DIR, name + ".json"), "session")["session"]
+
+    names = sorted(n[:-5] for n in os.listdir(CONFIG_DIR) if n.startswith("session_"))
+    return ([pytest.param(preset(name), id=name) for name in names]
+            + [pytest.param(dataclasses.replace(preset("session_no_eve_ideal"),
+                                                eve=HALF_INTERCEPTION),
+                            id="half_interception")])
+
+
+@pytest.mark.parametrize("config", _session_cases())
+def test_sampler_matches_expected_rates(config):
+    n = 1_000_000
+    state = add_white_noise(bell_phi_plus(), config.source_noise)
+    rates = expected_rates(state, config.detector, config.eve)
+    trials = simulate_dwell_stream(state, config.detector, n, "random", config.eve,
+                                   np.random.default_rng(config.seed))
+    kept = np.count_nonzero(trials.kept)
+    assert abs(kept / n - rates.kept) <= 4 * binomial_sigma(rates.kept, n)
+    sifted = trials.sifted()
+    m = np.count_nonzero(sifted)
+    qber = np.count_nonzero(trials.alice_bit[sifted] != trials.bob_bit[sifted]) / m
+    assert abs(qber - rates.qber) <= 4 * binomial_sigma(rates.qber, m), (qber, rates.qber)
 
 
 def _csv_text(write, trials) -> str:
@@ -307,9 +367,9 @@ def test_csv_writers_stream_a_million_trials_in_bounded_memory(tmp_path):
 
 
 def test_write_rows_across_every_decimal_width(monkeypatch):
-    # 0, 9, 10, 99, 100, ..., 10**12 - 1, 10**12 and 60 neighbours on each
+    # 0, 9, 10, 99, 100, ..., 10**12 - 1, 10**12 and 100 neighbours on each
     # side of every width edge
-    index = np.unique(np.concatenate([np.arange(10 ** w - 60, 10 ** w + 60)
+    index = np.unique(np.concatenate([np.arange(10 ** w - 100, 10 ** w + 100)
                                       for w in range(13)]))
     index = index[index >= 0]
     assert {0, 9, 10, 10 ** 12 - 1, 10 ** 12} <= set(index.tolist())
@@ -317,7 +377,7 @@ def test_write_rows_across_every_decimal_width(monkeypatch):
     code = np.arange(len(index)) % len(suffix)
     assert len(index) >= len(suffix)
     # the second chunk starts at the first 7-digit index
-    monkeypatch.setattr(detection, "_CHUNK_ROWS", int(np.searchsorted(index, 10 ** 6)))
+    monkeypatch.setattr(detection, "BLOCK_INTERVALS", int(np.searchsorted(index, 10 ** 6)))
     fh = io.StringIO()
     detection._write_rows(fh, ("i", "rest"), index, code, detection._RECORD_TABLE)
     want = "i,rest\n" + "".join(f"{i}{suffix[c]}"

@@ -129,10 +129,10 @@ class Rates:
       ``dark_only / 4``.
 
     ``qber`` is the error rate of the kept intervals with equal bases when
-    both parties pick HV or DA at random: ``(P1 q + P0 / 2) / (P1 + P0)``,
-    where ``q`` is the pair's error probability averaged over the (HV, HV)
-    and (DA, DA) settings and weighted over Eve's scenarios; it is nan when
-    no interval can be kept.
+    both parties pick HV or DA at random, ``(single_pair q + dark_only / 2)
+    / kept``, where ``q`` is the pair's error probability averaged over the
+    (HV, HV) and (DA, DA) settings and weighted over Eve's scenarios; it is
+    nan when no interval can be kept.
 
     ``outcome_cdf[scenario, a, b]`` holds the cumulative probabilities of
     the eight kept outcomes in the order pair (1,1), (1,0), (0,1), (0,0),
@@ -162,11 +162,10 @@ def expected_rates(s: TwoQubitState, detector: DetectorConfig, eve: EveConfig) -
     p1 = lam * math.exp(-lam) * math.exp(-4.0 * mu)
     p0 = math.exp(-lam) * (2.0 * mu * math.exp(-2.0 * mu)) ** 2
     cum = _cumulative_tables(s, eve)
-    # scenario 0 is Eve idle; her scenarios share the intercepted fraction
-    weights = np.array([1.0])
-    if len(cum) > 1:
-        f = eve.intercept_fraction
-        weights = np.array([1.0 - f] + [f / (len(cum) - 1)] * (len(cum) - 1))
+    # scenario 0 is Eve idle; her k scenarios share the intercepted fraction
+    k = len(cum) - 1
+    weights = np.array([1.0 - eve.intercept_fraction] + [eve.intercept_fraction / k] * k
+                       if k else [1.0])
     # errors are the (1,0) and (0,1) outcomes: cum[2] - cum[0]
     q = float(weights @ np.mean([cum[:, a, a, 2] - cum[:, a, a, 0] for a in (0, 1)], axis=0))
     kept = p1 + p0

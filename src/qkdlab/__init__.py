@@ -4,7 +4,7 @@ two-photon state tomography, CHSH tests and one-time-pad messaging."""
 
 from .optics import MeasBasis, PolState, projector
 from .states import (EveConfig, QuartzPlate, TwoQubitState, add_white_noise,
-                     bell_phi_plus, dephase_bob, intercept_branches, plate_gamma)
+                     bell_phi_plus, dephase_bob, plate_gamma)
 from .detection import (DetectorConfig, Rates, Trials, expected_rates, joint_probs,
                         simulate_dwell_stream)
 from .protocol import (SessionConfig, SessionTranscript, decide, estimate_qber,

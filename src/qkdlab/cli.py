@@ -243,7 +243,7 @@ def cmd_tomo(cfg: dict, out_dir: str) -> int:
     _dump_json({"basis_order": list(BASIS_LABELS),
                 "rho": qmath.mat_to_json(run.rho_hat.rho)},
                os.path.join(out_dir, "density_matrix.json"))
-    metrics = dict(run.metrics.as_dict(), total_estimate=run.total_estimate)
+    metrics = dict(dataclasses.asdict(run.metrics), total_estimate=run.total_estimate)
     _dump_json(metrics, os.path.join(out_dir, "metrics.json"))
 
     with open(os.path.join(out_dir, "bars.csv"), "w", encoding="utf-8",

@@ -22,8 +22,7 @@ import numpy as np
 
 from . import qmath
 from .optics import MeasBasis
-from .states import (EveConfig, TwoQubitState, basis_from_angle, dephase_bob,
-                     intercept_branches)
+from .states import EveConfig, TwoQubitState, basis_from_angle, dephase_bob
 
 
 @dataclass(frozen=True)
@@ -35,6 +34,9 @@ class DetectorConfig:
     def __post_init__(self):
         if not (self.dwell >= 0 and self.pair_rate >= 0 and self.dark_rate >= 0):
             raise ValueError("detector rates and dwell must be nonnegative")
+        if not (math.isfinite(self.pair_rate * self.dwell)
+                and math.isfinite(self.dark_rate * self.dwell)):
+            raise ValueError("pair_rate * dwell and dark_rate * dwell must be finite")
 
 
 BASES = (MeasBasis.HV, MeasBasis.DA)
@@ -83,33 +85,24 @@ def joint_probs(s: TwoQubitState, a: MeasBasis, b: MeasBasis) -> np.ndarray:
     return probs / probs.sum()
 
 
-def _eve_scenarios(s: TwoQubitState,
-                   eve: EveConfig) -> list[list[tuple[float, TwoQubitState | None]]]:
-    """Branches ``(weight, state)`` of the pair after Eve acts, one list per
-    basis she may pick (HV then DA under ``random_per_trial``)."""
-    if eve.mode == "absent":
-        return []
-    angles = [0.0, 45.0] if eve.basis_policy == "random_per_trial" else [eve.basis_angle]
-    if eve.mode == "dephasing":
-        return [[(1.0, dephase_bob(s, angle, eve.strength))] for angle in angles]
-    return [intercept_branches(s, basis_from_angle(angle)) for angle in angles]
-
-
 def _cumulative_tables(s: TwoQubitState, eve: EveConfig) -> np.ndarray:
     """Cumulative joint-outcome tables over :data:`_BIT_PAIRS`.
 
     Shape ``(scenarios, 2, 2, 4)``, indexed by scenario (0: Eve idle,
-    ``1 + k``: Eve acting with the k-th entry of :func:`_eve_scenarios`),
-    Alice's basis and Bob's basis.  Eve's outcome is not recorded, so her
-    branches are summed into one table.
+    ``1 + k``: Eve acting in her k-th basis, HV then DA under
+    ``random_per_trial``), Alice's basis and Bob's basis.  Eve's outcome is
+    not recorded, so intercept-resend enters as its average over her bit:
+    full dephasing of photon 2 along her basis.
     """
-    scenarios = [[(1.0, s)]] + _eve_scenarios(s, eve)
-    tables = np.zeros((len(scenarios), 2, 2, 4))
-    for i, branches in enumerate(scenarios):
+    states = [s]
+    if eve.mode != "absent":
+        angles = [0.0, 45.0] if eve.basis_policy == "random_per_trial" else [eve.basis_angle]
+        gamma = eve.strength if eve.mode == "dephasing" else 1.0
+        states += [dephase_bob(s, angle, gamma) for angle in angles]
+    tables = np.zeros((len(states), 2, 2, 4))
+    for i, state in enumerate(states):
         for a, b in np.ndindex(2, 2):
-            probs = sum(p * joint_probs(state, BASES[a], BASES[b])
-                        for p, state in branches if state is not None)
-            cum = np.cumsum(probs)
+            cum = np.cumsum(joint_probs(state, BASES[a], BASES[b]))
             tables[i, a, b] = cum / cum[-1]
     return tables
 
@@ -187,12 +180,11 @@ def _uniform(words: np.ndarray) -> np.ndarray:
 
 
 def simulate_dwell_stream(s: TwoQubitState, config: DetectorConfig, n_intervals: int,
-                          basis_policy, eve: EveConfig, rng) -> Trials:
+                          eve: EveConfig, rng) -> Trials:
     """Simulate ``n_intervals`` dwell intervals and return them as columns.
 
-    ``basis_policy`` is either the string ``"random"`` (both parties draw HV
-    or DA uniformly each interval) or a fixed ``(alice, bob)`` pair of
-    :class:`MeasBasis`.  Identical generators reproduce identical trials.
+    Both parties draw HV or DA uniformly each interval.  Identical
+    generators reproduce identical trials.
 
     Interval ``i`` takes the generator's ``i``-th 64-bit word (the ``i``-th
     pair of words while Eve is present), so the first ``k`` rows of a
@@ -207,18 +199,10 @@ def simulate_dwell_stream(s: TwoQubitState, config: DetectorConfig, n_intervals:
         raise ValueError("n_intervals must be >= 1")
     n = n_intervals
     words = rng.bit_generator.random_raw((n, 1 if eve.mode == "absent" else 2))
-    if basis_policy == "random":
-        alice_basis = (words[:, 0] & 1).astype(np.int8)
-        bob_basis = (words[:, 0] >> 1 & 1).astype(np.int8)
-    elif (isinstance(basis_policy, (tuple, list)) and len(basis_policy) == 2
-          and all(b in BASES for b in basis_policy)):
-        alice_basis = np.full(n, BASES.index(basis_policy[0]), dtype=np.int8)
-        bob_basis = np.full(n, BASES.index(basis_policy[1]), dtype=np.int8)
-    else:
-        raise ValueError("basis_policy must be 'random' or an (alice, bob) pair "
-                         f"of HV/DA bases, not {basis_policy!r}")
+    alice_basis = (words[:, 0] & 1).astype(np.int8)
+    bob_basis = (words[:, 0] >> 1 & 1).astype(np.int8)
 
-    # scenario 0 is Eve idle; 1 + choice indexes her basis in _eve_scenarios
+    # scenario 0 is Eve idle; 1 + choice indexes her basis in _cumulative_tables
     eve_applied = np.zeros(n, dtype=bool)
     choice, named = 0, -1
     if eve.mode != "absent":

@@ -272,8 +272,7 @@ def run_session(config: SessionConfig, sink=None) -> SessionTranscript:
     for block, start in enumerate(range(0, n, BLOCK_INTERVALS)):
         rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0, block)))
         trials = simulate_dwell_stream(state, config.detector,
-                                       min(BLOCK_INTERVALS, n - start),
-                                       "random", config.eve, rng)
+                                       min(BLOCK_INTERVALS, n - start), config.eve, rng)
         if sink is not None:
             sink(start, trials)
         alice, bob = sift(trials)

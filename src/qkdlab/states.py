@@ -1,14 +1,13 @@
-"""Entangled-pair source, imperfection model and both eavesdropper channels.
+"""Entangled-pair source, imperfection model and the eavesdropper channel.
 
 The source is axiomatically the polarization-entangled pair
 ``(|HH> + |VV>)/sqrt(2)`` plus optional white noise; Eve acts only on the
-second photon (the one heading to the receiver).  Two eavesdroppers are
-modeled:
-
-* intercept-resend: a projective measurement on photon 2 in a chosen basis,
-  the pair continuing in the projected state;
-* dephasing: a thick birefringent plate that destroys coherence between the
-  two components along its axes, the analytic average of intercept-resend.
+second photon (the one heading to the receiver), through one channel,
+:func:`dephase_bob`: a birefringent plate that destroys a fraction of the
+coherence between the two components along its axes.  Intercept-resend, a
+projective measurement of photon 2 whose result is not kept, averages to
+full dephasing along Eve's basis, so it enters the model as that channel
+at strength 1.
 """
 
 from __future__ import annotations
@@ -153,23 +152,6 @@ def dephase_bob(s: TwoQubitState, basis_angle: float, gamma: float) -> TwoQubitS
     rho = s.rho
     pinched = p_plus @ rho @ p_plus + p_minus @ rho @ p_minus
     return TwoQubitState((1.0 - gamma) * rho + gamma * pinched)
-
-
-def intercept_branches(s: TwoQubitState,
-                       basis: MeasBasis) -> list[tuple[float, TwoQubitState | None]]:
-    """Eve's projective measurement of photon 2 in ``basis``, branch by branch.
-
-    Returns ``[(p_minus, post_minus), (p_plus, post_plus)]``, indexed by her
-    bit (plus -> 1, minus -> 0): each outcome's probability and the pair's
-    post-measurement state, which is ``None`` for a zero-probability branch.
-    The probability-weighted post states sum to ``dephase_bob(s, angle, 1)``.
-    """
-    branches = []
-    for proj2 in reversed(basis.projectors()):
-        op = qmath.tensor(_I2, proj2)
-        p = min(max(float(np.trace(s.rho @ op).real), 0.0), 1.0)
-        branches.append((p, TwoQubitState(op @ s.rho @ op / p) if p > 0.0 else None))
-    return branches
 
 
 def plate_delay_fs(plate: QuartzPlate) -> float:

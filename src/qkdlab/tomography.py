@@ -200,16 +200,6 @@ class StateMetrics:
     fidelity_sigma: float = 0.0
     clamp_events: int = 0
 
-    def as_dict(self) -> dict:
-        return {
-            "tangle": self.tangle, "tangle_sigma": self.tangle_sigma,
-            "von_neumann": self.von_neumann, "von_neumann_sigma": self.von_neumann_sigma,
-            "linear_entropy": self.linear_entropy,
-            "linear_entropy_sigma": self.linear_entropy_sigma,
-            "fidelity": self.fidelity, "fidelity_sigma": self.fidelity_sigma,
-            "clamp_events": self.clamp_events,
-        }
-
 
 def state_metrics(s: TwoQubitState, target_ket: np.ndarray | None = None) -> StateMetrics:
     """Raw (unclamped) metrics of a single state; the target is checked as

@@ -6,6 +6,7 @@ import pytest
 from qkdlab import qmath
 from qkdlab.detection import Trials
 from qkdlab.protocol import run_session
+from qkdlab.states import TwoQubitState
 
 
 def random_hermitian(rng, dim=4):
@@ -45,3 +46,20 @@ def session_with_trials(config):
     trials = Trials(**{f.name: np.concatenate([getattr(b, f.name) for b in blocks])
                        for f in dataclasses.fields(Trials)})
     return transcript, trials
+
+
+def intercept_branches(s, basis):
+    """Brute-force oracle: Eve's projective measurement of photon 2 in
+    ``basis``, branch by branch.
+
+    Returns ``[(p_minus, post_minus), (p_plus, post_plus)]``, indexed by her
+    bit (plus -> 1, minus -> 0): each outcome's probability and the pair's
+    post-measurement state, which is ``None`` for a zero-probability branch.
+    The probability-weighted post states sum to ``dephase_bob(s, angle, 1)``.
+    """
+    branches = []
+    for proj2 in reversed(basis.projectors()):
+        op = qmath.tensor(np.eye(2, dtype=complex), proj2)
+        p = min(max(float(np.trace(s.rho @ op).real), 0.0), 1.0)
+        branches.append((p, TwoQubitState(op @ s.rho @ op / p) if p > 0.0 else None))
+    return branches

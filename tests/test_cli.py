@@ -335,6 +335,18 @@ def test_session_rejects_non_finite_number(tmp_path, capsys, bad):
     assert not (tmp_path / "a").exists()
 
 
+def test_session_rejects_overflowing_detector_rates(tmp_path, capsys):
+    # every number is finite, but pair_rate * dwell is not: the rate tables
+    # would be NaN and every interval would be kept with bits (1, 1)
+    body = session_body(n_intervals=20000,
+                        detector={"dwell": 1e200, "pair_rate": 1e200, "dark_rate": 0.0})
+    cfg = write_config(tmp_path, "s.json", body)
+    assert main(["session", "--config", cfg, "--out", str(tmp_path / "a")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "finite" in err
+    assert not (tmp_path / "a").exists()
+
+
 def test_bell_rejects_intercept_mode(tmp_path):
     cfg = write_config(tmp_path, "b.json",
                        {"kind": "bell", "seed": 2,

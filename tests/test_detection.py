@@ -18,7 +18,7 @@ from qkdlab.optics import MeasBasis, PolState
 from qkdlab.states import (EveConfig, TwoQubitState, add_white_noise, bell_phi_plus,
                            bell_phi_plus_ket)
 
-from conftest import assert_close, binomial_sigma, random_density
+from conftest import assert_close, binomial_sigma, intercept_branches, random_density
 
 HV_MIXTURE = TwoQubitState(np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex))
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -77,22 +77,24 @@ def test_joint_probs_normalized_and_marginal_consistent(rng):
 
 
 def _fixed_bases(state, a, b, n, seed=1234):
-    """Bits of the kept trials of a dark-free stream with fixed analysers."""
+    """Bits of the kept trials of a dark-free stream in which Alice measured
+    in ``a`` and Bob in ``b``: about a quarter of the kept trials."""
     rng = np.random.default_rng(seed)
-    trials = simulate_dwell_stream(state, DetectorConfig(dark_rate=0.0), n, (a, b),
-                                   EveConfig(), rng)
-    return trials.alice_bit[trials.kept], trials.bob_bit[trials.kept]
+    trials = simulate_dwell_stream(state, DetectorConfig(dark_rate=0.0), n, EveConfig(), rng)
+    mask = (trials.kept & (trials.alice_basis == BASES.index(a))
+            & (trials.bob_basis == BASES.index(b)))
+    return trials.alice_bit[mask], trials.bob_bit[mask]
 
 
 def test_sample_trial_same_basis_always_agrees():
     for state in (bell_phi_plus(), HV_MIXTURE):
-        alice, bob = _fixed_bases(state, MeasBasis.HV, MeasBasis.HV, 8000)
+        alice, bob = _fixed_bases(state, MeasBasis.HV, MeasBasis.HV, 32000)
         assert len(alice) >= 2000
         assert np.array_equal(alice, bob)
 
 
 def test_sample_trial_cross_basis_agreement_half():
-    alice, bob = _fixed_bases(bell_phi_plus(), MeasBasis.HV, MeasBasis.DA, 30000)
+    alice, bob = _fixed_bases(bell_phi_plus(), MeasBasis.HV, MeasBasis.DA, 120000)
     n = len(alice)
     assert n >= 10000
     agree = np.count_nonzero(alice == bob)
@@ -102,8 +104,7 @@ def test_sample_trial_cross_basis_agreement_half():
 def _stream(seed=3, n=10000, dark=0.0, pair_rate=10.0, eve=None):
     rng = np.random.default_rng(seed)
     config = DetectorConfig(dwell=0.1, pair_rate=pair_rate, dark_rate=dark)
-    return simulate_dwell_stream(bell_phi_plus(), config, n, "random",
-                                 eve or EveConfig(), rng)
+    return simulate_dwell_stream(bell_phi_plus(), config, n, eve or EveConfig(), rng)
 
 
 def test_stream_keep_fraction_matches_poisson():
@@ -170,6 +171,47 @@ def test_expected_rates_closed_form():
     assert nothing.kept == 0.0 and math.isnan(nothing.qber)
 
 
+_INTERCEPT_CASES = [
+    pytest.param(EveConfig(mode="intercept_resend", basis_angle=0.0), [MeasBasis.HV],
+                 id="fixed_hv"),
+    pytest.param(EveConfig(mode="intercept_resend", basis_angle=45.0), [MeasBasis.DA],
+                 id="fixed_da"),
+    pytest.param(EveConfig(mode="intercept_resend", basis_policy="random_per_trial"),
+                 list(BASES), id="random_per_trial"),
+    pytest.param(HALF_INTERCEPTION, list(BASES), id="random_per_trial_half"),
+]
+
+
+@pytest.mark.parametrize("eve, eve_bases", _INTERCEPT_CASES)
+@pytest.mark.parametrize("state", [
+    pytest.param(add_white_noise(bell_phi_plus(), p), id=f"noise_{p}") for p in (0.0, 0.04, 0.1)
+] + [pytest.param(TwoQubitState(random_density(np.random.default_rng(13))), id="random_rho")])
+def test_intercept_rates_match_branch_oracle(state, eve, eve_bases):
+    # The model enters intercept-resend as full dephasing of photon 2; build
+    # the same tables from Eve's projective measurement, branch by branch.
+    detector = DetectorConfig(dwell=0.1, pair_rate=10.0, dark_rate=0.9)
+    lam, mu = 1.0, 0.09
+    p1 = lam * math.exp(-lam - 4 * mu)
+    p0 = math.exp(-lam) * (2 * mu * math.exp(-2 * mu)) ** 2
+    scenarios = [[(1.0, state)]] + [intercept_branches(state, b) for b in eve_bases]
+    cdf = np.empty((len(scenarios), 2, 2, 8))
+    errors = np.zeros(len(scenarios))   # over the equal-basis settings
+    for i, branches in enumerate(scenarios):
+        for a, b in np.ndindex(2, 2):
+            probs = sum(p * joint_probs(post, BASES[a], BASES[b])
+                        for p, post in branches if post is not None)
+            cdf[i, a, b, :4] = p1 * np.cumsum(probs)
+            cdf[i, a, b, 4:] = p1 + p0 * np.arange(1, 5) / 4
+            if a == b:
+                errors[i] += (probs[1] + probs[2]) / 2   # bits (1,0) and (0,1)
+    k = len(eve_bases)
+    weights = np.array([1 - eve.intercept_fraction] + [eve.intercept_fraction / k] * k)
+    rates = expected_rates(state, detector, eve)
+    assert_close(rates.outcome_cdf, cdf, tol=1e-12)
+    assert rates.qber == pytest.approx((p1 * (weights @ errors) + p0 / 2) / (p1 + p0),
+                                       abs=1e-12)
+
+
 def _session_cases():
     """Every session preset, and the ideal one with half interception."""
     def preset(name):
@@ -187,7 +229,7 @@ def test_sampler_matches_expected_rates(config):
     n = 1_000_000
     state = add_white_noise(bell_phi_plus(), config.source_noise)
     rates = expected_rates(state, config.detector, config.eve)
-    trials = simulate_dwell_stream(state, config.detector, n, "random", config.eve,
+    trials = simulate_dwell_stream(state, config.detector, n, config.eve,
                                    np.random.default_rng(config.seed))
     kept = np.count_nonzero(trials.kept)
     assert abs(kept / n - rates.kept) <= 4 * binomial_sigma(rates.kept, n)
@@ -392,9 +434,17 @@ def test_detector_config_validation():
         with pytest.raises(ValueError, match="nonnegative"):
             DetectorConfig(**{field: float("nan")})
     with pytest.raises(ValueError):
-        simulate_dwell_stream(bell_phi_plus(), DetectorConfig(), 0, "random",
-                              EveConfig(), np.random.default_rng(0))
-    for policy in ("fixed", (MeasBasis.HV,), (MeasBasis.HV, MeasBasis.RL)):
-        with pytest.raises(ValueError, match="basis_policy"):
-            simulate_dwell_stream(bell_phi_plus(), DetectorConfig(), 10, policy,
-                                  EveConfig(), np.random.default_rng(0))
+        simulate_dwell_stream(bell_phi_plus(), DetectorConfig(), 0, EveConfig(),
+                              np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("fields", [
+    {"dwell": float("inf")},
+    {"dark_rate": float("inf")},
+    {"dwell": 1e200, "pair_rate": 1e200, "dark_rate": 0.0},
+    {"dwell": 1e200, "pair_rate": 0.0, "dark_rate": 1e200},
+])
+def test_detector_config_rejects_non_finite_rates(fields):
+    # an infinite mean count per interval would make every rate table NaN
+    with pytest.raises(ValueError, match="finite"):
+        DetectorConfig(**fields)

@@ -1,0 +1,18 @@
+import os
+import re
+
+import numpy as np
+import pytest
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
+def test_readme_library_example_runs(capsys):
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    match = re.search(r"^## Library example\n+```python\n(.*?)^```", text, re.M | re.S)
+    assert match, "README has no Library example Python block"
+    exec(compile(match.group(1), "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert "True" in lines   # Alice's and Bob's final keys are equal
+    assert float(lines[-1]) == pytest.approx(2 * np.sqrt(2), abs=1e-9)

@@ -5,9 +5,9 @@ from qkdlab import qmath
 from qkdlab.optics import MeasBasis
 from qkdlab.states import (EveConfig, QuartzPlate, TwoQubitState, add_white_noise,
                            basis_from_angle, bell_phi_plus, bell_phi_plus_ket,
-                           dephase_bob, intercept_branches, plate_delay_fs, plate_gamma)
+                           dephase_bob, plate_delay_fs, plate_gamma)
 
-from conftest import assert_close, random_density
+from conftest import assert_close, intercept_branches, random_density
 
 BELL_MATRIX = np.array([
     [0.5, 0, 0, 0.5],

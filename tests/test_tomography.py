@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 import numpy as np
@@ -301,7 +302,7 @@ def test_bootstrap_golden():
     counts = simulate_counts(_prepared_state(cfg), cfg["n_per_setting"],
                              np.random.default_rng(cfg["seed"]))
     metrics = bootstrap_metrics(counts, replicas=cfg["replicas"], seed=cfg["seed"])
-    assert metrics.as_dict() == pytest.approx({
+    assert dataclasses.asdict(metrics) == pytest.approx({
         "tangle": 0.8353694316321768, "tangle_sigma": 0.042291581793766415,
         "von_neumann": 0.29110943834738107, "von_neumann_sigma": 0.06490797117764187,
         "linear_entropy": 0.11338216568275956,

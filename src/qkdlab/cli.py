@@ -23,9 +23,9 @@ from .detection import DetectorConfig, records_to_csv
 from .protocol import (SessionConfig, run_session, transcript_summary,
                        transcript_to_dict)
 from .states import (EveConfig, QuartzPlate, TwoQubitState, add_white_noise,
-                     bell_phi_plus, dephase_bob, plate_gamma)
+                     bell_phi_plus, eve_scenarios, plate_gamma)
 from .tomography import (TOMO_SCHEDULE, CHSH_CANONICAL_ANGLES, ReconstructionError,
-                         chsh, correlator, run_tomography, simulate_counts)
+                         correlator, run_tomography, simulate_counts)
 
 BASIS_LABELS = ("HH", "HV", "VH", "VV")
 
@@ -157,18 +157,12 @@ def load_config(path: str, kind: str, seed_override: int | None = None) -> dict:
 
 
 def _prepared_state(cfg: dict) -> TwoQubitState:
-    """Source state after noise and any static (analytic) Eve channel."""
-    eve = cfg["eve"]
-    if eve.mode == "intercept_resend":
-        raise ConfigError("tomo/bell configs model Eve as a dephasing plate; "
-                          "intercept_resend is a per-trial session channel")
-    state = add_white_noise(bell_phi_plus(), cfg["source_noise"])
-    if eve.mode == "dephasing":
-        # Bernoulli gating averages linearly, so a fraction f of strength g
-        # equals one plate of strength f*g.
-        state = dephase_bob(state, eve.basis_angle,
-                            eve.strength * eve.intercept_fraction)
-    return state
+    """The noisy source state after Eve: the mixture of her scenarios from
+    :func:`~qkdlab.states.eve_scenarios`, with the weights a session samples
+    them by, for every Eve mode and basis policy."""
+    weights, states = eve_scenarios(
+        add_white_noise(bell_phi_plus(), cfg["source_noise"]), cfg["eve"])
+    return TwoQubitState(sum(w * state.rho for w, state in zip(weights, states)))
 
 
 def _dump_json(obj, path):
@@ -245,15 +239,6 @@ def cmd_tomo(cfg: dict, out_dir: str) -> int:
                os.path.join(out_dir, "density_matrix.json"))
     metrics = dict(dataclasses.asdict(run.metrics), total_estimate=run.total_estimate)
     _dump_json(metrics, os.path.join(out_dir, "metrics.json"))
-
-    with open(os.path.join(out_dir, "bars.csv"), "w", encoding="utf-8",
-              newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["row_label", "col_label", "real_part"])
-        for i, row_label in enumerate(BASIS_LABELS):
-            for j, col_label in enumerate(BASIS_LABELS):
-                writer.writerow([row_label, col_label,
-                                 f"{run.rho_hat.rho[i, j].real:.10g}"])
     print(f"tangle {run.metrics.tangle:.4f} +- {run.metrics.tangle_sigma:.4f}, "
           f"entropy {run.metrics.von_neumann:.4f} +- {run.metrics.von_neumann_sigma:.4f}, "
           f"fidelity {run.metrics.fidelity:.4f}")
@@ -269,7 +254,7 @@ def cmd_bell(cfg: dict, out_dir: str) -> int:
         "E(a',b)": correlator(state, a_prime, b),
         "E(a',b')": correlator(state, a_prime, b_prime),
     }
-    s_value = chsh(state, a, a_prime, b, b_prime)
+    s_value = table["E(a,b)"] - table["E(a,b')"] + table["E(a',b)"] + table["E(a',b')"]
     os.makedirs(out_dir, exist_ok=True)
     _dump_json({"angles": cfg["angles"], "correlators": table, "s_value": s_value},
                os.path.join(out_dir, "bell.json"))

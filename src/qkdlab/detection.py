@@ -22,7 +22,7 @@ import numpy as np
 
 from . import qmath
 from .optics import MeasBasis
-from .states import EveConfig, TwoQubitState, basis_from_angle, dephase_bob
+from .states import EveConfig, TwoQubitState, basis_from_angle, eve_scenarios
 
 
 @dataclass(frozen=True)
@@ -85,20 +85,13 @@ def joint_probs(s: TwoQubitState, a: MeasBasis, b: MeasBasis) -> np.ndarray:
     return probs / probs.sum()
 
 
-def _cumulative_tables(s: TwoQubitState, eve: EveConfig) -> np.ndarray:
+def _cumulative_tables(states: list[TwoQubitState]) -> np.ndarray:
     """Cumulative joint-outcome tables over :data:`_BIT_PAIRS`.
 
-    Shape ``(scenarios, 2, 2, 4)``, indexed by scenario (0: Eve idle,
-    ``1 + k``: Eve acting in her k-th basis, HV then DA under
-    ``random_per_trial``), Alice's basis and Bob's basis.  Eve's outcome is
-    not recorded, so intercept-resend enters as its average over her bit:
-    full dephasing of photon 2 along her basis.
+    Shape ``(scenarios, 2, 2, 4)``, indexed by the scenario of
+    :func:`~qkdlab.states.eve_scenarios` whose state is ``states[i]``,
+    Alice's basis and Bob's basis.
     """
-    states = [s]
-    if eve.mode != "absent":
-        angles = [0.0, 45.0] if eve.basis_policy == "random_per_trial" else [eve.basis_angle]
-        gamma = eve.strength if eve.mode == "dephasing" else 1.0
-        states += [dephase_bob(s, angle, gamma) for angle in angles]
     tables = np.zeros((len(states), 2, 2, 4))
     for i, state in enumerate(states):
         for a, b in np.ndindex(2, 2):
@@ -154,11 +147,8 @@ def expected_rates(s: TwoQubitState, detector: DetectorConfig, eve: EveConfig) -
     mu = detector.dark_rate * detector.dwell
     p1 = lam * math.exp(-lam) * math.exp(-4.0 * mu)
     p0 = math.exp(-lam) * (2.0 * mu * math.exp(-2.0 * mu)) ** 2
-    cum = _cumulative_tables(s, eve)
-    # scenario 0 is Eve idle; her k scenarios share the intercepted fraction
-    k = len(cum) - 1
-    weights = np.array([1.0 - eve.intercept_fraction] + [eve.intercept_fraction / k] * k
-                       if k else [1.0])
+    weights, states = eve_scenarios(s, eve)
+    cum = _cumulative_tables(states)
     # errors are the (1,0) and (0,1) outcomes: cum[2] - cum[0]
     q = float(weights @ np.mean([cum[:, a, a, 2] - cum[:, a, a, 0] for a in (0, 1)], axis=0))
     kept = p1 + p0
@@ -202,7 +192,7 @@ def simulate_dwell_stream(s: TwoQubitState, config: DetectorConfig, n_intervals:
     alice_basis = (words[:, 0] & 1).astype(np.int8)
     bob_basis = (words[:, 0] >> 1 & 1).astype(np.int8)
 
-    # scenario 0 is Eve idle; 1 + choice indexes her basis in _cumulative_tables
+    # scenario 0 is Eve idle; 1 + choice indexes her basis, as in eve_scenarios
     eve_applied = np.zeros(n, dtype=bool)
     choice, named = 0, -1
     if eve.mode != "absent":
@@ -247,43 +237,11 @@ _RECORD_SUFFIX = tuple(map("".join, itertools.product(
     (",0\n", ",1\n"))))
 
 
-def _byte_table(suffixes) -> np.ndarray:
-    """The ASCII bytes of ``suffixes``, one zero-padded row per entry."""
-    encoded = [text.encode("ascii") for text in suffixes]
-    width = max(map(len, encoded))
-    return np.frombuffer(b"".join(text.ljust(width, b"\0") for text in encoded),
-                         dtype=np.uint8).reshape(len(encoded), width)
-
-
-# No field text holds a NUL byte, so the zero padding is what a row drops.
-_RECORD_TABLE = _byte_table(_RECORD_SUFFIX)
+# The suffixes' ASCII bytes, one row each, zero-padded to a fixed width; no
+# field text holds a NUL byte, so the zero padding is what a row drops.
+_RECORD_TABLE = np.array(_RECORD_SUFFIX, dtype=np.bytes_).view(np.uint8).reshape(
+    len(_RECORD_SUFFIX), -1)
 _DIGITS = np.frombuffer(b"0123456789", dtype=np.uint8)
-
-
-def _write_rows(fh, header, index: np.ndarray, code: np.ndarray, table) -> None:
-    """Write the header, if any, then row ``index[i]`` in decimal followed by
-    the bytes of ``table[code[i]]`` for every ``i``, ``BLOCK_INTERVALS`` rows
-    at a time.
-
-    ``index`` must increase, so a chunk splits into runs of one decimal width
-    ``w``.  A run is a byte matrix: ``w`` digit columns, then the run's table
-    rows; dropping its zero bytes leaves the rows' text in order.
-    """
-    if header:
-        fh.write(",".join(header) + "\n")
-    for start in range(0, len(code), BLOCK_INTERVALS):
-        chunk = index[start:start + BLOCK_INTERVALS]
-        codes = code[start:start + BLOCK_INTERVALS]
-        lo, hi = len(str(chunk[0])), len(str(chunk[-1]))
-        cuts = np.searchsorted(chunk, [10 ** w for w in range(lo, hi)]).tolist()
-        for w, a, b in zip(range(lo, hi + 1), [0] + cuts, cuts + [len(chunk)]):
-            rows = np.empty((b - a, w + table.shape[1]), dtype=np.uint8)
-            rest = chunk[a:b]
-            for col in range(w - 1, -1, -1):
-                rest, digit = np.divmod(rest, 10)
-                rows[:, col] = _DIGITS.take(digit)
-            rows[:, w:] = table.take(codes[a:b], axis=0)
-            fh.write(rows[rows != 0].tobytes().decode("ascii"))
 
 
 def records_to_csv(trials: Trials, fh, start: int = 0) -> None:
@@ -294,7 +252,10 @@ def records_to_csv(trials: Trials, fh, start: int = 0) -> None:
     Absent bases and bits are empty fields.  The six fields after the index
     pack two bits each (one for ``kept``) into an 11-bit code, so each row is
     its index plus one entry of a precomputed suffix table.  Rows are built
-    as bytes by numpy, ``BLOCK_INTERVALS`` at a time.
+    as bytes by numpy, ``BLOCK_INTERVALS`` at a time: a chunk splits into
+    runs of one decimal width ``w``, and a run is a byte matrix of ``w``
+    digit columns, then the run's table rows; dropping its zero bytes leaves
+    the rows' text in order.
     """
     code = np.zeros(len(trials), dtype=np.int16)
     for column in (trials.alice_basis, trials.bob_basis, trials.eve_basis,
@@ -303,5 +264,19 @@ def records_to_csv(trials: Trials, fh, start: int = 0) -> None:
         code |= column & 3
     code <<= 1
     code |= trials.kept
-    _write_rows(fh, CSV_COLUMNS if start == 0 else (),
-                np.arange(start, start + len(trials)), code, _RECORD_TABLE)
+    if start == 0:
+        fh.write(",".join(CSV_COLUMNS) + "\n")
+    end = start + len(code)
+    for first in range(start, end, BLOCK_INTERVALS):
+        index = np.arange(first, min(first + BLOCK_INTERVALS, end))
+        codes = code[first - start:first - start + len(index)]
+        lo, hi = len(str(first)), len(str(index[-1]))
+        cuts = [10 ** w - first for w in range(lo, hi)]
+        for w, a, b in zip(range(lo, hi + 1), [0] + cuts, cuts + [len(index)]):
+            rows = np.empty((b - a, w + _RECORD_TABLE.shape[1]), dtype=np.uint8)
+            rest = index[a:b]
+            for col in range(w - 1, -1, -1):
+                rest, digit = np.divmod(rest, 10)
+                rows[:, col] = _DIGITS.take(digit)
+            rows[:, w:] = _RECORD_TABLE.take(codes[a:b], axis=0)
+            fh.write(rows[rows != 0].tobytes().decode("ascii"))

@@ -31,21 +31,19 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.conj(m).swapaxes(-1, -2)
 
 
-def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
+def is_hermitian(m: np.ndarray) -> bool:
     m = np.asarray(m)
-    return bool(np.max(np.abs(m - dagger(m))) < tol)
+    return bool(np.max(np.abs(m - dagger(m))) < HERMITIAN_TOL)
 
 
-def is_density(m: np.ndarray, herm_tol: float = HERMITIAN_TOL,
-               trace_tol: float = TRACE_TOL,
-               eig_floor: float = EIGVAL_FLOOR) -> bool:
+def is_density(m: np.ndarray) -> bool:
     """Check the density-matrix invariants: Hermitian, unit trace, PSD."""
     m = np.asarray(m)
-    if not is_hermitian(m, herm_tol):
+    if not is_hermitian(m):
         return False
-    if abs(np.trace(m).real - 1.0) > trace_tol or abs(np.trace(m).imag) > trace_tol:
+    if abs(np.trace(m).real - 1.0) > TRACE_TOL or abs(np.trace(m).imag) > TRACE_TOL:
         return False
-    return bool(np.min(np.linalg.eigvalsh(m)) >= eig_floor)
+    return bool(np.min(np.linalg.eigvalsh(m)) >= EIGVAL_FLOOR)
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -7,7 +7,9 @@ second photon (the one heading to the receiver), through one channel,
 coherence between the two components along its axes.  Intercept-resend, a
 projective measurement of photon 2 whose result is not kept, averages to
 full dephasing along Eve's basis, so it enters the model as that channel
-at strength 1.
+at strength 1.  :func:`eve_scenarios` turns an :class:`EveConfig` into the
+weighted states that sessions sample from and that ``tomo`` and ``bell``
+measure the mixture of.
 """
 
 from __future__ import annotations
@@ -152,6 +154,25 @@ def dephase_bob(s: TwoQubitState, basis_angle: float, gamma: float) -> TwoQubitS
     rho = s.rho
     pinched = p_plus @ rho @ p_plus + p_minus @ rho @ p_minus
     return TwoQubitState((1.0 - gamma) * rho + gamma * pinched)
+
+
+def eve_scenarios(s: TwoQubitState, eve: EveConfig) -> tuple[np.ndarray, list[TwoQubitState]]:
+    """The weight and the pair's state of each of Eve's scenarios.
+
+    Scenario 0 is Eve idle: ``s`` at weight ``1 - intercept_fraction``.
+    Scenario ``1 + k`` is Eve acting in her k-th basis (HV then DA under
+    ``random_per_trial``, else ``basis_angle``); these share the
+    intercepted fraction equally.  Eve acting is :func:`dephase_bob` along
+    her basis, at ``strength`` for ``dephasing`` and 1 for
+    ``intercept_resend``.  With Eve absent, ``s`` is the one scenario.
+    """
+    if eve.mode == "absent":
+        return np.array([1.0]), [s]
+    angles = [0.0, 45.0] if eve.basis_policy == "random_per_trial" else [eve.basis_angle]
+    gamma = eve.strength if eve.mode == "dephasing" else 1.0
+    f, k = eve.intercept_fraction, len(angles)
+    weights = np.array([1.0 - f] + [f / k] * k)
+    return weights, [s] + [dephase_bob(s, angle, gamma) for angle in angles]
 
 
 def plate_delay_fs(plate: QuartzPlate) -> float:

@@ -202,9 +202,6 @@ def test_tomo_high_flux_metrics(tmp_path):
     assert main(["tomo", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
     metrics = json.loads((tmp_path / "a" / "metrics.json").read_text())
     assert metrics["tangle"] >= 0.99
-    bars = (tmp_path / "a" / "bars.csv").read_text().splitlines()
-    assert len(bars) == 17  # header + 16 labeled entries
-    assert bars[0] == "row_label,col_label,real_part"
 
 
 def test_tomo_counts_file_roundtrip(tmp_path):
@@ -262,7 +259,7 @@ def test_tomo_counts_file_repeated_setting_rejected(tmp_path, capsys):
     ("tomo", {"n_per_setting": 0}),
     ("tomo", {"replicas": 1}),
     ("tomo", {"counts_file": "malformed.csv"}),
-    ("bell", {"eve": {"mode": "intercept_resend"}}),
+    ("bell", {"angles": [0.0, 45.0, 22.5]}),
 ])
 def test_failed_run_leaves_no_output_directory(tmp_path, monkeypatch, capsys, kind, body):
     monkeypatch.chdir(tmp_path)
@@ -347,11 +344,26 @@ def test_session_rejects_overflowing_detector_rates(tmp_path, capsys):
     assert not (tmp_path / "a").exists()
 
 
-def test_bell_rejects_intercept_mode(tmp_path):
-    cfg = write_config(tmp_path, "b.json",
-                       {"kind": "bell", "seed": 2,
-                        "eve": {"mode": "intercept_resend"}})
-    assert main(["bell", "--config", cfg, "--out", str(tmp_path / "a")]) == 1
+@pytest.mark.parametrize("kind, body", [
+    ("tomo", {"n_per_setting": 4000, "replicas": 20}),
+    ("bell", {"angles": [0.0, 45.0, 22.5, 67.5]}),
+])
+@pytest.mark.parametrize("eve", [
+    {"basis_angle": 0.0},
+    {"basis_angle": 45.0, "intercept_fraction": 0.5},
+    {"basis_policy": "random_per_trial"},
+    {"basis_policy": "random_per_trial", "intercept_fraction": 0.3},
+])
+def test_intercept_resend_is_full_dephasing_for_tomo_and_bell(tmp_path, kind, body, eve):
+    # the session model's one Eve: intercept-resend is a strength-1 plate
+    trees = []
+    for name, mode in (("i", {"mode": "intercept_resend"}),
+                       ("d", {"mode": "dephasing", "strength": 1.0})):
+        cfg = write_config(tmp_path, f"{name}.json", dict(
+            body, kind=kind, seed=6, source_noise=0.04, eve=dict(eve, **mode)))
+        assert main([kind, "--config", cfg, "--out", str(tmp_path / name)]) == 0
+        trees.append(read_tree(tmp_path / name))
+    assert trees[0] == trees[1]
 
 
 def test_otp_roundtrip_text(capsys):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from qkdlab import detection
-from qkdlab.cli import load_config
+from qkdlab.cli import _prepared_state, load_config
 from qkdlab.detection import (BASES, CSV_COLUMNS, DetectorConfig, Trials, expected_rates,
                               joint_probs, records_to_csv, simulate_dwell_stream)
 from qkdlab.optics import MeasBasis, PolState
@@ -224,6 +224,29 @@ def _session_cases():
                             id="half_interception")])
 
 
+@pytest.mark.parametrize("noise", [0.0, 0.04])
+@pytest.mark.parametrize("angle", [0.0, 45.0])
+@pytest.mark.parametrize("fraction", [1.0, 0.5, 0.1])
+@pytest.mark.parametrize("policy", ["fixed", "random_per_trial"])
+@pytest.mark.parametrize("mode", ["intercept_resend", "dephasing"])
+def test_session_eve_matches_the_tomo_and_bell_state(mode, policy, fraction, angle, noise):
+    # A session's Eve and the state that tomo and bell measure are one model:
+    # the session QBER equals the QBER of that state with Eve absent, and so
+    # does the outcome table of every basis pair, averaged over Eve's
+    # scenarios (idle, then her one or two bases sharing the fraction).
+    eve = EveConfig(mode=mode, basis_angle=angle, strength=0.7, intercept_fraction=fraction,
+                    basis_policy=policy)
+    detector = DetectorConfig()
+    session = expected_rates(add_white_noise(bell_phi_plus(), noise), detector, eve)
+    prepared = expected_rates(_prepared_state({"source_noise": noise, "eve": eve}),
+                              detector, EveConfig())
+    assert session.qber == pytest.approx(prepared.qber, abs=1e-12)
+    k = 2 if policy == "random_per_trial" else 1
+    weights = np.array([1.0 - fraction] + [fraction / k] * k)
+    assert_close(np.tensordot(weights, session.outcome_cdf, axes=1), prepared.outcome_cdf[0],
+                 tol=1e-12)
+
+
 @pytest.mark.parametrize("config", _session_cases())
 def test_sampler_matches_expected_rates(config):
     n = 1_000_000
@@ -408,23 +431,30 @@ def test_csv_writers_stream_a_million_trials_in_bounded_memory(tmp_path):
         _trial_slice(trials, n - 2000, n), start=n - 2000)
 
 
-def test_write_rows_across_every_decimal_width(monkeypatch):
-    # 0, 9, 10, 99, 100, ..., 10**12 - 1, 10**12 and 100 neighbours on each
-    # side of every width edge
-    index = np.unique(np.concatenate([np.arange(10 ** w - 100, 10 ** w + 100)
-                                      for w in range(13)]))
-    index = index[index >= 0]
-    assert {0, 9, 10, 10 ** 12 - 1, 10 ** 12} <= set(index.tolist())
+def test_records_to_csv_across_every_decimal_width(monkeypatch):
+    # 200 rows from 100 below each power of ten up to 10**12 (from 0 below
+    # 100), numbered on through every code of the suffix table
     suffix = detection._RECORD_SUFFIX
-    code = np.arange(len(index)) % len(suffix)
-    assert len(index) >= len(suffix)
-    # the second chunk starts at the first 7-digit index
-    monkeypatch.setattr(detection, "BLOCK_INTERVALS", int(np.searchsorted(index, 10 ** 6)))
-    fh = io.StringIO()
-    detection._write_rows(fh, ("i", "rest"), index, code, detection._RECORD_TABLE)
-    want = "i,rest\n" + "".join(f"{i}{suffix[c]}"
-                                 for i, c in zip(index.tolist(), code.tolist()))
-    assert fh.getvalue() == want
+    n, done = 200, 0
+    for w in range(13):
+        start = max(10 ** w - 100, 0)
+        code = (done + np.arange(n)) % len(suffix)
+        done += n
+        # code bits, high to low: alice_basis, bob_basis, eve_basis,
+        # alice_bit, bob_bit (two each, 3 for -1), kept (one)
+        fields = [(code >> shift & 3).astype(np.int8) for shift in (9, 7, 5, 3, 1)]
+        trials = Trials(*[np.where(f == 3, -1, f).astype(np.int8) for f in fields],
+                        kept=(code & 1).astype(bool))
+        # from 10**6 on, the second chunk starts at the first 7-digit index
+        monkeypatch.setattr(detection, "BLOCK_INTERVALS", 100 if w == 6 else 1 << 16)
+        fh = io.StringIO()
+        records_to_csv(trials, fh, start)
+        want = ("".join(f"{i}{suffix[c]}" for i, c in zip(range(start, start + n),
+                                                          code.tolist())))
+        if start == 0:
+            want = ",".join(CSV_COLUMNS) + "\n" + want
+        assert fh.getvalue() == want, w
+    assert done >= len(suffix)
 
 
 def test_detector_config_validation():

@@ -5,7 +5,7 @@ from qkdlab import qmath
 from qkdlab.optics import MeasBasis
 from qkdlab.states import (EveConfig, QuartzPlate, TwoQubitState, add_white_noise,
                            basis_from_angle, bell_phi_plus, bell_phi_plus_ket,
-                           dephase_bob, plate_delay_fs, plate_gamma)
+                           dephase_bob, eve_scenarios, plate_delay_fs, plate_gamma)
 
 from conftest import assert_close, intercept_branches, random_density
 
@@ -190,6 +190,28 @@ def test_eve_config_validation():
     assert basis_from_angle(45.0) == MeasBasis.DA
     assert basis_from_angle(90.0) == MeasBasis.HV
     assert basis_from_angle(30.0) is None
+
+
+@pytest.mark.parametrize("eve, weights, channels", [
+    (EveConfig(), [1.0], []),
+    (EveConfig(mode="dephasing", basis_angle=135.0, strength=0.3, intercept_fraction=0.4),
+     [0.6, 0.4], [(135.0, 0.3)]),
+    (EveConfig(mode="intercept_resend", basis_angle=45.0), [0.0, 1.0], [(45.0, 1.0)]),
+    (EveConfig(mode="intercept_resend", basis_angle=45.0, strength=0.2,
+               basis_policy="random_per_trial", intercept_fraction=0.5),
+     [0.5, 0.25, 0.25], [(0.0, 1.0), (45.0, 1.0)]),
+    (EveConfig(mode="dephasing", basis_angle=30.0, strength=0.7,
+               basis_policy="random_per_trial"),
+     [0.0, 0.5, 0.5], [(0.0, 0.7), (45.0, 0.7)]),
+])
+def test_eve_scenarios(rng, eve, weights, channels):
+    s = TwoQubitState(random_density(rng))
+    got_weights, states = eve_scenarios(s, eve)
+    assert_close(got_weights, weights, tol=1e-15)
+    assert states[0] is s
+    assert len(states) == 1 + len(channels)
+    for state, (angle, gamma) in zip(states[1:], channels):
+        assert_close(state.rho, dephase_bob(s, angle, gamma).rho, tol=1e-15)
 
 
 def test_quartz_plate_validation_rejects_nan():

@@ -6,8 +6,8 @@ import pytest
 
 from qkdlab.cli import _prepared_state, load_config
 from qkdlab.optics import PolState
-from qkdlab.states import (TwoQubitState, add_white_noise, bell_phi_plus, bell_phi_plus_ket,
-                           dephase_bob)
+from qkdlab.states import (EveConfig, TwoQubitState, add_white_noise, bell_phi_plus,
+                           bell_phi_plus_ket, dephase_bob)
 from qkdlab import qmath
 from qkdlab.tomography import (_BLOCK, _SIGMA_YY, CHSH_CANONICAL_ANGLES, TOMO_SCHEDULE,
                                ReconstructionError, _replica_metrics, _spectral_metrics,
@@ -309,6 +309,16 @@ def test_bootstrap_golden():
         "linear_entropy_sigma": 0.028333663503631753,
         "fidelity": 0.9553442599684174, "fidelity_sigma": 0.011482494711947327,
         "clamp_events": 0}, rel=1e-9)
+
+
+def test_random_basis_eve_leaves_three_halves_bits():
+    # full dephasing in HV half the time and in DA the other half leaves
+    # Phi+ with eigenvalues 1/2, 1/4, 1/4, 0
+    cfg = {"source_noise": 0.0,
+           "eve": EveConfig(mode="dephasing", strength=1.0, basis_policy="random_per_trial")}
+    state = _prepared_state(cfg)
+    assert von_neumann(state) == pytest.approx(1.5, abs=1e-9)
+    assert correlator(state, 0.0, 22.5) == pytest.approx(np.sqrt(2) / 4, abs=1e-12)
 
 
 def test_bootstrap_needs_replicas():

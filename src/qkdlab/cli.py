@@ -97,6 +97,9 @@ def _apply_plate(eve: EveConfig, plate: QuartzPlate | None) -> EveConfig:
         return eve
     if eve.mode != "dephasing":
         raise ConfigError("a quartz plate only makes sense with eve.mode 'dephasing'")
+    if eve.basis_policy == "random_per_trial":
+        raise ConfigError("a quartz plate fixes the dephasing axis, so it needs "
+                          "eve.basis_policy 'fixed'")
     return EveConfig(mode="dephasing", basis_angle=plate.axis_angle_deg,
                      strength=plate_gamma(plate),
                      intercept_fraction=eve.intercept_fraction,

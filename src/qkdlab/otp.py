@@ -28,13 +28,6 @@ def text_to_bits(text: str) -> np.ndarray:
     return np.unpackbits(np.frombuffer(text.encode("utf-8"), dtype=np.uint8))
 
 
-def bits_to_text(bits) -> str:
-    bits = as_bits(bits)
-    if len(bits) % 8:
-        raise ValueError("text decoding needs a multiple of 8 bits")
-    return np.packbits(bits).tobytes().decode("utf-8")
-
-
 def hex_to_bits(hex_string: str) -> np.ndarray:
     """Bits of the hex digits in ``hex_string``, 4 per digit.  Surrounding
     whitespace is ignored, either case is accepted and the digit count may be

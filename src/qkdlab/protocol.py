@@ -104,13 +104,6 @@ def estimate_qber(alice_bits, bob_bits, sample_fraction: float, rng):
     return qber, alice[keep], bob[keep], disclosed
 
 
-def decide(qber: float, threshold: float) -> str:
-    """Abort iff the error rate exceeds the threshold (boundary proceeds)."""
-    if not 0.0 <= qber <= 1.0:
-        raise ValueError("qber must be in [0, 1]")
-    return "abort" if qber > threshold else "proceed"
-
-
 def h2(x: float) -> float:
     """Binary entropy in bits, with h2(0) = h2(1) = 0."""
     if x <= 0.0 or x >= 1.0:
@@ -293,7 +286,7 @@ def run_session(config: SessionConfig, sink=None) -> SessionTranscript:
         return abort("no_sifted_bits")
     qber, rem_alice, rem_bob, _ = estimate_qber(
         sifted_alice, sifted_bob, config.qber_sample_fraction, rng)
-    if decide(qber, config.abort_threshold) == "abort":
+    if qber > config.abort_threshold:  # the threshold itself proceeds
         return abort("qber_above_threshold", qber)
     if len(rem_alice) == 0:
         return abort("nothing_left_after_sampling", qber)

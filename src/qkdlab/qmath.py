@@ -98,15 +98,13 @@ def physical_spectrum(m: np.ndarray):
     return np.where(np.arange(dim) < kept, w + zeroed / kept, 0.0), v
 
 
-def nearest_physical(m: np.ndarray) -> np.ndarray:
-    """Project a Hermitian matrix, scaled to unit trace, onto the physical states.
+def nearest_physical(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The density matrix of the spectrum ``(w, v)`` that ``physical_spectrum(m)``
+    returns: the physical state nearest ``m`` scaled to unit trace.
 
-    The density matrix ``v diag(w) v^dagger``, made exactly Hermitian, of
-    ``physical_spectrum(m)``.  A PSD matrix passes through unchanged (up to
-    the trace scaling).  Raises as ``physical_spectrum`` does; works on a
-    stack.
+    It is ``v diag(w) v^dagger``, made exactly Hermitian; a PSD ``m`` comes
+    back unchanged (up to the trace scaling).  Works on a stack.
     """
-    w, v = physical_spectrum(m)
     rho = (v * w[..., None, :]) @ dagger(v)
     return (rho + dagger(rho)) / 2.0
 

@@ -41,6 +41,10 @@ class ReconstructionError(ValueError):
     """Raised when a counts vector cannot be turned into a physical state."""
 
 
+# Pi_k, the two-photon projector of each schedule setting.
+_PROJECTORS = np.array([qmath.tensor(projector(a), projector(b)) for a, b in TOMO_SCHEDULE])
+
+
 def _inversion_operators() -> np.ndarray:
     """M[k] with rho = sum_k p_k M[k] for the normalised counts p_k.
 
@@ -48,8 +52,7 @@ def _inversion_operators() -> np.ndarray:
     G_m = (sigma_i x sigma_j)/2 is invertible for the fixed schedule, so
     M[k] = sum_m (B^-1)[m, k] G_m."""
     basis = np.array([qmath.tensor(p, q) / 2.0 for p in _PAULIS for q in _PAULIS])
-    projs = [qmath.tensor(projector(a), projector(b)) for a, b in TOMO_SCHEDULE]
-    b_mat = np.array([[np.trace(pk @ gm).real for gm in basis] for pk in projs])
+    b_mat = np.array([[np.trace(pk @ gm).real for gm in basis] for pk in _PROJECTORS])
     return np.tensordot(np.linalg.inv(b_mat), basis, axes=(0, 0))
 
 
@@ -92,10 +95,7 @@ def _physical_spectrum(counts: np.ndarray):
 
 def expected_probs(s: TwoQubitState) -> np.ndarray:
     """Transmission probability Tr[rho Pi_k] for every schedule setting."""
-    return np.array([
-        np.trace(s.rho @ qmath.tensor(projector(a), projector(b))).real
-        for a, b in TOMO_SCHEDULE
-    ])
+    return np.array([np.trace(s.rho @ pk).real for pk in _PROJECTORS])
 
 
 def simulate_counts(s: TwoQubitState, n_per_setting: float, rng) -> np.ndarray:
@@ -114,12 +114,7 @@ def reconstruct(counts) -> TwoQubitState:
     is projected onto the nearest physical state.  Exact expected counts
     reproduce the input state to floating-point accuracy.
     """
-    rho_lin = _linear_inversion(_checked_counts(counts))
-    try:
-        rho = qmath.nearest_physical(rho_lin)
-    except ValueError as exc:
-        raise ReconstructionError(str(exc)) from exc
-    return TwoQubitState(rho)
+    return TwoQubitState(qmath.nearest_physical(*_physical_spectrum(_checked_counts(counts))))
 
 
 _SIGMA_YY = np.kron(np.array([[0, -1j], [1j, 0]]), np.array([[0, -1j], [1j, 0]])).real
@@ -160,32 +155,6 @@ def _target_ket(target_ket) -> np.ndarray:
     return t
 
 
-def _point_metrics(s: TwoQubitState, target_ket=None) -> np.ndarray:
-    w, v = qmath.herm_eig(s.rho)
-    return _spectral_metrics(np.clip(w, 0.0, None), v, _target_ket(target_ket))
-
-
-def tangle(s: TwoQubitState) -> float:
-    """Squared Wootters concurrence: 0 separable, 1 maximally entangled."""
-    return float(_point_metrics(s)[0])
-
-
-def von_neumann(s: TwoQubitState) -> float:
-    """-Tr(rho log2 rho), with 0 log 0 = 0."""
-    return float(_point_metrics(s)[1])
-
-
-def linear_entropy(s: TwoQubitState) -> float:
-    """(4/3)(1 - Tr rho^2): 0 pure, 2/3 two-state mixture, 1 maximally mixed."""
-    return float(_point_metrics(s)[2])
-
-
-def fidelity(s: TwoQubitState, target_ket: np.ndarray | None = None) -> float:
-    """<t|rho|t> against a pure target (default: the entangled source state);
-    a target that is not a unit-norm length-4 vector raises ValueError."""
-    return float(_point_metrics(s, target_ket)[3])
-
-
 @dataclass
 class StateMetrics:
     """Point metrics with bootstrap spreads (sigmas are zero outside bootstrap)."""
@@ -202,9 +171,20 @@ class StateMetrics:
 
 
 def state_metrics(s: TwoQubitState, target_ket: np.ndarray | None = None) -> StateMetrics:
-    """Raw (unclamped) metrics of a single state; the target is checked as
-    in ``fidelity``."""
-    return StateMetrics(*map(float, _point_metrics(s, target_ket)))
+    """Raw (unclamped) metrics of a single state, sigmas zero:
+
+    - ``tangle``: the squared Wootters concurrence, 0 separable, 1 maximally
+      entangled;
+    - ``von_neumann``: -Tr(rho log2 rho) in bits, with 0 log 0 = 0;
+    - ``linear_entropy``: (4/3)(1 - Tr rho^2), 0 pure, 2/3 a two-state
+      mixture, 1 maximally mixed;
+    - ``fidelity``: <t|rho|t> against a pure target ``target_ket`` (default:
+      the entangled source state); a target that is not a unit-norm length-4
+      vector raises ValueError.
+    """
+    w, v = qmath.herm_eig(s.rho)
+    return StateMetrics(*map(float, _spectral_metrics(np.clip(w, 0.0, None), v,
+                                                      _target_ket(target_ket))))
 
 
 def _replica_metrics(counts: np.ndarray, replicas: int, seed: int) -> np.ndarray:
@@ -261,10 +241,14 @@ class TomographyRun:
 
 
 def run_tomography(counts, replicas: int = 200, seed: int = 0) -> TomographyRun:
-    """Reconstruct a counts vector and bootstrap its metric uncertainties."""
-    counts = np.asarray(counts, dtype=float)
-    rho_hat = reconstruct(counts)
-    point = _spectral_metrics(*_physical_spectrum(counts), bell_phi_plus_ket())
+    """Reconstruct a counts vector and bootstrap its metric uncertainties.
+
+    The state and its point metrics come from one SGS spectrum, so
+    ``rho_hat`` equals ``reconstruct(counts)`` bit for bit."""
+    counts = _checked_counts(counts)
+    w, v = _physical_spectrum(counts)
+    rho_hat = TwoQubitState(qmath.nearest_physical(w, v))
+    point = _spectral_metrics(w, v, bell_phi_plus_ket())
     boot = bootstrap_metrics(counts, replicas=replicas, seed=seed)
     metrics = replace(boot, tangle=float(point[0]), von_neumann=float(point[1]),
                       linear_entropy=float(point[2]), fidelity=float(point[3]))

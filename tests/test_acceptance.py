@@ -18,9 +18,8 @@ from qkdlab.optics import MeasBasis
 from qkdlab.protocol import SessionConfig, run_session
 from qkdlab.states import (EveConfig, QuartzPlate, add_white_noise, bell_phi_plus,
                            dephase_bob, plate_gamma)
-from qkdlab.tomography import (CHSH_CANONICAL_ANGLES, chsh, expected_probs,
-                               fidelity, linear_entropy, reconstruct,
-                               simulate_counts, tangle, von_neumann)
+from qkdlab.tomography import (CHSH_CANONICAL_ANGLES, chsh, expected_probs, reconstruct,
+                               simulate_counts, state_metrics)
 
 from conftest import binomial_sigma, intercept_branches, session_with_trials
 
@@ -106,16 +105,16 @@ def test_criterion_5_tomography_round_trip_and_finite_stats():
     rho_hat = reconstruct(1e6 * expected_probs(bell_phi_plus()))
     frob = np.linalg.norm(rho_hat.rho - BELL_MATRIX)
     assert frob < 1e-8
-    metrics = (tangle(rho_hat), von_neumann(rho_hat), linear_entropy(rho_hat),
-               fidelity(rho_hat))
+    m = state_metrics(rho_hat)
+    metrics = (m.tangle, m.von_neumann, m.linear_entropy, m.fidelity)
     assert metrics == pytest.approx((1.0, 0.0, 0.0, 1.0), abs=1e-6)
 
     # exact expected counts: full Eve along HV
     mixture = dephase_bob(bell_phi_plus(), 0.0, 1.0)
     rho_hat2 = reconstruct(1e6 * expected_probs(mixture))
     assert np.linalg.norm(rho_hat2.rho - HV_MIXTURE_MATRIX) < 1e-8
-    metrics2 = (tangle(rho_hat2), von_neumann(rho_hat2), linear_entropy(rho_hat2),
-                fidelity(rho_hat2))
+    m2 = state_metrics(rho_hat2)
+    metrics2 = (m2.tangle, m2.von_neumann, m2.linear_entropy, m2.fidelity)
     assert metrics2 == pytest.approx((0.0, 1.0, 2.0 / 3.0, 0.5), abs=1e-6)
 
     # finite statistics with an imperfect source
@@ -123,7 +122,8 @@ def test_criterion_5_tomography_round_trip_and_finite_stats():
     noisy = add_white_noise(bell_phi_plus(), 0.04)
     counts = simulate_counts(noisy, 1e4, rng)
     rho_fin = reconstruct(counts)
-    t_fin, f_fin = tangle(rho_fin), fidelity(rho_fin)
+    m_fin = state_metrics(rho_fin)
+    t_fin, f_fin = m_fin.tangle, m_fin.fidelity
     assert 0.85 <= t_fin <= 1.0
     assert 0.93 <= f_fin <= 1.0
     print(f"criterion 5: PASS - exact round trips (Frobenius {frob:.2e}); "
@@ -134,13 +134,14 @@ def test_criterion_6_partial_eve_plate():
     plate = QuartzPlate(thickness_mm=1.0)  # the partial-Eve preset plate
     gamma = plate_gamma(plate)
     dephased = dephase_bob(bell_phi_plus(), plate.axis_angle_deg, gamma)
-    assert tangle(dephased) == pytest.approx((1.0 - gamma) ** 2, abs=1e-9)
+    assert state_metrics(dephased).tangle == pytest.approx((1.0 - gamma) ** 2, abs=1e-9)
 
     rng = np.random.default_rng(27)
     noisy = dephase_bob(add_white_noise(bell_phi_plus(), 0.04),
                         plate.axis_angle_deg, gamma)
     rho_hat = reconstruct(simulate_counts(noisy, 1e4, rng))
-    t_hat, s_hat = tangle(rho_hat), von_neumann(rho_hat)
+    m_hat = state_metrics(rho_hat)
+    t_hat, s_hat = m_hat.tangle, m_hat.von_neumann
     assert 0.5 <= t_hat <= 0.85
     assert 0.2 <= s_hat <= 0.7
     print(f"criterion 6: PASS - gamma {gamma:.4f}, exact tangle "
@@ -197,7 +198,7 @@ def test_criterion_9_end_to_end_key_and_one_time_pad():
     cipher = otp.encrypt(message, t.final_key)
     recovered = otp.decrypt(cipher, t.final_key)
     assert recovered.tolist() == message.tolist()
-    assert otp.bits_to_text(recovered).startswith("entangled photons")
+    assert np.packbits(recovered).tobytes().decode("utf-8").startswith("entangled photons")
     print(f"criterion 9: PASS - QBER {qber:.4f}, final key {len(t.final_key)} "
           f"bits, 64-byte pad round trip exact")
 

@@ -92,6 +92,56 @@ def test_session_csv_golden(tmp_path, preset, code, records_sha):
     assert hashlib.sha256(tree["records.csv"]).hexdigest() == records_sha
 
 
+# Frozen figures: every metrics.json field and every density_matrix.json
+# entry (row-major, [re, im] per entry) of two tomo presets.
+TOMO_GOLDEN = {
+    "tomo_no_eve": (
+        {"clamp_events": 0, "fidelity": 0.9602120701615303,
+         "fidelity_sigma": 0.011482494711947315, "linear_entropy": 0.10251547570234099,
+         "linear_entropy_sigma": 0.02833366350363179, "tangle": 0.8506628674882832,
+         "tangle_sigma": 0.042291581793766415, "total_estimate": 10091.0,
+         "von_neumann": 0.27947038770852334, "von_neumann_sigma": 0.06490797117764248},
+        [0.49162620156575176, 0.0, 0.0006441383410960615,
+         4.954910316112685e-05, 0.008869289465860741, -0.007680110989990994,
+         0.47032008720642177, -0.006391834307798912, 0.0006441383410960615,
+         -4.954910316112685e-05, 0.010504409870181346, 0.0,
+         -0.0030224952928351017, -0.0003963928252901636, -0.005846794173025485,
+         0.0043603210781885645, 0.008869289465860741, 0.007680110989990994,
+         -0.0030224952928351017, 0.0003963928252901636, 0.009711624219601618,
+         0.0, -0.002180160539094138, -0.0031711426023189556,
+         0.47032008720642177, 0.006391834307798912, -0.005846794173025485,
+         -0.0043603210781885645, -0.002180160539094138, 0.0031711426023189556,
+         0.48815776434446534, 0.0]),
+    "tomo_partial_eve": (
+        {"clamp_events": 0, "fidelity": 0.87465524034673,
+         "fidelity_sigma": 0.01206320397835182, "linear_entropy": 0.2965970570159935,
+         "linear_entropy_sigma": 0.025091463036155764, "tangle": 0.5628752446932271,
+         "tangle_sigma": 0.03609984164649658, "total_estimate": 10152.0,
+         "von_neumann": 0.6281730235988708, "von_neumann_sigma": 0.040848351277192996},
+        [0.4867021276595745, 0.0, -0.008323483057525498,
+         -0.006156422379826667, 0.0021178092986604046, -0.0031028368794325557,
+         0.38352048857368054, 0.004777383766745627, -0.008323483057525498,
+         0.006156422379826667, 0.008471237194641433, 0.0,
+         -0.004087864460204864, -0.002216312056737763, -0.008618991331757012,
+         0.00034475965327035625, 0.0021178092986604046, 0.0031028368794325557,
+         -0.004087864460204864, 0.002216312056737763, 0.009259259259259255,
+         0.0, 0.009308510638297905, 0.007042947202521606,
+         0.38352048857368054, -0.004777383766745627, -0.008618991331757012,
+         -0.00034475965327035625, 0.009308510638297905, -0.007042947202521606,
+         0.4955673758865249, 0.0]),
+}
+
+
+@pytest.mark.parametrize("preset", sorted(TOMO_GOLDEN))
+def test_tomo_outputs_golden(tmp_path, preset):
+    cfg = os.path.join(CONFIG_DIR, preset + ".json")
+    assert main(["tomo", "--config", cfg, "--out", str(tmp_path)]) == 0
+    metrics, rho = TOMO_GOLDEN[preset]
+    assert json.loads((tmp_path / "metrics.json").read_text()) == pytest.approx(metrics, rel=1e-9)
+    written = json.loads((tmp_path / "density_matrix.json").read_text())["rho"]
+    assert np.ravel(written).tolist() == pytest.approx(rho, rel=1e-9)
+
+
 def test_shorter_session_records_are_a_prefix(tmp_path):
     # 70 000 intervals end inside the second block of 65 536
     trees = []
@@ -260,6 +310,11 @@ def test_tomo_counts_file_repeated_setting_rejected(tmp_path, capsys):
     ("tomo", {"replicas": 1}),
     ("tomo", {"counts_file": "malformed.csv"}),
     ("bell", {"angles": [0.0, 45.0, 22.5]}),
+    # a plate's axis would be ignored by an Eve who picks her basis per trial
+    ("tomo", {"eve": {"mode": "dephasing", "basis_policy": "random_per_trial"},
+              "plate": {"thickness_mm": 1.0}}),
+    ("session", {"eve": {"mode": "dephasing", "basis_policy": "random_per_trial"},
+                 "plate": {"thickness_mm": 1.0}}),
 ])
 def test_failed_run_leaves_no_output_directory(tmp_path, monkeypatch, capsys, kind, body):
     monkeypatch.chdir(tmp_path)
@@ -372,7 +427,7 @@ def test_otp_roundtrip_text(capsys):
     cipher_hex = capsys.readouterr().out.strip()
     assert main(["otp", "decrypt", "--hex", cipher_hex, "--key-hex", key_hex]) == 0
     plain_hex = capsys.readouterr().out.strip()
-    assert otp.bits_to_text(otp.hex_to_bits(plain_hex)) == "QKD"
+    assert np.packbits(otp.hex_to_bits(plain_hex)).tobytes().decode("utf-8") == "QKD"
 
 
 def test_otp_key_file_with_offset(tmp_path, capsys):
@@ -396,7 +451,7 @@ def test_session_transcript_is_an_otp_key_file(tmp_path, capsys):
     cipher_hex = capsys.readouterr().out.strip()
     assert main(["otp", "decrypt", "--hex", cipher_hex, "--key-file", key_file]) == 0
     plain_hex = capsys.readouterr().out.strip()
-    assert otp.bits_to_text(otp.hex_to_bits(plain_hex)) == "QKD"
+    assert np.packbits(otp.hex_to_bits(plain_hex)).tobytes().decode("utf-8") == "QKD"
 
 
 def test_otp_key_file_must_hold_a_key(tmp_path, capsys):

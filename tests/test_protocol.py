@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import os
@@ -9,7 +10,7 @@ import pytest
 from qkdlab.cli import load_config
 from qkdlab.detection import DetectorConfig, Trials
 from qkdlab.optics import MeasBasis
-from qkdlab.protocol import (TAG_BITS, SessionConfig, decide, estimate_qber, h2,
+from qkdlab.protocol import (TAG_BITS, SessionConfig, estimate_qber, h2,
                              privacy_amplify, reconcile, run_session, sift,
                              transcript_summary)
 from qkdlab.states import EveConfig
@@ -105,10 +106,18 @@ def test_estimate_qber_empty_rejected(rng):
         estimate_qber(np.zeros(0, np.uint8), np.zeros(0, np.uint8), 0.2, rng)
 
 
-def test_decide_thresholds():
-    assert decide(0.08, 0.11) == "proceed"
-    assert decide(0.25, 0.11) == "abort"
-    assert decide(0.11, 0.11) == "proceed"  # boundary is inclusive
+def test_session_aborts_only_above_the_threshold():
+    # the boundary is inclusive: a QBER estimate equal to the threshold proceeds
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                        "session_no_eve_imperfect.json")
+    cfg = load_config(path, "session")["session"]
+    q = run_session(cfg).qber_estimate
+    assert 0.0 < q < cfg.abort_threshold
+    at = run_session(dataclasses.replace(cfg, abort_threshold=q))
+    assert not at.aborted and at.qber_estimate == q
+    below = run_session(dataclasses.replace(cfg, abort_threshold=np.nextafter(q, 0)))
+    assert below.aborted and below.abort_reason == "qber_above_threshold"
+    assert below.qber_estimate == q and len(below.final_key) == 0
 
 
 def test_h2_properties():

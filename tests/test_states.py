@@ -166,8 +166,8 @@ def test_plate_gamma_partial_plate():
     assert gamma == pytest.approx(expected_gamma, abs=1e-15)
     assert gamma == pytest.approx(0.205, abs=0.002)
     # entanglement left in the partially decohered pair
-    from qkdlab.tomography import tangle
-    remaining = tangle(dephase_bob(bell_phi_plus(), plate.axis_angle_deg, gamma))
+    from qkdlab.tomography import state_metrics
+    remaining = state_metrics(dephase_bob(bell_phi_plus(), plate.axis_angle_deg, gamma)).tangle
     assert remaining == pytest.approx((1.0 - gamma) ** 2, abs=1e-9)
     assert 0.5 < remaining < 0.85
 

@@ -11,11 +11,9 @@ from qkdlab.states import (EveConfig, TwoQubitState, add_white_noise, bell_phi_p
 from qkdlab import qmath
 from qkdlab.tomography import (_BLOCK, _SIGMA_YY, CHSH_CANONICAL_ANGLES, TOMO_SCHEDULE,
                                ReconstructionError, _replica_metrics, _spectral_metrics,
-                               bootstrap_metrics, chsh,
-                               correlator, expected_probs, fidelity,
-                               linear_entropy, reconstruct, run_tomography,
-                               simulate_counts, state_metrics, tangle,
-                               von_neumann)
+                               bootstrap_metrics, chsh, correlator, expected_probs,
+                               reconstruct, run_tomography, simulate_counts,
+                               state_metrics)
 
 from conftest import assert_close, random_density
 
@@ -100,24 +98,21 @@ def test_reconstruct_degenerate_counts_give_physical_state():
     assert np.trace(rho_hat.rho).real == pytest.approx(1.0, abs=1e-10)
 
 
+def _point(s):
+    """(tangle, von Neumann entropy, linear entropy, fidelity) of a state."""
+    return dataclasses.astuple(state_metrics(s))[:4]
+
+
 def test_metrics_bell():
-    s = bell_phi_plus()
-    assert tangle(s) == pytest.approx(1.0, abs=1e-9)
-    assert von_neumann(s) == pytest.approx(0.0, abs=1e-9)
-    assert linear_entropy(s) == pytest.approx(0.0, abs=1e-9)
-    assert fidelity(s) == pytest.approx(1.0, abs=1e-9)
+    assert _point(bell_phi_plus()) == pytest.approx((1.0, 0.0, 0.0, 1.0), abs=1e-9)
 
 
 def test_metrics_hv_mixture():
-    s = HV_MIXTURE
-    assert tangle(s) == pytest.approx(0.0, abs=1e-9)
-    assert von_neumann(s) == pytest.approx(1.0, abs=1e-9)
-    assert linear_entropy(s) == pytest.approx(2.0 / 3.0, abs=1e-9)
-    assert fidelity(s) == pytest.approx(0.5, abs=1e-9)
+    assert _point(HV_MIXTURE) == pytest.approx((0.0, 1.0, 2.0 / 3.0, 0.5), abs=1e-9)
 
 
 def test_linear_entropy_maximally_mixed():
-    assert linear_entropy(MAXIMALLY_MIXED) == pytest.approx(1.0, abs=1e-12)
+    assert state_metrics(MAXIMALLY_MIXED).linear_entropy == pytest.approx(1.0, abs=1e-12)
 
 
 def test_tangle_closed_form_under_dephasing():
@@ -126,9 +121,11 @@ def test_tangle_closed_form_under_dephasing():
         s = dephase_bob(bell_phi_plus(), 0.0, gamma)
         rho = s.rho
         oracle_c = 2.0 * max(0.0, abs(rho[0, 3]) - np.sqrt(rho[1, 1].real * rho[2, 2].real))
-        assert tangle(s) == pytest.approx(oracle_c ** 2, abs=1e-12)
-        assert tangle(s) == pytest.approx((1.0 - gamma) ** 2, abs=1e-9)
-    assert tangle(dephase_bob(bell_phi_plus(), 0.0, 0.5)) == pytest.approx(0.25, abs=1e-9)
+        tangle = state_metrics(s).tangle
+        assert tangle == pytest.approx(oracle_c ** 2, abs=1e-12)
+        assert tangle == pytest.approx((1.0 - gamma) ** 2, abs=1e-9)
+    assert state_metrics(dephase_bob(bell_phi_plus(), 0.0, 0.5)).tangle == \
+        pytest.approx(0.25, abs=1e-9)
 
 
 def _random_unitary(rng, dim):
@@ -175,21 +172,21 @@ def test_fidelity_target_must_be_a_unit_ket():
     s = bell_phi_plus()
     for bad in ([1, 0, 0, 1], [1, 0]):
         with pytest.raises(ValueError, match="unit-norm"):
-            fidelity(s, bad)
-        with pytest.raises(ValueError, match="unit-norm"):
             state_metrics(s, bad)
-    assert fidelity(s, np.array([1, 0, 0, 1]) / np.sqrt(2)) == pytest.approx(1.0, abs=1e-12)
+    assert state_metrics(s, np.array([1, 0, 0, 1]) / np.sqrt(2)).fidelity == \
+        pytest.approx(1.0, abs=1e-12)
     # a pure state's entropy is +0.0, not -0.0
     hh = np.diag([1.0, 0.0, 0.0, 0.0])
-    for entropy in (von_neumann(TwoQubitState(hh.astype(complex))),
+    for entropy in (state_metrics(TwoQubitState(hh.astype(complex))).von_neumann,
                     _spectral_metrics(np.diag(hh), np.eye(4), bell_phi_plus_ket())[1]):
         assert entropy == 0.0 and np.copysign(1.0, entropy) == 1.0
 
 
 def test_entropies_monotone_in_dephasing_strength():
     gammas = [0.0, 0.25, 0.5, 0.75, 1.0]
-    vn = [von_neumann(dephase_bob(bell_phi_plus(), 0.0, g)) for g in gammas]
-    lin = [linear_entropy(dephase_bob(bell_phi_plus(), 0.0, g)) for g in gammas]
+    metrics = [state_metrics(dephase_bob(bell_phi_plus(), 0.0, g)) for g in gammas]
+    vn = [m.von_neumann for m in metrics]
+    lin = [m.linear_entropy for m in metrics]
     assert all(b >= a - 1e-12 for a, b in zip(vn, vn[1:]))
     assert all(b >= a - 1e-12 for a, b in zip(lin, lin[1:]))
 
@@ -248,8 +245,7 @@ def test_bootstrap_blocks_match_single_state_path():
     for k in (0, _BLOCK - 1, _BLOCK, 2 * _BLOCK - 1, 2 * _BLOCK, replicas - 1):
         rng = np.random.default_rng(np.random.SeedSequence(11, spawn_key=(k // _BLOCK,)))
         rho = reconstruct(rng.poisson(counts, size=(_BLOCK, 16))[k % _BLOCK])
-        expected = (tangle(rho), von_neumann(rho), linear_entropy(rho), fidelity(rho))
-        assert_close(rows[k], expected, tol=1e-9)
+        assert_close(rows[k], _point(rho), tol=1e-9)
 
 
 def test_bootstrap_replica_does_not_depend_on_replica_count():
@@ -266,11 +262,11 @@ def test_bootstrap_replica_zero_does_not_replay_the_counts_stream():
     # the same seed: replica 0's resampling noise must not repeat the counts'
     # own noise, which would make it a copy of the counts' deviation
     state = add_white_noise(bell_phi_plus(), 0.04)
-    truth = fidelity(state)
+    truth = state_metrics(state).fidelity
     replica_noise, counts_noise = [], []
     for seed in range(200):
         counts = simulate_counts(state, 10000, np.random.default_rng(seed))
-        point = fidelity(reconstruct(counts))
+        point = state_metrics(reconstruct(counts)).fidelity
         replica_noise.append(_replica_metrics(counts.astype(float), 1, seed)[0, 3] - point)
         counts_noise.append(point - truth)
     assert abs(np.corrcoef(replica_noise, counts_noise)[0, 1]) < 0.25
@@ -284,10 +280,10 @@ def test_reconstruct_bias_is_that_of_the_sgs_projection():
     # truth 0.9700 / 0.8836 / 0.2419 bits.  Each bound lies midway between
     # the two rules, about 4 s.e. of a 200-seed mean from either.
     state = add_white_noise(bell_phi_plus(), 0.04)
-    values = np.array([
-        [fidelity(rho), tangle(rho), von_neumann(rho)]
-        for rho in (reconstruct(simulate_counts(state, 10000, np.random.default_rng(seed)))
-                    for seed in range(200))])
+    metrics = [state_metrics(reconstruct(simulate_counts(state, 10000,
+                                                         np.random.default_rng(seed))))
+               for seed in range(200)]
+    values = np.array([[m.fidelity, m.tangle, m.von_neumann] for m in metrics])
     mean_fidelity, mean_tangle, mean_entropy = values.mean(axis=0)
     assert mean_fidelity == pytest.approx(0.9658, abs=0.0033)
     assert mean_tangle == pytest.approx(0.8728, abs=0.012)
@@ -317,7 +313,7 @@ def test_random_basis_eve_leaves_three_halves_bits():
     cfg = {"source_noise": 0.0,
            "eve": EveConfig(mode="dephasing", strength=1.0, basis_policy="random_per_trial")}
     state = _prepared_state(cfg)
-    assert von_neumann(state) == pytest.approx(1.5, abs=1e-9)
+    assert state_metrics(state).von_neumann == pytest.approx(1.5, abs=1e-9)
     assert correlator(state, 0.0, 22.5) == pytest.approx(np.sqrt(2) / 4, abs=1e-12)
 
 
@@ -331,6 +327,32 @@ def test_run_tomography_composition():
     assert run.total_estimate == pytest.approx(1e6, rel=1e-12)
     assert run.metrics.tangle == pytest.approx(1.0, abs=1e-6)
     assert run.metrics.tangle_sigma < 0.01
+
+
+def test_run_tomography_builds_one_spectrum_per_stack(monkeypatch):
+    # one SGS spectrum serves the state and the point metrics; each
+    # bootstrap block adds one for its stack of replicas
+    shapes = []
+    spectrum = qmath.physical_spectrum
+
+    def counted(m):
+        shapes.append(m.shape)
+        return spectrum(m)
+
+    monkeypatch.setattr(qmath, "physical_spectrum", counted)
+    counts = simulate_counts(add_white_noise(bell_phi_plus(), 0.04), 10000,
+                             np.random.default_rng(3))
+    run_tomography(counts, replicas=2 * _BLOCK + 3, seed=3)
+    assert shapes == [(4, 4), (_BLOCK, 4, 4), (_BLOCK, 4, 4), (3, 4, 4)]
+
+
+def test_run_tomography_state_is_reconstruct_bit_for_bit():
+    # rank-deficient truth: the SGS projection zeroes eigenvalues in most seeds
+    state = dephase_bob(bell_phi_plus(), 0.0, 1.0)
+    for seed in range(5):
+        counts = simulate_counts(state, 2000, np.random.default_rng(seed))
+        run = run_tomography(counts, replicas=2, seed=seed)
+        assert np.array_equal(run.rho_hat.rho, reconstruct(counts).rho)
 
 
 def test_chsh_bell_canonical_angles():

@@ -141,7 +141,7 @@ class Rates:
 def expected_rates(s: TwoQubitState, detector: DetectorConfig, eve: EveConfig) -> Rates:
     """The :class:`Rates` of a dwell interval; the sampler draws from them.
 
-    Cached, because a session asks once per block with the same arguments.
+    Cached, because a session asks once per tile with the same arguments.
     """
     lam = detector.pair_rate * detector.dwell
     mu = detector.dark_rate * detector.dwell
@@ -178,12 +178,15 @@ def simulate_dwell_stream(s: TwoQubitState, config: DetectorConfig, n_intervals:
 
     Interval ``i`` takes the generator's ``i``-th 64-bit word (the ``i``-th
     pair of words while Eve is present), so the first ``k`` rows of a
-    stream do not depend on its length.  Bits 0 and 1 of the first word
-    pick Alice's and Bob's bases, and its top 53 bits are the uniform that
-    takes the outcome of :func:`expected_rates` it falls in: one pair with
-    bits from the joint outcome tables, dark counts only with random bits,
-    or not kept.  The second word decides, the same way, whether Eve acts,
-    and its bit 0 picks her basis under ``random_per_trial``.
+    stream do not depend on its length, and a stream simulated in pieces
+    from one generator equals the stream simulated at once: a session
+    draws each seeding block of :data:`BLOCK_INTERVALS` this way, in tiles
+    of :data:`TILE_INTERVALS`.  Bits 0 and 1 of the first word pick Alice's
+    and Bob's bases, and its top 53 bits are the uniform that takes the
+    outcome of :func:`expected_rates` it falls in: one pair with bits from
+    the joint outcome tables, dark counts only with random bits, or not
+    kept.  The second word decides, the same way, whether Eve acts, and its
+    bit 0 picks her basis under ``random_per_trial``.
     """
     if n_intervals < 1:
         raise ValueError("n_intervals must be >= 1")
@@ -221,9 +224,15 @@ def simulate_dwell_stream(s: TwoQubitState, config: DetectorConfig, n_intervals:
 CSV_COLUMNS = ("trial_index", "alice_basis", "bob_basis", "eve_basis",
                "alice_bit", "bob_bit", "kept")
 
-# Intervals per block: a session simulates, sifts and writes its intervals
-# this many at a time, and the records.csv writer builds this many rows at once.
+# Intervals per block, the seeding unit: block b of a session draws from its
+# own generator, so an interval's record depends on the seed and its index alone.
 BLOCK_INTERVALS = 1 << 16
+
+# Intervals per tile, the working unit: a session simulates, sifts and writes
+# a block this many intervals at a time, and the records.csv writer builds this
+# many rows at once.  A divisor of BLOCK_INTERVALS, so only a session's last
+# tile can be short.
+TILE_INTERVALS = 1 << 12
 
 # Field texts of the values 0, 1 and -1 ("none") at index ``value & 3``;
 # -1 & 3 is 3, and 2 never occurs.
@@ -246,16 +255,16 @@ _DIGITS = np.frombuffer(b"0123456789", dtype=np.uint8)
 
 def records_to_csv(trials: Trials, fh, start: int = 0) -> None:
     """Write one row per dwell interval, numbered from ``start``, to the open
-    text file ``fh``; the header goes before row 0, so a session's blocks
+    text file ``fh``; the header goes before row 0, so a session's tiles
     written in order with their start indices make the whole file.
 
     Absent bases and bits are empty fields.  The six fields after the index
     pack two bits each (one for ``kept``) into an 11-bit code, so each row is
     its index plus one entry of a precomputed suffix table.  Rows are built
-    as bytes by numpy, ``BLOCK_INTERVALS`` at a time: a chunk splits into
-    runs of one decimal width ``w``, and a run is a byte matrix of ``w``
-    digit columns, then the run's table rows; dropping its zero bytes leaves
-    the rows' text in order.
+    as bytes by numpy, ``TILE_INTERVALS`` at a time, so a session's tile is
+    one chunk: a chunk splits into runs of one decimal width ``w``, and a
+    run is a byte matrix of ``w`` digit columns, then the run's table rows;
+    dropping its zero bytes leaves the rows' text in order.
     """
     code = np.zeros(len(trials), dtype=np.int16)
     for column in (trials.alice_basis, trials.bob_basis, trials.eve_basis,
@@ -267,8 +276,8 @@ def records_to_csv(trials: Trials, fh, start: int = 0) -> None:
     if start == 0:
         fh.write(",".join(CSV_COLUMNS) + "\n")
     end = start + len(code)
-    for first in range(start, end, BLOCK_INTERVALS):
-        index = np.arange(first, min(first + BLOCK_INTERVALS, end))
+    for first in range(start, end, TILE_INTERVALS):
+        index = np.arange(first, min(first + TILE_INTERVALS, end))
         codes = code[first - start:first - start + len(index)]
         lo, hi = len(str(first)), len(str(index[-1]))
         cuts = [10 ** w - first for w in range(lo, hi)]

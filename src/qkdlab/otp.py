@@ -13,15 +13,25 @@ import re
 
 import numpy as np
 
+_NOT_BITS = "bits must be a flat sequence of 0s and 1s"
+
 
 def as_bits(bits) -> np.ndarray:
-    """Coerce a bit sequence ('0101', [0,1,...] or array) to uint8 bits."""
+    """Coerce a bit sequence ('0101', [0,1,...] or array) to uint8 bits.
+
+    Every element must equal 0 or 1 exactly; anything else, such as 0.5, -1
+    or a character other than '0' and '1', raises ValueError rather than
+    being cast to a bit.
+    """
     if isinstance(bits, str):
+        if not set(bits) <= {"0", "1"}:
+            raise ValueError(_NOT_BITS)
         bits = [int(c) for c in bits]
-    arr = np.asarray(bits, dtype=np.uint8)
-    if arr.ndim != 1 or np.any(arr > 1):
-        raise ValueError("bits must be a flat sequence of 0s and 1s")
-    return arr
+    arr = np.asarray(bits)
+    if (arr.ndim != 1 or arr.dtype.kind not in "buif"
+            or not np.all((arr == 0) | (arr == 1))):
+        raise ValueError(_NOT_BITS)
+    return arr.astype(np.uint8, copy=False)
 
 
 def text_to_bits(text: str) -> np.ndarray:

@@ -7,7 +7,7 @@ abort decision, Cascade information reconciliation, and Toeplitz privacy
 amplification down to the final key, with a hash check that both parties
 hold the same string.  Every random draw comes from a generator spawned from
 the config's seed, so a transcript is a pure function of its config; the
-intervals are simulated in blocks and never held all at once.
+intervals are simulated in tiles and never held all at once.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .detection import BLOCK_INTERVALS, DetectorConfig, Trials, simulate_dwell_stream
+from .detection import (BLOCK_INTERVALS, TILE_INTERVALS, DetectorConfig, Trials,
+                        simulate_dwell_stream)
 from .states import EveConfig, add_white_noise, bell_phi_plus
 from . import otp
 
@@ -244,14 +245,17 @@ def privacy_amplify(key_bits, qber: float, leaked_bits: int, safety: int,
 def run_session(config: SessionConfig, sink=None) -> SessionTranscript:
     """Run a full key-distribution session from one seed.
 
-    The intervals are simulated in blocks of ``BLOCK_INTERVALS``.  Block
+    The block of ``BLOCK_INTERVALS`` intervals is the seeding unit: block
     ``b`` draws from its own generator, spawned from the seed with key
     ``(0, b)``, so an interval's record depends on the seed and its index
     alone, and a shorter session's records are a prefix of a longer one's.
-    Each block is passed to ``sink(start, trials)``, if given, where
-    ``start`` is its first interval's index; the session keeps only its
-    sifted bits and kept count.  Sifting's sample, Cascade and the hash
-    seeds draw from the generator with key ``(1,)``.
+    The tile of ``TILE_INTERVALS`` is the working unit: each block is
+    simulated, passed to ``sink(start, trials)``, if given, and sifted one
+    tile at a time, its tiles drawing in order from the block's generator,
+    and ``start`` is the tile's first interval's index.  The session keeps
+    only the sifted bits, one array per block, and the kept count per
+    block.  Sifting's sample, Cascade and the hash seeds draw from the
+    generator with key ``(1,)``.
 
     After Cascade, Alice and Bob compare a :data:`TAG_BITS`-bit Toeplitz
     hash of their reconciled strings, seeded by a value drawn after the
@@ -262,16 +266,22 @@ def run_session(config: SessionConfig, sink=None) -> SessionTranscript:
     state = add_white_noise(bell_phi_plus(), config.source_noise)
     n = config.n_intervals
     alice_parts, bob_parts, kept = [], [], []
-    for block, start in enumerate(range(0, n, BLOCK_INTERVALS)):
+    for block, first in enumerate(range(0, n, BLOCK_INTERVALS)):
         rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0, block)))
-        trials = simulate_dwell_stream(state, config.detector,
-                                       min(BLOCK_INTERVALS, n - start), config.eve, rng)
-        if sink is not None:
-            sink(start, trials)
-        alice, bob = sift(trials)
-        alice_parts.append(alice)
-        bob_parts.append(bob)
-        kept.append(np.count_nonzero(trials.kept))
+        end = min(first + BLOCK_INTERVALS, n)
+        alice_tiles, bob_tiles, block_kept = [], [], 0
+        for start in range(first, end, TILE_INTERVALS):
+            trials = simulate_dwell_stream(state, config.detector,
+                                           min(TILE_INTERVALS, end - start), config.eve, rng)
+            if sink is not None:
+                sink(start, trials)
+            alice, bob = sift(trials)
+            alice_tiles.append(alice)
+            bob_tiles.append(bob)
+            block_kept += np.count_nonzero(trials.kept)
+        alice_parts.append(np.concatenate(alice_tiles))
+        bob_parts.append(np.concatenate(bob_tiles))
+        kept.append(block_kept)
     sifted_alice, sifted_bob = np.concatenate(alice_parts), np.concatenate(bob_parts)
     kept_per_block = np.array(kept, dtype=np.int64)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(1,)))

@@ -40,10 +40,10 @@ def binomial_sigma(p, n):
 
 def session_with_trials(config):
     """``run_session(config)`` and every interval it simulated, joined from
-    the blocks it passed to its sink."""
-    blocks = []
-    transcript = run_session(config, sink=lambda start, trials: blocks.append(trials))
-    trials = Trials(**{f.name: np.concatenate([getattr(b, f.name) for b in blocks])
+    the tiles it passed to its sink."""
+    tiles = []
+    transcript = run_session(config, sink=lambda start, trials: tiles.append(trials))
+    trials = Trials(**{f.name: np.concatenate([getattr(t, f.name) for t in tiles])
                        for f in dataclasses.fields(Trials)})
     return transcript, trials
 

@@ -107,6 +107,23 @@ def _stream(seed=3, n=10000, dark=0.0, pair_rate=10.0, eve=None):
     return simulate_dwell_stream(bell_phi_plus(), config, n, eve or EveConfig(), rng)
 
 
+@pytest.mark.parametrize("eve", [EveConfig(), HALF_INTERCEPTION], ids=["absent", "intercept"])
+def test_stream_in_pieces_equals_one_stream(eve):
+    # pieces straddle every tile boundary a session cuts; intercept-resend
+    # with random bases takes two words per interval
+    tile = detection.TILE_INTERVALS
+    sizes = [1, tile - 1, tile, tile + 1, 1000]
+    config = DetectorConfig(dwell=0.1, pair_rate=10.0, dark_rate=0.9)
+    whole_rng, rng = np.random.default_rng(17), np.random.default_rng(17)
+    whole = simulate_dwell_stream(bell_phi_plus(), config, sum(sizes), eve, whole_rng)
+    pieces = [simulate_dwell_stream(bell_phi_plus(), config, k, eve, rng) for k in sizes]
+    for f in dataclasses.fields(Trials):
+        joined = np.concatenate([getattr(piece, f.name) for piece in pieces])
+        assert np.array_equal(joined, getattr(whole, f.name)), f.name
+    # the pieces drew exactly the words of the whole stream
+    assert rng.bit_generator.state == whole_rng.bit_generator.state
+
+
 def test_stream_keep_fraction_matches_poisson():
     n = 10000
     trials = _stream(n=n)
@@ -446,7 +463,7 @@ def test_records_to_csv_across_every_decimal_width(monkeypatch):
         trials = Trials(*[np.where(f == 3, -1, f).astype(np.int8) for f in fields],
                         kept=(code & 1).astype(bool))
         # from 10**6 on, the second chunk starts at the first 7-digit index
-        monkeypatch.setattr(detection, "BLOCK_INTERVALS", 100 if w == 6 else 1 << 16)
+        monkeypatch.setattr(detection, "TILE_INTERVALS", 100 if w == 6 else 1 << 12)
         fh = io.StringIO()
         records_to_csv(trials, fh, start)
         want = ("".join(f"{i}{suffix[c]}" for i, c in zip(range(start, start + n),

@@ -86,3 +86,28 @@ def test_hex_encoding_roundtrip(rng):
 def test_as_bits_validation():
     with pytest.raises(ValueError):
         otp.as_bits([0, 2, 1])
+
+
+@pytest.mark.parametrize("bits", [
+    [0.5, 1.7], [1.0, 0.9], [-1], [0, 1, 256], [float("nan")], "01 1", "012", "0b1",
+    ["0", "1"], [[0, 1], [1, 0]], [1 + 0j]])
+def test_as_bits_rejects_anything_but_exact_zeros_and_ones(bits):
+    # fractions would truncate to bits, -1 and 256 would wrap to uint8
+    with pytest.raises(ValueError, match="^bits must be a flat sequence of 0s and 1s$"):
+        otp.as_bits(bits)
+
+
+def test_as_bits_accepts_exact_zeros_and_ones():
+    for bits in ("0110", [0, 1, 1, 0], [0.0, 1.0, 1.0, 0.0], [False, True, True, False],
+                 np.array([0, 1, 1, 0], dtype=np.int64)):
+        out = otp.as_bits(bits)
+        assert out.dtype == np.uint8 and out.tolist() == [0, 1, 1, 0]
+    assert otp.as_bits("").tolist() == otp.as_bits([]).tolist() == []
+
+
+def test_fractional_key_is_refused_not_truncated():
+    # truncated, [0.6, 0.2] would be the key 00 and leave the data in clear
+    with pytest.raises(ValueError, match="0s and 1s"):
+        otp.encrypt([1, 1], [0.6, 0.2])
+    with pytest.raises(ValueError, match="0s and 1s"):
+        otp.bits_to_hex([0.5, 1.0])

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import io
 import math
 import os
 import tracemalloc
@@ -8,12 +9,13 @@ import numpy as np
 import pytest
 
 from qkdlab.cli import load_config
-from qkdlab.detection import DetectorConfig, Trials
+from qkdlab.detection import (BLOCK_INTERVALS, TILE_INTERVALS, DetectorConfig, Trials,
+                              records_to_csv, simulate_dwell_stream)
 from qkdlab.optics import MeasBasis
 from qkdlab.protocol import (TAG_BITS, SessionConfig, estimate_qber, h2,
                              privacy_amplify, reconcile, run_session, sift,
                              transcript_summary)
-from qkdlab.states import EveConfig
+from qkdlab.states import EveConfig, add_white_noise, bell_phi_plus
 from qkdlab import otp
 
 from conftest import binomial_sigma, session_with_trials
@@ -395,8 +397,9 @@ def test_privacy_amplify_rounding_check_raises(monkeypatch):
 
 
 def test_privacy_amplify_rejects_non_bit_keys():
+    # [0.9] * 300 would otherwise hash an all-zero key
     for key in (np.full(64, 2, dtype=np.uint8), [0, 1, 3],
-                np.ones((8, 8), dtype=np.uint8)):
+                np.ones((8, 8), dtype=np.uint8), [0.9] * 300, [-1] * 64):
         with pytest.raises(ValueError, match="0s and 1s"):
             privacy_amplify(key, 0.0, 0, 0, rng_seed=1)
     with pytest.raises(ValueError, match="nonempty"):
@@ -468,6 +471,54 @@ def test_run_session_million_intervals_distils_a_key():
     t = run_session(config)
     assert not t.aborted
     assert len(t.final_key) > 0
+
+
+def test_session_tiles_write_the_whole_block_streams():
+    # one interval past the first block; intercept-resend with random bases
+    # takes two words per interval
+    eve = EveConfig(mode="intercept_resend", basis_policy="random_per_trial",
+                    intercept_fraction=0.5)
+    config = _session(seed=12, n=BLOCK_INTERVALS + 1, dark=0.9, eve=eve, threshold=0.2)
+    got, calls = io.StringIO(), []
+
+    def sink(start, trials):
+        calls.append((start, len(trials)))
+        records_to_csv(trials, got, start)
+
+    run_session(config, sink=sink)
+    # reference: each seeding block simulated as one stream
+    state = add_white_noise(bell_phi_plus(), config.source_noise)
+    want = io.StringIO()
+    for block, start in enumerate(range(0, config.n_intervals, BLOCK_INTERVALS)):
+        rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0, block)))
+        trials = simulate_dwell_stream(state, config.detector,
+                                       min(BLOCK_INTERVALS, config.n_intervals - start),
+                                       config.eve, rng)
+        records_to_csv(trials, want, start)
+    assert got.getvalue() == want.getvalue()
+    # the sink sees the session in order, one tile of at most TILE_INTERVALS
+    # at a time
+    starts, lengths = zip(*calls)
+    assert list(starts) == list(range(0, config.n_intervals, TILE_INTERVALS))
+    assert lengths[-1] == 1 and set(lengths[:-1]) == {TILE_INTERVALS}
+
+
+def test_intercept_session_working_set_is_one_tile():
+    # 2 blocks at QBER ~0.25 abort before Cascade: what stays live is the
+    # ~24k sifted bits per party and one tile's arrays
+    eve = EveConfig(mode="intercept_resend", basis_policy="random_per_trial",
+                    intercept_fraction=1.0)
+    config = _session(seed=7, n=2 * BLOCK_INTERVALS, eve=eve)
+    np.random.default_rng(0)   # numpy.random imports lazily; not traced
+    with open(os.devnull, "w", encoding="utf-8", newline="") as fh:
+        tracemalloc.start()
+        try:
+            t = run_session(config, sink=lambda start, trials: records_to_csv(trials, fh, start))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert t.abort_reason == "qber_above_threshold"
+    assert peak < 1.5e6, f"traced peak {peak / 1e6:.2f} MB"
 
 
 def _keygen(seed, n=10_000, **overrides):

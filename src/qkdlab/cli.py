@@ -337,7 +337,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, args.command, args.seed)
         handler = {"session": cmd_session, "tomo": cmd_tomo, "bell": cmd_bell}
         return handler[args.command](cfg, args.out)
-    except (ConfigError, ReconstructionError, ValueError, OSError) as exc:
+    except (ConfigError, ReconstructionError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

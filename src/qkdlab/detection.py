@@ -66,23 +66,32 @@ class Trials:
         return self.kept & (self.alice_basis == self.bob_basis)
 
 
-def _joint_projectors(a: MeasBasis, b: MeasBasis) -> list[np.ndarray]:
-    ap, am = a.projectors()
-    bp, bm = b.projectors()
-    # order matches joint_probs: (1,1), (1,0), (0,1), (0,0)
-    return [qmath.tensor(ap, bp), qmath.tensor(ap, bm),
-            qmath.tensor(am, bp), qmath.tensor(am, bm)]
+def _joint_projectors(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The joint projectors, shape (..., 4, 4, 4), of Alice's and Bob's
+    stacks of (plus, minus) projector pairs, shape (..., 2, 2, 2); the
+    outcomes are in the order (1,1), (1,0), (0,1), (0,0)."""
+    joint = qmath.tensor(a[..., :, None, :, :], b[..., None, :, :, :])
+    return joint.reshape(joint.shape[:-4] + (4, 4, 4))
 
 
 _BIT_PAIRS = ((1, 1), (1, 0), (0, 1), (0, 0))
 
+# The joint projectors of every (Alice basis, Bob basis) of BASES, shape (2, 2, 4, 4, 4).
+_BASIS_PROJECTORS = np.array([basis.projectors() for basis in BASES])
+_TABLE_PROJECTORS = _joint_projectors(_BASIS_PROJECTORS[:, None], _BASIS_PROJECTORS[None, :])
+
+
+def _outcome_probs(rhos: np.ndarray, projectors: np.ndarray) -> np.ndarray:
+    """Tr[rho P] of the broadcast stacks, clipped at zero and normalised over
+    the last axis, the four joint outcomes."""
+    probs = np.clip(np.trace(rhos @ projectors, axis1=-2, axis2=-1).real, 0.0, None)
+    return probs / probs.sum(axis=-1, keepdims=True)
+
 
 def joint_probs(s: TwoQubitState, a: MeasBasis, b: MeasBasis) -> np.ndarray:
     """Joint outcome probabilities (p11, p10, p01, p00) for one pair."""
-    rho = s.rho
-    probs = np.array([np.trace(rho @ proj).real for proj in _joint_projectors(a, b)])
-    probs = np.clip(probs, 0.0, None)
-    return probs / probs.sum()
+    return _outcome_probs(s.rho, _joint_projectors(np.array(a.projectors()),
+                                                   np.array(b.projectors())))
 
 
 def _cumulative_tables(states: list[TwoQubitState]) -> np.ndarray:
@@ -90,14 +99,11 @@ def _cumulative_tables(states: list[TwoQubitState]) -> np.ndarray:
 
     Shape ``(scenarios, 2, 2, 4)``, indexed by the scenario of
     :func:`~qkdlab.states.eve_scenarios` whose state is ``states[i]``,
-    Alice's basis and Bob's basis.
+    Alice's basis and Bob's basis; one stacked trace builds them all.
     """
-    tables = np.zeros((len(states), 2, 2, 4))
-    for i, state in enumerate(states):
-        for a, b in np.ndindex(2, 2):
-            cum = np.cumsum(joint_probs(state, BASES[a], BASES[b]))
-            tables[i, a, b] = cum / cum[-1]
-    return tables
+    rhos = np.array([state.rho for state in states])[:, None, None, None]
+    cum = np.cumsum(_outcome_probs(rhos, _TABLE_PROJECTORS), axis=-1)
+    return cum / cum[..., -1:]
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,11 +252,25 @@ _RECORD_SUFFIX = tuple(map("".join, itertools.product(
     (",0\n", ",1\n"))))
 
 
-# The suffixes' ASCII bytes, one row each, zero-padded to a fixed width; no
-# field text holds a NUL byte, so the zero padding is what a row drops.
-_RECORD_TABLE = np.array(_RECORD_SUFFIX, dtype=np.bytes_).view(np.uint8).reshape(
-    len(_RECORD_SUFFIX), -1)
-_DIGITS = np.frombuffer(b"0123456789", dtype=np.uint8)
+# The suffixes' ASCII bytes, one 16-byte item each, zero-padded to that
+# width; no field text holds a NUL byte, so the zero padding is what a row drops.
+_RECORD_ROWS = np.array(_RECORD_SUFFIX, dtype=np.bytes_)
+
+# An index is its quotient by this modulus, in decimal, then its low four
+# digits; the quotient is one constant over a run that crosses no multiple.
+_LOW_MODULUS = 10 ** 4
+
+
+def _low_digit_table() -> np.ndarray:
+    """The ASCII digits of 0000 to 9999, one four-byte item each."""
+    digits = np.frombuffer(b"0123456789", dtype=np.uint8)
+    table = np.empty((10,) * 4 + (4,), dtype=np.uint8)
+    for col in range(4):
+        table[..., col] = digits.reshape((10,) + (1,) * (3 - col))
+    return table.reshape(_LOW_MODULUS, 4).view("V4")[:, 0]
+
+
+_LOW_DIGITS = _low_digit_table()
 
 
 def records_to_csv(trials: Trials, fh, start: int = 0) -> None:
@@ -262,9 +282,13 @@ def records_to_csv(trials: Trials, fh, start: int = 0) -> None:
     pack two bits each (one for ``kept``) into an 11-bit code, so each row is
     its index plus one entry of a precomputed suffix table.  Rows are built
     as bytes by numpy, ``TILE_INTERVALS`` at a time, so a session's tile is
-    one chunk: a chunk splits into runs of one decimal width ``w``, and a
-    run is a byte matrix of ``w`` digit columns, then the run's table rows;
-    dropping its zero bytes leaves the rows' text in order.
+    one chunk.  A chunk splits at each multiple of 10**4 inside it into runs
+    of consecutive indices with one quotient by 10**4, and a run is one
+    record array: the quotient's digits broadcast (none for a zero
+    quotient), a slice of the table of low four digits (their leading
+    zeros set to NUL without a quotient) and the rows' suffixes, one
+    ``take`` of 16-byte items.  Dropping its zero bytes leaves the rows'
+    text in order.
     """
     code = np.zeros(len(trials), dtype=np.int16)
     for column in (trials.alice_basis, trials.bob_basis, trials.eve_basis,
@@ -277,15 +301,18 @@ def records_to_csv(trials: Trials, fh, start: int = 0) -> None:
         fh.write(",".join(CSV_COLUMNS) + "\n")
     end = start + len(code)
     for first in range(start, end, TILE_INTERVALS):
-        index = np.arange(first, min(first + TILE_INTERVALS, end))
-        codes = code[first - start:first - start + len(index)]
-        lo, hi = len(str(first)), len(str(index[-1]))
-        cuts = [10 ** w - first for w in range(lo, hi)]
-        for w, a, b in zip(range(lo, hi + 1), [0] + cuts, cuts + [len(index)]):
-            rows = np.empty((b - a, w + _RECORD_TABLE.shape[1]), dtype=np.uint8)
-            rest = index[a:b]
-            for col in range(w - 1, -1, -1):
-                rest, digit = np.divmod(rest, 10)
-                rows[:, col] = _DIGITS.take(digit)
-            rows[:, w:] = _RECORD_TABLE.take(codes[a:b], axis=0)
-            fh.write(rows[rows != 0].tobytes().decode("ascii"))
+        last = min(first + TILE_INTERVALS, end)
+        cuts = list(range((first // _LOW_MODULUS + 1) * _LOW_MODULUS, last, _LOW_MODULUS))
+        for a, b in zip([first] + cuts, cuts + [last]):
+            high, low = divmod(a, _LOW_MODULUS)
+            digits = str(high).encode("ascii") if high else b""
+            rows = np.empty(b - a, dtype=[("high", f"V{len(digits)}"), ("low", "V4"),
+                                          ("suffix", _RECORD_ROWS.dtype)])
+            rows["high"] = digits
+            rows["low"] = _LOW_DIGITS[low:low + b - a]
+            rows["suffix"] = _RECORD_ROWS.take(code[a - start:b - start])
+            raw = rows.view(np.uint8).reshape(b - a, -1)
+            if not high:   # the leading zeros of the indices below 1000 go
+                for col in range(3):
+                    raw[:max(10 ** (3 - col) - a, 0), col] = 0
+            fh.write(str(raw[raw != 0], "ascii"))   # decodes the buffer, no bytes copy

@@ -50,9 +50,13 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Tensor product with the fixed HH, HV, VH, VV layout.
 
     ``tensor(a, b)[2i+k, 2j+l] == a[i, j] * b[k, l]``: the first factor is
-    the first photon.
+    the first photon.  Those products, broadcast and reshaped, are
+    ``np.kron``'s bit for bit, without its per-call overhead.  Works on
+    stacks, broadcast over the leading axes.
     """
-    return np.kron(as_complex(a), as_complex(b))
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    t = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return t.reshape(t.shape[:-4] + (t.shape[-4] * t.shape[-3], t.shape[-2] * t.shape[-1]))
 
 
 def herm_eig(m: np.ndarray):

@@ -79,8 +79,14 @@ def _linear_inversion(counts: np.ndarray) -> np.ndarray:
     if np.any(flux <= 0):
         raise ReconstructionError("zero flux estimate: the HH/HV/VV/VH counts are empty")
     # einsum rounds a row the same alone or in a stack; BLAS need not, and a
-    # replica's metrics must not depend on the block it is drawn in.
-    return np.einsum("...k,kij->...ij", counts / flux, _INVERSION)
+    # replica's metrics must not depend on the block it is drawn in.  The
+    # counts are real, so the real and imaginary parts are two real sums,
+    # the complex sum's bit for bit.
+    p = counts / flux
+    rho = np.empty(p.shape[:-1] + _INVERSION.shape[1:], dtype=complex)
+    np.einsum("...k,kij->...ij", p, _INVERSION.real, out=rho.real)
+    np.einsum("...k,kij->...ij", p, _INVERSION.imag, out=rho.imag)
+    return rho
 
 
 def _physical_spectrum(counts: np.ndarray):
@@ -117,7 +123,17 @@ def reconstruct(counts) -> TwoQubitState:
     return TwoQubitState(qmath.nearest_physical(*_physical_spectrum(_checked_counts(counts))))
 
 
-_SIGMA_YY = np.kron(np.array([[0, -1j], [1j, 0]]), np.array([[0, -1j], [1j, 0]])).real
+# Column j of Y = sigma_y x sigma_y holds one nonzero entry, Y[3 - j, j].
+_YY_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])
+
+
+def _wootters_overlaps(v: np.ndarray) -> np.ndarray:
+    """V^dagger Y V* on a stack.  V^dagger Y is V^dagger's columns reversed
+    and signed, the matrix product's bit for bit, as each of its sums has
+    one nonzero term."""
+    return (qmath.dagger(v)[..., ::-1] * _YY_SIGNS) @ v.conj()
+
+
 # Tangle, von Neumann entropy in bits, linear entropy and fidelity of a
 # two-qubit state lie in [0, _METRIC_MAX]; bootstrap values are clamped to
 # that range.
@@ -133,10 +149,12 @@ def _spectral_metrics(w: np.ndarray, v: np.ndarray, target: np.ndarray) -> np.nd
     s4) over the descending singular values of diag(sqrt w) V^dagger Y V*
     diag(sqrt w), Y = sigma_y x sigma_y: the square roots of the
     eigenvalues of rho Y rho* Y, without taking roots of their rounding
-    noise when rho is rank-deficient.
+    noise when rho is rank-deficient.  V^dagger Y V* is
+    :func:`_wootters_overlaps`, which signs and reverses columns in place of
+    a product with Y.
     """
     root = np.sqrt(w)
-    overlaps = qmath.dagger(v) @ _SIGMA_YY @ v.conj()
+    overlaps = _wootters_overlaps(v)
     sv = np.linalg.svd(root[..., :, None] * overlaps * root[..., None, :], compute_uv=False)
     c = np.maximum(0.0, sv[..., 0] - sv[..., 1] - sv[..., 2] - sv[..., 3])
     # 0 log 0 = 0; adding 0.0 turns a pure state's -0.0 into 0.0

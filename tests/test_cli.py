@@ -315,6 +315,8 @@ def test_tomo_counts_file_repeated_setting_rejected(tmp_path, capsys):
               "plate": {"thickness_mm": 1.0}}),
     ("session", {"eve": {"mode": "dephasing", "basis_policy": "random_per_trial"},
                  "plate": {"thickness_mm": 1.0}}),
+    # the bootstrap's (replicas, 4) array cannot be allocated: MemoryError
+    ("tomo", {"replicas": 10 ** 12}),
 ])
 def test_failed_run_leaves_no_output_directory(tmp_path, monkeypatch, capsys, kind, body):
     monkeypatch.chdir(tmp_path)

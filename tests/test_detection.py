@@ -16,7 +16,7 @@ from qkdlab.detection import (BASES, CSV_COLUMNS, DetectorConfig, Trials, expect
                               joint_probs, records_to_csv, simulate_dwell_stream)
 from qkdlab.optics import MeasBasis, PolState
 from qkdlab.states import (EveConfig, TwoQubitState, add_white_noise, bell_phi_plus,
-                           bell_phi_plus_ket)
+                           bell_phi_plus_ket, eve_scenarios)
 
 from conftest import assert_close, binomial_sigma, intercept_branches, random_density
 
@@ -186,6 +186,28 @@ def test_expected_rates_closed_form():
     nothing = expected_rates(bell_phi_plus(), DetectorConfig(pair_rate=0.0, dark_rate=0.0),
                              EveConfig())
     assert nothing.kept == 0.0 and math.isnan(nothing.qber)
+
+
+@pytest.mark.parametrize("eve", [
+    EveConfig(),
+    EveConfig(mode="intercept_resend", basis_angle=45.0, intercept_fraction=0.6),
+    EveConfig(mode="intercept_resend", basis_policy="random_per_trial"),
+    EveConfig(mode="dephasing", basis_angle=22.5, strength=0.7),
+], ids=["absent", "intercept_45", "intercept_random", "dephasing_22_5"])
+def test_outcome_tables_are_the_per_state_formula_bit_for_bit(rng, eve):
+    detector = DetectorConfig(dark_rate=0.9)
+    for s in (add_white_noise(bell_phi_plus(), 0.04), TwoQubitState(random_density(rng))):
+        rates = expected_rates(s, detector, eve)
+        _, states = eve_scenarios(s, eve)
+        for i, state in enumerate(states):
+            for a, b in np.ndindex(2, 2):
+                probs = np.array([np.trace(state.rho @ np.kron(pa, pb)).real
+                                  for pa in BASES[a].projectors()
+                                  for pb in BASES[b].projectors()])
+                probs = np.clip(probs, 0.0, None)
+                cum = np.cumsum(probs / probs.sum())
+                want = rates.single_pair * (cum / cum[-1])
+                assert np.array_equal(rates.outcome_cdf[i, a, b, :4], want), (i, a, b)
 
 
 _INTERCEPT_CASES = [
@@ -450,11 +472,12 @@ def test_csv_writers_stream_a_million_trials_in_bounded_memory(tmp_path):
 
 def test_records_to_csv_across_every_decimal_width(monkeypatch):
     # 200 rows from 100 below each power of ten up to 10**12 (from 0 below
-    # 100), numbered on through every code of the suffix table
+    # 100), then across a multiple of 10**4 at one width, numbered on through
+    # every code of the suffix table
     suffix = detection._RECORD_SUFFIX
+    starts = [max(10 ** w - 100, 0) for w in range(13)] + [19_990, 1_239_996, 123_459_990]
     n, done = 200, 0
-    for w in range(13):
-        start = max(10 ** w - 100, 0)
+    for start in starts:
         code = (done + np.arange(n)) % len(suffix)
         done += n
         # code bits, high to low: alice_basis, bob_basis, eve_basis,
@@ -463,14 +486,15 @@ def test_records_to_csv_across_every_decimal_width(monkeypatch):
         trials = Trials(*[np.where(f == 3, -1, f).astype(np.int8) for f in fields],
                         kept=(code & 1).astype(bool))
         # from 10**6 on, the second chunk starts at the first 7-digit index
-        monkeypatch.setattr(detection, "TILE_INTERVALS", 100 if w == 6 else 1 << 12)
+        monkeypatch.setattr(detection, "TILE_INTERVALS",
+                            100 if start == 10 ** 6 - 100 else 1 << 12)
         fh = io.StringIO()
         records_to_csv(trials, fh, start)
         want = ("".join(f"{i}{suffix[c]}" for i, c in zip(range(start, start + n),
                                                           code.tolist())))
         if start == 0:
             want = ",".join(CSV_COLUMNS) + "\n" + want
-        assert fh.getvalue() == want, w
+        assert fh.getvalue() == want, start
     assert done >= len(suffix)
 
 

@@ -43,6 +43,13 @@ def test_tensor_index_layout(rng):
                     assert t[2 * i + k, 2 * j + l] == pytest.approx(a[i, j] * b[k, l])
 
 
+def test_tensor_is_kron_bit_for_bit(rng):
+    for _ in range(200):
+        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        assert np.array_equal(qmath.tensor(a, b), np.kron(a, b))
+
+
 def test_tensor_trace_multiplicative(rng):
     for _ in range(1000):
         a = random_hermitian(rng, 2)

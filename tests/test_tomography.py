@@ -9,13 +9,17 @@ from qkdlab.optics import PolState
 from qkdlab.states import (EveConfig, TwoQubitState, add_white_noise, bell_phi_plus,
                            bell_phi_plus_ket, dephase_bob)
 from qkdlab import qmath
-from qkdlab.tomography import (_BLOCK, _SIGMA_YY, CHSH_CANONICAL_ANGLES, TOMO_SCHEDULE,
-                               ReconstructionError, _replica_metrics, _spectral_metrics,
+from qkdlab.tomography import (_BLOCK, _INVERSION, CHSH_CANONICAL_ANGLES, TOMO_SCHEDULE,
+                               ReconstructionError, _linear_inversion, _replica_metrics,
+                               _spectral_metrics, _wootters_overlaps,
                                bootstrap_metrics, chsh, correlator, expected_probs,
                                reconstruct, run_tomography, simulate_counts,
                                state_metrics)
 
 from conftest import assert_close, random_density
+
+_SIGMA_Y = np.array([[0, -1j], [1j, 0]])
+_SIGMA_YY = np.kron(_SIGMA_Y, _SIGMA_Y).real
 
 HV_MIXTURE = TwoQubitState(np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex))
 MAXIMALLY_MIXED = TwoQubitState(np.eye(4, dtype=complex) / 4.0)
@@ -156,6 +160,23 @@ def _oracle_metrics(rho, target):
     entropy = -(w * np.log2(np.where(w > 0.0, w, 1.0))).sum()
     linear = 4.0 / 3.0 * (1.0 - np.trace(rho @ rho).real)
     return c * c, entropy, linear, (target.conj() @ rho @ target).real
+
+
+def test_linear_inversion_is_the_complex_einsum_bit_for_bit(rng):
+    counts = rng.poisson(rng.uniform(0.0, 5000.0, size=16), size=(_BLOCK, 16)).astype(float)
+    flux = counts[:, :4].sum(axis=-1, keepdims=True)
+    want = np.einsum("...k,kij->...ij", counts / flux, _INVERSION)
+    assert np.array_equal(_linear_inversion(counts), want)
+    assert np.array_equal(_linear_inversion(counts[7]), want[7])
+
+
+def test_wootters_overlaps_are_the_sigma_yy_product_bit_for_bit(rng):
+    stack = np.array([random_density(rng) for _ in range(256)])
+    _, v = qmath.herm_eig(stack)
+    want = qmath.dagger(v) @ _SIGMA_YY @ v.conj()
+    assert np.array_equal(_wootters_overlaps(v), want)
+    _, v = qmath.herm_eig(bell_phi_plus().rho)   # exact zeros in v
+    assert np.array_equal(_wootters_overlaps(v), qmath.dagger(v) @ _SIGMA_YY @ v.conj())
 
 
 def test_spectral_metrics_match_matrix_formulas_on_full_rank_states(rng):

@@ -33,7 +33,6 @@ class SessionConfig:
     qber_sample_fraction: float = 0.2
     abort_threshold: float = 0.11
     reconciliation_passes: int = 4
-    pa_safety_bits: int = 30
 
     def __post_init__(self):
         if not 0.0 <= self.source_noise <= 1.0:
@@ -46,25 +45,26 @@ class SessionConfig:
             raise ValueError("n_intervals must be >= 1")
         if self.reconciliation_passes < 1:
             raise ValueError("need at least one reconciliation pass")
-        if self.pa_safety_bits < 0:
-            raise ValueError("pa_safety_bits must be nonnegative")
 
 
 # Bits of the universal-hash tag that checks the reconciled strings agree.
 TAG_BITS = 64
+# Bits that privacy amplification removes beyond the error-rate and leak terms.
+PA_SAFETY_BITS = 30
 
 
 @dataclass
 class SessionTranscript:
-    """What a session keeps: its size and kept count per block, never the
-    intervals themselves.  ``final_key`` is Bob's final key and
-    ``alice_final_key`` Alice's, each hashed from that party's own reconciled
-    string; ``abort_reason`` is None unless ``aborted``."""
+    """What a session keeps: its counts of intervals, kept intervals, sifted
+    bits and sifted bits on which Alice and Bob agree, and the two final
+    keys, never the intervals or the sifted strings.  ``final_key`` is Bob's
+    final key and ``alice_final_key`` Alice's, each hashed from that party's
+    own reconciled string; ``abort_reason`` is None unless ``aborted``."""
 
     n_intervals: int
-    kept_per_block: np.ndarray
-    sifted_alice: np.ndarray
-    sifted_bob: np.ndarray
+    n_kept: int
+    n_sifted: int
+    n_agree: int
     qber_estimate: float | None
     aborted: bool
     abort_reason: str | None
@@ -249,50 +249,49 @@ def run_session(config: SessionConfig, sink=None) -> SessionTranscript:
     ``b`` draws from its own generator, spawned from the seed with key
     ``(0, b)``, so an interval's record depends on the seed and its index
     alone, and a shorter session's records are a prefix of a longer one's.
-    The tile of ``TILE_INTERVALS`` is the working unit: each block is
-    simulated, passed to ``sink(start, trials)``, if given, and sifted one
-    tile at a time, its tiles drawing in order from the block's generator,
-    and ``start`` is the tile's first interval's index.  The session keeps
-    only the sifted bits, one array per block, and the kept count per
-    block.  Sifting's sample, Cascade and the hash seeds draw from the
-    generator with key ``(1,)``.
+    The tile of ``TILE_INTERVALS``, a divisor of ``BLOCK_INTERVALS``, is the
+    working unit: each tile draws in order from its block's generator, is
+    passed to ``sink(start, trials)``, if given (``start`` is its first
+    interval's index), and is sifted.  The kept, sifted and agreeing counts
+    are running sums over the tiles; the sifted tiles are joined once, for
+    the key half alone, and the transcript keeps the counts and final keys.
+    Sifting's sample, Cascade and the hash seeds draw from the generator
+    with key ``(1,)``.
 
     After Cascade, Alice and Bob compare a :data:`TAG_BITS`-bit Toeplitz
     hash of their reconciled strings, seeded by a value drawn after the
     privacy-amplification seed; the tag counts as leaked, and a mismatch
     aborts the session.  Each party then hashes its own string to its final
-    key.
+    key, removing :data:`PA_SAFETY_BITS` beyond the leak.
     """
     state = add_white_noise(bell_phi_plus(), config.source_noise)
     n = config.n_intervals
-    alice_parts, bob_parts, kept = [], [], []
-    for block, first in enumerate(range(0, n, BLOCK_INTERVALS)):
-        rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0, block)))
-        end = min(first + BLOCK_INTERVALS, n)
-        alice_tiles, bob_tiles, block_kept = [], [], 0
-        for start in range(first, end, TILE_INTERVALS):
-            trials = simulate_dwell_stream(state, config.detector,
-                                           min(TILE_INTERVALS, end - start), config.eve, rng)
-            if sink is not None:
-                sink(start, trials)
-            alice, bob = sift(trials)
-            alice_tiles.append(alice)
-            bob_tiles.append(bob)
-            block_kept += np.count_nonzero(trials.kept)
-        alice_parts.append(np.concatenate(alice_tiles))
-        bob_parts.append(np.concatenate(bob_tiles))
-        kept.append(block_kept)
-    sifted_alice, sifted_bob = np.concatenate(alice_parts), np.concatenate(bob_parts)
-    kept_per_block = np.array(kept, dtype=np.int64)
+    alice_tiles, bob_tiles = [], []
+    n_kept = n_agree = 0
+    for start in range(0, n, TILE_INTERVALS):
+        if start % BLOCK_INTERVALS == 0:
+            block = start // BLOCK_INTERVALS
+            rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0, block)))
+        trials = simulate_dwell_stream(state, config.detector,
+                                       min(TILE_INTERVALS, n - start), config.eve, rng)
+        if sink is not None:
+            sink(start, trials)
+        alice, bob = sift(trials)
+        alice_tiles.append(alice)
+        bob_tiles.append(bob)
+        n_kept += int(np.count_nonzero(trials.kept))
+        n_agree += int(np.count_nonzero(alice == bob))
+    sifted_alice, sifted_bob = np.concatenate(alice_tiles), np.concatenate(bob_tiles)
+    n_sifted = len(sifted_alice)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(1,)))
     empty = np.zeros(0, dtype=np.uint8)
 
     def abort(reason, qber=None, leaked=0):
-        return SessionTranscript(n, kept_per_block, sifted_alice, sifted_bob,
+        return SessionTranscript(n, n_kept, n_sifted, n_agree,
                                  qber_estimate=qber, aborted=True, abort_reason=reason,
                                  leaked_bits=leaked, final_key=empty, alice_final_key=empty)
 
-    if len(sifted_alice) == 0:
+    if n_sifted == 0:
         return abort("no_sifted_bits")
     qber, rem_alice, rem_bob, _ = estimate_qber(
         sifted_alice, sifted_bob, config.qber_sample_fraction, rng)
@@ -309,25 +308,22 @@ def run_session(config: SessionConfig, sink=None) -> SessionTranscript:
     if not np.array_equal(_toeplitz_hash(rem_alice, TAG_BITS, tag_seed),
                           _toeplitz_hash(corrected_bob, TAG_BITS, tag_seed)):
         return abort("key_verification_failed", qber, leaked)
-    final_key = privacy_amplify(corrected_bob, qber, leaked,
-                                config.pa_safety_bits, pa_seed)
-    alice_final_key = privacy_amplify(rem_alice, qber, leaked,
-                                      config.pa_safety_bits, pa_seed)
-    return SessionTranscript(n, kept_per_block, sifted_alice, sifted_bob,
+    final_key = privacy_amplify(corrected_bob, qber, leaked, PA_SAFETY_BITS, pa_seed)
+    alice_final_key = privacy_amplify(rem_alice, qber, leaked, PA_SAFETY_BITS, pa_seed)
+    return SessionTranscript(n, n_kept, n_sifted, n_agree,
                              qber_estimate=qber, aborted=False, abort_reason=None,
                              leaked_bits=leaked, final_key=final_key,
                              alice_final_key=alice_final_key)
 
 
 def transcript_summary(t: SessionTranscript) -> dict:
-    """Agreement, error-rate and key-length figures for reporting."""
-    n = len(t.sifted_alice)
-    agreement = float(np.mean(t.sifted_alice == t.sifted_bob)) if n else 0.0
+    """Agreement, error-rate and key-length figures for reporting, read from
+    the transcript's counts; the agreement of no sifted bits is 0.0."""
     return {
         "n_records": t.n_intervals,
-        "n_kept": int(t.kept_per_block.sum()),
-        "n_sifted": n,
-        "sifted_agreement": agreement,
+        "n_kept": t.n_kept,
+        "n_sifted": t.n_sifted,
+        "sifted_agreement": t.n_agree / t.n_sifted if t.n_sifted else 0.0,
         "qber_estimate": t.qber_estimate,
         "aborted": t.aborted,
         "abort_reason": t.abort_reason,

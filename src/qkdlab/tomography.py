@@ -29,12 +29,12 @@ TOMO_SCHEDULE: tuple[tuple[PolState, PolState], ...] = tuple(
      "DR", "DD", "RD", "HD", "VD", "VL", "HL", "RL")
 )
 
-_PAULIS = (
-    np.eye(2, dtype=complex),
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
+_PAULIS = np.array([
+    [[1, 0], [0, 1]],
+    [[0, 1], [1, 0]],
+    [[0, -1j], [1j, 0]],
+    [[1, 0], [0, -1]],
+], dtype=complex)
 
 
 class ReconstructionError(ValueError):
@@ -51,8 +51,8 @@ def _inversion_operators() -> np.ndarray:
     B[k, m] = Tr[Pi_k G_m] over the orthonormal two-photon Pauli basis
     G_m = (sigma_i x sigma_j)/2 is invertible for the fixed schedule, so
     M[k] = sum_m (B^-1)[m, k] G_m."""
-    basis = np.array([qmath.tensor(p, q) / 2.0 for p in _PAULIS for q in _PAULIS])
-    b_mat = np.array([[np.trace(pk @ gm).real for gm in basis] for pk in _PROJECTORS])
+    basis = qmath.tensor(_PAULIS[:, None], _PAULIS[None, :]).reshape(16, 4, 4) / 2.0
+    b_mat = np.trace(_PROJECTORS[:, None] @ basis, axis1=-2, axis2=-1).real
     return np.tensordot(np.linalg.inv(b_mat), basis, axes=(0, 0))
 
 
@@ -62,6 +62,11 @@ _FLUX = slice(0, 4)  # the HH, HV, VV, VH quartet
 # large enough to amortise numpy's per-call cost, small enough to keep peak
 # memory flat.  Changing it reshuffles every replica's counts.
 _BLOCK = 256
+# The bootstrap's memory does not grow with its replica count, but its time
+# does (~20 us a replica on a 2-vCPU x86 box): 10^7 replicas run for
+# minutes and pin each sigma to ~0.02 % (1/sqrt(2 replicas)); a larger
+# count is refused rather than left to run for hours or, from a typo, years.
+MAX_REPLICAS = 10 ** 7
 
 
 def _checked_counts(counts) -> np.ndarray:
@@ -101,7 +106,7 @@ def _physical_spectrum(counts: np.ndarray):
 
 def expected_probs(s: TwoQubitState) -> np.ndarray:
     """Transmission probability Tr[rho Pi_k] for every schedule setting."""
-    return np.array([np.trace(s.rho @ pk).real for pk in _PROJECTORS])
+    return np.trace(s.rho @ _PROJECTORS, axis1=-2, axis2=-1).real
 
 
 def simulate_counts(s: TwoQubitState, n_per_setting: float, rng) -> np.ndarray:
@@ -205,20 +210,18 @@ def state_metrics(s: TwoQubitState, target_ket: np.ndarray | None = None) -> Sta
                                                       _target_ket(target_ket))))
 
 
-def _replica_metrics(counts: np.ndarray, replicas: int, seed: int) -> np.ndarray:
-    """Raw (tangle, von Neumann, linear entropy, fidelity) of each replica,
-    shape (replicas, 4), drawn and reconstructed ``_BLOCK`` replicas at a time."""
-    rows = np.empty((replicas, 4))
+def _replica_blocks(counts: np.ndarray, replicas: int, seed: int):
+    """Raw (tangle, von Neumann, linear entropy, fidelity) of the replicas,
+    one array of shape (rows, 4) per block of ``_BLOCK`` replicas, each block
+    drawn and reconstructed as one stack."""
     target = bell_phi_plus_ket()
     for lo in range(0, replicas, _BLOCK):
-        hi = min(lo + _BLOCK, replicas)
         # spawn_key keeps block 0 off the stream of default_rng(seed), which
         # may have drawn the counts themselves; SeedSequence([seed, 0]) would
         # not, as it hashes like SeedSequence(seed).
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(lo // _BLOCK,)))
-        w, v = _physical_spectrum(rng.poisson(counts, size=(hi - lo, counts.size)).astype(float))
-        rows[lo:hi] = _spectral_metrics(w, v, target)
-    return rows
+        draws = rng.poisson(counts, size=(min(_BLOCK, replicas - lo), counts.size))
+        yield _spectral_metrics(*_physical_spectrum(draws.astype(float)), target)
 
 
 def bootstrap_metrics(counts, replicas: int = 200, seed: int = 0) -> StateMetrics:
@@ -232,19 +235,30 @@ def bootstrap_metrics(counts, replicas: int = 200, seed: int = 0) -> StateMetric
     on ``(seed, k)`` alone, not on ``replicas``.  Each metric is clamped to
     its physical range (von Neumann entropy to [0, 2] bits, the others to
     [0, 1]) before aggregation; clamping events are counted in the result.
+    ``replicas`` must lie in [2, :data:`MAX_REPLICAS`].  The means and
+    (population) sigmas merge each block's count, mean and sum of squared
+    deviations with Chan, Golub and LeVeque's update, so memory does not
+    grow with ``replicas``.
     """
-    if replicas < 2:
-        raise ValueError("bootstrap needs at least 2 replicas")
-    rows = _replica_metrics(_checked_counts(counts), replicas, seed)
-    clipped = np.clip(rows, 0.0, _METRIC_MAX)
-    mean = clipped.mean(axis=0)
-    std = clipped.std(axis=0)
+    if not 2 <= replicas <= MAX_REPLICAS:
+        raise ValueError(f"bootstrap needs 2 to {MAX_REPLICAS} replicas, got {replicas}")
+    n, mean, m2, clamp_events = 0, np.zeros(4), np.zeros(4), 0
+    for rows in _replica_blocks(_checked_counts(counts), replicas, seed):
+        clipped = np.clip(rows, 0.0, _METRIC_MAX)
+        clamp_events += int(np.count_nonzero(np.abs(clipped - rows) > 1e-12))
+        k = len(clipped)
+        block_mean = clipped.mean(axis=0)
+        delta = block_mean - mean
+        m2 += ((clipped - block_mean) ** 2).sum(axis=0) + delta * delta * (n * k / (n + k))
+        mean += delta * (k / (n + k))
+        n += k
+    std = np.sqrt(m2 / n)
     return StateMetrics(
         tangle=float(mean[0]), von_neumann=float(mean[1]),
         linear_entropy=float(mean[2]), fidelity=float(mean[3]),
         tangle_sigma=float(std[0]), von_neumann_sigma=float(std[1]),
         linear_entropy_sigma=float(std[2]), fidelity_sigma=float(std[3]),
-        clamp_events=int(np.count_nonzero(np.abs(clipped - rows) > 1e-12)),
+        clamp_events=clamp_events,
     )
 
 

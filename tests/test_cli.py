@@ -201,9 +201,11 @@ def test_session_abort_exit_code(tmp_path):
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):
-    cfg = write_config(tmp_path, "s.json", session_body(qber_sampel_fraction=0.2))
-    assert main(["session", "--config", cfg, "--out", str(tmp_path / "a")]) == 1
-    assert "unknown key" in capsys.readouterr().err
+    # a misspelt key, and pa_safety_bits, a key no longer read
+    for key, value in (("qber_sampel_fraction", 0.2), ("pa_safety_bits", 30)):
+        cfg = write_config(tmp_path, "s.json", session_body(**{key: value}))
+        assert main(["session", "--config", cfg, "--out", str(tmp_path / "a")]) == 1
+        assert f"unknown key(s) in config: {key}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key, section", [
@@ -315,7 +317,7 @@ def test_tomo_counts_file_repeated_setting_rejected(tmp_path, capsys):
               "plate": {"thickness_mm": 1.0}}),
     ("session", {"eve": {"mode": "dephasing", "basis_policy": "random_per_trial"},
                  "plate": {"thickness_mm": 1.0}}),
-    # the bootstrap's (replicas, 4) array cannot be allocated: MemoryError
+    # above tomography.MAX_REPLICAS: refused before any replica is drawn
     ("tomo", {"replicas": 10 ** 12}),
 ])
 def test_failed_run_leaves_no_output_directory(tmp_path, monkeypatch, capsys, kind, body):

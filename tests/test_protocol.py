@@ -415,8 +415,8 @@ def _session(seed, n=8000, noise=0.0, dark=0.0, eve=None, threshold=0.11):
 
 def test_run_session_ideal_full_agreement():
     t = run_session(_session(seed=5, n=10000))
-    assert len(t.sifted_alice) > 0
-    assert np.array_equal(t.sifted_alice, t.sifted_bob)
+    assert t.n_sifted > 0
+    assert t.n_agree == t.n_sifted
     assert not t.aborted
     assert len(t.final_key) > 0
 
@@ -424,8 +424,8 @@ def test_run_session_ideal_full_agreement():
 def test_run_session_fixed_diagonal_eve_quarter_errors():
     eve = EveConfig(mode="dephasing", basis_angle=45.0, strength=1.0)
     t = run_session(_session(seed=6, n=10000, eve=eve))
-    n = len(t.sifted_alice)
-    qber = float(np.mean(t.sifted_alice != t.sifted_bob))
+    n = t.n_sifted
+    qber = (t.n_sifted - t.n_agree) / t.n_sifted
     assert abs(qber - 0.25) < 4 * binomial_sigma(0.25, n)
 
 
@@ -433,9 +433,9 @@ def test_run_session_half_interception_eighth_errors():
     eve = EveConfig(mode="intercept_resend", basis_policy="random_per_trial",
                     intercept_fraction=0.5)
     t = run_session(_session(seed=8, n=30000, eve=eve, threshold=0.2))
-    n = len(t.sifted_alice)
+    n = t.n_sifted
     assert n > 4000
-    qber = float(np.mean(t.sifted_alice != t.sifted_bob))
+    qber = (t.n_sifted - t.n_agree) / t.n_sifted
     assert abs(qber - 0.125) < 4 * binomial_sigma(0.125, n)
 
 
@@ -528,6 +528,22 @@ def _keygen(seed, n=10_000, **overrides):
     return SessionConfig(seed=seed, n_intervals=n, **(settings | overrides))
 
 
+@pytest.mark.parametrize("config", [
+    _keygen(seed=13, n=BLOCK_INTERVALS + 1),
+    _session(seed=14, n=BLOCK_INTERVALS + 1,
+             eve=EveConfig(mode="intercept_resend", basis_policy="random_per_trial")),
+], ids=["keygen", "intercept_random"])
+def test_session_counts_match_the_sink_trials(config):
+    # the running counts cross every tile boundary and one block boundary
+    t, trials = session_with_trials(config)
+    sifted = trials.sifted()
+    assert len(trials) == t.n_intervals == BLOCK_INTERVALS + 1
+    assert t.n_kept == np.count_nonzero(trials.kept)
+    assert t.n_sifted == np.count_nonzero(sifted) > 0
+    assert t.n_agree == np.count_nonzero(trials.alice_bit[sifted] == trials.bob_bit[sifted])
+    assert t.n_agree < t.n_sifted
+
+
 def test_one_cascade_pass_fails_key_verification():
     # QBER ~0.08 (noise 0.16) leaves errors in one pass's even-error blocks
     t = run_session(SessionConfig(
@@ -569,7 +585,6 @@ def test_abort_reasons(reason, overrides):
 
 def test_transcript_invariants():
     t = run_session(_session(seed=31, n=5000, noise=0.02, dark=0.5))
-    assert len(t.sifted_alice) == len(t.sifted_bob)
     summary = transcript_summary(t)
     assert (summary["abort_reason"] is None) == (not t.aborted)
     assert summary["n_sifted"] <= summary["n_kept"] <= summary["n_records"]

@@ -1,5 +1,7 @@
 import dataclasses
+import glob
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,12 +11,12 @@ from qkdlab.optics import PolState
 from qkdlab.states import (EveConfig, TwoQubitState, add_white_noise, bell_phi_plus,
                            bell_phi_plus_ket, dephase_bob)
 from qkdlab import qmath
-from qkdlab.tomography import (_BLOCK, _INVERSION, CHSH_CANONICAL_ANGLES, TOMO_SCHEDULE,
-                               ReconstructionError, _linear_inversion, _replica_metrics,
-                               _spectral_metrics, _wootters_overlaps,
-                               bootstrap_metrics, chsh, correlator, expected_probs,
-                               reconstruct, run_tomography, simulate_counts,
-                               state_metrics)
+from qkdlab.tomography import (_BLOCK, _INVERSION, _PAULIS, _PROJECTORS,
+                               CHSH_CANONICAL_ANGLES, MAX_REPLICAS, TOMO_SCHEDULE,
+                               ReconstructionError, _linear_inversion, _replica_blocks,
+                               _spectral_metrics, _wootters_overlaps, bootstrap_metrics,
+                               chsh, correlator, expected_probs, reconstruct,
+                               run_tomography, simulate_counts, state_metrics)
 
 from conftest import assert_close, random_density
 
@@ -53,6 +55,11 @@ def test_simulate_counts_rejects_bad_flux(rng):
 
 def _exact_counts(state, n=1e6):
     return n * expected_probs(state)
+
+
+def _replica_metrics(counts, replicas, seed):
+    """Every replica's raw metrics, shape (replicas, 4)."""
+    return np.concatenate(list(_replica_blocks(counts, replicas, seed)))
 
 
 def test_reconstruct_exact_bell():
@@ -168,6 +175,21 @@ def test_linear_inversion_is_the_complex_einsum_bit_for_bit(rng):
     want = np.einsum("...k,kij->...ij", counts / flux, _INVERSION)
     assert np.array_equal(_linear_inversion(counts), want)
     assert np.array_equal(_linear_inversion(counts[7]), want[7])
+
+
+def test_trace_tables_are_the_per_matrix_loops_bit_for_bit(rng):
+    basis = np.array([qmath.tensor(p, q) / 2.0 for p in _PAULIS for q in _PAULIS])
+    b_mat = np.array([[np.trace(pk @ gm).real for gm in basis] for pk in _PROJECTORS])
+    assert np.array_equal(_INVERSION, np.tensordot(np.linalg.inv(b_mat), basis, axes=(0, 0)))
+    presets = sorted(glob.glob(os.path.join(os.path.dirname(__file__), os.pardir,
+                                            "configs", "*.json")))
+    # a preset's kind is its name up to the first "_"
+    states = [_prepared_state(load_config(path, os.path.basename(path).split("_")[0]))
+              for path in presets]
+    states += [TwoQubitState(random_density(rng)) for _ in range(100)]
+    for state in states:
+        want = np.array([np.trace(state.rho @ pk).real for pk in _PROJECTORS])
+        assert np.array_equal(expected_probs(state), want)
 
 
 def test_wootters_overlaps_are_the_sigma_yy_product_bit_for_bit(rng):
@@ -328,6 +350,17 @@ def test_bootstrap_golden():
         "clamp_events": 0}, rel=1e-9)
 
 
+def test_bootstrap_memory_does_not_grow_with_replicas():
+    bootstrap_metrics(np.full(16, 5000.0), replicas=2)   # warm numpy.random
+    tracemalloc.start()
+    try:
+        bootstrap_metrics(np.full(16, 5000.0), replicas=40_960)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6, f"traced peak {peak / 1e6:.2f} MB"
+
+
 def test_random_basis_eve_leaves_three_halves_bits():
     # full dephasing in HV half the time and in DA the other half leaves
     # Phi+ with eigenvalues 1/2, 1/4, 1/4, 0
@@ -339,8 +372,9 @@ def test_random_basis_eve_leaves_three_halves_bits():
 
 
 def test_bootstrap_needs_replicas():
-    with pytest.raises(ValueError):
-        bootstrap_metrics(_exact_counts(bell_phi_plus()), replicas=1)
+    for replicas in (1, MAX_REPLICAS + 1):
+        with pytest.raises(ValueError):
+            bootstrap_metrics(_exact_counts(bell_phi_plus()), replicas=replicas)
 
 
 def test_run_tomography_composition():

@@ -3,11 +3,11 @@
 ``run_session`` composes the whole pipeline: entangled source with white
 noise, the configured eavesdropper channel, the dwell-interval detector
 stream, basis sifting, error-rate estimation on a disclosed sample, the
-abort decision, Cascade information reconciliation, and Toeplitz privacy
-amplification down to the final key, with a hash check that both parties
-hold the same string.  Every random draw comes from a generator spawned from
-the config's seed, so a transcript is a pure function of its config; the
-intervals are simulated in tiles and never held all at once.
+abort decision, Cascade information reconciliation, a hash check that both
+parties hold the same string, and Toeplitz privacy amplification of Bob's
+string down to the final key.  Every random draw comes from a generator
+spawned from the config's seed, so a transcript is a pure function of its
+config; the intervals are simulated in tiles and never held all at once.
 """
 
 from __future__ import annotations
@@ -21,6 +21,12 @@ from .detection import (BLOCK_INTERVALS, TILE_INTERVALS, DetectorConfig, Trials,
                         simulate_dwell_stream)
 from .states import EveConfig, add_white_noise, bell_phi_plus
 from . import otp
+
+
+# Cascade's pass with index 31 is one whole-string block, since k1 >= 1 and
+# ``reconcile`` takes at most 2**31 - 1 bits; it leaves that block even, so
+# every later pass leaks one bit and corrects nothing.
+MAX_RECONCILIATION_PASSES = 32
 
 
 @dataclass(frozen=True)
@@ -43,8 +49,9 @@ class SessionConfig:
             raise ValueError("abort_threshold must be in (0, 0.5)")
         if self.n_intervals < 1:
             raise ValueError("n_intervals must be >= 1")
-        if self.reconciliation_passes < 1:
-            raise ValueError("need at least one reconciliation pass")
+        if not 1 <= self.reconciliation_passes <= MAX_RECONCILIATION_PASSES:
+            raise ValueError(f"reconciliation_passes must be in "
+                             f"[1, {MAX_RECONCILIATION_PASSES}]")
 
 
 # Bits of the universal-hash tag that checks the reconciled strings agree.
@@ -56,10 +63,12 @@ PA_SAFETY_BITS = 30
 @dataclass
 class SessionTranscript:
     """What a session keeps: its counts of intervals, kept intervals, sifted
-    bits and sifted bits on which Alice and Bob agree, and the two final
-    keys, never the intervals or the sifted strings.  ``final_key`` is Bob's
-    final key and ``alice_final_key`` Alice's, each hashed from that party's
-    own reconciled string; ``abort_reason`` is None unless ``aborted``."""
+    bits and sifted bits on which Alice and Bob agree, and the final key,
+    never the intervals or the sifted strings.  ``final_key`` is hashed from
+    Bob's reconciled string; ``residual_errors`` counts the positions where
+    the two reconciled strings still differ, the simulator's ground truth
+    behind the protocol's tag check, and is None for a session that aborts
+    before Cascade; ``abort_reason`` is None unless ``aborted``."""
 
     n_intervals: int
     n_kept: int
@@ -70,7 +79,7 @@ class SessionTranscript:
     abort_reason: str | None
     leaked_bits: int
     final_key: np.ndarray
-    alice_final_key: np.ndarray
+    residual_errors: int | None
 
 
 def sift(trials: Trials) -> tuple[np.ndarray, np.ndarray]:
@@ -254,15 +263,19 @@ def run_session(config: SessionConfig, sink=None) -> SessionTranscript:
     passed to ``sink(start, trials)``, if given (``start`` is its first
     interval's index), and is sifted.  The kept, sifted and agreeing counts
     are running sums over the tiles; the sifted tiles are joined once, for
-    the key half alone, and the transcript keeps the counts and final keys.
+    the key half alone, and the transcript keeps the counts and the final key.
     Sifting's sample, Cascade and the hash seeds draw from the generator
     with key ``(1,)``.
 
     After Cascade, Alice and Bob compare a :data:`TAG_BITS`-bit Toeplitz
     hash of their reconciled strings, seeded by a value drawn after the
     privacy-amplification seed; the tag counts as leaked, and a mismatch
-    aborts the session.  Each party then hashes its own string to its final
-    key, removing :data:`PA_SAFETY_BITS` beyond the leak.
+    aborts the session.  The hash is linear over GF(2), so the two tags
+    differ exactly when the tag of the residual-error string ``alice ^ bob``
+    is nonzero, and that one tag is what the session computes.  Bob's string
+    is then hashed to the final key, removing :data:`PA_SAFETY_BITS` beyond
+    the leak; Alice's key, a hash of an equal string unless a residual error
+    escaped the tag, is not computed.
     """
     state = add_white_noise(bell_phi_plus(), config.source_noise)
     n = config.n_intervals
@@ -286,10 +299,11 @@ def run_session(config: SessionConfig, sink=None) -> SessionTranscript:
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(1,)))
     empty = np.zeros(0, dtype=np.uint8)
 
-    def abort(reason, qber=None, leaked=0):
+    def abort(reason, qber=None, leaked=0, residual_errors=None):
         return SessionTranscript(n, n_kept, n_sifted, n_agree,
                                  qber_estimate=qber, aborted=True, abort_reason=reason,
-                                 leaked_bits=leaked, final_key=empty, alice_final_key=empty)
+                                 leaked_bits=leaked, final_key=empty,
+                                 residual_errors=residual_errors)
 
     if n_sifted == 0:
         return abort("no_sifted_bits")
@@ -305,15 +319,16 @@ def run_session(config: SessionConfig, sink=None) -> SessionTranscript:
     pa_seed = int(rng.integers(0, 2 ** 63))
     tag_seed = int(rng.integers(0, 2 ** 63))
     leaked += TAG_BITS
-    if not np.array_equal(_toeplitz_hash(rem_alice, TAG_BITS, tag_seed),
-                          _toeplitz_hash(corrected_bob, TAG_BITS, tag_seed)):
-        return abort("key_verification_failed", qber, leaked)
+    residual = rem_alice ^ corrected_bob
+    residual_errors = int(np.count_nonzero(residual))
+    # T·0 = 0, so a string with no residual error cannot fail the tag.
+    if residual_errors and _toeplitz_hash(residual, TAG_BITS, tag_seed).any():
+        return abort("key_verification_failed", qber, leaked, residual_errors)
     final_key = privacy_amplify(corrected_bob, qber, leaked, PA_SAFETY_BITS, pa_seed)
-    alice_final_key = privacy_amplify(rem_alice, qber, leaked, PA_SAFETY_BITS, pa_seed)
     return SessionTranscript(n, n_kept, n_sifted, n_agree,
                              qber_estimate=qber, aborted=False, abort_reason=None,
                              leaked_bits=leaked, final_key=final_key,
-                             alice_final_key=alice_final_key)
+                             residual_errors=residual_errors)
 
 
 def transcript_summary(t: SessionTranscript) -> dict:

@@ -319,6 +319,8 @@ def test_tomo_counts_file_repeated_setting_rejected(tmp_path, capsys):
                  "plate": {"thickness_mm": 1.0}}),
     # above tomography.MAX_REPLICAS: refused before any replica is drawn
     ("tomo", {"replicas": 10 ** 12}),
+    # above protocol.MAX_RECONCILIATION_PASSES
+    ("session", {"reconciliation_passes": 33}),
 ])
 def test_failed_run_leaves_no_output_directory(tmp_path, monkeypatch, capsys, kind, body):
     monkeypatch.chdir(tmp_path)

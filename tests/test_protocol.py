@@ -12,11 +12,11 @@ from qkdlab.cli import load_config
 from qkdlab.detection import (BLOCK_INTERVALS, TILE_INTERVALS, DetectorConfig, Trials,
                               records_to_csv, simulate_dwell_stream)
 from qkdlab.optics import MeasBasis
-from qkdlab.protocol import (TAG_BITS, SessionConfig, estimate_qber, h2,
-                             privacy_amplify, reconcile, run_session, sift,
-                             transcript_summary)
+from qkdlab.protocol import (MAX_RECONCILIATION_PASSES, TAG_BITS, SessionConfig,
+                             _toeplitz_hash, estimate_qber, h2, privacy_amplify,
+                             reconcile, run_session, sift, transcript_summary)
 from qkdlab.states import EveConfig, add_white_noise, bell_phi_plus
-from qkdlab import otp
+from qkdlab import otp, protocol
 
 from conftest import binomial_sigma, session_with_trials
 
@@ -179,6 +179,23 @@ def test_reconcile_success_rate_contract(n, qber):
         ok += int(np.array_equal(corrected, alice))
     floor = math.floor(0.99 * trials - 4 * math.sqrt(trials * 0.99 * 0.01))
     assert ok >= floor, f"success {ok}/{trials}"
+
+
+def test_passes_beyond_the_cap_leak_one_bit_each_and_correct_nothing():
+    # pass index 31 is one whole-string block for any k1 >= 1, so each pass
+    # after the 32nd is one even block: one parity message, no correction
+    extra = 40 - MAX_RECONCILIATION_PASSES
+    for n in (100, 1000, 10_000):
+        for seed in range(5):
+            data = np.random.default_rng([n, seed])
+            alice = data.integers(0, 2, n, dtype=np.uint8)
+            bob = alice ^ (data.random(n) < 0.05).astype(np.uint8)
+            capped, capped_leak = reconcile(alice, bob, MAX_RECONCILIATION_PASSES,
+                                            qber_est=0.05, rng=np.random.default_rng(seed))
+            more, more_leak = reconcile(alice, bob, 40, qber_est=0.05,
+                                        rng=np.random.default_rng(seed))
+            assert np.array_equal(more, capped), (n, seed)
+            assert more_leak == capped_leak + extra, (n, seed)
 
 
 def test_reconcile_length_mismatch_rejected():
@@ -367,6 +384,20 @@ def test_privacy_amplify_exact_against_integer_convolution():
     assert np.array_equal(out, expected)
 
 
+# n + m - 2 at 2**k - 1, 2**k and 2**k + 1: the FFT size doubles between
+# the first and the second.
+@pytest.mark.parametrize("m,k", [(TAG_BITS, 12), (3000, 13)])
+def test_tag_of_the_residual_is_the_xor_of_the_tags(m, k):
+    for n in (2 ** k + 1 - m, 2 ** k + 2 - m, 2 ** k + 3 - m):
+        rng = np.random.default_rng([n, m])
+        a = rng.integers(0, 2, n, dtype=np.uint8)
+        b = a ^ (rng.random(n) < 0.05).astype(np.uint8)
+        for other in (b, a.copy()):  # the second pair's residual is all zeros
+            seed = int(rng.integers(0, 2 ** 63))
+            tags = _toeplitz_hash(a, m, seed) ^ _toeplitz_hash(other, m, seed)
+            assert np.array_equal(_toeplitz_hash(a ^ other, m, seed), tags), n
+
+
 def test_privacy_amplify_million_bit_key_stays_bounded():
     n = 1_000_000
     key = np.random.default_rng(13).integers(0, 2, n, dtype=np.uint8)
@@ -544,31 +575,77 @@ def test_session_counts_match_the_sink_trials(config):
     assert t.n_agree < t.n_sifted
 
 
+# QBER ~0.08 (noise 0.16) leaves errors in one pass's even-error blocks
+_ONE_PASS_FAILS = SessionConfig(
+    seed=0, n_intervals=10_000, source_noise=0.16, reconciliation_passes=1,
+    detector=DetectorConfig(dwell=0.1, pair_rate=10.0, dark_rate=0.0))
+
+
 def test_one_cascade_pass_fails_key_verification():
-    # QBER ~0.08 (noise 0.16) leaves errors in one pass's even-error blocks
-    t = run_session(SessionConfig(
-        seed=0, n_intervals=10_000, source_noise=0.16, reconciliation_passes=1,
-        detector=DetectorConfig(dwell=0.1, pair_rate=10.0, dark_rate=0.0)))
+    t = run_session(_ONE_PASS_FAILS)
     assert 0.05 < t.qber_estimate < 0.11
     assert t.aborted and t.abort_reason == "key_verification_failed"
-    assert len(t.final_key) == 0 and len(t.alice_final_key) == 0
+    assert len(t.final_key) == 0 and t.residual_errors > 0
     assert t.leaked_bits > TAG_BITS  # Cascade's parities and the tag
 
 
-def test_final_keys_agree_on_200_keygen_seeds():
-    # Cascade leaves residual errors on a few of these seeds; the tag must
-    # catch every such session.
+def test_final_keys_agree_on_200_keygen_seeds(monkeypatch):
+    # Cascade leaves residual errors on a few of these seeds; the tag of the
+    # residual must abort exactly the sessions whose two tags would differ,
+    # and Alice's key, hashed as Bob's was, must equal the final key.
+    seen = {}
+
+    def spy_reconcile(alice_bits, bob_bits, passes, *, qber_est, rng):
+        corrected, leak = reconcile(alice_bits, bob_bits, passes, qber_est=qber_est, rng=rng)
+        seen["pair"] = (alice_bits, corrected)
+        # the session's next two draws: the PA seed, then the tag seed
+        after = np.random.default_rng()
+        after.bit_generator.state = rng.bit_generator.state
+        seen["seeds"] = (int(after.integers(0, 2 ** 63)), int(after.integers(0, 2 ** 63)))
+        return corrected, leak
+
+    def spy_privacy_amplify(key_bits, *args):
+        seen["pa_args"] = args
+        return privacy_amplify(key_bits, *args)
+
+    monkeypatch.setattr(protocol, "reconcile", spy_reconcile)
+    monkeypatch.setattr(protocol, "privacy_amplify", spy_privacy_amplify)
     failed = []
     for seed in range(200):
+        seen.clear()
         t = run_session(_keygen(seed))
+        alice, bob = seen["pair"]
+        pa_seed, tag_seed = seen["seeds"]
+        tags_differ = not np.array_equal(_toeplitz_hash(alice, TAG_BITS, tag_seed),
+                                         _toeplitz_hash(bob, TAG_BITS, tag_seed))
+        assert t.aborted == tags_differ, seed
+        assert t.residual_errors == np.count_nonzero(alice != bob), seed
         if t.aborted:
             assert t.abort_reason == "key_verification_failed", seed
-            assert len(t.final_key) == len(t.alice_final_key) == 0
+            assert len(t.final_key) == 0 and "pa_args" not in seen, seed
             failed.append(seed)
         else:
-            assert len(t.final_key) > 0, seed
-            assert np.array_equal(t.alice_final_key, t.final_key), seed
+            assert t.residual_errors == 0 and len(t.final_key) > 0, seed
+            assert seen["pa_args"][-1] == pa_seed, seed
+            assert np.array_equal(privacy_amplify(alice, *seen["pa_args"]), t.final_key), seed
     assert failed, "no session exercised the key check"
+
+
+def test_a_session_hashes_once(monkeypatch):
+    calls = []
+
+    def counting_hash(key, m, rng_seed):
+        calls.append(m)
+        return _toeplitz_hash(key, m, rng_seed)
+
+    monkeypatch.setattr(protocol, "_toeplitz_hash", counting_hash)
+    completed = run_session(_keygen(seed=0))
+    assert not completed.aborted and completed.residual_errors == 0
+    assert calls == [len(completed.final_key)]  # privacy amplification alone
+    calls.clear()
+    failed = run_session(_ONE_PASS_FAILS)
+    assert failed.abort_reason == "key_verification_failed"
+    assert calls == [TAG_BITS]  # the residual's tag alone
 
 
 @pytest.mark.parametrize("reason,overrides", [
@@ -579,7 +656,8 @@ def test_final_keys_agree_on_200_keygen_seeds():
 def test_abort_reasons(reason, overrides):
     t = run_session(_keygen(seed=4, n=2000, **overrides))
     assert t.aborted and t.abort_reason == reason
-    assert len(t.final_key) == len(t.alice_final_key) == t.leaked_bits == 0
+    assert len(t.final_key) == t.leaked_bits == 0
+    assert t.residual_errors is None
     assert transcript_summary(t)["abort_reason"] == reason
 
 
@@ -599,3 +677,8 @@ def test_session_config_validation():
         SessionConfig(seed=1, qber_sample_fraction=0.0)
     with pytest.raises(ValueError):
         SessionConfig(seed=1, source_noise=1.5)
+    with pytest.raises(ValueError):
+        SessionConfig(seed=1, reconciliation_passes=0)
+    with pytest.raises(ValueError, match="reconciliation_passes"):
+        SessionConfig(seed=1, reconciliation_passes=MAX_RECONCILIATION_PASSES + 1)
+    SessionConfig(seed=1, reconciliation_passes=MAX_RECONCILIATION_PASSES)

@@ -14,5 +14,5 @@ def test_readme_library_example_runs(capsys):
     assert match, "README has no Library example Python block"
     exec(compile(match.group(1), "README.md", "exec"), {})
     lines = capsys.readouterr().out.splitlines()
-    assert "True" in lines   # Alice's and Bob's final keys are equal
+    assert "0" in lines   # no residual error: Alice's and Bob's keys are equal
     assert float(lines[-1]) == pytest.approx(2 * np.sqrt(2), abs=1e-9)

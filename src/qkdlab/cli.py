@@ -25,7 +25,7 @@ from .protocol import (SessionConfig, run_session, transcript_summary,
 from .states import (EveConfig, QuartzPlate, TwoQubitState, add_white_noise,
                      bell_phi_plus, eve_scenarios, plate_gamma)
 from .tomography import (TOMO_SCHEDULE, CHSH_CANONICAL_ANGLES, ReconstructionError,
-                         correlator, run_tomography, simulate_counts)
+                         chsh, correlator, run_tomography, simulate_counts)
 
 BASIS_LABELS = ("HH", "HV", "VH", "VV")
 
@@ -47,7 +47,7 @@ def _take(section: dict, key: str, types, where: str, required=False, default=No
         return default
     value = section[key]
     if types is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
+        value = float(value) if abs(value) <= sys.float_info.max else math.inf  # not finite
     if not isinstance(value, types if isinstance(types, tuple) else (types,)) \
             or isinstance(value, bool) and types is not bool:
         raise ConfigError(f"key '{key}' in {where} has the wrong type")
@@ -153,7 +153,7 @@ def load_config(path: str, kind: str, seed_override: int | None = None) -> dict:
     elif kind == "bell":
         angles = _take(raw, "angles", list, "config", default=list(CHSH_CANONICAL_ANGLES))
         if len(angles) != 4 or not all(isinstance(a, (int, float)) and not isinstance(a, bool)
-                                       and math.isfinite(a) for a in angles):
+                                       and abs(a) <= sys.float_info.max for a in angles):
             raise ConfigError("angles must be four finite numbers [a, a', b, b']")
         out["angles"] = [float(a) for a in angles]
     return out
@@ -257,7 +257,7 @@ def cmd_bell(cfg: dict, out_dir: str) -> int:
         "E(a',b)": correlator(state, a_prime, b),
         "E(a',b')": correlator(state, a_prime, b_prime),
     }
-    s_value = table["E(a,b)"] - table["E(a,b')"] + table["E(a',b)"] + table["E(a',b')"]
+    s_value = chsh(state, *cfg["angles"])
     os.makedirs(out_dir, exist_ok=True)
     _dump_json({"angles": cfg["angles"], "correlators": table, "s_value": s_value},
                os.path.join(out_dir, "bell.json"))

@@ -66,32 +66,23 @@ class Trials:
         return self.kept & (self.alice_basis == self.bob_basis)
 
 
-def _joint_projectors(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The joint projectors, shape (..., 4, 4, 4), of Alice's and Bob's
-    stacks of (plus, minus) projector pairs, shape (..., 2, 2, 2); the
-    outcomes are in the order (1,1), (1,0), (0,1), (0,0)."""
-    joint = qmath.tensor(a[..., :, None, :, :], b[..., None, :, :, :])
-    return joint.reshape(joint.shape[:-4] + (4, 4, 4))
-
-
 _BIT_PAIRS = ((1, 1), (1, 0), (0, 1), (0, 0))
 
 # The joint projectors of every (Alice basis, Bob basis) of BASES, shape (2, 2, 4, 4, 4).
 _BASIS_PROJECTORS = np.array([basis.projectors() for basis in BASES])
-_TABLE_PROJECTORS = _joint_projectors(_BASIS_PROJECTORS[:, None], _BASIS_PROJECTORS[None, :])
+_TABLE_PROJECTORS = qmath.joint_projectors(_BASIS_PROJECTORS[:, None], _BASIS_PROJECTORS[None, :])
 
 
 def _outcome_probs(rhos: np.ndarray, projectors: np.ndarray) -> np.ndarray:
     """Tr[rho P] of the broadcast stacks, clipped at zero and normalised over
     the last axis, the four joint outcomes."""
-    probs = np.clip(np.trace(rhos @ projectors, axis1=-2, axis2=-1).real, 0.0, None)
+    probs = np.clip(qmath.expectation(rhos, projectors), 0.0, None)
     return probs / probs.sum(axis=-1, keepdims=True)
 
 
 def joint_probs(s: TwoQubitState, a: MeasBasis, b: MeasBasis) -> np.ndarray:
     """Joint outcome probabilities (p11, p10, p01, p00) for one pair."""
-    return _outcome_probs(s.rho, _joint_projectors(np.array(a.projectors()),
-                                                   np.array(b.projectors())))
+    return _outcome_probs(s.rho, qmath.joint_projectors(a.projectors(), b.projectors()))
 
 
 def _cumulative_tables(states: list[TwoQubitState]) -> np.ndarray:

@@ -61,9 +61,9 @@ class MeasBasis(enum.Enum):
     def minus(self) -> PolState:
         return PolState(self.value[1])
 
-    def projectors(self) -> tuple[np.ndarray, np.ndarray]:
-        """(plus, minus) rank-1 projectors."""
-        return projector(self.plus), projector(self.minus)
+    def projectors(self) -> np.ndarray:
+        """The (plus, minus) rank-1 projectors, stacked: shape (2, 2, 2)."""
+        return np.array([projector(self.plus), projector(self.minus)])
 
 
 def linear_ket(angle_from_h_deg: float) -> np.ndarray:
@@ -72,10 +72,11 @@ def linear_ket(angle_from_h_deg: float) -> np.ndarray:
     return np.array([np.cos(a), np.sin(a)], dtype=complex)
 
 
-def linear_projector(angle_from_h_deg: float) -> np.ndarray:
-    """Projector onto linear polarization at the given angle from horizontal."""
-    k = linear_ket(angle_from_h_deg)
-    return np.outer(k, k.conj())
+def linear_projectors(angle_from_h_deg: float) -> np.ndarray:
+    """The stacked (plus, minus) projectors onto linear polarization at the
+    given angle from horizontal and at 90 degrees more."""
+    k = linear_ket(np.array([angle_from_h_deg, angle_from_h_deg + 90.0])).T
+    return k[:, :, None] * k[:, None, :].conj()
 
 
 def projector(s: PolState) -> np.ndarray:

@@ -59,6 +59,18 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return t.reshape(t.shape[:-4] + (t.shape[-4] * t.shape[-3], t.shape[-2] * t.shape[-1]))
 
 
+def joint_projectors(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The joint projectors (..., 4, 4, 4) of two photons' stacked (plus, minus)
+    pairs (..., 2, 2, 2), in the outcome order (+,+), (+,-), (-,+), (-,-)."""
+    joint = tensor(a[..., :, None, :, :], b[..., None, :, :, :])
+    return joint.reshape(joint.shape[:-4] + (4, 4, 4))
+
+
+def expectation(rhos: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """The Born rule Re Tr[rho A] over broadcast stacks, as the trace of ``rhos @ ops``."""
+    return np.trace(rhos @ ops, axis1=-2, axis2=-1).real
+
+
 def herm_eig(m: np.ndarray):
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qmath
-from .optics import MeasBasis, linear_projector
+from .optics import MeasBasis, linear_projectors
 
 SPEED_OF_LIGHT_MM_PER_FS = 2.99792458e-4  # 299792458 m/s expressed in mm/fs
 
@@ -133,24 +133,17 @@ def add_white_noise(s: TwoQubitState, p: float) -> TwoQubitState:
     return TwoQubitState(rho)
 
 
-def _bob_projectors(basis_angle_deg: float) -> tuple[np.ndarray, np.ndarray]:
-    """(plus, minus) projectors on photon 2 for a linear basis at the given
-    polarization angle from horizontal."""
-    p_plus = qmath.tensor(_I2, linear_projector(basis_angle_deg))
-    p_minus = qmath.tensor(_I2, linear_projector(basis_angle_deg + 90.0))
-    return p_plus, p_minus
-
-
 def dephase_bob(s: TwoQubitState, basis_angle: float, gamma: float) -> TwoQubitState:
     """Partially decohere photon 2 along the basis at ``basis_angle``.
 
-    rho' = (1-gamma) rho + gamma (P+ rho P+ + P- rho P-), acting on the
-    second photon only.  gamma = 0 is the identity channel, gamma = 1 kills
-    the coherence between the two basis branches entirely.
+    rho' = (1-gamma) rho + gamma (P+ rho P+ + P- rho P-), with (P+, P-) the
+    ``linear_projectors(basis_angle)`` pair acting on the second photon
+    only.  gamma = 0 is the identity channel, gamma = 1 kills the coherence
+    between the two basis branches entirely.
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma must be in [0, 1]")
-    p_plus, p_minus = _bob_projectors(basis_angle)
+    p_plus, p_minus = qmath.tensor(_I2, linear_projectors(basis_angle))
     rho = s.rho
     pinched = p_plus @ rho @ p_plus + p_minus @ rho @ p_minus
     return TwoQubitState((1.0 - gamma) * rho + gamma * pinched)

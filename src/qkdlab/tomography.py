@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import qmath
-from .optics import PolState, linear_projector, projector
+from .optics import PolState, linear_projectors, projector
 from .states import TwoQubitState, bell_phi_plus_ket
 
 # Analyzer filter settings (first photon, second photon) in measurement
@@ -52,7 +52,7 @@ def _inversion_operators() -> np.ndarray:
     G_m = (sigma_i x sigma_j)/2 is invertible for the fixed schedule, so
     M[k] = sum_m (B^-1)[m, k] G_m."""
     basis = qmath.tensor(_PAULIS[:, None], _PAULIS[None, :]).reshape(16, 4, 4) / 2.0
-    b_mat = np.trace(_PROJECTORS[:, None] @ basis, axis1=-2, axis2=-1).real
+    b_mat = qmath.expectation(_PROJECTORS[:, None], basis)
     return np.tensordot(np.linalg.inv(b_mat), basis, axes=(0, 0))
 
 
@@ -106,7 +106,7 @@ def _physical_spectrum(counts: np.ndarray):
 
 def expected_probs(s: TwoQubitState) -> np.ndarray:
     """Transmission probability Tr[rho Pi_k] for every schedule setting."""
-    return np.trace(s.rho @ _PROJECTORS, axis1=-2, axis2=-1).real
+    return qmath.expectation(s.rho, _PROJECTORS)
 
 
 def simulate_counts(s: TwoQubitState, n_per_setting: float, rng) -> np.ndarray:
@@ -289,16 +289,11 @@ def run_tomography(counts, replicas: int = 200, seed: int = 0) -> TomographyRun:
 
 
 def correlator(s: TwoQubitState, alpha: float, beta: float) -> float:
-    """E(alpha, beta) for linear analyzers at the given angles (degrees
-    from horizontal), signs (+,-,-,+) over the four joint ports."""
-    rho = s.rho
-    result = 0.0
-    for sign_a, off_a in ((1, 0.0), (-1, 90.0)):
-        pa = linear_projector(alpha + off_a)
-        for sign_b, off_b in ((1, 0.0), (-1, 90.0)):
-            pb = linear_projector(beta + off_b)
-            result += sign_a * sign_b * np.trace(rho @ qmath.tensor(pa, pb)).real
-    return float(result)
+    """E(alpha, beta) for linear analyzers at the given angles (degrees from
+    horizontal): one stacked trace over the four joint ports, signs (+,-,-,+)."""
+    p = qmath.expectation(s.rho, qmath.joint_projectors(linear_projectors(alpha),
+                                                        linear_projectors(beta)))
+    return float(p[0] - p[1] - p[2] + p[3])
 
 
 def chsh(s: TwoQubitState, a: float, a_prime: float, b: float, b_prime: float) -> float:

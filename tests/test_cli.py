@@ -142,6 +142,33 @@ def test_tomo_outputs_golden(tmp_path, preset):
     assert np.ravel(written).tolist() == pytest.approx(rho, rel=1e-9)
 
 
+# Frozen figures: bell.json's four correlators and S of the two bell presets.
+# Under full HV dephasing E(a',b) and E(a',b') are zero but for rounding,
+# hence the absolute tolerance.
+BELL_GOLDEN = {
+    "bell_no_eve": (
+        {"E(a,b)": 0.7071067811865475, "E(a,b')": -0.7071067811865475,
+         "E(a',b)": 0.7071067811865477, "E(a',b')": 0.7071067811865476},
+        2.8284271247461903),
+    "bell_full_eve_hv": (
+        {"E(a,b)": 0.7071067811865475, "E(a,b')": -0.7071067811865475,
+         "E(a',b)": 1.6653345369377348e-16, "E(a',b')": -1.6653345369377348e-16},
+        1.414213562373095),
+}
+
+
+@pytest.mark.parametrize("preset", sorted(BELL_GOLDEN))
+def test_bell_outputs_golden(tmp_path, preset):
+    cfg = os.path.join(CONFIG_DIR, preset + ".json")
+    assert main(["bell", "--config", cfg, "--out", str(tmp_path)]) == 0
+    correlators, s_value = BELL_GOLDEN[preset]
+    written = json.loads((tmp_path / "bell.json").read_text())
+    e = written["correlators"]
+    assert e == pytest.approx(correlators, rel=1e-9, abs=1e-12)
+    assert written["s_value"] == pytest.approx(s_value, rel=1e-9)
+    assert written["s_value"] == e["E(a,b)"] - e["E(a,b')"] + e["E(a',b)"] + e["E(a',b')"]
+
+
 def test_shorter_session_records_are_a_prefix(tmp_path):
     # 70 000 intervals end inside the second block of 65 536
     trees = []
@@ -363,14 +390,16 @@ def test_bell_prints_canonical_violation(tmp_path, capsys):
     assert payload["s_value"] == pytest.approx(2 * np.sqrt(2), abs=1e-9)
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                 pytest.param(10 ** 400, id="10**400")])
 def test_bell_rejects_non_finite_angle(tmp_path, capsys, bad):
     cfg = write_config(tmp_path, "b.json",
                        {"kind": "bell", "seed": 2, "source_noise": 0.0,
                         "angles": [0.0, 45.0, bad, 67.5], "eve": {"mode": "absent"}})
     assert main(["bell", "--config", cfg, "--out", str(tmp_path / "a")]) == 1
-    assert "finite" in capsys.readouterr().err
-    assert not (tmp_path / "a" / "bell.json").exists()
+    err = capsys.readouterr().err
+    assert "angles" in err and "finite" in err
+    assert not (tmp_path / "a").exists()
 
 
 @pytest.mark.parametrize("angles", [[True, 45.0, 22.5, 67.5], [0.0, 45.0, 22.5, False]])
@@ -383,7 +412,8 @@ def test_bell_rejects_boolean_angle(tmp_path, capsys, angles):
     assert not (tmp_path / "a" / "bell.json").exists()
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"),
+                                 pytest.param(10 ** 400, id="10**400")])
 def test_session_rejects_non_finite_number(tmp_path, capsys, bad):
     body = session_body(detector={"dwell": 0.1, "pair_rate": 10.0, "dark_rate": bad})
     cfg = write_config(tmp_path, "s.json", body)

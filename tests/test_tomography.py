@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qkdlab.cli import _prepared_state, load_config
-from qkdlab.optics import PolState
+from qkdlab.optics import PolState, linear_ket
 from qkdlab.states import (EveConfig, TwoQubitState, add_white_noise, bell_phi_plus,
                            bell_phi_plus_ket, dephase_bob)
 from qkdlab import qmath
@@ -190,6 +190,33 @@ def test_trace_tables_are_the_per_matrix_loops_bit_for_bit(rng):
     for state in states:
         want = np.array([np.trace(state.rho @ pk).real for pk in _PROJECTORS])
         assert np.array_equal(expected_probs(state), want)
+
+    def projector_at(angle):
+        k = linear_ket(angle)
+        return np.outer(k, k.conj())
+
+    def loop_correlator(state, alpha, beta):
+        result = 0.0
+        for sign_a, off_a in ((1, 0.0), (-1, 90.0)):
+            pa = projector_at(alpha + off_a)
+            for sign_b, off_b in ((1, 0.0), (-1, 90.0)):
+                pb = projector_at(beta + off_b)
+                result += sign_a * sign_b * np.trace(state.rho @ qmath.tensor(pa, pb)).real
+        return float(result)
+
+    angles = (0.0, 22.5, 45.0, 67.5, -37.9, 152.6)
+    i2 = np.eye(2, dtype=complex)
+    for state in states:
+        for alpha in angles:
+            for beta in angles:
+                assert np.array_equal(correlator(state, alpha, beta),
+                                      loop_correlator(state, alpha, beta))
+            p_plus = qmath.tensor(i2, projector_at(alpha))
+            p_minus = qmath.tensor(i2, projector_at(alpha + 90.0))
+            pinched = p_plus @ state.rho @ p_plus + p_minus @ state.rho @ p_minus
+            for gamma in (0.0, 0.3, 1.0):
+                assert np.array_equal(dephase_bob(state, alpha, gamma).rho,
+                                      (1.0 - gamma) * state.rho + gamma * pinched)
 
 
 def test_wootters_overlaps_are_the_sigma_yy_product_bit_for_bit(rng):

@@ -236,7 +236,7 @@ def cmd_tomo(cfg: dict, out_dir: str) -> int:
     run = run_tomography(counts, replicas=cfg["replicas"], seed=cfg["seed"])
 
     os.makedirs(out_dir, exist_ok=True)
-    _write_counts_csv(run.counts, os.path.join(out_dir, "counts.csv"))
+    _write_counts_csv(counts, os.path.join(out_dir, "counts.csv"))
     _dump_json({"basis_order": list(BASIS_LABELS),
                 "rho": qmath.mat_to_json(run.rho_hat.rho)},
                os.path.join(out_dir, "density_matrix.json"))

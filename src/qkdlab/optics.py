@@ -16,6 +16,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import enum
+import math
 
 import numpy as np
 
@@ -74,8 +75,11 @@ def linear_ket(angle_from_h_deg: float) -> np.ndarray:
 
 def linear_projectors(angle_from_h_deg: float) -> np.ndarray:
     """The stacked (plus, minus) projectors onto linear polarization at the
-    given angle from horizontal and at 90 degrees more."""
-    k = linear_ket(np.array([angle_from_h_deg, angle_from_h_deg + 90.0])).T
+    given angle from horizontal and at 90 degrees more.  The angle is first
+    reduced modulo 360, which is exact and leaves (-360, 360) unchanged: at a
+    huge angle, adding 90 would round away the minus state."""
+    a = math.fmod(angle_from_h_deg, 360.0)
+    k = linear_ket(np.array([a, a + 90.0])).T
     return k[:, :, None] * k[:, None, :].conj()
 
 

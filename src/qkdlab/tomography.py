@@ -12,7 +12,7 @@ path as a single counts vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -169,18 +169,10 @@ def _spectral_metrics(w: np.ndarray, v: np.ndarray, target: np.ndarray) -> np.nd
     return np.stack([c * c, entropy, linear, fid], axis=-1)
 
 
-def _target_ket(target_ket) -> np.ndarray:
-    if target_ket is None:
-        return bell_phi_plus_ket()
-    t = np.asarray(target_ket, dtype=complex)
-    if t.shape != (4,) or not abs(np.vdot(t, t).real - 1.0) <= qmath.TRACE_TOL:
-        raise ValueError("target_ket must be a unit-norm vector of length 4")
-    return t
-
-
 @dataclass
 class StateMetrics:
-    """Point metrics with bootstrap spreads (sigmas are zero outside bootstrap)."""
+    """Point metrics with bootstrap spreads (sigmas are zero outside bootstrap);
+    metrics and sigmas each follow the column order of :func:`_spectral_metrics`."""
 
     tangle: float
     von_neumann: float
@@ -193,7 +185,7 @@ class StateMetrics:
     clamp_events: int = 0
 
 
-def state_metrics(s: TwoQubitState, target_ket: np.ndarray | None = None) -> StateMetrics:
+def state_metrics(s: TwoQubitState) -> StateMetrics:
     """Raw (unclamped) metrics of a single state, sigmas zero:
 
     - ``tangle``: the squared Wootters concurrence, 0 separable, 1 maximally
@@ -201,13 +193,11 @@ def state_metrics(s: TwoQubitState, target_ket: np.ndarray | None = None) -> Sta
     - ``von_neumann``: -Tr(rho log2 rho) in bits, with 0 log 0 = 0;
     - ``linear_entropy``: (4/3)(1 - Tr rho^2), 0 pure, 2/3 a two-state
       mixture, 1 maximally mixed;
-    - ``fidelity``: <t|rho|t> against a pure target ``target_ket`` (default:
-      the entangled source state); a target that is not a unit-norm length-4
-      vector raises ValueError.
+    - ``fidelity``: <Phi+|rho|Phi+>, against the entangled source state.
     """
     w, v = qmath.herm_eig(s.rho)
     return StateMetrics(*map(float, _spectral_metrics(np.clip(w, 0.0, None), v,
-                                                      _target_ket(target_ket))))
+                                                      bell_phi_plus_ket())))
 
 
 def _replica_blocks(counts: np.ndarray, replicas: int, seed: int):
@@ -252,21 +242,14 @@ def bootstrap_metrics(counts, replicas: int = 200, seed: int = 0) -> StateMetric
         m2 += ((clipped - block_mean) ** 2).sum(axis=0) + delta * delta * (n * k / (n + k))
         mean += delta * (k / (n + k))
         n += k
-    std = np.sqrt(m2 / n)
-    return StateMetrics(
-        tangle=float(mean[0]), von_neumann=float(mean[1]),
-        linear_entropy=float(mean[2]), fidelity=float(mean[3]),
-        tangle_sigma=float(std[0]), von_neumann_sigma=float(std[1]),
-        linear_entropy_sigma=float(std[2]), fidelity_sigma=float(std[3]),
-        clamp_events=clamp_events,
-    )
+    return StateMetrics(*map(float, mean), *map(float, np.sqrt(m2 / n)), clamp_events)
 
 
 @dataclass
 class TomographyRun:
-    """Counts, the state reconstructed from them, and its metrics."""
+    """The flux estimate of a counts vector, the state reconstructed from it,
+    and its metrics."""
 
-    counts: np.ndarray
     total_estimate: float
     rho_hat: TwoQubitState
     metrics: StateMetrics
@@ -282,10 +265,9 @@ def run_tomography(counts, replicas: int = 200, seed: int = 0) -> TomographyRun:
     rho_hat = TwoQubitState(qmath.nearest_physical(w, v))
     point = _spectral_metrics(w, v, bell_phi_plus_ket())
     boot = bootstrap_metrics(counts, replicas=replicas, seed=seed)
-    metrics = replace(boot, tangle=float(point[0]), von_neumann=float(point[1]),
-                      linear_entropy=float(point[2]), fidelity=float(point[3]))
-    return TomographyRun(counts=counts, total_estimate=float(counts[_FLUX].sum()),
-                         rho_hat=rho_hat, metrics=metrics)
+    metrics = StateMetrics(*map(float, point), *astuple(boot)[4:])
+    return TomographyRun(total_estimate=float(counts[_FLUX].sum()), rho_hat=rho_hat,
+                         metrics=metrics)
 
 
 def correlator(s: TwoQubitState, alpha: float, beta: float) -> float:

@@ -76,20 +76,40 @@ def test_session_output_files_agree(tmp_path):
     assert transcript["final_key_len"] == summary["final_key_bits"]
 
 
-# Frozen figures: a change here changes the bytes of records.csv.
-@pytest.mark.parametrize("preset,code,records_sha", [
-    pytest.param("session_no_eve_imperfect", 0,
-                 "754afe8cda44b4b487f7df3e0d4eb07b54eca8ddc51607d0a082010f89549812",
-                 id="session_no_eve_imperfect"),
-    pytest.param("session_intercept_random", 2,
-                 "a9f95164f1ac84a2444c255c8045a0d40be5bf8ae3e9f82af8b3426dd447432d",
-                 id="session_intercept_random"),
-])
-def test_session_csv_golden(tmp_path, preset, code, records_sha):
+# Frozen figures: the sha256 of every file of every session preset.  No
+# LAPACK call enters these bytes and PA rounds its FFT product exactly, so
+# they do not depend on the platform.
+SESSION_GOLDEN = {
+    "session_full_eve_da": (2, {
+        "records.csv": "f6552d20b9692caa05c9764fb2b78f214de963858319816eefc98a73777b0937",
+        "summary.json": "513298b1c424cfa6dbc874840ba6171cbc8da0774ba863844e5515eea1521729",
+        "transcript.json": "d4f3100392e6d18885d729f2aa759b0c48bd51903f346a505f55fcf95c366231",
+    }),
+    "session_intercept_random": (2, {
+        "records.csv": "a9f95164f1ac84a2444c255c8045a0d40be5bf8ae3e9f82af8b3426dd447432d",
+        "summary.json": "bf01c3dd597785d2c37717f3476326df1634ab92e3072b8298d62654397d2765",
+        "transcript.json": "d4f3100392e6d18885d729f2aa759b0c48bd51903f346a505f55fcf95c366231",
+    }),
+    "session_no_eve_ideal": (0, {
+        "records.csv": "cefe65b93e32e5f52992d0f7b7e69e011c34ed7ed1f216dbedb1a0e3d249bc89",
+        "summary.json": "f0d376b4e9e315198cb6225f14a257bf56b4aa742a396858260f07bcb20eab98",
+        "transcript.json": "ecf9d8140f0ef43a074ec33b08ac8c801406c23a8c0e5fbcd69a699b87740e06",
+    }),
+    "session_no_eve_imperfect": (0, {
+        "records.csv": "754afe8cda44b4b487f7df3e0d4eb07b54eca8ddc51607d0a082010f89549812",
+        "summary.json": "794e27ddeaa260f6384146f606e10683054f51cf8936e28b0641b06d84f0014e",
+        "transcript.json": "9687158302ced7d1875756a4bbebea3e7dfb250d993b34e26890889eebcd396d",
+    }),
+}
+
+
+@pytest.mark.parametrize("preset", sorted(SESSION_GOLDEN))
+def test_session_csv_golden(tmp_path, preset):
+    code, digests = SESSION_GOLDEN[preset]
     cfg = os.path.join(CONFIG_DIR, preset + ".json")
     assert main(["session", "--config", cfg, "--out", str(tmp_path)]) == code
     tree = read_tree(tmp_path)
-    assert hashlib.sha256(tree["records.csv"]).hexdigest() == records_sha
+    assert {name: hashlib.sha256(data).hexdigest() for name, data in tree.items()} == digests
 
 
 # Frozen figures: every metrics.json field and every density_matrix.json
@@ -348,6 +368,8 @@ def test_tomo_counts_file_repeated_setting_rejected(tmp_path, capsys):
     ("tomo", {"replicas": 10 ** 12}),
     # above protocol.MAX_RECONCILIATION_PASSES
     ("session", {"reconciliation_passes": 33}),
+    # above protocol.MAX_INTERVALS: refused before records.csv is opened
+    ("session", {"n_intervals": 10 ** 400}),
 ])
 def test_failed_run_leaves_no_output_directory(tmp_path, monkeypatch, capsys, kind, body):
     monkeypatch.chdir(tmp_path)

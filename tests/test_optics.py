@@ -1,11 +1,13 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from qkdlab.optics import MeasBasis, PolState, projector
+from qkdlab.optics import MeasBasis, PolState, linear_ket, linear_projectors, projector
+from qkdlab.states import TwoQubitState, dephase_bob
 
-from conftest import assert_close
+from conftest import assert_close, random_density
 
 STATES = list(PolState)
 BASES = {
@@ -64,3 +66,20 @@ def test_two_photon_settings_tomographically_complete():
     povms = [np.kron(projector(a), projector(b)) for a, b in TOMO_SCHEDULE]
     gram = np.array([[np.trace(p @ q).real for q in povms] for p in povms])
     assert np.linalg.matrix_rank(gram, tol=1e-8) == 16
+
+
+def test_linear_projectors_reduce_the_angle_exactly(rng):
+    # far outside (-360, 360), adding 90 before the reduction rounds away
+    # the minus state: at 1e300 the unreduced pair is off I by ~1
+    for a in (1e10, -1e10, 1e15, 1e300, -1e300):
+        pair = linear_projectors(a)
+        assert np.abs(pair.sum(axis=0) - np.eye(2)).max() <= 1e-12
+        assert np.array_equal(pair, linear_projectors(math.fmod(a, 360.0)))
+    # inside (-360, 360) the reduction is the identity: the unreduced
+    # formula's bits
+    for a in np.linspace(-359.75, 359.75, 2879).tolist() + [-0.0, 1e-300, 22.5, 67.5]:
+        k = linear_ket(np.array([a, a + 90.0])).T
+        assert np.array_equal(linear_projectors(a), k[:, :, None] * k[:, None, :].conj())
+    # Eve's plate at a huge axis angle still leaves a density matrix
+    for _ in range(200):
+        dephase_bob(TwoQubitState(random_density(rng)), 1e10, 1.0)

@@ -12,9 +12,10 @@ from qkdlab.cli import load_config
 from qkdlab.detection import (BLOCK_INTERVALS, TILE_INTERVALS, DetectorConfig, Trials,
                               records_to_csv, simulate_dwell_stream)
 from qkdlab.optics import MeasBasis
-from qkdlab.protocol import (MAX_RECONCILIATION_PASSES, TAG_BITS, SessionConfig,
-                             _toeplitz_hash, estimate_qber, h2, privacy_amplify,
-                             reconcile, run_session, sift, transcript_summary)
+from qkdlab.protocol import (MAX_INTERVALS, MAX_RECONCILIATION_PASSES, TAG_BITS,
+                             SessionConfig, _toeplitz_hash, estimate_qber, h2,
+                             privacy_amplify, reconcile, run_session, sift,
+                             transcript_summary)
 from qkdlab.states import EveConfig, add_white_noise, bell_phi_plus
 from qkdlab import otp, protocol
 
@@ -682,3 +683,8 @@ def test_session_config_validation():
     with pytest.raises(ValueError, match="reconciliation_passes"):
         SessionConfig(seed=1, reconciliation_passes=MAX_RECONCILIATION_PASSES + 1)
     SessionConfig(seed=1, reconciliation_passes=MAX_RECONCILIATION_PASSES)
+    with pytest.raises(ValueError, match="n_intervals"):
+        SessionConfig(seed=1, n_intervals=0)
+    with pytest.raises(ValueError, match="n_intervals"):
+        SessionConfig(seed=1, n_intervals=MAX_INTERVALS + 1)
+    SessionConfig(seed=1, n_intervals=MAX_INTERVALS)

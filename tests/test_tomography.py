@@ -238,20 +238,6 @@ def test_spectral_metrics_match_matrix_formulas_on_full_rank_states(rng):
         assert_close(row, _oracle_metrics(rho, target), tol=1e-9)
 
 
-def test_fidelity_target_must_be_a_unit_ket():
-    s = bell_phi_plus()
-    for bad in ([1, 0, 0, 1], [1, 0]):
-        with pytest.raises(ValueError, match="unit-norm"):
-            state_metrics(s, bad)
-    assert state_metrics(s, np.array([1, 0, 0, 1]) / np.sqrt(2)).fidelity == \
-        pytest.approx(1.0, abs=1e-12)
-    # a pure state's entropy is +0.0, not -0.0
-    hh = np.diag([1.0, 0.0, 0.0, 0.0])
-    for entropy in (state_metrics(TwoQubitState(hh.astype(complex))).von_neumann,
-                    _spectral_metrics(np.diag(hh), np.eye(4), bell_phi_plus_ket())[1]):
-        assert entropy == 0.0 and np.copysign(1.0, entropy) == 1.0
-
-
 def test_entropies_monotone_in_dephasing_strength():
     gammas = [0.0, 0.25, 0.5, 0.75, 1.0]
     metrics = [state_metrics(dephase_bob(bell_phi_plus(), 0.0, g)) for g in gammas]
@@ -259,6 +245,11 @@ def test_entropies_monotone_in_dephasing_strength():
     lin = [m.linear_entropy for m in metrics]
     assert all(b >= a - 1e-12 for a, b in zip(vn, vn[1:]))
     assert all(b >= a - 1e-12 for a, b in zip(lin, lin[1:]))
+    # a pure state's entropy is +0.0, not -0.0
+    hh = np.diag([1.0, 0.0, 0.0, 0.0])
+    for entropy in (state_metrics(TwoQubitState(hh.astype(complex))).von_neumann,
+                    _spectral_metrics(np.diag(hh), np.eye(4), bell_phi_plus_ket())[1]):
+        assert entropy == 0.0 and np.copysign(1.0, entropy) == 1.0
 
 
 def test_bootstrap_on_sharp_counts():

@@ -108,7 +108,7 @@ def _apply_plate(eve: EveConfig, plate: QuartzPlate | None) -> EveConfig:
 
 def load_config(path: str, kind: str, seed_override: int | None = None) -> dict:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
@@ -191,7 +191,7 @@ def cmd_session(cfg: dict, out_dir: str) -> int:
 
 def _read_counts_csv(path) -> np.ndarray:
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = [row for row in csv.reader(fh) if row]
     except OSError as exc:
         raise ConfigError(f"cannot read counts file: {exc}") from exc
@@ -270,7 +270,7 @@ def cmd_bell(cfg: dict, out_dir: str) -> int:
 def _load_key_bits(args) -> np.ndarray:
     if args.key_hex:
         return otp.hex_to_bits(args.key_hex)
-    with open(args.key_file, encoding="utf-8") as fh:
+    with open(args.key_file, encoding="utf-8-sig") as fh:
         transcript = json.load(fh)
     if not isinstance(transcript, dict):
         raise ConfigError("key file must be a JSON object")

@@ -23,10 +23,6 @@ from .states import EveConfig, add_white_noise, bell_phi_plus
 from . import otp
 
 
-# Cascade's pass with index 31 is one whole-string block, since k1 >= 1 and
-# ``reconcile`` takes at most 2**31 - 1 bits; it leaves that block even, so
-# every later pass leaks one bit and corrects nothing.
-MAX_RECONCILIATION_PASSES = 32
 # 10^8 intervals, the largest session measured, ran in 29.8 s at 778 MB max
 # RSS on a 2-vCPU, 8 GB box: the key half still runs over the whole sifted
 # string, so memory grows with the count.
@@ -40,24 +36,20 @@ class SessionConfig:
     source_noise: float = 0.0
     eve: EveConfig = field(default_factory=EveConfig)
     detector: DetectorConfig = field(default_factory=DetectorConfig)
-    qber_sample_fraction: float = 0.2
-    abort_threshold: float = 0.11
-    reconciliation_passes: int = 4
 
     def __post_init__(self):
         if not 0.0 <= self.source_noise <= 1.0:
             raise ValueError("source_noise must be in [0, 1]")
-        if not 0.0 < self.qber_sample_fraction <= 1.0:
-            raise ValueError("qber_sample_fraction must be in (0, 1]")
-        if not 0.0 < self.abort_threshold < 0.5:
-            raise ValueError("abort_threshold must be in (0, 0.5)")
         if not 1 <= self.n_intervals <= MAX_INTERVALS:
             raise ValueError(f"n_intervals must be in [1, {MAX_INTERVALS}]")
-        if not 1 <= self.reconciliation_passes <= MAX_RECONCILIATION_PASSES:
-            raise ValueError(f"reconciliation_passes must be in "
-                             f"[1, {MAX_RECONCILIATION_PASSES}]")
 
 
+# The protocol is fixed; a config sets only the source, the detectors and Eve.
+# Share of the sifted bits disclosed to estimate the error rate.
+QBER_SAMPLE_FRACTION = 0.2
+# An estimate above this aborts the session; the threshold itself proceeds.
+ABORT_THRESHOLD = 0.11
+CASCADE_PASSES = 4
 # Bits of the universal-hash tag that checks the reconciled strings agree.
 TAG_BITS = 64
 # Bits that privacy amplification removes beyond the error-rate and leak terms.
@@ -268,8 +260,10 @@ def run_session(config: SessionConfig, sink=None) -> SessionTranscript:
     interval's index), and is sifted.  The kept, sifted and agreeing counts
     are running sums over the tiles; the sifted tiles are joined once, for
     the key half alone, and the transcript keeps the counts and the final key.
-    Sifting's sample, Cascade and the hash seeds draw from the generator
-    with key ``(1,)``.
+    The error-rate sample of :data:`QBER_SAMPLE_FRACTION`, the
+    :data:`CASCADE_PASSES` passes of Cascade and the hash seeds draw from the
+    generator with key ``(1,)``; an estimate above :data:`ABORT_THRESHOLD`
+    aborts before Cascade.
 
     After Cascade, Alice and Bob compare a :data:`TAG_BITS`-bit Toeplitz
     hash of their reconciled strings, seeded by a value drawn after the
@@ -312,13 +306,12 @@ def run_session(config: SessionConfig, sink=None) -> SessionTranscript:
     if n_sifted == 0:
         return abort("no_sifted_bits")
     qber, rem_alice, rem_bob, _ = estimate_qber(
-        sifted_alice, sifted_bob, config.qber_sample_fraction, rng)
-    if qber > config.abort_threshold:  # the threshold itself proceeds
+        sifted_alice, sifted_bob, QBER_SAMPLE_FRACTION, rng)
+    if qber > ABORT_THRESHOLD:
         return abort("qber_above_threshold", qber)
     if len(rem_alice) == 0:
         return abort("nothing_left_after_sampling", qber)
-    corrected_bob, leaked = reconcile(rem_alice, rem_bob,
-                                      config.reconciliation_passes,
+    corrected_bob, leaked = reconcile(rem_alice, rem_bob, CASCADE_PASSES,
                                       qber_est=qber, rng=rng)
     pa_seed = int(rng.integers(0, 2 ** 63))
     tag_seed = int(rng.integers(0, 2 ** 63))

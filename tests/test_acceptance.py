@@ -65,7 +65,7 @@ def test_criterion_3_intercept_resend_error_rates():
     eve = EveConfig(mode="intercept_resend", basis_policy="random_per_trial")
     t = run_session(SessionConfig(seed=17, n_intervals=24000, source_noise=0.0,
                                   detector=DetectorConfig(dark_rate=0.0),
-                                  eve=eve, abort_threshold=0.3))
+                                  eve=eve))
     n = t.n_sifted
     assert n >= 4000
     qber = _qber(t)
@@ -76,7 +76,7 @@ def test_criterion_3_intercept_resend_error_rates():
                           basis_policy="fixed")
     _, trials = session_with_trials(SessionConfig(
         seed=18, n_intervals=24000, source_noise=0.0,
-        detector=DetectorConfig(dark_rate=0.0), eve=eve_fixed, abort_threshold=0.45))
+        detector=DetectorConfig(dark_rate=0.0), eve=eve_fixed))
     hv_sifted = trials.sifted() & (trials.alice_basis == BASES.index(MeasBasis.HV))
     errs = (trials.alice_bit != trials.bob_bit)[hv_sifted]
     rate = float(np.mean(errs))
@@ -91,7 +91,7 @@ def test_criterion_4_half_interception():
                     intercept_fraction=0.5)
     t = run_session(SessionConfig(seed=19, n_intervals=30000, source_noise=0.0,
                                   detector=DetectorConfig(dark_rate=0.0),
-                                  eve=eve, abort_threshold=0.3))
+                                  eve=eve))
     n = t.n_sifted
     qber = _qber(t)
     assert abs(qber - 0.125) <= 4 * binomial_sigma(0.125, n)

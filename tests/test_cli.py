@@ -56,7 +56,7 @@ def test_session_writes_outputs_and_repeats_bytes(tmp_path):
 def test_session_output_files_agree(tmp_path):
     eve = {"mode": "intercept_resend", "basis_policy": "random_per_trial",
            "intercept_fraction": 0.3}
-    body = session_body(n_intervals=3000, eve=eve, abort_threshold=0.3,
+    body = session_body(n_intervals=3000, eve=eve,
                         detector={"dwell": 0.1, "pair_rate": 10.0, "dark_rate": 1.0})
     cfg = write_config(tmp_path, "s.json", body)
     assert main(["session", "--config", cfg, "--out", str(tmp_path / "a")]) in (0, 2)
@@ -248,11 +248,14 @@ def test_session_abort_exit_code(tmp_path):
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):
-    # a misspelt key, and pa_safety_bits, a key no longer read
-    for key, value in (("qber_sampel_fraction", 0.2), ("pa_safety_bits", 30)):
+    # a misspelt key, and the protocol's constants, keys no longer read
+    for key, value in (("qber_sampel_fraction", 0.2), ("pa_safety_bits", 30),
+                       ("qber_sample_fraction", 0.2), ("abort_threshold", 0.11),
+                       ("reconciliation_passes", 4)):
         cfg = write_config(tmp_path, "s.json", session_body(**{key: value}))
         assert main(["session", "--config", cfg, "--out", str(tmp_path / "a")]) == 1
         assert f"unknown key(s) in config: {key}" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists()
 
 
 @pytest.mark.parametrize("key, section", [
@@ -315,6 +318,14 @@ def test_tomo_counts_file_roundtrip(tmp_path):
     a, b = read_tree(tmp_path / "a"), read_tree(tmp_path / "b")
     assert a["density_matrix.json"] == b["density_matrix.json"]
     assert a["metrics.json"] == b["metrics.json"]
+    # a counts file saved with a UTF-8 byte-order mark reads the same
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "a" / "counts.csv").read_bytes())
+    cfg3 = write_config(tmp_path, "t3.json", dict(body, counts_file=str(bom)))
+    assert main(["tomo", "--config", cfg3, "--out", str(tmp_path / "c")]) == 0
+    c = read_tree(tmp_path / "c")
+    assert c["density_matrix.json"] == a["density_matrix.json"]
+    assert c["metrics.json"] == a["metrics.json"]
 
 
 def test_tomo_partial_gating_equals_scaled_strength(tmp_path):
@@ -366,7 +377,7 @@ def test_tomo_counts_file_repeated_setting_rejected(tmp_path, capsys):
                  "plate": {"thickness_mm": 1.0}}),
     # above tomography.MAX_REPLICAS: refused before any replica is drawn
     ("tomo", {"replicas": 10 ** 12}),
-    # above protocol.MAX_RECONCILIATION_PASSES
+    # an unknown key: the pass count is the constant protocol.CASCADE_PASSES
     ("session", {"reconciliation_passes": 33}),
     # above protocol.MAX_INTERVALS: refused before records.csv is opened
     ("session", {"n_intervals": 10 ** 400}),
@@ -510,6 +521,25 @@ def test_session_transcript_is_an_otp_key_file(tmp_path, capsys):
     assert main(["otp", "decrypt", "--hex", cipher_hex, "--key-file", key_file]) == 0
     plain_hex = capsys.readouterr().out.strip()
     assert np.packbits(otp.hex_to_bits(plain_hex)).tobytes().decode("utf-8") == "QKD"
+
+
+def test_config_and_key_file_may_start_with_a_bom(tmp_path, capsys):
+    # editors that save "UTF-8 with BOM" put EF BB BF before the JSON
+    cfg = write_config(tmp_path, "s.json", session_body())
+    bom_cfg = tmp_path / "bom.json"
+    bom_cfg.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "s.json").read_bytes())
+    assert main(["session", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+    assert main(["session", "--config", str(bom_cfg), "--out", str(tmp_path / "b")]) == 0
+    assert read_tree(tmp_path / "a") == read_tree(tmp_path / "b")
+    key_file = tmp_path / "a" / "transcript.json"
+    bom_key = tmp_path / "bom_key.json"
+    bom_key.write_bytes(b"\xef\xbb\xbf" + key_file.read_bytes())
+    capsys.readouterr()
+    ciphers = []
+    for path in (key_file, bom_key):
+        assert main(["otp", "encrypt", "--text", "QKD", "--key-file", str(path)]) == 0
+        ciphers.append(capsys.readouterr().out)
+    assert ciphers[0] == ciphers[1]
 
 
 def test_otp_key_file_must_hold_a_key(tmp_path, capsys):

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import io
 import math
@@ -12,10 +11,9 @@ from qkdlab.cli import load_config
 from qkdlab.detection import (BLOCK_INTERVALS, TILE_INTERVALS, DetectorConfig, Trials,
                               records_to_csv, simulate_dwell_stream)
 from qkdlab.optics import MeasBasis
-from qkdlab.protocol import (MAX_INTERVALS, MAX_RECONCILIATION_PASSES, TAG_BITS,
-                             SessionConfig, _toeplitz_hash, estimate_qber, h2,
-                             privacy_amplify, reconcile, run_session, sift,
-                             transcript_summary)
+from qkdlab.protocol import (MAX_INTERVALS, TAG_BITS, SessionConfig, _toeplitz_hash,
+                             estimate_qber, h2, privacy_amplify, reconcile, run_session,
+                             sift, transcript_summary)
 from qkdlab.states import EveConfig, add_white_noise, bell_phi_plus
 from qkdlab import otp, protocol
 
@@ -109,16 +107,18 @@ def test_estimate_qber_empty_rejected(rng):
         estimate_qber(np.zeros(0, np.uint8), np.zeros(0, np.uint8), 0.2, rng)
 
 
-def test_session_aborts_only_above_the_threshold():
+def test_session_aborts_only_above_the_threshold(monkeypatch):
     # the boundary is inclusive: a QBER estimate equal to the threshold proceeds
     path = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
                         "session_no_eve_imperfect.json")
     cfg = load_config(path, "session")["session"]
     q = run_session(cfg).qber_estimate
-    assert 0.0 < q < cfg.abort_threshold
-    at = run_session(dataclasses.replace(cfg, abort_threshold=q))
+    assert 0.0 < q < protocol.ABORT_THRESHOLD
+    monkeypatch.setattr(protocol, "ABORT_THRESHOLD", q)
+    at = run_session(cfg)
     assert not at.aborted and at.qber_estimate == q
-    below = run_session(dataclasses.replace(cfg, abort_threshold=np.nextafter(q, 0)))
+    monkeypatch.setattr(protocol, "ABORT_THRESHOLD", np.nextafter(q, 0))
+    below = run_session(cfg)
     assert below.aborted and below.abort_reason == "qber_above_threshold"
     assert below.qber_estimate == q and len(below.final_key) == 0
 
@@ -185,14 +185,14 @@ def test_reconcile_success_rate_contract(n, qber):
 def test_passes_beyond_the_cap_leak_one_bit_each_and_correct_nothing():
     # pass index 31 is one whole-string block for any k1 >= 1, so each pass
     # after the 32nd is one even block: one parity message, no correction
-    extra = 40 - MAX_RECONCILIATION_PASSES
+    extra = 40 - 32
     for n in (100, 1000, 10_000):
         for seed in range(5):
             data = np.random.default_rng([n, seed])
             alice = data.integers(0, 2, n, dtype=np.uint8)
             bob = alice ^ (data.random(n) < 0.05).astype(np.uint8)
-            capped, capped_leak = reconcile(alice, bob, MAX_RECONCILIATION_PASSES,
-                                            qber_est=0.05, rng=np.random.default_rng(seed))
+            capped, capped_leak = reconcile(alice, bob, 32, qber_est=0.05,
+                                            rng=np.random.default_rng(seed))
             more, more_leak = reconcile(alice, bob, 40, qber_est=0.05,
                                         rng=np.random.default_rng(seed))
             assert np.array_equal(more, capped), (n, seed)
@@ -438,11 +438,11 @@ def test_privacy_amplify_rejects_non_bit_keys():
         privacy_amplify(np.zeros(0, dtype=np.uint8), 0.0, 0, 0, rng_seed=1)
 
 
-def _session(seed, n=8000, noise=0.0, dark=0.0, eve=None, threshold=0.11):
+def _session(seed, n=8000, noise=0.0, dark=0.0, eve=None):
     return SessionConfig(seed=seed, n_intervals=n, source_noise=noise,
                          detector=DetectorConfig(dwell=0.1, pair_rate=10.0,
                                                  dark_rate=dark),
-                         eve=eve or EveConfig(), abort_threshold=threshold)
+                         eve=eve or EveConfig())
 
 
 def test_run_session_ideal_full_agreement():
@@ -464,7 +464,7 @@ def test_run_session_fixed_diagonal_eve_quarter_errors():
 def test_run_session_half_interception_eighth_errors():
     eve = EveConfig(mode="intercept_resend", basis_policy="random_per_trial",
                     intercept_fraction=0.5)
-    t = run_session(_session(seed=8, n=30000, eve=eve, threshold=0.2))
+    t = run_session(_session(seed=8, n=30000, eve=eve))
     n = t.n_sifted
     assert n > 4000
     qber = (t.n_sifted - t.n_agree) / t.n_sifted
@@ -475,7 +475,7 @@ def test_run_session_case_conditional_errors():
     # full Eve fixed in HV: matching-basis trials are error-free, the
     # wrong-basis trials err half the time
     eve = EveConfig(mode="dephasing", basis_angle=0.0, strength=1.0)
-    _, trials = session_with_trials(_session(seed=9, n=20000, eve=eve, threshold=0.3))
+    _, trials = session_with_trials(_session(seed=9, n=20000, eve=eve))
     errors = trials.alice_bit != trials.bob_bit
     sifted = trials.sifted()
     same_basis_err = errors[sifted & (trials.alice_basis == HV)]
@@ -510,7 +510,7 @@ def test_session_tiles_write_the_whole_block_streams():
     # takes two words per interval
     eve = EveConfig(mode="intercept_resend", basis_policy="random_per_trial",
                     intercept_fraction=0.5)
-    config = _session(seed=12, n=BLOCK_INTERVALS + 1, dark=0.9, eve=eve, threshold=0.2)
+    config = _session(seed=12, n=BLOCK_INTERVALS + 1, dark=0.9, eve=eve)
     got, calls = io.StringIO(), []
 
     def sink(start, trials):
@@ -576,13 +576,15 @@ def test_session_counts_match_the_sink_trials(config):
     assert t.n_agree < t.n_sifted
 
 
-# QBER ~0.08 (noise 0.16) leaves errors in one pass's even-error blocks
+# QBER ~0.08 (noise 0.16) leaves errors in one Cascade pass's even-error
+# blocks; run it with CASCADE_PASSES patched to 1
 _ONE_PASS_FAILS = SessionConfig(
-    seed=0, n_intervals=10_000, source_noise=0.16, reconciliation_passes=1,
+    seed=0, n_intervals=10_000, source_noise=0.16,
     detector=DetectorConfig(dwell=0.1, pair_rate=10.0, dark_rate=0.0))
 
 
-def test_one_cascade_pass_fails_key_verification():
+def test_one_cascade_pass_fails_key_verification(monkeypatch):
+    monkeypatch.setattr(protocol, "CASCADE_PASSES", 1)
     t = run_session(_ONE_PASS_FAILS)
     assert 0.05 < t.qber_estimate < 0.11
     assert t.aborted and t.abort_reason == "key_verification_failed"
@@ -644,6 +646,7 @@ def test_a_session_hashes_once(monkeypatch):
     assert not completed.aborted and completed.residual_errors == 0
     assert calls == [len(completed.final_key)]  # privacy amplification alone
     calls.clear()
+    monkeypatch.setattr(protocol, "CASCADE_PASSES", 1)
     failed = run_session(_ONE_PASS_FAILS)
     assert failed.abort_reason == "key_verification_failed"
     assert calls == [TAG_BITS]  # the residual's tag alone
@@ -651,11 +654,18 @@ def test_a_session_hashes_once(monkeypatch):
 
 @pytest.mark.parametrize("reason,overrides", [
     ("no_sifted_bits", {"detector": DetectorConfig(pair_rate=0.0, dark_rate=0.0)}),
-    ("qber_above_threshold", {"abort_threshold": 0.01}),
-    ("nothing_left_after_sampling", {"qber_sample_fraction": 1.0}),
+    ("qber_above_threshold", {"ABORT_THRESHOLD": 0.01}),
+    ("nothing_left_after_sampling", {"QBER_SAMPLE_FRACTION": 1.0}),
 ])
-def test_abort_reasons(reason, overrides):
-    t = run_session(_keygen(seed=4, n=2000, **overrides))
+def test_abort_reasons(monkeypatch, reason, overrides):
+    # an upper-case key patches a protocol constant, the others are config fields
+    fields = {}
+    for name, value in overrides.items():
+        if name.isupper():
+            monkeypatch.setattr(protocol, name, value)
+        else:
+            fields[name] = value
+    t = run_session(_keygen(seed=4, n=2000, **fields))
     assert t.aborted and t.abort_reason == reason
     assert len(t.final_key) == t.leaked_bits == 0
     assert t.residual_errors is None
@@ -673,16 +683,7 @@ def test_transcript_invariants():
 
 def test_session_config_validation():
     with pytest.raises(ValueError):
-        SessionConfig(seed=1, abort_threshold=0.6)
-    with pytest.raises(ValueError):
-        SessionConfig(seed=1, qber_sample_fraction=0.0)
-    with pytest.raises(ValueError):
         SessionConfig(seed=1, source_noise=1.5)
-    with pytest.raises(ValueError):
-        SessionConfig(seed=1, reconciliation_passes=0)
-    with pytest.raises(ValueError, match="reconciliation_passes"):
-        SessionConfig(seed=1, reconciliation_passes=MAX_RECONCILIATION_PASSES + 1)
-    SessionConfig(seed=1, reconciliation_passes=MAX_RECONCILIATION_PASSES)
     with pytest.raises(ValueError, match="n_intervals"):
         SessionConfig(seed=1, n_intervals=0)
     with pytest.raises(ValueError, match="n_intervals"):

@@ -18,7 +18,7 @@ from qkdlab.tomography import (_BLOCK, _INVERSION, _PAULIS, _PROJECTORS,
                                chsh, correlator, expected_probs, reconstruct,
                                run_tomography, simulate_counts, state_metrics)
 
-from conftest import assert_close, random_density
+from conftest import assert_close, binomial_sigma, random_density
 
 _SIGMA_Y = np.array([[0, -1j], [1j, 0]])
 _SIGMA_YY = np.kron(_SIGMA_Y, _SIGMA_Y).real
@@ -349,6 +349,29 @@ def test_reconstruct_bias_is_that_of_the_sgs_projection():
     assert mean_fidelity == pytest.approx(0.9658, abs=0.0033)
     assert mean_tangle == pytest.approx(0.8728, abs=0.012)
     assert mean_entropy == pytest.approx(0.2344, abs=0.019)
+
+
+def test_bootstrap_sigma_coverage_is_below_nominal():
+    # Werner p = 0.04 at 1e4 counts per setting, 200 seeds of 200 replicas:
+    # the share of seeds whose true value lies within one bootstrap sigma of
+    # run_tomography's point estimate, against a nominal 68 %.  Measured:
+    # tangle 125, von Neumann entropy 108, linear entropy 121 and fidelity
+    # 122 of 200; each is pinned within 4 binomial s.e. (~0.035) and below
+    # the nominal share.
+    state = add_white_noise(bell_phi_plus(), 0.04)
+    truth = dataclasses.asdict(state_metrics(state))
+    measured = {"tangle": 125, "von_neumann": 108, "linear_entropy": 121, "fidelity": 122}
+    seeds = 200
+    hits = dict.fromkeys(measured, 0)
+    for seed in range(seeds):
+        counts = simulate_counts(state, 10000, np.random.default_rng(seed))
+        m = dataclasses.asdict(run_tomography(counts, replicas=200, seed=seed).metrics)
+        for name in measured:
+            hits[name] += abs(m[name] - truth[name]) <= m[name + "_sigma"]
+    for name, count in measured.items():
+        share = count / seeds
+        assert abs(hits[name] / seeds - share) <= 4 * binomial_sigma(share, seeds), (name, hits)
+        assert hits[name] / seeds < 0.68, (name, hits)
 
 
 def test_bootstrap_golden():

@@ -13,7 +13,6 @@ outcome from them with one uniform draw.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -128,18 +127,15 @@ class Rates:
     dark_only: float
     qber: float
     outcome_cdf: np.ndarray
+    eve: EveConfig   # whose scenarios the tables weigh; the sampler draws her choices
 
     @property
     def kept(self) -> float:
         return self.single_pair + self.dark_only
 
 
-@functools.lru_cache(maxsize=8)
 def expected_rates(s: TwoQubitState, detector: DetectorConfig, eve: EveConfig) -> Rates:
-    """The :class:`Rates` of a dwell interval; the sampler draws from them.
-
-    Cached, because a session asks once per tile with the same arguments.
-    """
+    """The :class:`Rates` of a dwell interval; the sampler draws from them."""
     lam = detector.pair_rate * detector.dwell
     mu = detector.dark_rate * detector.dwell
     p1 = lam * math.exp(-lam) * math.exp(-4.0 * mu)
@@ -153,7 +149,7 @@ def expected_rates(s: TwoQubitState, detector: DetectorConfig, eve: EveConfig) -
     dark = np.broadcast_to(p1 + p0 * np.arange(1, 5) / 4.0, cum.shape)
     cdf = np.concatenate([p1 * cum, dark], axis=-1)
     cdf.setflags(write=False)
-    return Rates(single_pair=p1, dark_only=p0, qber=qber, outcome_cdf=cdf)
+    return Rates(single_pair=p1, dark_only=p0, qber=qber, outcome_cdf=cdf, eve=eve)
 
 
 # Bits of each outcome index of Rates.outcome_cdf; index 8 is "not kept".
@@ -166,9 +162,8 @@ def _uniform(words: np.ndarray) -> np.ndarray:
     return (words >> 11) * 2.0 ** -53
 
 
-def simulate_dwell_stream(s: TwoQubitState, config: DetectorConfig, n_intervals: int,
-                          eve: EveConfig, rng) -> Trials:
-    """Simulate ``n_intervals`` dwell intervals and return them as columns.
+def simulate_dwell_stream(rates: Rates, n_intervals: int, rng) -> Trials:
+    """Draw ``n_intervals`` dwell intervals from ``rates``, as columns.
 
     Both parties draw HV or DA uniformly each interval.  Identical
     generators reproduce identical trials.
@@ -176,18 +171,17 @@ def simulate_dwell_stream(s: TwoQubitState, config: DetectorConfig, n_intervals:
     Interval ``i`` takes the generator's ``i``-th 64-bit word (the ``i``-th
     pair of words while Eve is present), so the first ``k`` rows of a
     stream do not depend on its length, and a stream simulated in pieces
-    from one generator equals the stream simulated at once: a session
-    draws each seeding block of :data:`BLOCK_INTERVALS` this way, in tiles
-    of :data:`TILE_INTERVALS`.  Bits 0 and 1 of the first word pick Alice's
-    and Bob's bases, and its top 53 bits are the uniform that takes the
-    outcome of :func:`expected_rates` it falls in: one pair with bits from
-    the joint outcome tables, dark counts only with random bits, or not
-    kept.  The second word decides, the same way, whether Eve acts, and its
-    bit 0 picks her basis under ``random_per_trial``.
+    from one generator equals the stream simulated at once.  Bits 0 and 1
+    of the first word pick Alice's and Bob's bases, and its top 53 bits are
+    the uniform that takes the outcome of ``rates.outcome_cdf`` it falls
+    in: one pair with bits from the joint outcome tables, dark counts only
+    with random bits, or not kept.  The second word decides, the same way,
+    whether ``rates.eve`` acts, and its bit 0 picks her basis under
+    ``random_per_trial``.
     """
     if n_intervals < 1:
         raise ValueError("n_intervals must be >= 1")
-    n = n_intervals
+    n, eve = n_intervals, rates.eve
     words = rng.bit_generator.random_raw((n, 1 if eve.mode == "absent" else 2))
     alice_basis = (words[:, 0] & 1).astype(np.int8)
     bob_basis = (words[:, 0] >> 1 & 1).astype(np.int8)
@@ -205,7 +199,7 @@ def simulate_dwell_stream(s: TwoQubitState, config: DetectorConfig, n_intervals:
     eve_basis = np.where(eve_applied, named, -1).astype(np.int8)
     scenario = np.where(eve_applied, 1 + choice, 0).astype(np.int8)
 
-    cdf = expected_rates(s, config, eve).outcome_cdf.reshape(-1, 8)
+    cdf = rates.outcome_cdf.reshape(-1, 8)
     row = scenario * 4 + alice_basis * 2 + bob_basis
     u = _uniform(words[:, 0])
     outcome = np.zeros(n, dtype=np.int8)   # searchsorted(cdf[row], u, side="right")
@@ -220,16 +214,6 @@ def simulate_dwell_stream(s: TwoQubitState, config: DetectorConfig, n_intervals:
 
 CSV_COLUMNS = ("trial_index", "alice_basis", "bob_basis", "eve_basis",
                "alice_bit", "bob_bit", "kept")
-
-# Intervals per block, the seeding unit: block b of a session draws from its
-# own generator, so an interval's record depends on the seed and its index alone.
-BLOCK_INTERVALS = 1 << 16
-
-# Intervals per tile, the working unit: a session simulates, sifts and writes
-# a block this many intervals at a time, and the records.csv writer builds this
-# many rows at once.  A divisor of BLOCK_INTERVALS, so only a session's last
-# tile can be short.
-TILE_INTERVALS = 1 << 12
 
 # Field texts of the values 0, 1 and -1 ("none") at index ``value & 3``;
 # -1 & 3 is 3, and 2 never occurs.
@@ -272,14 +256,12 @@ def records_to_csv(trials: Trials, fh, start: int = 0) -> None:
     Absent bases and bits are empty fields.  The six fields after the index
     pack two bits each (one for ``kept``) into an 11-bit code, so each row is
     its index plus one entry of a precomputed suffix table.  Rows are built
-    as bytes by numpy, ``TILE_INTERVALS`` at a time, so a session's tile is
-    one chunk.  A chunk splits at each multiple of 10**4 inside it into runs
-    of consecutive indices with one quotient by 10**4, and a run is one
-    record array: the quotient's digits broadcast (none for a zero
-    quotient), a slice of the table of low four digits (their leading
-    zeros set to NUL without a quotient) and the rows' suffixes, one
-    ``take`` of 16-byte items.  Dropping its zero bytes leaves the rows'
-    text in order.
+    as bytes by numpy: they split at each multiple of 10**4 into runs of at
+    most 10**4 consecutive indices with one quotient by 10**4, and a run is
+    one record array: the quotient's digits broadcast (none for a zero
+    quotient), a slice of the table of low four digits (their leading zeros
+    set to NUL without a quotient) and the rows' suffixes, one ``take`` of
+    16-byte items.  Dropping its zero bytes leaves the rows' text in order.
     """
     code = np.zeros(len(trials), dtype=np.int16)
     for column in (trials.alice_basis, trials.bob_basis, trials.eve_basis,
@@ -291,19 +273,17 @@ def records_to_csv(trials: Trials, fh, start: int = 0) -> None:
     if start == 0:
         fh.write(",".join(CSV_COLUMNS) + "\n")
     end = start + len(code)
-    for first in range(start, end, TILE_INTERVALS):
-        last = min(first + TILE_INTERVALS, end)
-        cuts = list(range((first // _LOW_MODULUS + 1) * _LOW_MODULUS, last, _LOW_MODULUS))
-        for a, b in zip([first] + cuts, cuts + [last]):
-            high, low = divmod(a, _LOW_MODULUS)
-            digits = str(high).encode("ascii") if high else b""
-            rows = np.empty(b - a, dtype=[("high", f"V{len(digits)}"), ("low", "V4"),
-                                          ("suffix", _RECORD_ROWS.dtype)])
-            rows["high"] = digits
-            rows["low"] = _LOW_DIGITS[low:low + b - a]
-            rows["suffix"] = _RECORD_ROWS.take(code[a - start:b - start])
-            raw = rows.view(np.uint8).reshape(b - a, -1)
-            if not high:   # the leading zeros of the indices below 1000 go
-                for col in range(3):
-                    raw[:max(10 ** (3 - col) - a, 0), col] = 0
-            fh.write(str(raw[raw != 0], "ascii"))   # decodes the buffer, no bytes copy
+    cuts = list(range((start // _LOW_MODULUS + 1) * _LOW_MODULUS, end, _LOW_MODULUS))
+    for a, b in zip([start] + cuts, cuts + [end]):
+        high, low = divmod(a, _LOW_MODULUS)
+        digits = str(high).encode("ascii") if high else b""
+        rows = np.empty(b - a, dtype=[("high", f"V{len(digits)}"), ("low", "V4"),
+                                      ("suffix", _RECORD_ROWS.dtype)])
+        rows["high"] = digits
+        rows["low"] = _LOW_DIGITS[low:low + b - a]
+        rows["suffix"] = _RECORD_ROWS.take(code[a - start:b - start])
+        raw = rows.view(np.uint8).reshape(b - a, -1)
+        if not high:   # the leading zeros of the indices below 1000 go
+            for col in range(3):
+                raw[:max(10 ** (3 - col) - a, 0), col] = 0
+        fh.write(str(raw[raw != 0], "ascii"))   # decodes the buffer, no bytes copy

@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .detection import (BLOCK_INTERVALS, TILE_INTERVALS, DetectorConfig, Trials,
-                        simulate_dwell_stream)
+from .detection import DetectorConfig, Trials, expected_rates, simulate_dwell_stream
 from .states import EveConfig, add_white_noise, bell_phi_plus
 from . import otp
 
@@ -27,6 +26,15 @@ from . import otp
 # RSS on a 2-vCPU, 8 GB box: the key half still runs over the whole sifted
 # string, so memory grows with the count.
 MAX_INTERVALS = 10 ** 8
+
+# Intervals per block, the seeding unit: block b of a session draws from its
+# own generator, so an interval's record depends on the seed and its index alone.
+BLOCK_INTERVALS = 1 << 16
+
+# Intervals per tile, the working unit: a session simulates, sifts and writes
+# a block this many intervals at a time.  A divisor of BLOCK_INTERVALS, so only
+# a session's last tile can be short.
+TILE_INTERVALS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -250,6 +258,8 @@ def privacy_amplify(key_bits, qber: float, leaked_bits: int, safety: int,
 def run_session(config: SessionConfig, sink=None) -> SessionTranscript:
     """Run a full key-distribution session from one seed.
 
+    The session builds its detection model, :func:`expected_rates` of the
+    noisy source, the detector and Eve, once, and every tile draws from it.
     The block of ``BLOCK_INTERVALS`` intervals is the seeding unit: block
     ``b`` draws from its own generator, spawned from the seed with key
     ``(0, b)``, so an interval's record depends on the seed and its index
@@ -276,6 +286,7 @@ def run_session(config: SessionConfig, sink=None) -> SessionTranscript:
     escaped the tag, is not computed.
     """
     state = add_white_noise(bell_phi_plus(), config.source_noise)
+    rates = expected_rates(state, config.detector, config.eve)
     n = config.n_intervals
     alice_tiles, bob_tiles = [], []
     n_kept = n_agree = 0
@@ -283,8 +294,7 @@ def run_session(config: SessionConfig, sink=None) -> SessionTranscript:
         if start % BLOCK_INTERVALS == 0:
             block = start // BLOCK_INTERVALS
             rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0, block)))
-        trials = simulate_dwell_stream(state, config.detector,
-                                       min(TILE_INTERVALS, n - start), config.eve, rng)
+        trials = simulate_dwell_stream(rates, min(TILE_INTERVALS, n - start), rng)
         if sink is not None:
             sink(start, trials)
         alice, bob = sift(trials)

@@ -13,7 +13,8 @@ import pytest
 
 from qkdlab import otp
 from qkdlab.cli import main
-from qkdlab.detection import BASES, DetectorConfig, joint_probs, simulate_dwell_stream
+from qkdlab.detection import (BASES, DetectorConfig, expected_rates, joint_probs,
+                              simulate_dwell_stream)
 from qkdlab.optics import MeasBasis
 from qkdlab.protocol import SessionConfig, run_session
 from qkdlab.states import (EveConfig, QuartzPlate, add_white_noise, bell_phi_plus,
@@ -171,7 +172,7 @@ def test_criterion_8_channel_equivalence():
     hv = BASES.index(MeasBasis.HV)
     for basis, angle in ((MeasBasis.HV, 0.0), (MeasBasis.DA, 45.0)):
         eve = EveConfig(mode="intercept_resend", basis_angle=angle, basis_policy="fixed")
-        trials = simulate_dwell_stream(bell, detector, 1_200_000, eve, rng)
+        trials = simulate_dwell_stream(expected_rates(bell, detector, eve), 1_200_000, rng)
         assert (trials.eve_basis == BASES.index(basis)).all()
         kept_hv = trials.kept & (trials.alice_basis == hv) & (trials.bob_basis == hv)
         a_bits, b_bits = trials.alice_bit[kept_hv], trials.bob_bit[kept_hv]

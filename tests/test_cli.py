@@ -12,6 +12,7 @@ from qkdlab.cli import ConfigError, _apply_plate, load_config, main
 from qkdlab.detection import DetectorConfig
 from qkdlab.protocol import SessionConfig
 from qkdlab.states import EveConfig, QuartzPlate
+from qkdlab.tomography import TOMO_SCHEDULE
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -388,6 +389,37 @@ def test_failed_run_leaves_no_output_directory(tmp_path, monkeypatch, capsys, ki
     cfg = write_config(tmp_path, "c.json", dict(body, kind=kind, seed=1))
     assert main([kind, "--config", cfg, "--out", str(tmp_path / "a")]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "a").exists()
+
+
+_FROM_COUNTS = json.dumps({"kind": "tomo", "seed": 1, "counts_file": "counts.csv"})
+_ALL_SETTINGS = "".join(f"{a.value},{b.value},100\n" for a, b in TOMO_SCHEDULE)
+
+
+@pytest.mark.parametrize("kind, config, counts, error", [
+    ("session", json.dumps(session_body(eve={"mode": "intercept_resend"},
+                                        plate={"thickness_mm": 1.0})),
+     None, "a quartz plate only makes sense with eve.mode 'dephasing'"),
+    ("session", None, None, "cannot read config: "),
+    ("session", "{", None, "config is not valid JSON: "),
+    ("session", "[]", None, "config must be a JSON object"),
+    ("tomo", _FROM_COUNTS, None, "cannot read counts file: "),
+    ("tomo", _FROM_COUNTS, "H,H\n", "counts file row has 2 fields, expected 3"),
+    ("tomo", _FROM_COUNTS, "H,H,many\n", "bad count value 'many'"),
+    ("tomo", _FROM_COUNTS, _ALL_SETTINGS + "A,A,100\n",
+     "counts file has settings outside the 16-setting schedule"),
+], ids=["plate_without_dephasing", "unreadable_config", "config_not_json",
+        "config_a_list", "unreadable_counts", "counts_row_of_two", "count_not_a_number",
+        "counts_17th_setting"])
+def test_bad_input_files_exit_1(tmp_path, monkeypatch, capsys, kind, config, counts, error):
+    # a config of None is a missing file, and so is counts.csv with counts None
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "c.json").write_text(config, encoding="utf-8")
+    if counts is not None:
+        (tmp_path / "counts.csv").write_text(counts, encoding="utf-8")
+    assert main([kind, "--config", "c.json", "--out", "a"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {error}")
     assert not (tmp_path / "a").exists()
 
 

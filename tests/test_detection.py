@@ -15,6 +15,7 @@ from qkdlab.cli import _prepared_state, load_config
 from qkdlab.detection import (BASES, CSV_COLUMNS, DetectorConfig, Trials, expected_rates,
                               joint_probs, records_to_csv, simulate_dwell_stream)
 from qkdlab.optics import MeasBasis, PolState
+from qkdlab.protocol import TILE_INTERVALS
 from qkdlab.states import (EveConfig, TwoQubitState, add_white_noise, bell_phi_plus,
                            bell_phi_plus_ket, eve_scenarios)
 
@@ -80,7 +81,8 @@ def _fixed_bases(state, a, b, n, seed=1234):
     """Bits of the kept trials of a dark-free stream in which Alice measured
     in ``a`` and Bob in ``b``: about a quarter of the kept trials."""
     rng = np.random.default_rng(seed)
-    trials = simulate_dwell_stream(state, DetectorConfig(dark_rate=0.0), n, EveConfig(), rng)
+    rates = expected_rates(state, DetectorConfig(dark_rate=0.0), EveConfig())
+    trials = simulate_dwell_stream(rates, n, rng)
     mask = (trials.kept & (trials.alice_basis == BASES.index(a))
             & (trials.bob_basis == BASES.index(b)))
     return trials.alice_bit[mask], trials.bob_bit[mask]
@@ -104,19 +106,21 @@ def test_sample_trial_cross_basis_agreement_half():
 def _stream(seed=3, n=10000, dark=0.0, pair_rate=10.0, eve=None):
     rng = np.random.default_rng(seed)
     config = DetectorConfig(dwell=0.1, pair_rate=pair_rate, dark_rate=dark)
-    return simulate_dwell_stream(bell_phi_plus(), config, n, eve or EveConfig(), rng)
+    return simulate_dwell_stream(expected_rates(bell_phi_plus(), config, eve or EveConfig()),
+                                 n, rng)
 
 
 @pytest.mark.parametrize("eve", [EveConfig(), HALF_INTERCEPTION], ids=["absent", "intercept"])
 def test_stream_in_pieces_equals_one_stream(eve):
     # pieces straddle every tile boundary a session cuts; intercept-resend
     # with random bases takes two words per interval
-    tile = detection.TILE_INTERVALS
+    tile = TILE_INTERVALS
     sizes = [1, tile - 1, tile, tile + 1, 1000]
     config = DetectorConfig(dwell=0.1, pair_rate=10.0, dark_rate=0.9)
     whole_rng, rng = np.random.default_rng(17), np.random.default_rng(17)
-    whole = simulate_dwell_stream(bell_phi_plus(), config, sum(sizes), eve, whole_rng)
-    pieces = [simulate_dwell_stream(bell_phi_plus(), config, k, eve, rng) for k in sizes]
+    rates = expected_rates(bell_phi_plus(), config, eve)
+    whole = simulate_dwell_stream(rates, sum(sizes), whole_rng)
+    pieces = [simulate_dwell_stream(rates, k, rng) for k in sizes]
     for f in dataclasses.fields(Trials):
         joined = np.concatenate([getattr(piece, f.name) for piece in pieces])
         assert np.array_equal(joined, getattr(whole, f.name)), f.name
@@ -291,8 +295,7 @@ def test_sampler_matches_expected_rates(config):
     n = 1_000_000
     state = add_white_noise(bell_phi_plus(), config.source_noise)
     rates = expected_rates(state, config.detector, config.eve)
-    trials = simulate_dwell_stream(state, config.detector, n, config.eve,
-                                   np.random.default_rng(config.seed))
+    trials = simulate_dwell_stream(rates, n, np.random.default_rng(config.seed))
     kept = np.count_nonzero(trials.kept)
     assert abs(kept / n - rates.kept) <= 4 * binomial_sigma(rates.kept, n)
     sifted = trials.sifted()
@@ -470,7 +473,7 @@ def test_csv_writers_stream_a_million_trials_in_bounded_memory(tmp_path):
         _trial_slice(trials, n - 2000, n), start=n - 2000)
 
 
-def test_records_to_csv_across_every_decimal_width(monkeypatch):
+def test_records_to_csv_across_every_decimal_width():
     # 200 rows from 100 below each power of ten up to 10**12 (from 0 below
     # 100), then across a multiple of 10**4 at one width, numbered on through
     # every code of the suffix table
@@ -485,9 +488,6 @@ def test_records_to_csv_across_every_decimal_width(monkeypatch):
         fields = [(code >> shift & 3).astype(np.int8) for shift in (9, 7, 5, 3, 1)]
         trials = Trials(*[np.where(f == 3, -1, f).astype(np.int8) for f in fields],
                         kept=(code & 1).astype(bool))
-        # from 10**6 on, the second chunk starts at the first 7-digit index
-        monkeypatch.setattr(detection, "TILE_INTERVALS",
-                            100 if start == 10 ** 6 - 100 else 1 << 12)
         fh = io.StringIO()
         records_to_csv(trials, fh, start)
         want = ("".join(f"{i}{suffix[c]}" for i, c in zip(range(start, start + n),
@@ -505,8 +505,8 @@ def test_detector_config_validation():
         with pytest.raises(ValueError, match="nonnegative"):
             DetectorConfig(**{field: float("nan")})
     with pytest.raises(ValueError):
-        simulate_dwell_stream(bell_phi_plus(), DetectorConfig(), 0, EveConfig(),
-                              np.random.default_rng(0))
+        simulate_dwell_stream(expected_rates(bell_phi_plus(), DetectorConfig(), EveConfig()),
+                              0, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("fields", [

@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 from qkdlab.cli import load_config
-from qkdlab.detection import (BLOCK_INTERVALS, TILE_INTERVALS, DetectorConfig, Trials,
-                              records_to_csv, simulate_dwell_stream)
+from qkdlab.detection import (DetectorConfig, Trials, expected_rates, records_to_csv,
+                              simulate_dwell_stream)
 from qkdlab.optics import MeasBasis
-from qkdlab.protocol import (MAX_INTERVALS, TAG_BITS, SessionConfig, _toeplitz_hash,
-                             estimate_qber, h2, privacy_amplify, reconcile, run_session,
-                             sift, transcript_summary)
+from qkdlab.protocol import (BLOCK_INTERVALS, MAX_INTERVALS, TAG_BITS, TILE_INTERVALS,
+                             SessionConfig, _toeplitz_hash, estimate_qber, h2,
+                             privacy_amplify, reconcile, run_session, sift, transcript_summary)
 from qkdlab.states import EveConfig, add_white_noise, bell_phi_plus
 from qkdlab import otp, protocol
 
@@ -105,6 +105,8 @@ def test_estimate_qber_removes_disclosed_positions(rng):
 def test_estimate_qber_empty_rejected(rng):
     with pytest.raises(ValueError):
         estimate_qber(np.zeros(0, np.uint8), np.zeros(0, np.uint8), 0.2, rng)
+    with pytest.raises(ValueError, match="equal length"):
+        estimate_qber(np.zeros(5, np.uint8), np.zeros(6, np.uint8), 0.2, rng)
 
 
 def test_session_aborts_only_above_the_threshold(monkeypatch):
@@ -203,6 +205,11 @@ def test_reconcile_length_mismatch_rejected():
     with pytest.raises(ValueError):
         reconcile(np.zeros(8, np.uint8), np.zeros(9, np.uint8), 4,
                   qber_est=0.05, rng=np.random.default_rng(0))
+    # empty strings are equal: nothing to correct, nothing disclosed
+    bob = np.zeros(0, np.uint8)
+    corrected, leaked = reconcile(np.zeros(0, np.uint8), bob, 4,
+                                  qber_est=0.05, rng=np.random.default_rng(0))
+    assert corrected.shape == (0,) and corrected is not bob and leaked == 0
 
 
 def test_reconcile_rejects_strings_beyond_int32_indices():
@@ -523,9 +530,8 @@ def test_session_tiles_write_the_whole_block_streams():
     want = io.StringIO()
     for block, start in enumerate(range(0, config.n_intervals, BLOCK_INTERVALS)):
         rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0, block)))
-        trials = simulate_dwell_stream(state, config.detector,
-                                       min(BLOCK_INTERVALS, config.n_intervals - start),
-                                       config.eve, rng)
+        trials = simulate_dwell_stream(expected_rates(state, config.detector, config.eve),
+                                       min(BLOCK_INTERVALS, config.n_intervals - start), rng)
         records_to_csv(trials, want, start)
     assert got.getvalue() == want.getvalue()
     # the sink sees the session in order, one tile of at most TILE_INTERVALS
@@ -533,6 +539,24 @@ def test_session_tiles_write_the_whole_block_streams():
     starts, lengths = zip(*calls)
     assert list(starts) == list(range(0, config.n_intervals, TILE_INTERVALS))
     assert lengths[-1] == 1 and set(lengths[:-1]) == {TILE_INTERVALS}
+
+
+def test_session_builds_its_detection_model_once(monkeypatch):
+    eve = EveConfig(mode="intercept_resend", basis_policy="random_per_trial",
+                    intercept_fraction=0.5)
+    config = _session(seed=5, n=2 * TILE_INTERVALS + 1, dark=0.9, eve=eve)
+    calls, tiles = [], []
+
+    def spy(*args):
+        calls.append(args)
+        return expected_rates(*args)
+
+    monkeypatch.setattr(protocol, "expected_rates", spy)
+    run_session(config, sink=lambda start, trials: tiles.append(start))
+    assert len(tiles) == 3
+    assert len(calls) == 1
+    _, detector, eve_arg = calls[0]
+    assert detector is config.detector and eve_arg is config.eve
 
 
 def test_intercept_session_working_set_is_one_tile():

@@ -96,6 +96,9 @@ def test_herm_eig_rejects_non_hermitian():
     m[0, 1] = 1.0
     with pytest.raises(ValueError):
         qmath.herm_eig(m)
+    assert not qmath.is_density(m)
+    # Hermitian and PSD, but trace 2
+    assert not qmath.is_density(np.eye(4, dtype=complex) / 2.0)
 
 
 def _project(m):

@@ -187,6 +187,11 @@ def test_eve_config_validation():
         EveConfig(mode="dephasing", strength=1.5)
     with pytest.raises(ValueError):
         EveConfig(mode="intercept_resend", basis_angle=30.0)
+    with pytest.raises(ValueError, match="basis policy"):
+        EveConfig(basis_policy="per_block")
+    for fraction in (-0.1, 1.1):
+        with pytest.raises(ValueError, match="intercept_fraction"):
+            EveConfig(mode="dephasing", intercept_fraction=fraction)
     assert basis_from_angle(45.0) == MeasBasis.DA
     assert basis_from_angle(90.0) == MeasBasis.HV
     assert basis_from_angle(30.0) is None
@@ -227,3 +232,10 @@ def test_state_validation_rejects_bad_matrices():
     bad = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
     with pytest.raises(ValueError):
         TwoQubitState(bad)
+    with pytest.raises(ValueError, match="4x4"):
+        TwoQubitState(np.eye(2, dtype=complex) / 2.0)
+    for value in (-0.1, 1.1):
+        with pytest.raises(ValueError, match="noise fraction"):
+            add_white_noise(bell_phi_plus(), value)
+        with pytest.raises(ValueError, match="gamma"):
+            dephase_bob(bell_phi_plus(), 0.0, value)

@@ -7,8 +7,8 @@ from .states import (EveConfig, QuartzPlate, TwoQubitState, add_white_noise,
                      bell_phi_plus, dephase_bob, plate_gamma)
 from .detection import (DetectorConfig, Rates, Trials, expected_rates, joint_probs,
                         simulate_dwell_stream)
-from .protocol import (SessionConfig, SessionTranscript, estimate_qber, h2,
-                       privacy_amplify, reconcile, run_session, sift)
+from .protocol import (KeyResult, SessionConfig, SessionTranscript, distil, estimate_qber,
+                       h2, privacy_amplify, reconcile, run_session, sift)
 from .tomography import (TOMO_SCHEDULE, ReconstructionError, StateMetrics,
                          TomographyRun, bootstrap_metrics, chsh, reconstruct,
                          run_tomography, simulate_counts, state_metrics)

@@ -1,13 +1,12 @@
 """The BB84 session engine.
 
-``run_session`` composes the whole pipeline: entangled source with white
-noise, the configured eavesdropper channel, the dwell-interval detector
-stream, basis sifting, error-rate estimation on a disclosed sample, the
-abort decision, Cascade information reconciliation, a hash check that both
-parties hold the same string, and Toeplitz privacy amplification of Bob's
-string down to the final key.  Every random draw comes from a generator
-spawned from the config's seed, so a transcript is a pure function of its
-config; the intervals are simulated in tiles and never held all at once.
+``run_session`` is the apparatus: entangled source with white noise, the
+configured eavesdropper channel, the dwell-interval detector stream and basis
+sifting, in tiles never held all at once.  ``distil`` is the key: error-rate
+estimation on a disclosed sample, the abort decision, Cascade reconciliation,
+a hash check that both parties hold the same string, and Toeplitz privacy
+amplification of Bob's string to the final key.  Every draw comes from a
+generator spawned from the seed, so a transcript is a function of its config.
 """
 
 from __future__ import annotations
@@ -65,25 +64,32 @@ PA_SAFETY_BITS = 30
 
 
 @dataclass
-class SessionTranscript:
-    """What a session keeps: its counts of intervals, kept intervals, sifted
-    bits and sifted bits on which Alice and Bob agree, and the final key,
-    never the intervals or the sifted strings.  ``final_key`` is hashed from
-    Bob's reconciled string; ``residual_errors`` counts the positions where
-    the two reconciled strings still differ, the simulator's ground truth
-    behind the protocol's tag check, and is None for a session that aborts
-    before Cascade; ``abort_reason`` is None unless ``aborted``."""
+class KeyResult:
+    """The key half's outcome.  ``final_key`` is hashed from Bob's reconciled
+    string; ``residual_errors`` counts the positions where the two reconciled
+    strings still differ, the simulator's ground truth behind the tag check,
+    and is None before Cascade; ``aborted`` is ``abort_reason is not None``."""
+
+    qber_estimate: float | None
+    abort_reason: str | None
+    leaked_bits: int
+    final_key: np.ndarray
+    residual_errors: int | None
+
+    @property
+    def aborted(self) -> bool:
+        return self.abort_reason is not None
+
+
+@dataclass
+class SessionTranscript(KeyResult):
+    """A session's key result and its counts of intervals, kept intervals,
+    sifted bits and sifted bits on which Alice and Bob agree."""
 
     n_intervals: int
     n_kept: int
     n_sifted: int
     n_agree: int
-    qber_estimate: float | None
-    aborted: bool
-    abort_reason: str | None
-    leaked_bits: int
-    final_key: np.ndarray
-    residual_errors: int | None
 
 
 def sift(trials: Trials) -> tuple[np.ndarray, np.ndarray]:
@@ -128,7 +134,7 @@ def h2(x: float) -> float:
 _INT32_MAX = np.iinfo(np.int32).max
 
 
-def reconcile(alice_bits, bob_bits, passes: int = 4, *, qber_est: float, rng):
+def reconcile(alice_bits, bob_bits, passes: int, *, qber_est: float, rng):
     """Cascade error correction of Bob's string against Alice's.
 
     Each pass shuffles the positions with the shared seeded stream and
@@ -255,6 +261,43 @@ def privacy_amplify(key_bits, qber: float, leaked_bits: int, safety: int,
     return _toeplitz_hash(key, m, rng_seed)
 
 
+def distil(alice_bits, bob_bits, rng) -> KeyResult:
+    """Distil a key from Alice's and Bob's sifted strings, every draw from ``rng``.
+
+    Empty strings abort, as does a disclosed sample of
+    :data:`QBER_SAMPLE_FRACTION` whose error rate exceeds
+    :data:`ABORT_THRESHOLD` or that leaves no bits; Cascade then runs
+    :data:`CASCADE_PASSES` passes.  Unequal lengths raise ``ValueError``.
+
+    After Cascade, Alice and Bob compare a :data:`TAG_BITS`-bit Toeplitz
+    hash of their reconciled strings, seeded by a value drawn after the
+    privacy-amplification seed; the tag counts as leaked, and a mismatch
+    aborts.  The hash is linear over GF(2), so the tags differ exactly when
+    the tag of the residual-error string ``alice ^ bob`` is nonzero, the one
+    tag computed (and only if a bit differs).  Bob's string is then hashed to
+    the final key, removing :data:`PA_SAFETY_BITS` beyond the leak; Alice's
+    key, equal unless a residual error escaped the tag, is not computed.
+    """
+    if len(alice_bits) == len(bob_bits) == 0:
+        return KeyResult(None, "no_sifted_bits", 0, np.zeros(0, dtype=np.uint8), None)
+    qber, rem_alice, rem_bob, _ = estimate_qber(alice_bits, bob_bits, QBER_SAMPLE_FRACTION, rng)
+    if qber > ABORT_THRESHOLD:
+        return KeyResult(qber, "qber_above_threshold", 0, np.zeros(0, dtype=np.uint8), None)
+    if len(rem_alice) == 0:
+        return KeyResult(qber, "nothing_left_after_sampling", 0, np.zeros(0, dtype=np.uint8), None)
+    corrected_bob, leaked = reconcile(rem_alice, rem_bob, CASCADE_PASSES, qber_est=qber, rng=rng)
+    pa_seed = int(rng.integers(0, 2 ** 63))
+    tag_seed = int(rng.integers(0, 2 ** 63))
+    leaked += TAG_BITS
+    residual = rem_alice ^ corrected_bob
+    residual_errors = int(np.count_nonzero(residual))
+    if residual_errors and _toeplitz_hash(residual, TAG_BITS, tag_seed).any():
+        return KeyResult(qber, "key_verification_failed", leaked, np.zeros(0, dtype=np.uint8),
+                         residual_errors)
+    final_key = privacy_amplify(corrected_bob, qber, leaked, PA_SAFETY_BITS, pa_seed)
+    return KeyResult(qber, None, leaked, final_key, residual_errors)
+
+
 def run_session(config: SessionConfig, sink=None) -> SessionTranscript:
     """Run a full key-distribution session from one seed.
 
@@ -269,21 +312,7 @@ def run_session(config: SessionConfig, sink=None) -> SessionTranscript:
     passed to ``sink(start, trials)``, if given (``start`` is its first
     interval's index), and is sifted.  The kept, sifted and agreeing counts
     are running sums over the tiles; the sifted tiles are joined once, for
-    the key half alone, and the transcript keeps the counts and the final key.
-    The error-rate sample of :data:`QBER_SAMPLE_FRACTION`, the
-    :data:`CASCADE_PASSES` passes of Cascade and the hash seeds draw from the
-    generator with key ``(1,)``; an estimate above :data:`ABORT_THRESHOLD`
-    aborts before Cascade.
-
-    After Cascade, Alice and Bob compare a :data:`TAG_BITS`-bit Toeplitz
-    hash of their reconciled strings, seeded by a value drawn after the
-    privacy-amplification seed; the tag counts as leaked, and a mismatch
-    aborts the session.  The hash is linear over GF(2), so the two tags
-    differ exactly when the tag of the residual-error string ``alice ^ bob``
-    is nonzero, and that one tag is what the session computes.  Bob's string
-    is then hashed to the final key, removing :data:`PA_SAFETY_BITS` beyond
-    the leak; Alice's key, a hash of an equal string unless a residual error
-    escaped the tag, is not computed.
+    :func:`distil` with the generator spawned with key ``(1,)``.
     """
     state = add_white_noise(bell_phi_plus(), config.source_noise)
     rates = expected_rates(state, config.detector, config.eve)
@@ -302,40 +331,11 @@ def run_session(config: SessionConfig, sink=None) -> SessionTranscript:
         bob_tiles.append(bob)
         n_kept += int(np.count_nonzero(trials.kept))
         n_agree += int(np.count_nonzero(alice == bob))
-    sifted_alice, sifted_bob = np.concatenate(alice_tiles), np.concatenate(bob_tiles)
-    n_sifted = len(sifted_alice)
+    alice, bob = np.concatenate(alice_tiles), np.concatenate(bob_tiles)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(1,)))
-    empty = np.zeros(0, dtype=np.uint8)
-
-    def abort(reason, qber=None, leaked=0, residual_errors=None):
-        return SessionTranscript(n, n_kept, n_sifted, n_agree,
-                                 qber_estimate=qber, aborted=True, abort_reason=reason,
-                                 leaked_bits=leaked, final_key=empty,
-                                 residual_errors=residual_errors)
-
-    if n_sifted == 0:
-        return abort("no_sifted_bits")
-    qber, rem_alice, rem_bob, _ = estimate_qber(
-        sifted_alice, sifted_bob, QBER_SAMPLE_FRACTION, rng)
-    if qber > ABORT_THRESHOLD:
-        return abort("qber_above_threshold", qber)
-    if len(rem_alice) == 0:
-        return abort("nothing_left_after_sampling", qber)
-    corrected_bob, leaked = reconcile(rem_alice, rem_bob, CASCADE_PASSES,
-                                      qber_est=qber, rng=rng)
-    pa_seed = int(rng.integers(0, 2 ** 63))
-    tag_seed = int(rng.integers(0, 2 ** 63))
-    leaked += TAG_BITS
-    residual = rem_alice ^ corrected_bob
-    residual_errors = int(np.count_nonzero(residual))
-    # T·0 = 0, so a string with no residual error cannot fail the tag.
-    if residual_errors and _toeplitz_hash(residual, TAG_BITS, tag_seed).any():
-        return abort("key_verification_failed", qber, leaked, residual_errors)
-    final_key = privacy_amplify(corrected_bob, qber, leaked, PA_SAFETY_BITS, pa_seed)
-    return SessionTranscript(n, n_kept, n_sifted, n_agree,
-                             qber_estimate=qber, aborted=False, abort_reason=None,
-                             leaked_bits=leaked, final_key=final_key,
-                             residual_errors=residual_errors)
+    key = distil(alice, bob, rng)
+    return SessionTranscript(**vars(key), n_intervals=n, n_kept=n_kept, n_sifted=len(alice),
+                             n_agree=n_agree)
 
 
 def transcript_summary(t: SessionTranscript) -> dict:

@@ -12,7 +12,7 @@ from qkdlab.detection import (DetectorConfig, Trials, expected_rates, records_to
                               simulate_dwell_stream)
 from qkdlab.optics import MeasBasis
 from qkdlab.protocol import (BLOCK_INTERVALS, MAX_INTERVALS, TAG_BITS, TILE_INTERVALS,
-                             SessionConfig, _toeplitz_hash, estimate_qber, h2,
+                             SessionConfig, _toeplitz_hash, distil, estimate_qber, h2,
                              privacy_amplify, reconcile, run_session, sift, transcript_summary)
 from qkdlab.states import EveConfig, add_white_noise, bell_phi_plus
 from qkdlab import otp, protocol
@@ -694,6 +694,52 @@ def test_abort_reasons(monkeypatch, reason, overrides):
     assert len(t.final_key) == t.leaked_bits == 0
     assert t.residual_errors is None
     assert transcript_summary(t)["abort_reason"] == reason
+
+
+_BITS = np.random.default_rng(3).integers(0, 2, size=2000, dtype=np.uint8)
+
+
+@pytest.mark.parametrize("alice,bob,reason", [
+    (np.zeros(0, np.uint8), np.zeros(0, np.uint8), "no_sifted_bits"),
+    (np.ones(1, np.uint8), np.ones(1, np.uint8), "nothing_left_after_sampling"),
+    (_BITS, _BITS ^ 1, "qber_above_threshold"),
+    (_BITS, _BITS.copy(), None),
+], ids=["empty", "one_bit", "flipped", "equal"])
+def test_distil_from_plain_strings(alice, bob, reason):
+    key = distil(alice, bob, np.random.default_rng(8))
+    assert key.abort_reason == reason
+    assert key.aborted == (key.abort_reason is not None)
+    if reason is not None:
+        assert len(key.final_key) == key.leaked_bits == 0
+        assert key.residual_errors is None
+        return
+    # replay the sample and Cascade on the same generator for Cascade's leak
+    rng = np.random.default_rng(8)
+    qber, rem_alice, rem_bob, _ = estimate_qber(alice, bob, protocol.QBER_SAMPLE_FRACTION, rng)
+    _, leak = reconcile(rem_alice, rem_bob, protocol.CASCADE_PASSES, qber_est=qber, rng=rng)
+    assert key.qber_estimate == qber == 0.0
+    assert key.residual_errors == 0
+    assert key.leaked_bits == leak + TAG_BITS
+    assert len(key.final_key) > 0
+
+
+def test_distil_rejects_unequal_strings():
+    for alice, bob in [(np.zeros(0, np.uint8), np.ones(3, np.uint8)),
+                       (np.ones(3, np.uint8), np.zeros(0, np.uint8))]:
+        with pytest.raises(ValueError, match="equal length"):
+            distil(alice, bob, np.random.default_rng(0))
+
+
+def test_distil_is_the_key_half_of_a_session():
+    config = _keygen(seed=0)
+    t, trials = session_with_trials(config)
+    alice, bob = sift(trials)
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(1,)))
+    key = distil(alice, bob, rng)
+    assert not key.aborted and len(key.final_key) > 0
+    assert np.array_equal(key.final_key, t.final_key)
+    assert ((key.qber_estimate, key.abort_reason, key.leaked_bits, key.residual_errors)
+            == (t.qber_estimate, t.abort_reason, t.leaked_bits, t.residual_errors))
 
 
 def test_transcript_invariants():

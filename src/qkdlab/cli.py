@@ -25,7 +25,7 @@ from .protocol import (SessionConfig, run_session, transcript_summary,
 from .states import (EveConfig, QuartzPlate, TwoQubitState, add_white_noise,
                      bell_phi_plus, eve_scenarios, plate_gamma)
 from .tomography import (TOMO_SCHEDULE, CHSH_CANONICAL_ANGLES, ReconstructionError,
-                         chsh, correlator, run_tomography, simulate_counts)
+                         correlator, run_tomography, simulate_counts)
 
 BASIS_LABELS = ("HH", "HV", "VH", "VV")
 
@@ -257,7 +257,9 @@ def cmd_bell(cfg: dict, out_dir: str) -> int:
         "E(a',b)": correlator(state, a_prime, b),
         "E(a',b')": correlator(state, a_prime, b_prime),
     }
-    s_value = chsh(state, *cfg["angles"])
+    # the CHSH combination of :func:`~qkdlab.tomography.chsh`, in its order
+    s_value = (table["E(a,b)"] - table["E(a,b')"] + table["E(a',b)"]
+               + table["E(a',b')"])
     os.makedirs(out_dir, exist_ok=True)
     _dump_json({"angles": cfg["angles"], "correlators": table, "s_value": s_value},
                os.path.join(out_dir, "bell.json"))

@@ -67,9 +67,12 @@ def test_session_output_files_agree(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     transcript = json.loads((out / "transcript.json").read_text())
 
-    sifted = [r for r in records if r["kept"] == "1" and r["alice_basis"] == r["bob_basis"]]
+    # a kept interval is a row with both bits; no row holds exactly one
+    with_bits = [r for r in records if r["alice_bit"] != "" and r["bob_bit"] != ""]
+    assert not any((r["alice_bit"] == "") != (r["bob_bit"] == "") for r in records)
+    sifted = [r for r in with_bits if r["alice_basis"] == r["bob_basis"]]
     assert summary["n_records"] == len(records) == 3000
-    assert summary["n_kept"] == sum(r["kept"] == "1" for r in records)
+    assert summary["n_kept"] == len(with_bits)
     assert summary["n_sifted"] == len(sifted) > 0
     assert summary["sifted_agreement"] == pytest.approx(
         sum(r["alice_bit"] == r["bob_bit"] for r in sifted) / len(sifted))
@@ -82,22 +85,22 @@ def test_session_output_files_agree(tmp_path):
 # they do not depend on the platform.
 SESSION_GOLDEN = {
     "session_full_eve_da": (2, {
-        "records.csv": "f6552d20b9692caa05c9764fb2b78f214de963858319816eefc98a73777b0937",
+        "records.csv": "d61c03e7d01c3ec494c04025378bc6c656633ac4ba5de46f8741f6eb5bcf7786",
         "summary.json": "513298b1c424cfa6dbc874840ba6171cbc8da0774ba863844e5515eea1521729",
         "transcript.json": "d4f3100392e6d18885d729f2aa759b0c48bd51903f346a505f55fcf95c366231",
     }),
     "session_intercept_random": (2, {
-        "records.csv": "a9f95164f1ac84a2444c255c8045a0d40be5bf8ae3e9f82af8b3426dd447432d",
+        "records.csv": "07c0d95d28791edeab1c05543dadcbbf0af81ae84b38858d9cdcd7cf3ea24501",
         "summary.json": "bf01c3dd597785d2c37717f3476326df1634ab92e3072b8298d62654397d2765",
         "transcript.json": "d4f3100392e6d18885d729f2aa759b0c48bd51903f346a505f55fcf95c366231",
     }),
     "session_no_eve_ideal": (0, {
-        "records.csv": "cefe65b93e32e5f52992d0f7b7e69e011c34ed7ed1f216dbedb1a0e3d249bc89",
+        "records.csv": "e45e3a5a999a0bcba1436f68216f4ce42971629c16120a0f246895e1741905fd",
         "summary.json": "f0d376b4e9e315198cb6225f14a257bf56b4aa742a396858260f07bcb20eab98",
         "transcript.json": "ecf9d8140f0ef43a074ec33b08ac8c801406c23a8c0e5fbcd69a699b87740e06",
     }),
     "session_no_eve_imperfect": (0, {
-        "records.csv": "754afe8cda44b4b487f7df3e0d4eb07b54eca8ddc51607d0a082010f89549812",
+        "records.csv": "cbd5dbd44b2179ed002898eb487dbdb37f5f9edd06428a12901545a45c6fb4ad",
         "summary.json": "794e27ddeaa260f6384146f606e10683054f51cf8936e28b0641b06d84f0014e",
         "transcript.json": "9687158302ced7d1875756a4bbebea3e7dfb250d993b34e26890889eebcd396d",
     }),

@@ -326,7 +326,8 @@ def test_stream_eve_metadata_recorded():
 
 
 def _parse_records_csv(text):
-    """Columns of a records.csv text as arrays in the ``Trials`` encoding."""
+    """Columns of a records.csv text as arrays in the ``Trials`` encoding;
+    ``kept`` is not a column, it is "both bits present"."""
     basis = {b.value: i for i, b in enumerate(BASES)} | {"": -1}
     bit = {"0": 0, "1": 1, "": -1}
     rows = list(csv.DictReader(io.StringIO(text)))
@@ -334,15 +335,16 @@ def _parse_records_csv(text):
     def column(name, table):
         return np.array([table[r[name]] for r in rows])
 
-    return {
+    back = {
         "trial_index": np.array([int(r["trial_index"]) for r in rows]),
         "alice_basis": column("alice_basis", basis),
         "bob_basis": column("bob_basis", basis),
         "eve_basis": column("eve_basis", basis),
         "alice_bit": column("alice_bit", bit),
         "bob_bit": column("bob_bit", bit),
-        "kept": np.array([r["kept"] == "1" for r in rows]),
     }
+    back["kept"] = (back["alice_bit"] != -1) & (back["bob_bit"] != -1)
+    return back
 
 
 def test_csv_roundtrip():
@@ -380,11 +382,11 @@ def test_records_to_csv_golden_text(tmp_path):
         bob_bit=np.array([1, -1, 1, 1], dtype=np.int8),
         kept=np.array([True, False, True, True]),
     )
-    expected = ("trial_index,alice_basis,bob_basis,eve_basis,alice_bit,bob_bit,kept\n"
-                "0,HV,HV,DA,1,1,1\n"
-                "1,DA,HV,,,,0\n"
-                "2,HV,DA,HV,0,1,1\n"
-                "3,DA,DA,DA,0,1,1\n")
+    expected = ("trial_index,alice_basis,bob_basis,eve_basis,alice_bit,bob_bit\n"
+                "0,HV,HV,DA,1,1\n"
+                "1,DA,HV,,,\n"
+                "2,HV,DA,HV,0,1\n"
+                "3,DA,DA,DA,0,1\n")
     assert _csv_text(records_to_csv, trials) == expected
     path = tmp_path / "out.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -412,7 +414,6 @@ def _oracle_records_csv(trials, start=0):
         _BASIS_TEXT[trials.alice_basis], _BASIS_TEXT[trials.bob_basis],
         _BASIS_TEXT[trials.eve_basis],
         _BIT_TEXT[trials.alice_bit], _BIT_TEXT[trials.bob_bit],
-        trials.kept.astype(np.int8).astype(str),
     ])
 
 
@@ -426,14 +427,13 @@ def _assert_records_match_oracle(trials):
 
 
 def test_csv_writers_match_oracle_on_every_field_combination():
-    # one row per combination of the six fields after the index, with -1 in
-    # every column that admits it: 3**5 * 2 = 486 rows
-    rows = np.array(list(itertools.product((0, 1, -1), (0, 1, -1), (0, 1, -1),
-                                           (0, 1, -1), (0, 1, -1), (0, 1))))
-    assert len(rows) == 486
-    a, b, e, x, y, k = (rows[:, i].astype(np.int8) for i in range(6))
+    # one row per combination of the five fields after the index, with -1
+    # in every column: 3**5 = 243 rows
+    rows = np.array(list(itertools.product((0, 1, -1), repeat=5)))
+    assert len(rows) == 243
+    a, b, e, x, y = (rows[:, i].astype(np.int8) for i in range(5))
     trials = Trials(alice_basis=a, bob_basis=b, eve_basis=e,
-                    alice_bit=x, bob_bit=y, kept=k.astype(bool))
+                    alice_bit=x, bob_bit=y, kept=(x != -1) & (y != -1))
     _assert_records_match_oracle(trials)
 
 
@@ -484,10 +484,10 @@ def test_records_to_csv_across_every_decimal_width():
         code = (done + np.arange(n)) % len(suffix)
         done += n
         # code bits, high to low: alice_basis, bob_basis, eve_basis,
-        # alice_bit, bob_bit (two each, 3 for -1), kept (one)
-        fields = [(code >> shift & 3).astype(np.int8) for shift in (9, 7, 5, 3, 1)]
-        trials = Trials(*[np.where(f == 3, -1, f).astype(np.int8) for f in fields],
-                        kept=(code & 1).astype(bool))
+        # alice_bit, bob_bit (two each, 3 for -1)
+        fields = [(code >> shift & 3).astype(np.int8) for shift in (8, 6, 4, 2, 0)]
+        fields = [np.where(f == 3, -1, f).astype(np.int8) for f in fields]
+        trials = Trials(*fields, kept=(fields[3] != -1) & (fields[4] != -1))
         fh = io.StringIO()
         records_to_csv(trials, fh, start)
         want = ("".join(f"{i}{suffix[c]}" for i, c in zip(range(start, start + n),

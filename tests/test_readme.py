@@ -1,16 +1,33 @@
+import json
 import os
 import re
+import textwrap
 
 import numpy as np
 import pytest
 
+from qkdlab.cli import main
+
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+
+
+def _readme():
+    with open(README, encoding="utf-8") as fh:
+        return fh.read()
+
+
+def _output_recipe(filename):
+    """The one indented Python block of the Outputs list that reads
+    ``out/<filename>``, dedented."""
+    blocks = re.findall(r"^( +)```python\n(.*?)^\1```", _readme(), re.M | re.S)
+    found = [textwrap.dedent(body) for _, body in blocks if f'"out/{filename}"' in body]
+    assert len(found) == 1, f"README has {len(found)} recipes reading out/{filename}"
+    return found[0]
 
 
 def test_readme_library_example_runs(capsys):
-    with open(README, encoding="utf-8") as fh:
-        text = fh.read()
-    match = re.search(r"^## Library example\n+```python\n(.*?)^```", text, re.M | re.S)
+    match = re.search(r"^## Library example\n+```python\n(.*?)^```", _readme(), re.M | re.S)
     assert match, "README has no Library example Python block"
     exec(compile(match.group(1), "README.md", "exec"), {})
     lines = capsys.readouterr().out.splitlines()
@@ -19,3 +36,33 @@ def test_readme_library_example_runs(capsys):
     assert float(lines[0]) == pytest.approx(1 / 16, abs=0.02)
     assert "0" in lines   # no residual error: Alice's and Bob's keys are equal
     assert float(lines[-1]) == pytest.approx(2 * np.sqrt(2), abs=1e-9)
+
+
+@pytest.fixture
+def preset_out(tmp_path, monkeypatch, capsys):
+    """A working directory whose ``out/`` holds the outputs of a session
+    preset and a tomo preset, as the README's CLI lines write them."""
+    monkeypatch.chdir(tmp_path)
+    for command, preset in (("session", "session_no_eve_imperfect"),
+                            ("tomo", "tomo_partial_eve")):
+        config = os.path.join(CONFIG_DIR, preset + ".json")
+        assert main([command, "--config", config, "--out", "out"]) == 0
+    capsys.readouterr()
+    return tmp_path / "out"
+
+
+def test_readme_sifted_recipe_counts_the_sifted_bits(preset_out):
+    scope = {}
+    exec(compile(_output_recipe("records.csv"), "README.md", "exec"), scope)
+    summary = json.loads((preset_out / "summary.json").read_text())
+    assert len(scope["sifted"]) == summary["n_sifted"] > 0
+    agree = sum(row[3] for row in scope["sifted"])
+    assert agree / len(scope["sifted"]) == pytest.approx(summary["sifted_agreement"])
+
+
+def test_readme_bars_recipe_reads_16_bars(preset_out):
+    scope = {}
+    exec(compile(_output_recipe("density_matrix.json"), "README.md", "exec"), scope)
+    assert len(scope["bars"]) == 16
+    assert sum(value for row, col, value in scope["bars"] if row == col) == \
+        pytest.approx(1.0, abs=1e-9)

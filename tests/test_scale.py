@@ -48,7 +48,7 @@ def _run(tmp_path, command, body):
 # the records.csv writer over indices of 1 to 6 digits, the summary, and the
 # final key of about 5.6·10^4 bits
 MILLION_GOLDEN = {
-    "records.csv": "8b8d9eb2cf95c2e4b56ff28767097cd460402ce160e578d54ea87e210739f975",
+    "records.csv": "f9b2c523878594aa9574ea6094528da25587a7fbc51b24aa447064ac797269b9",
     "summary.json": "e0ee7d7859c777e9044445e01f9ddfa1acec5ed8c58651631120d7f1af0d4530",
     "transcript.json": "95975a5739170387ba3eb4eb3a315a5177e7a634679823cf2c2638ee8fe67069",
 }

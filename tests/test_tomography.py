@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qkdlab.cli import _prepared_state, load_config
+from qkdlab.detection import DetectorConfig, expected_rates
 from qkdlab.optics import PolState, linear_ket
 from qkdlab.states import (EveConfig, TwoQubitState, add_white_noise, bell_phi_plus,
                            bell_phi_plus_ket, dephase_bob)
@@ -487,6 +488,40 @@ def test_chsh_dephased_states_bounded(rng):
         for _ in range(100):
             angles = rng.uniform(0, 180, size=4)
             assert abs(chsh(s, *angles)) <= 2.0 + 1e-9
+
+
+def _chsh_qber_eves():
+    """Eve absent, then every mode and basis policy over a grid of basis
+    angle, dephasing strength and intercepted fraction: 55 configs."""
+    yield EveConfig()
+    for fraction in (0.4, 0.7, 1.0):
+        for strength in (0.3, 0.6, 1.0):
+            for angle in (0.0, 45.0, 22.5, 10.0):
+                yield EveConfig(mode="dephasing", basis_angle=angle, strength=strength,
+                                intercept_fraction=fraction)
+            yield EveConfig(mode="dephasing", strength=strength, intercept_fraction=fraction,
+                            basis_policy="random_per_trial")
+        yield EveConfig(mode="intercept_resend", intercept_fraction=fraction,
+                        basis_policy="random_per_trial")
+        for angle in (0.0, 45.0):
+            yield EveConfig(mode="intercept_resend", basis_angle=angle,
+                            intercept_fraction=fraction)
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.04, 0.3, 1.0])
+def test_chsh_is_the_qber_identity(noise):
+    # White noise and every Eve channel keep Phi+ Bell-diagonal with
+    # correlators along the linear axes only, so at the canonical angles
+    # S = 2 sqrt 2 (1 - 2Q), Q the model's sifted QBER without dark counts;
+    # the state is the scenario mixture that tomo and bell measure
+    noisy = add_white_noise(bell_phi_plus(), noise)
+    eves = list(_chsh_qber_eves())
+    assert len(eves) == 55
+    for eve in eves:
+        state = _prepared_state({"source_noise": noise, "eve": eve})
+        q = expected_rates(noisy, DetectorConfig(dark_rate=0.0), eve).qber
+        assert chsh(state, *CHSH_CANONICAL_ANGLES) == \
+            pytest.approx(2 * np.sqrt(2) * (1 - 2 * q), abs=1e-12), eve
 
 
 def test_state_metrics_point_values():

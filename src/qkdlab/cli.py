@@ -24,8 +24,8 @@ from .protocol import (SessionConfig, run_session, transcript_summary,
                        transcript_to_dict)
 from .states import (EveConfig, QuartzPlate, TwoQubitState, add_white_noise,
                      bell_phi_plus, eve_scenarios, plate_gamma)
-from .tomography import (TOMO_SCHEDULE, CHSH_CANONICAL_ANGLES, ReconstructionError,
-                         correlator, run_tomography, simulate_counts)
+from .tomography import (TOMO_SCHEDULE, CHSH_CANONICAL_ANGLES, correlator,
+                         run_tomography, simulate_counts)
 
 BASIS_LABELS = ("HH", "HV", "VH", "VV")
 
@@ -48,8 +48,7 @@ def _take(section: dict, key: str, types, where: str, required=False, default=No
     value = section[key]
     if types is float and isinstance(value, int) and not isinstance(value, bool):
         value = float(value) if abs(value) <= sys.float_info.max else math.inf  # not finite
-    if not isinstance(value, types if isinstance(types, tuple) else (types,)) \
-            or isinstance(value, bool) and types is not bool:
+    if not isinstance(value, types) or isinstance(value, bool):
         raise ConfigError(f"key '{key}' in {where} has the wrong type")
     if isinstance(value, float) and not math.isfinite(value):
         raise ConfigError(f"key '{key}' in {where} must be a finite number")
@@ -195,7 +194,7 @@ def _read_counts_csv(path) -> np.ndarray:
             rows = [row for row in csv.reader(fh) if row]
     except OSError as exc:
         raise ConfigError(f"cannot read counts file: {exc}") from exc
-    if rows and rows[0][:3] == ["setting_a", "setting_b", "count"]:
+    if rows and [field.strip() for field in rows[0][:3]] == ["setting_a", "setting_b", "count"]:
         rows = rows[1:]
     table = {}
     for row in rows:
@@ -228,7 +227,7 @@ def _write_counts_csv(counts, path):
 
 
 def cmd_tomo(cfg: dict, out_dir: str) -> int:
-    if cfg["counts_file"]:
+    if cfg["counts_file"] is not None:
         counts = _read_counts_csv(cfg["counts_file"])
     else:
         rng = np.random.default_rng(cfg["seed"])
@@ -339,7 +338,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, args.command, args.seed)
         handler = {"session": cmd_session, "tomo": cmd_tomo, "bell": cmd_bell}
         return handler[args.command](cfg, args.out)
-    except (ConfigError, ReconstructionError, ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

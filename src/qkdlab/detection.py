@@ -43,11 +43,13 @@ BASES = (MeasBasis.HV, MeasBasis.DA)
 
 @dataclass(frozen=True, eq=False)
 class Trials:
-    """Every dwell interval of a stream, one numpy column per field.
+    """Every dwell interval of a stream, one numpy column per field: the
+    columns of ``records.csv`` after its index, in its order.
 
     Row ``i`` is trial ``i``.  Bases are indices into :data:`BASES`; in
     ``eve_basis``, ``alice_bit`` and ``bob_bit`` the value -1 stands for
-    "none" (Eve idle or acting along an unnamed axis; trial not kept).
+    "none" (Eve idle or acting along an unnamed axis; trial not kept, so a
+    kept trial is one with bits, ``alice_bit >= 0``).
     """
 
     alice_basis: np.ndarray   # int8
@@ -55,14 +57,13 @@ class Trials:
     eve_basis: np.ndarray     # int8
     alice_bit: np.ndarray     # int8
     bob_bit: np.ndarray       # int8
-    kept: np.ndarray          # bool
 
     def __len__(self) -> int:
-        return len(self.kept)
+        return len(self.alice_basis)
 
     def sifted(self) -> np.ndarray:
         """Mask of the kept trials where both parties used the same basis."""
-        return self.kept & (self.alice_basis == self.bob_basis)
+        return (self.alice_bit >= 0) & (self.alice_basis == self.bob_basis)
 
 
 _BIT_PAIRS = ((1, 1), (1, 0), (0, 1), (0, 0))
@@ -209,7 +210,7 @@ def simulate_dwell_stream(rates: Rates, n_intervals: int, rng) -> Trials:
         outcome += threshold <= u
     return Trials(alice_basis=alice_basis, bob_basis=bob_basis, eve_basis=eve_basis,
                   alice_bit=_OUTCOME_BITS[0].take(outcome),
-                  bob_bit=_OUTCOME_BITS[1].take(outcome), kept=outcome < 8)
+                  bob_bit=_OUTCOME_BITS[1].take(outcome))
 
 
 CSV_COLUMNS = ("trial_index", "alice_basis", "bob_basis", "eve_basis",

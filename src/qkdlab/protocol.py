@@ -109,8 +109,7 @@ def estimate_qber(alice_bits, bob_bits, sample_fraction: float, rng):
     Returns ``(qber, remaining_alice, remaining_bob, disclosed_positions)``;
     the disclosed positions are removed from the remaining key material.
     """
-    alice = np.asarray(alice_bits, dtype=np.uint8)
-    bob = np.asarray(bob_bits, dtype=np.uint8)
+    alice, bob = otp.as_bits(alice_bits), otp.as_bits(bob_bits)
     if alice.shape != bob.shape:
         raise ValueError("sifted strings must have equal length")
     n = len(alice)
@@ -153,15 +152,14 @@ def reconcile(alice_bits, bob_bits, passes: int, *, qber_est: float, rng):
     block ``rank[q][j] // size[q]`` of pass ``q``, where ``rank[q]`` inverts
     that pass's permutation, so no per-bit block index is kept.  Orders and
     ranks are int32, 32 bytes per bit over four passes, so a string may hold
-    at most 2**31 - 1 bits.
+    at most 2**31 - 1 bits; the lengths are checked before any bit is read.
     """
-    alice = np.asarray(alice_bits, dtype=np.uint8)
-    bob = np.asarray(bob_bits, dtype=np.uint8)
-    if alice.shape != bob.shape:
+    if len(alice_bits) != len(bob_bits):
         raise ValueError("reconcile needs equal-length strings")
-    if len(alice) > _INT32_MAX:
-        raise ValueError(f"reconcile indexes bits as int32: {len(alice)} bits "
+    if len(alice_bits) > _INT32_MAX:
+        raise ValueError(f"reconcile indexes bits as int32: {len(alice_bits)} bits "
                          f"exceed {_INT32_MAX}")
+    alice, bob = otp.as_bits(alice_bits), otp.as_bits(bob_bits)
     err = alice ^ bob
     n = len(err)
     if n == 0:
@@ -267,7 +265,8 @@ def distil(alice_bits, bob_bits, rng) -> KeyResult:
     Empty strings abort, as does a disclosed sample of
     :data:`QBER_SAMPLE_FRACTION` whose error rate exceeds
     :data:`ABORT_THRESHOLD` or that leaves no bits; Cascade then runs
-    :data:`CASCADE_PASSES` passes.  Unequal lengths raise ``ValueError``.
+    :data:`CASCADE_PASSES` passes.  Unequal lengths, or strings that
+    :func:`otp.as_bits` refuses, raise ``ValueError`` before any draw.
 
     After Cascade, Alice and Bob compare a :data:`TAG_BITS`-bit Toeplitz
     hash of their reconciled strings, seeded by a value drawn after the
@@ -329,7 +328,7 @@ def run_session(config: SessionConfig, sink=None) -> SessionTranscript:
         alice, bob = sift(trials)
         alice_tiles.append(alice)
         bob_tiles.append(bob)
-        n_kept += int(np.count_nonzero(trials.kept))
+        n_kept += int(np.count_nonzero(trials.alice_bit >= 0))
         n_agree += int(np.count_nonzero(alice == bob))
     alice, bob = np.concatenate(alice_tiles), np.concatenate(bob_tiles)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(1,)))

@@ -174,7 +174,7 @@ def test_criterion_8_channel_equivalence():
         eve = EveConfig(mode="intercept_resend", basis_angle=angle, basis_policy="fixed")
         trials = simulate_dwell_stream(expected_rates(bell, detector, eve), 1_200_000, rng)
         assert (trials.eve_basis == BASES.index(basis)).all()
-        kept_hv = trials.kept & (trials.alice_basis == hv) & (trials.bob_basis == hv)
+        kept_hv = (trials.alice_bit >= 0) & (trials.alice_basis == hv) & (trials.bob_basis == hv)
         a_bits, b_bits = trials.alice_bit[kept_hv], trials.bob_bit[kept_hv]
         n = len(a_bits)
         assert n >= 100000

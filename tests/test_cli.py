@@ -330,6 +330,13 @@ def test_tomo_counts_file_roundtrip(tmp_path):
     c = read_tree(tmp_path / "c")
     assert c["density_matrix.json"] == a["density_matrix.json"]
     assert c["metrics.json"] == a["metrics.json"]
+    # so does a header with spaces after its commas, as data rows may have
+    spaced = tmp_path / "spaced.csv"
+    rows = (tmp_path / "a" / "counts.csv").read_text().splitlines(keepends=True)
+    spaced.write_text("setting_a, setting_b, count\n" + "".join(rows[1:]))
+    cfg4 = write_config(tmp_path, "t4.json", dict(body, counts_file=str(spaced)))
+    assert main(["tomo", "--config", cfg4, "--out", str(tmp_path / "d")]) == 0
+    assert read_tree(tmp_path / "d")["density_matrix.json"] == a["density_matrix.json"]
 
 
 def test_tomo_partial_gating_equals_scaled_strength(tmp_path):
@@ -373,6 +380,8 @@ def test_tomo_counts_file_repeated_setting_rejected(tmp_path, capsys):
     ("tomo", {"n_per_setting": 0}),
     ("tomo", {"replicas": 1}),
     ("tomo", {"counts_file": "malformed.csv"}),
+    # an empty path is an unreadable file, not a request to simulate
+    ("tomo", {"counts_file": ""}),
     ("bell", {"angles": [0.0, 45.0, 22.5]}),
     # a plate's axis would be ignored by an Eve who picks her basis per trial
     ("tomo", {"eve": {"mode": "dephasing", "basis_policy": "random_per_trial"},

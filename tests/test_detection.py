@@ -83,7 +83,7 @@ def _fixed_bases(state, a, b, n, seed=1234):
     rng = np.random.default_rng(seed)
     rates = expected_rates(state, DetectorConfig(dark_rate=0.0), EveConfig())
     trials = simulate_dwell_stream(rates, n, rng)
-    mask = (trials.kept & (trials.alice_basis == BASES.index(a))
+    mask = ((trials.alice_bit >= 0) & (trials.alice_basis == BASES.index(a))
             & (trials.bob_basis == BASES.index(b)))
     return trials.alice_bit[mask], trials.bob_bit[mask]
 
@@ -131,19 +131,19 @@ def test_stream_in_pieces_equals_one_stream(eve):
 def test_stream_keep_fraction_matches_poisson():
     n = 10000
     trials = _stream(n=n)
-    frac = np.count_nonzero(trials.kept) / n
+    frac = np.count_nonzero(trials.alice_bit >= 0) / n
     expected = np.exp(-1.0)  # exactly one pair in the interval
     assert abs(frac - expected) < 4 * binomial_sigma(expected, n)
 
 
 def test_stream_no_pairs_no_records_kept():
     trials = _stream(n=2000, pair_rate=0.0)
-    assert np.count_nonzero(trials.kept) == 0
+    assert np.count_nonzero(trials.alice_bit >= 0) == 0
 
 
 def test_stream_dark_counts_reduce_keep_fraction():
-    base = np.count_nonzero(_stream(seed=9, n=10000, dark=0.0).kept)
-    noisy = np.count_nonzero(_stream(seed=9, n=10000, dark=10.0).kept)
+    base = np.count_nonzero(_stream(seed=9, n=10000, dark=0.0).alice_bit >= 0)
+    noisy = np.count_nonzero(_stream(seed=9, n=10000, dark=10.0).alice_bit >= 0)
     assert noisy < base
 
 
@@ -151,7 +151,7 @@ def test_stream_dark_counts_alone_give_random_bits():
     # no pairs: a trial is kept only when each side saw exactly one dark
     # count, and those two detectors are independent coins
     trials = _stream(seed=5, n=80000, dark=5.0, pair_rate=0.0)
-    assert np.count_nonzero(trials.kept) > 0
+    assert np.count_nonzero(trials.alice_bit >= 0) > 0
     mask = trials.sifted()
     n = np.count_nonzero(mask)
     assert n >= 4000
@@ -159,11 +159,18 @@ def test_stream_dark_counts_alone_give_random_bits():
     assert abs(qber - 0.5) <= 4 * binomial_sigma(0.5, n)
 
 
+def test_trials_fields_are_the_records_csv_columns():
+    assert tuple(f.name for f in dataclasses.fields(Trials)) == CSV_COLUMNS[1:]
+
+
 def test_stream_kept_records_have_bits():
+    # a row holds both bits or neither
     trials = _stream(n=3000, dark=2.0)
+    kept = trials.alice_bit >= 0
+    assert 0 < np.count_nonzero(kept) < len(trials)
     for bits in (trials.alice_bit, trials.bob_bit):
-        assert np.isin(bits[trials.kept], (0, 1)).all()
-        assert (bits[~trials.kept] == -1).all()
+        assert np.isin(bits[kept], (0, 1)).all()
+        assert (bits[~kept] == -1).all()
 
 
 def test_expected_rates_closed_form():
@@ -296,7 +303,7 @@ def test_sampler_matches_expected_rates(config):
     state = add_white_noise(bell_phi_plus(), config.source_noise)
     rates = expected_rates(state, config.detector, config.eve)
     trials = simulate_dwell_stream(rates, n, np.random.default_rng(config.seed))
-    kept = np.count_nonzero(trials.kept)
+    kept = np.count_nonzero(trials.alice_bit >= 0)
     assert abs(kept / n - rates.kept) <= 4 * binomial_sigma(rates.kept, n)
     sifted = trials.sifted()
     m = np.count_nonzero(sifted)
@@ -354,9 +361,9 @@ def test_csv_roundtrip():
                                    intercept_fraction=0.7))
     back = _parse_records_csv(_csv_text(records_to_csv, trials))
     assert (back["trial_index"] == np.arange(len(trials))).all()
-    for name in ("alice_basis", "bob_basis", "eve_basis", "alice_bit", "bob_bit",
-                 "kept"):
+    for name in ("alice_basis", "bob_basis", "eve_basis", "alice_bit", "bob_bit"):
         assert (back[name] == getattr(trials, name)).all(), name
+    assert (back["kept"] == (trials.alice_bit >= 0)).all()
 
 
 def test_csv_file_roundtrip(tmp_path):
@@ -368,7 +375,7 @@ def test_csv_file_roundtrip(tmp_path):
     assert path.read_bytes() == text.encode()
     back = _parse_records_csv(text)
     assert len(back["trial_index"]) == 200
-    assert (back["kept"] == trials.kept).all()
+    assert (back["kept"] == (trials.alice_bit >= 0)).all()
 
 
 def test_records_to_csv_golden_text(tmp_path):
@@ -380,7 +387,6 @@ def test_records_to_csv_golden_text(tmp_path):
         eve_basis=np.array([1, -1, 0, 1], dtype=np.int8),
         alice_bit=np.array([1, -1, 0, 0], dtype=np.int8),
         bob_bit=np.array([1, -1, 1, 1], dtype=np.int8),
-        kept=np.array([True, False, True, True]),
     )
     expected = ("trial_index,alice_basis,bob_basis,eve_basis,alice_bit,bob_bit\n"
                 "0,HV,HV,DA,1,1\n"
@@ -433,7 +439,7 @@ def test_csv_writers_match_oracle_on_every_field_combination():
     assert len(rows) == 243
     a, b, e, x, y = (rows[:, i].astype(np.int8) for i in range(5))
     trials = Trials(alice_basis=a, bob_basis=b, eve_basis=e,
-                    alice_bit=x, bob_bit=y, kept=(x != -1) & (y != -1))
+                    alice_bit=x, bob_bit=y)
     _assert_records_match_oracle(trials)
 
 
@@ -487,7 +493,7 @@ def test_records_to_csv_across_every_decimal_width():
         # alice_bit, bob_bit (two each, 3 for -1)
         fields = [(code >> shift & 3).astype(np.int8) for shift in (8, 6, 4, 2, 0)]
         fields = [np.where(f == 3, -1, f).astype(np.int8) for f in fields]
-        trials = Trials(*fields, kept=(fields[3] != -1) & (fields[4] != -1))
+        trials = Trials(*fields)
         fh = io.StringIO()
         records_to_csv(trials, fh, start)
         want = ("".join(f"{i}{suffix[c]}" for i, c in zip(range(start, start + n),

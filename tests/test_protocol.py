@@ -24,38 +24,37 @@ HV, DA = 0, 1  # indices into qkdlab.detection.BASES
 
 
 def _trials(rows):
-    """Trials from (alice_basis, bob_basis, alice_bit, bob_bit, kept) rows;
-    a bit of -1 means "no bit"."""
-    a_basis, b_basis, a_bit, b_bit, kept = (np.array(col, dtype=np.int8)
-                                            for col in zip(*rows))
+    """Trials from (alice_basis, bob_basis, alice_bit, bob_bit) rows;
+    a bit of -1 means "no bit", a trial not kept."""
+    a_basis, b_basis, a_bit, b_bit = (np.array(col, dtype=np.int8) for col in zip(*rows))
     n = len(rows)
     return Trials(alice_basis=a_basis, bob_basis=b_basis,
                   eve_basis=np.full(n, -1, dtype=np.int8),
-                  alice_bit=a_bit, bob_bit=b_bit, kept=kept.astype(bool))
+                  alice_bit=a_bit, bob_bit=b_bit)
 
 
 def test_sift_keeps_agreeing_same_basis_sample():
     # ten same-basis trials, the published sample run: all agree
     bits = [0, 0, 0, 1, 1, 0, 1, 0, 0, 0]
-    alice, bob = sift(_trials([(HV, HV, b, b, True) for b in bits]))
+    alice, bob = sift(_trials([(HV, HV, b, b) for b in bits]))
     assert alice.tolist() == bits
     assert bob.tolist() == bits
     assert int(np.sum(alice != bob)) == 0
 
 
 def test_sift_all_cross_basis_empty():
-    alice, bob = sift(_trials([(HV, DA, 1, 0, True)] * 10))
+    alice, bob = sift(_trials([(HV, DA, 1, 0)] * 10))
     assert len(alice) == 0 and len(bob) == 0
 
 
 def test_sift_mixed_list_keeps_order():
     trials = _trials([
-        (HV, HV, 1, 1, True),
-        (HV, DA, 0, 0, True),
-        (DA, DA, 0, 1, True),
-        (DA, HV, 1, 1, True),
-        (HV, HV, 0, 0, True),
-        (DA, HV, 1, 0, True),
+        (HV, HV, 1, 1),
+        (HV, DA, 0, 0),
+        (DA, DA, 0, 1),
+        (DA, HV, 1, 1),
+        (HV, HV, 0, 0),
+        (DA, HV, 1, 0),
     ])
     alice, bob = sift(trials)
     assert alice.tolist() == [1, 0, 0]  # trials 0, 2, 4 in order
@@ -63,7 +62,7 @@ def test_sift_mixed_list_keeps_order():
 
 
 def test_sift_ignores_discarded_trials():
-    alice, _ = sift(_trials([(HV, HV, -1, -1, False), (HV, HV, 1, 1, True)]))
+    alice, _ = sift(_trials([(HV, HV, -1, -1), (HV, HV, 1, 1)]))
     assert alice.tolist() == [1]
 
 
@@ -445,6 +444,37 @@ def test_privacy_amplify_rejects_non_bit_keys():
         privacy_amplify(np.zeros(0, dtype=np.uint8), 0.0, 0, 0, rng_seed=1)
 
 
+@pytest.mark.parametrize("bits", [
+    [0.9] * 300, np.full(5000, 0.5), np.full(64, 2, dtype=np.uint8), [-1] * 64,
+    np.ones((8, 8), dtype=np.uint8),
+], ids=["floats_0.9", "floats_0.5", "twos", "minus_ones", "2d"])
+def test_key_half_rejects_non_bit_strings(bits):
+    # 0.5 would otherwise be cast to 0 and distil a key
+    rng = np.random.default_rng(2)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="0s and 1s"):
+        estimate_qber(bits, bits, 0.2, rng)
+    with pytest.raises(ValueError, match="0s and 1s"):
+        reconcile(bits, bits, 4, qber_est=0.05, rng=rng)
+    with pytest.raises(ValueError, match="0s and 1s"):
+        distil(bits, bits, rng)
+    assert rng.bit_generator.state == state   # refused before any draw
+
+
+def test_distil_reads_bit_text_as_the_equal_arrays():
+    gen = np.random.default_rng(5)
+    alice = gen.integers(0, 2, 4000, dtype=np.uint8)
+    bob = alice ^ (gen.random(4000) < 0.03)
+    text = ["".join(map(str, bits.tolist())) for bits in (alice, bob)]
+    want = distil(alice, bob, np.random.default_rng(3))
+    got = distil(*text, np.random.default_rng(3))
+    assert not want.aborted and len(want.final_key) > 0
+    assert np.array_equal(got.final_key, want.final_key)
+    assert ((got.qber_estimate, got.abort_reason, got.leaked_bits, got.residual_errors)
+            == (want.qber_estimate, want.abort_reason, want.leaked_bits,
+                want.residual_errors))
+
+
 def _session(seed, n=8000, noise=0.0, dark=0.0, eve=None):
     return SessionConfig(seed=seed, n_intervals=n, source_noise=noise,
                          detector=DetectorConfig(dwell=0.1, pair_rate=10.0,
@@ -594,7 +624,7 @@ def test_session_counts_match_the_sink_trials(config):
     t, trials = session_with_trials(config)
     sifted = trials.sifted()
     assert len(trials) == t.n_intervals == BLOCK_INTERVALS + 1
-    assert t.n_kept == np.count_nonzero(trials.kept)
+    assert t.n_kept == np.count_nonzero(trials.alice_bit >= 0)
     assert t.n_sifted == np.count_nonzero(sifted) > 0
     assert t.n_agree == np.count_nonzero(trials.alice_bit[sifted] == trials.bob_bit[sifted])
     assert t.n_agree < t.n_sifted

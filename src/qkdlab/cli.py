@@ -24,7 +24,7 @@ from .protocol import (SessionConfig, run_session, transcript_summary,
                        transcript_to_dict)
 from .states import (EveConfig, QuartzPlate, TwoQubitState, add_white_noise,
                      bell_phi_plus, eve_scenarios, plate_gamma)
-from .tomography import (TOMO_SCHEDULE, CHSH_CANONICAL_ANGLES, correlator,
+from .tomography import (TOMO_SCHEDULE, CHSH_CANONICAL_ANGLES, chsh, correlator,
                          run_tomography, simulate_counts)
 
 BASIS_LABELS = ("HH", "HV", "VH", "VV")
@@ -90,8 +90,9 @@ def _parse_nested(raw: dict, key: str, cls):
     return _parse_section(cls, section, key)
 
 
-def _apply_plate(eve: EveConfig, plate: QuartzPlate | None) -> EveConfig:
-    """A configured plate pins the dephasing strength and axis."""
+def _apply_plate(eve: EveConfig, plate: QuartzPlate | None, eve_keys) -> EveConfig:
+    """A configured plate pins the dephasing strength and axis, so the eve
+    section, whose keys are ``eve_keys``, may set neither."""
     if plate is None:
         return eve
     if eve.mode != "dephasing":
@@ -99,6 +100,10 @@ def _apply_plate(eve: EveConfig, plate: QuartzPlate | None) -> EveConfig:
     if eve.basis_policy == "random_per_trial":
         raise ConfigError("a quartz plate fixes the dephasing axis, so it needs "
                           "eve.basis_policy 'fixed'")
+    pinned = [f"eve.{key}" for key in ("basis_angle", "strength") if key in eve_keys]
+    if pinned:
+        raise ConfigError(f"{' and '.join(pinned)} cannot be set beside a quartz plate, "
+                          "whose axis and thickness fix them")
     return EveConfig(mode="dephasing", basis_angle=plate.axis_angle_deg,
                      strength=plate_gamma(plate),
                      intercept_fraction=eve.intercept_fraction,
@@ -133,7 +138,7 @@ def load_config(path: str, kind: str, seed_override: int | None = None) -> dict:
     if seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {seed}")
     eve = _apply_plate(_parse_nested(raw, "eve", EveConfig) or EveConfig(),
-                       _parse_nested(raw, "plate", QuartzPlate))
+                       _parse_nested(raw, "plate", QuartzPlate), raw.get("eve", {}))
     out = {
         "kind": kind,
         "seed": seed,
@@ -256,9 +261,7 @@ def cmd_bell(cfg: dict, out_dir: str) -> int:
         "E(a',b)": correlator(state, a_prime, b),
         "E(a',b')": correlator(state, a_prime, b_prime),
     }
-    # the CHSH combination of :func:`~qkdlab.tomography.chsh`, in its order
-    s_value = (table["E(a,b)"] - table["E(a,b')"] + table["E(a',b)"]
-               + table["E(a',b')"])
+    s_value = chsh(state, *cfg["angles"])
     os.makedirs(out_dir, exist_ok=True)
     _dump_json({"angles": cfg["angles"], "correlators": table, "s_value": s_value},
                os.path.join(out_dir, "bell.json"))

@@ -44,12 +44,12 @@ BASES = (MeasBasis.HV, MeasBasis.DA)
 @dataclass(frozen=True, eq=False)
 class Trials:
     """Every dwell interval of a stream, one numpy column per field: the
-    columns of ``records.csv`` after its index, in its order.
+    columns of ``records.csv``, in its order.
 
-    Row ``i`` is trial ``i``.  Bases are indices into :data:`BASES`; in
+    Row ``i`` is trial ``i``, as it is row ``i`` after the header of
+    ``records.csv``.  Bases are indices into :data:`BASES`; in
     ``eve_basis``, ``alice_bit`` and ``bob_bit`` the value -1 stands for
-    "none" (Eve idle or acting along an unnamed axis; trial not kept, so a
-    kept trial is one with bits, ``alice_bit >= 0``).
+    "none" (Eve idle or acting along an unnamed axis; trial not kept).
     """
 
     alice_basis: np.ndarray   # int8
@@ -61,9 +61,13 @@ class Trials:
     def __len__(self) -> int:
         return len(self.alice_basis)
 
+    def kept(self) -> np.ndarray:
+        """Mask of the kept trials: those with both bits."""
+        return (self.alice_bit >= 0) & (self.bob_bit >= 0)
+
     def sifted(self) -> np.ndarray:
         """Mask of the kept trials where both parties used the same basis."""
-        return (self.alice_bit >= 0) & (self.alice_basis == self.bob_basis)
+        return self.kept() & (self.alice_basis == self.bob_basis)
 
 
 _BIT_PAIRS = ((1, 1), (1, 0), (0, 1), (0, 0))
@@ -213,59 +217,35 @@ def simulate_dwell_stream(rates: Rates, n_intervals: int, rng) -> Trials:
                   bob_bit=_OUTCOME_BITS[1].take(outcome))
 
 
-CSV_COLUMNS = ("trial_index", "alice_basis", "bob_basis", "eve_basis",
-               "alice_bit", "bob_bit")
+CSV_COLUMNS = ("alice_basis", "bob_basis", "eve_basis", "alice_bit", "bob_bit")
 
 # Field texts of the values 0, 1 and -1 ("none") at index ``value & 3``;
 # -1 & 3 is 3, and 2 never occurs.
 _BASIS_FIELD = tuple(b.value for b in BASES) + ("", "")
 _BIT_FIELD = ("0", "1", "", "")
 
-# Everything after the index of a records.csv row, at the code that
-# :func:`records_to_csv` packs from its five fields: 4**5 = 1024 entries.
-_RECORD_SUFFIX = tuple(map("".join, itertools.product(
-    *[[f",{text}" for text in _BASIS_FIELD]] * 3, *[[f",{text}" for text in _BIT_FIELD]] * 2,
-    ("\n",))))
+# A records.csv row at the code that :func:`records_to_csv` packs from its
+# five fields: 4**5 = 1024 entries.
+_RECORD_TEXT = tuple(",".join(fields) + "\n" for fields in itertools.product(
+    *[_BASIS_FIELD] * 3, *[_BIT_FIELD] * 2))
 
-
-# The suffixes' ASCII bytes, one 16-byte item each, zero-padded to that
-# width; no field text holds a NUL byte, so the zero padding is what a row drops.
-# The longest suffix is 14 bytes, but numpy's ``take`` copies 16-byte items on
-# a fast path: at 14 bytes the writer took about 10 % longer.
-_RECORD_ROWS = np.array(_RECORD_SUFFIX, dtype="S16")
-
-# An index is its quotient by this modulus, in decimal, then its low four
-# digits; the quotient is one constant over a run that crosses no multiple.
-_LOW_MODULUS = 10 ** 4
-
-
-def _low_digit_table() -> np.ndarray:
-    """The ASCII digits of 0000 to 9999, one four-byte item each."""
-    digits = np.frombuffer(b"0123456789", dtype=np.uint8)
-    table = np.empty((10,) * 4 + (4,), dtype=np.uint8)
-    for col in range(4):
-        table[..., col] = digits.reshape((10,) + (1,) * (3 - col))
-    return table.reshape(_LOW_MODULUS, 4).view("V4")[:, 0]
-
-
-_LOW_DIGITS = _low_digit_table()
+# The rows' ASCII bytes, one 16-byte item each, zero-padded to that width; no
+# field text holds a NUL byte, so the zero padding is what a row drops.  The
+# longest row is 13 bytes, but numpy's ``take`` copies 16-byte items on a
+# fast path, and 13-byte items were no faster.
+_RECORD_ROWS = np.array(_RECORD_TEXT, dtype="S16")
 
 
 def records_to_csv(trials: Trials, fh, start: int = 0) -> None:
-    """Write one row per dwell interval, numbered from ``start``, to the open
-    text file ``fh``; the header goes before row 0, so a session's tiles
-    written in order with their start indices make the whole file.
+    """Write one row per dwell interval to the open text file ``fh``.
 
-    Absent bases and bits are empty fields; a kept trial is a row with both
-    bits.  The five fields after the index pack two bits each into a 10-bit
-    code, so each row is its index plus one entry of a precomputed suffix
-    table.  Rows are built as bytes by numpy: they split at each multiple of
-    10**4 into runs of at most 10**4 consecutive indices with one quotient by
-    10**4, and a run is one record array: the quotient's digits broadcast
-    (none for a zero quotient), a slice of the table of low four digits
-    (their leading zeros set to NUL without a quotient) and the rows'
-    suffixes, one ``take`` of 16-byte items.  Dropping its zero bytes leaves
-    the rows' text in order.
+    Row ``i`` after the header is interval ``i``; there is no index column.
+    ``start`` is the index of the first interval in ``trials``, and the
+    header goes before row 0, so a session's tiles written in order make the
+    whole file.  Absent bases and bits are empty fields; a kept trial is a
+    row with both bits.  The five fields pack two bits each into a 10-bit
+    code, and the rows are one ``take`` of 16-byte items from a table of
+    every code's row; dropping their zero bytes leaves the rows' text.
     """
     code = np.zeros(len(trials), dtype=np.int16)
     for column in (trials.alice_basis, trials.bob_basis, trials.eve_basis,
@@ -274,18 +254,5 @@ def records_to_csv(trials: Trials, fh, start: int = 0) -> None:
         code |= column & 3
     if start == 0:
         fh.write(",".join(CSV_COLUMNS) + "\n")
-    end = start + len(code)
-    cuts = list(range((start // _LOW_MODULUS + 1) * _LOW_MODULUS, end, _LOW_MODULUS))
-    for a, b in zip([start] + cuts, cuts + [end]):
-        high, low = divmod(a, _LOW_MODULUS)
-        digits = str(high).encode("ascii") if high else b""
-        rows = np.empty(b - a, dtype=[("high", f"V{len(digits)}"), ("low", "V4"),
-                                      ("suffix", _RECORD_ROWS.dtype)])
-        rows["high"] = digits
-        rows["low"] = _LOW_DIGITS[low:low + b - a]
-        rows["suffix"] = _RECORD_ROWS.take(code[a - start:b - start])
-        raw = rows.view(np.uint8).reshape(b - a, -1)
-        if not high:   # the leading zeros of the indices below 1000 go
-            for col in range(3):
-                raw[:max(10 ** (3 - col) - a, 0), col] = 0
-        fh.write(str(raw[raw != 0], "ascii"))   # decodes the buffer, no bytes copy
+    raw = _RECORD_ROWS.take(code).view(np.uint8)
+    fh.write(str(raw[raw != 0], "ascii"))   # decodes the buffer, no bytes copy

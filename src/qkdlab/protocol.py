@@ -328,7 +328,7 @@ def run_session(config: SessionConfig, sink=None) -> SessionTranscript:
         alice, bob = sift(trials)
         alice_tiles.append(alice)
         bob_tiles.append(bob)
-        n_kept += int(np.count_nonzero(trials.alice_bit >= 0))
+        n_kept += int(np.count_nonzero(trials.kept()))
         n_agree += int(np.count_nonzero(alice == bob))
     alice, bob = np.concatenate(alice_tiles), np.concatenate(bob_tiles)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(1,)))

@@ -85,22 +85,22 @@ def test_session_output_files_agree(tmp_path):
 # they do not depend on the platform.
 SESSION_GOLDEN = {
     "session_full_eve_da": (2, {
-        "records.csv": "d61c03e7d01c3ec494c04025378bc6c656633ac4ba5de46f8741f6eb5bcf7786",
+        "records.csv": "9897521ac5e82830053a15c7f71d791acf602ae26907d94f26080707c4357746",
         "summary.json": "513298b1c424cfa6dbc874840ba6171cbc8da0774ba863844e5515eea1521729",
         "transcript.json": "d4f3100392e6d18885d729f2aa759b0c48bd51903f346a505f55fcf95c366231",
     }),
     "session_intercept_random": (2, {
-        "records.csv": "07c0d95d28791edeab1c05543dadcbbf0af81ae84b38858d9cdcd7cf3ea24501",
+        "records.csv": "6289ce7da5a479001c4422bf07d12ac2e071110f867d26a5a0275a76fab9a2c6",
         "summary.json": "bf01c3dd597785d2c37717f3476326df1634ab92e3072b8298d62654397d2765",
         "transcript.json": "d4f3100392e6d18885d729f2aa759b0c48bd51903f346a505f55fcf95c366231",
     }),
     "session_no_eve_ideal": (0, {
-        "records.csv": "e45e3a5a999a0bcba1436f68216f4ce42971629c16120a0f246895e1741905fd",
+        "records.csv": "128bec64b442a40c68c18a12fc0aae29f8c60f95eb4eb12e77b74c7254ac2916",
         "summary.json": "f0d376b4e9e315198cb6225f14a257bf56b4aa742a396858260f07bcb20eab98",
         "transcript.json": "ecf9d8140f0ef43a074ec33b08ac8c801406c23a8c0e5fbcd69a699b87740e06",
     }),
     "session_no_eve_imperfect": (0, {
-        "records.csv": "cbd5dbd44b2179ed002898eb487dbdb37f5f9edd06428a12901545a45c6fb4ad",
+        "records.csv": "96fd897562a6ea6e6b8efbabea5b3616c7876d621fcad09897d52497b1c07e15",
         "summary.json": "794e27ddeaa260f6384146f606e10683054f51cf8936e28b0641b06d84f0014e",
         "transcript.json": "9687158302ced7d1875756a4bbebea3e7dfb250d993b34e26890889eebcd396d",
     }),
@@ -420,9 +420,16 @@ _ALL_SETTINGS = "".join(f"{a.value},{b.value},100\n" for a, b in TOMO_SCHEDULE)
     ("tomo", _FROM_COUNTS, "H,H,many\n", "bad count value 'many'"),
     ("tomo", _FROM_COUNTS, _ALL_SETTINGS + "A,A,100\n",
      "counts file has settings outside the 16-setting schedule"),
+    # a plate sets Eve's axis and strength; the eve section may not set them too
+    ("session", json.dumps(session_body(eve={"mode": "dephasing", "strength": 1.0},
+                                        plate={"thickness_mm": 1.0})),
+     None, "eve.strength cannot be set beside a quartz plate"),
+    ("tomo", json.dumps({"kind": "tomo", "seed": 1, "plate": {"thickness_mm": 1.0},
+                         "eve": {"mode": "dephasing", "basis_angle": 45.0, "strength": 1.0}}),
+     None, "eve.basis_angle and eve.strength cannot be set beside a quartz plate"),
 ], ids=["plate_without_dephasing", "unreadable_config", "config_not_json",
         "config_a_list", "unreadable_counts", "counts_row_of_two", "count_not_a_number",
-        "counts_17th_setting"])
+        "counts_17th_setting", "plate_beside_eve_strength", "plate_beside_eve_axis"])
 def test_bad_input_files_exit_1(tmp_path, monkeypatch, capsys, kind, config, counts, error):
     # a config of None is a missing file, and so is counts.csv with counts None
     monkeypatch.chdir(tmp_path)
@@ -446,7 +453,7 @@ def test_omitted_keys_take_the_dataclass_defaults(tmp_path):
     cfg = write_config(tmp_path, "t.json", {"kind": "tomo", "seed": 5,
                                             "eve": {"mode": "dephasing"},
                                             "plate": {"thickness_mm": 1.0}})
-    expected = _apply_plate(EveConfig(mode="dephasing"), QuartzPlate(1.0))
+    expected = _apply_plate(EveConfig(mode="dephasing"), QuartzPlate(1.0), {"mode": "dephasing"})
     assert load_config(cfg, "tomo")["eve"] == expected
 
     cfg = write_config(tmp_path, "p.json", {"kind": "tomo", "seed": 5,

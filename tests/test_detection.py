@@ -10,7 +10,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qkdlab import detection
 from qkdlab.cli import _prepared_state, load_config
 from qkdlab.detection import (BASES, CSV_COLUMNS, DetectorConfig, Trials, expected_rates,
                               joint_probs, records_to_csv, simulate_dwell_stream)
@@ -160,7 +159,7 @@ def test_stream_dark_counts_alone_give_random_bits():
 
 
 def test_trials_fields_are_the_records_csv_columns():
-    assert tuple(f.name for f in dataclasses.fields(Trials)) == CSV_COLUMNS[1:]
+    assert tuple(f.name for f in dataclasses.fields(Trials)) == CSV_COLUMNS
 
 
 def test_stream_kept_records_have_bits():
@@ -343,7 +342,6 @@ def _parse_records_csv(text):
         return np.array([table[r[name]] for r in rows])
 
     back = {
-        "trial_index": np.array([int(r["trial_index"]) for r in rows]),
         "alice_basis": column("alice_basis", basis),
         "bob_basis": column("bob_basis", basis),
         "eve_basis": column("eve_basis", basis),
@@ -360,7 +358,7 @@ def test_csv_roundtrip():
                                    basis_policy="random_per_trial",
                                    intercept_fraction=0.7))
     back = _parse_records_csv(_csv_text(records_to_csv, trials))
-    assert (back["trial_index"] == np.arange(len(trials))).all()
+    assert len(back["alice_basis"]) == len(trials)
     for name in ("alice_basis", "bob_basis", "eve_basis", "alice_bit", "bob_bit"):
         assert (back[name] == getattr(trials, name)).all(), name
     assert (back["kept"] == (trials.alice_bit >= 0)).all()
@@ -374,7 +372,7 @@ def test_csv_file_roundtrip(tmp_path):
     text = _csv_text(records_to_csv, trials)
     assert path.read_bytes() == text.encode()
     back = _parse_records_csv(text)
-    assert len(back["trial_index"]) == 200
+    assert len(back["alice_basis"]) == 200
     assert (back["kept"] == (trials.alice_bit >= 0)).all()
 
 
@@ -388,11 +386,11 @@ def test_records_to_csv_golden_text(tmp_path):
         alice_bit=np.array([1, -1, 0, 0], dtype=np.int8),
         bob_bit=np.array([1, -1, 1, 1], dtype=np.int8),
     )
-    expected = ("trial_index,alice_basis,bob_basis,eve_basis,alice_bit,bob_bit\n"
-                "0,HV,HV,DA,1,1\n"
-                "1,DA,HV,,,\n"
-                "2,HV,DA,HV,0,1\n"
-                "3,DA,DA,DA,0,1\n")
+    expected = ("alice_basis,bob_basis,eve_basis,alice_bit,bob_bit\n"
+                "HV,HV,DA,1,1\n"
+                "DA,HV,,,\n"
+                "HV,DA,HV,0,1\n"
+                "DA,DA,DA,0,1\n")
     assert _csv_text(records_to_csv, trials) == expected
     path = tmp_path / "out.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -413,10 +411,8 @@ _BASIS_TEXT = np.array([b.value for b in BASES] + [""])   # index -1 -> ""
 _BIT_TEXT = np.array(["0", "1", ""])
 
 
-def _oracle_records_csv(trials, start=0):
-    """``start`` is the index of the first trial, when ``trials`` is a slice."""
+def _oracle_records_csv(trials):
     return _char_add_csv(CSV_COLUMNS, [
-        np.arange(start, start + len(trials)).astype(str),
         _BASIS_TEXT[trials.alice_basis], _BASIS_TEXT[trials.bob_basis],
         _BASIS_TEXT[trials.eve_basis],
         _BIT_TEXT[trials.alice_bit], _BIT_TEXT[trials.bob_bit],
@@ -433,8 +429,8 @@ def _assert_records_match_oracle(trials):
 
 
 def test_csv_writers_match_oracle_on_every_field_combination():
-    # one row per combination of the five fields after the index, with -1
-    # in every column: 3**5 = 243 rows
+    # one row per combination of the five fields, with -1 in every column:
+    # 3**5 = 243 rows
     rows = np.array(list(itertools.product((0, 1, -1), repeat=5)))
     assert len(rows) == 243
     a, b, e, x, y = (rows[:, i].astype(np.int8) for i in range(5))
@@ -475,33 +471,7 @@ def test_csv_writers_stream_a_million_trials_in_bounded_memory(tmp_path):
         head = [next(lines) for _ in range(2001)]
         tail = collections.deque(lines, maxlen=2000)
     assert "".join(head) == _oracle_records_csv(_trial_slice(trials, 0, 2000))
-    assert head[0] + "".join(tail) == _oracle_records_csv(
-        _trial_slice(trials, n - 2000, n), start=n - 2000)
-
-
-def test_records_to_csv_across_every_decimal_width():
-    # 200 rows from 100 below each power of ten up to 10**12 (from 0 below
-    # 100), then across a multiple of 10**4 at one width, numbered on through
-    # every code of the suffix table
-    suffix = detection._RECORD_SUFFIX
-    starts = [max(10 ** w - 100, 0) for w in range(13)] + [19_990, 1_239_996, 123_459_990]
-    n, done = 200, 0
-    for start in starts:
-        code = (done + np.arange(n)) % len(suffix)
-        done += n
-        # code bits, high to low: alice_basis, bob_basis, eve_basis,
-        # alice_bit, bob_bit (two each, 3 for -1)
-        fields = [(code >> shift & 3).astype(np.int8) for shift in (8, 6, 4, 2, 0)]
-        fields = [np.where(f == 3, -1, f).astype(np.int8) for f in fields]
-        trials = Trials(*fields)
-        fh = io.StringIO()
-        records_to_csv(trials, fh, start)
-        want = ("".join(f"{i}{suffix[c]}" for i, c in zip(range(start, start + n),
-                                                          code.tolist())))
-        if start == 0:
-            want = ",".join(CSV_COLUMNS) + "\n" + want
-        assert fh.getvalue() == want, start
-    assert done >= len(suffix)
+    assert head[0] + "".join(tail) == _oracle_records_csv(_trial_slice(trials, n - 2000, n))
 
 
 def test_detector_config_validation():

@@ -66,6 +66,15 @@ def test_sift_ignores_discarded_trials():
     assert alice.tolist() == [1]
 
 
+def test_sift_drops_rows_with_one_bit():
+    # kept means both bits: Bob's -1 beside Alice's bit is no bit, not a 255
+    trials = _trials([(HV, HV, 1, 1), (HV, HV, 0, -1), (HV, HV, 1, 1)])
+    alice, bob = sift(trials)
+    assert alice.tolist() == [1, 1]
+    assert bob.tolist() == [1, 1]
+    assert _trials([(HV, HV, -1, 0), (DA, DA, 1, 0)]).kept().tolist() == [False, True]
+
+
 def test_estimate_qber_identical(rng):
     alice = np.ones(100, dtype=np.uint8)
     qber, rem_a, rem_b, disclosed = estimate_qber(alice, alice.copy(), 0.2, rng)

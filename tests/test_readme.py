@@ -6,7 +6,8 @@ import textwrap
 import numpy as np
 import pytest
 
-from qkdlab.cli import main
+from qkdlab.cli import load_config, main
+from qkdlab.states import QuartzPlate, plate_gamma
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -66,3 +67,18 @@ def test_readme_bars_recipe_reads_16_bars(preset_out):
     assert len(scope["bars"]) == 16
     assert sum(value for row, col, value in scope["bars"] if row == col) == \
         pytest.approx(1.0, abs=1e-9)
+
+
+def test_readme_config_example_runs(tmp_path, capsys):
+    match = re.search(r"^### Config example\n+```json\n(.*?)^```", _readme(), re.M | re.S)
+    assert match, "README has no Config example JSON block"
+    body = json.loads(match.group(1))
+    config = tmp_path / "config.json"
+    config.write_text(match.group(1), encoding="utf-8")
+    # 0 for a key, 2 for an abort at the error threshold; never a config error
+    assert main(["session", "--config", str(config), "--out", str(tmp_path / "out")]) in (0, 2)
+    capsys.readouterr()
+    eve = load_config(str(config), "session")["eve"]
+    plate = QuartzPlate(**body["plate"])
+    assert eve.basis_angle == plate.axis_angle_deg
+    assert eve.strength == plate_gamma(plate)

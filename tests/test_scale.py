@@ -45,10 +45,10 @@ def _run(tmp_path, command, body):
     return _child(CLI, command, "--config", str(config), "--out", str(tmp_path / "out"))
 
 
-# the records.csv writer over indices of 1 to 6 digits, the summary, and the
-# final key of about 5.6·10^4 bits
+# the records.csv writer over 10^6 rows written in 4 096-row tiles, the
+# summary, and the final key of about 5.6·10^4 bits
 MILLION_GOLDEN = {
-    "records.csv": "f9b2c523878594aa9574ea6094528da25587a7fbc51b24aa447064ac797269b9",
+    "records.csv": "30cc673826f5a8aa5fd276ce8e20b780589613e914d5071dcd129175ee03126c",
     "summary.json": "e0ee7d7859c777e9044445e01f9ddfa1acec5ed8c58651631120d7f1af0d4530",
     "transcript.json": "95975a5739170387ba3eb4eb3a315a5177e7a634679823cf2c2638ee8fe67069",
 }

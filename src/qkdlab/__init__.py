@@ -5,13 +5,12 @@ two-photon state tomography, CHSH tests and one-time-pad messaging."""
 from .optics import MeasBasis, PolState, projector
 from .states import (EveConfig, QuartzPlate, TwoQubitState, add_white_noise,
                      bell_phi_plus, dephase_bob, plate_gamma)
-from .detection import (DetectorConfig, Rates, Trials, expected_rates, joint_probs,
-                        simulate_dwell_stream)
+from .detection import DetectorConfig, Rates, Trials, expected_rates, simulate_dwell_stream
 from .protocol import (KeyResult, SessionConfig, SessionTranscript, distil, estimate_qber,
                        h2, privacy_amplify, reconcile, run_session, sift)
 from .tomography import (TOMO_SCHEDULE, ReconstructionError, StateMetrics,
-                         TomographyRun, bootstrap_metrics, chsh, reconstruct,
-                         run_tomography, simulate_counts, state_metrics)
+                         TomographyRun, bootstrap_metrics, chsh, run_tomography,
+                         simulate_counts, state_metrics)
 from .otp import decrypt, encrypt
 
 __version__ = "0.1.0"

@@ -244,8 +244,7 @@ def cmd_tomo(cfg: dict, out_dir: str) -> int:
     _dump_json({"basis_order": list(BASIS_LABELS),
                 "rho": qmath.mat_to_json(run.rho_hat.rho)},
                os.path.join(out_dir, "density_matrix.json"))
-    metrics = dict(dataclasses.asdict(run.metrics), total_estimate=run.total_estimate)
-    _dump_json(metrics, os.path.join(out_dir, "metrics.json"))
+    _dump_json(dataclasses.asdict(run.metrics), os.path.join(out_dir, "metrics.json"))
     print(f"tangle {run.metrics.tangle:.4f} +- {run.metrics.tangle_sigma:.4f}, "
           f"entropy {run.metrics.von_neumann:.4f} +- {run.metrics.von_neumann_sigma:.4f}, "
           f"fidelity {run.metrics.fidelity:.4f}")

@@ -77,27 +77,18 @@ _BASIS_PROJECTORS = np.array([basis.projectors() for basis in BASES])
 _TABLE_PROJECTORS = qmath.joint_projectors(_BASIS_PROJECTORS[:, None], _BASIS_PROJECTORS[None, :])
 
 
-def _outcome_probs(rhos: np.ndarray, projectors: np.ndarray) -> np.ndarray:
-    """Tr[rho P] of the broadcast stacks, clipped at zero and normalised over
-    the last axis, the four joint outcomes."""
-    probs = np.clip(qmath.expectation(rhos, projectors), 0.0, None)
-    return probs / probs.sum(axis=-1, keepdims=True)
-
-
-def joint_probs(s: TwoQubitState, a: MeasBasis, b: MeasBasis) -> np.ndarray:
-    """Joint outcome probabilities (p11, p10, p01, p00) for one pair."""
-    return _outcome_probs(s.rho, qmath.joint_projectors(a.projectors(), b.projectors()))
-
-
 def _cumulative_tables(states: list[TwoQubitState]) -> np.ndarray:
     """Cumulative joint-outcome tables over :data:`_BIT_PAIRS`.
 
     Shape ``(scenarios, 2, 2, 4)``, indexed by the scenario of
     :func:`~qkdlab.states.eve_scenarios` whose state is ``states[i]``,
-    Alice's basis and Bob's basis; one stacked trace builds them all.
+    Alice's basis and Bob's basis; one stacked trace builds them all.  Each
+    table is Tr[rho P] over the four joint outcomes, clipped at zero and
+    normalised, then accumulated.
     """
     rhos = np.array([state.rho for state in states])[:, None, None, None]
-    cum = np.cumsum(_outcome_probs(rhos, _TABLE_PROJECTORS), axis=-1)
+    probs = np.clip(qmath.expectation(rhos, _TABLE_PROJECTORS), 0.0, None)
+    cum = np.cumsum(probs / probs.sum(axis=-1, keepdims=True), axis=-1)
     return cum / cum[..., -1:]
 
 

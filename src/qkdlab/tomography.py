@@ -7,7 +7,7 @@ physical state; it is exact on noise-free expected counts.  Every metric
 over the eigenvalues and eigenvectors of the state, which the projection
 already computes.  Metric uncertainties come from a Poisson parametric
 bootstrap that draws and reconstructs its replicas in stacks through the same
-path as a single counts vector.
+path as :func:`run_tomography`'s counts vector.
 """
 
 from __future__ import annotations
@@ -115,17 +115,6 @@ def simulate_counts(s: TwoQubitState, n_per_setting: float, rng) -> np.ndarray:
         raise ValueError("n_per_setting must be positive")
     means = np.clip(n_per_setting * expected_probs(s), 0.0, None)
     return rng.poisson(means)
-
-
-def reconstruct(counts) -> TwoQubitState:
-    """Linear-inversion tomography plus physicality projection.
-
-    The total flux is estimated from the HH+HV+VV+VH quartet, the normalized
-    counts are inverted through the schedule's design matrix, and the result
-    is projected onto the nearest physical state.  Exact expected counts
-    reproduce the input state to floating-point accuracy.
-    """
-    return TwoQubitState(qmath.nearest_physical(*_physical_spectrum(_checked_counts(counts))))
 
 
 # Column j of Y = sigma_y x sigma_y holds one nonzero entry, Y[3 - j, j].
@@ -247,10 +236,8 @@ def bootstrap_metrics(counts, replicas: int = 200, seed: int = 0) -> StateMetric
 
 @dataclass
 class TomographyRun:
-    """The flux estimate of a counts vector, the state reconstructed from it,
-    and its metrics."""
+    """The state reconstructed from a counts vector, and its metrics."""
 
-    total_estimate: float
     rho_hat: TwoQubitState
     metrics: StateMetrics
 
@@ -258,16 +245,17 @@ class TomographyRun:
 def run_tomography(counts, replicas: int = 200, seed: int = 0) -> TomographyRun:
     """Reconstruct a counts vector and bootstrap its metric uncertainties.
 
-    The state and its point metrics come from one SGS spectrum, so
-    ``rho_hat`` equals ``reconstruct(counts)`` bit for bit."""
+    The counts, normalised by the HH+HV+VV+VH flux, are inverted and
+    projected onto the nearest physical state; exact expected counts give
+    back the input state to floating-point accuracy.  The state and its
+    point metrics come from one SGS spectrum."""
     counts = _checked_counts(counts)
     w, v = _physical_spectrum(counts)
     rho_hat = TwoQubitState(qmath.nearest_physical(w, v))
     point = _spectral_metrics(w, v, bell_phi_plus_ket())
     boot = bootstrap_metrics(counts, replicas=replicas, seed=seed)
     metrics = StateMetrics(*map(float, point), *astuple(boot)[4:])
-    return TomographyRun(total_estimate=float(counts[_FLUX].sum()), rho_hat=rho_hat,
-                         metrics=metrics)
+    return TomographyRun(rho_hat=rho_hat, metrics=metrics)
 
 
 def correlator(s: TwoQubitState, alpha: float, beta: float) -> float:

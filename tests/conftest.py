@@ -38,6 +38,14 @@ def binomial_sigma(p, n):
     return np.sqrt(p * (1.0 - p) / n)
 
 
+def kron_outcome_probs(rho, a, b):
+    """Oracle joint outcome probabilities (p11, p10, p01, p00) of the pair
+    ``rho`` measured in bases ``a`` and ``b``: Tr[rho (P_a x P_b)] over each
+    basis's (plus, minus) projectors, by ``np.kron`` and ``np.trace``."""
+    return np.array([np.trace(rho @ np.kron(pa, pb)).real
+                     for pa in a.projectors() for pb in b.projectors()])
+
+
 def session_with_trials(config):
     """``run_session(config)`` and every interval it simulated, joined from
     the tiles it passed to its sink."""

@@ -13,16 +13,16 @@ import pytest
 
 from qkdlab import otp
 from qkdlab.cli import main
-from qkdlab.detection import (BASES, DetectorConfig, expected_rates, joint_probs,
-                              simulate_dwell_stream)
+from qkdlab.detection import BASES, DetectorConfig, expected_rates, simulate_dwell_stream
 from qkdlab.optics import MeasBasis
 from qkdlab.protocol import SessionConfig, run_session
 from qkdlab.states import (EveConfig, QuartzPlate, add_white_noise, bell_phi_plus,
                            dephase_bob, plate_gamma)
-from qkdlab.tomography import (CHSH_CANONICAL_ANGLES, chsh, expected_probs, reconstruct,
+from qkdlab.tomography import (CHSH_CANONICAL_ANGLES, chsh, expected_probs, run_tomography,
                                simulate_counts, state_metrics)
 
-from conftest import binomial_sigma, intercept_branches, session_with_trials
+from conftest import (binomial_sigma, intercept_branches, kron_outcome_probs,
+                      session_with_trials)
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -102,7 +102,7 @@ def test_criterion_4_half_interception():
 
 def test_criterion_5_tomography_round_trip_and_finite_stats():
     # exact expected counts: entangled source
-    rho_hat = reconstruct(1e6 * expected_probs(bell_phi_plus()))
+    rho_hat = run_tomography(1e6 * expected_probs(bell_phi_plus()), replicas=2, seed=5).rho_hat
     frob = np.linalg.norm(rho_hat.rho - BELL_MATRIX)
     assert frob < 1e-8
     m = state_metrics(rho_hat)
@@ -111,7 +111,7 @@ def test_criterion_5_tomography_round_trip_and_finite_stats():
 
     # exact expected counts: full Eve along HV
     mixture = dephase_bob(bell_phi_plus(), 0.0, 1.0)
-    rho_hat2 = reconstruct(1e6 * expected_probs(mixture))
+    rho_hat2 = run_tomography(1e6 * expected_probs(mixture), replicas=2, seed=5).rho_hat
     assert np.linalg.norm(rho_hat2.rho - HV_MIXTURE_MATRIX) < 1e-8
     m2 = state_metrics(rho_hat2)
     metrics2 = (m2.tangle, m2.von_neumann, m2.linear_entropy, m2.fidelity)
@@ -121,8 +121,7 @@ def test_criterion_5_tomography_round_trip_and_finite_stats():
     rng = np.random.default_rng(21)
     noisy = add_white_noise(bell_phi_plus(), 0.04)
     counts = simulate_counts(noisy, 1e4, rng)
-    rho_fin = reconstruct(counts)
-    m_fin = state_metrics(rho_fin)
+    m_fin = run_tomography(counts, replicas=2, seed=21).metrics
     t_fin, f_fin = m_fin.tangle, m_fin.fidelity
     assert 0.85 <= t_fin <= 1.0
     assert 0.93 <= f_fin <= 1.0
@@ -139,8 +138,7 @@ def test_criterion_6_partial_eve_plate():
     rng = np.random.default_rng(27)
     noisy = dephase_bob(add_white_noise(bell_phi_plus(), 0.04),
                         plate.axis_angle_deg, gamma)
-    rho_hat = reconstruct(simulate_counts(noisy, 1e4, rng))
-    m_hat = state_metrics(rho_hat)
+    m_hat = run_tomography(simulate_counts(noisy, 1e4, rng), replicas=2, seed=27).metrics
     t_hat, s_hat = m_hat.tangle, m_hat.von_neumann
     assert 0.5 <= t_hat <= 0.85
     assert 0.2 <= s_hat <= 0.7
@@ -179,7 +177,7 @@ def test_criterion_8_channel_equivalence():
         n = len(a_bits)
         assert n >= 100000
         counts = np.bincount((1 - a_bits) * 2 + (1 - b_bits), minlength=4)
-        analytic = sum(p * joint_probs(post, MeasBasis.HV, MeasBasis.HV)
+        analytic = sum(p * kron_outcome_probs(post.rho, MeasBasis.HV, MeasBasis.HV)
                        for p, post in intercept_branches(bell, basis) if post is not None)
         for cell, p in zip(counts / n, analytic):
             assert abs(cell - p) <= 4 * binomial_sigma(max(p, 1e-12), n) + 1e-9

@@ -123,7 +123,7 @@ TOMO_GOLDEN = {
         {"clamp_events": 0, "fidelity": 0.9602120701615303,
          "fidelity_sigma": 0.011482494711947315, "linear_entropy": 0.10251547570234099,
          "linear_entropy_sigma": 0.02833366350363179, "tangle": 0.8506628674882832,
-         "tangle_sigma": 0.042291581793766415, "total_estimate": 10091.0,
+         "tangle_sigma": 0.042291581793766415,
          "von_neumann": 0.27947038770852334, "von_neumann_sigma": 0.06490797117764248},
         [0.49162620156575176, 0.0, 0.0006441383410960615,
          4.954910316112685e-05, 0.008869289465860741, -0.007680110989990994,
@@ -140,7 +140,7 @@ TOMO_GOLDEN = {
         {"clamp_events": 0, "fidelity": 0.87465524034673,
          "fidelity_sigma": 0.01206320397835182, "linear_entropy": 0.2965970570159935,
          "linear_entropy_sigma": 0.025091463036155764, "tangle": 0.5628752446932271,
-         "tangle_sigma": 0.03609984164649658, "total_estimate": 10152.0,
+         "tangle_sigma": 0.03609984164649658,
          "von_neumann": 0.6281730235988708, "von_neumann_sigma": 0.040848351277192996},
         [0.4867021276595745, 0.0, -0.008323483057525498,
          -0.006156422379826667, 0.0021178092986604046, -0.0031028368794325557,

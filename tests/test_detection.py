@@ -12,13 +12,14 @@ import pytest
 
 from qkdlab.cli import _prepared_state, load_config
 from qkdlab.detection import (BASES, CSV_COLUMNS, DetectorConfig, Trials, expected_rates,
-                              joint_probs, records_to_csv, simulate_dwell_stream)
+                              records_to_csv, simulate_dwell_stream)
 from qkdlab.optics import MeasBasis, PolState
 from qkdlab.protocol import TILE_INTERVALS
 from qkdlab.states import (EveConfig, TwoQubitState, add_white_noise, bell_phi_plus,
                            bell_phi_plus_ket, eve_scenarios)
 
-from conftest import assert_close, binomial_sigma, intercept_branches, random_density
+from conftest import (assert_close, binomial_sigma, intercept_branches, kron_outcome_probs,
+                      random_density)
 
 HV_MIXTURE = TwoQubitState(np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex))
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -26,12 +27,21 @@ HALF_INTERCEPTION = EveConfig(mode="intercept_resend", basis_policy="random_per_
                               intercept_fraction=0.5)
 
 
-def test_joint_probs_bell_same_basis():
-    probs = joint_probs(bell_phi_plus(), MeasBasis.HV, MeasBasis.HV)
+def _pair_probs(s, a, b):
+    """(p11, p10, p01, p00) of the pair ``s`` measured in bases ``a`` and
+    ``b``: the steps of expected_rates' cumulative table, Eve absent and no
+    dark counts."""
+    rates = expected_rates(s, DetectorConfig(dark_rate=0.0), EveConfig())
+    cum = rates.outcome_cdf[0, BASES.index(a), BASES.index(b), :4]
+    return np.diff(cum, prepend=0.0) / rates.single_pair
+
+
+def test_pair_table_bell_same_basis():
+    probs = _pair_probs(bell_phi_plus(), MeasBasis.HV, MeasBasis.HV)
     assert_close(probs, [0.5, 0.0, 0.0, 0.5], tol=1e-12)
 
 
-def test_joint_probs_bell_cross_basis():
+def test_pair_table_bell_cross_basis():
     # amplitude oracle: |<x (x) y|psi>|^2 from explicit kets
     psi = bell_phi_plus_ket()
     expected = []
@@ -40,11 +50,11 @@ def test_joint_probs_bell_cross_basis():
             amp = np.kron(x.ket, y.ket).conj() @ psi
             expected.append(abs(amp) ** 2)
     assert_close(expected, [0.25] * 4, tol=1e-12)
-    probs = joint_probs(bell_phi_plus(), MeasBasis.HV, MeasBasis.DA)
+    probs = _pair_probs(bell_phi_plus(), MeasBasis.HV, MeasBasis.DA)
     assert_close(probs, [0.25] * 4, tol=1e-12)
 
 
-def test_joint_probs_mixture_diagonal_basis():
+def test_pair_table_mixture_diagonal_basis():
     # trace oracle with hand-written projectors
     p_d = 0.5 * np.array([[1, 1], [1, 1]], dtype=complex)
     p_a = 0.5 * np.array([[1, -1], [-1, 1]], dtype=complex)
@@ -53,7 +63,7 @@ def test_joint_probs_mixture_diagonal_basis():
         for y in (p_d, p_a):
             expected.append(np.trace(HV_MIXTURE.rho @ np.kron(x, y)).real)
     assert_close(expected, [0.25] * 4, tol=1e-12)
-    probs = joint_probs(HV_MIXTURE, MeasBasis.DA, MeasBasis.DA)
+    probs = _pair_probs(HV_MIXTURE, MeasBasis.DA, MeasBasis.DA)
     assert_close(probs, [0.25] * 4, tol=1e-12)
 
 
@@ -62,12 +72,12 @@ def _trace_out_second(rho):
     return np.einsum("abcb->ac", rho.reshape(2, 2, 2, 2))
 
 
-def test_joint_probs_normalized_and_marginal_consistent(rng):
+def test_pair_table_normalized_and_marginal_consistent(rng):
     for _ in range(20):
         s = TwoQubitState(random_density(rng))
-        for a in (MeasBasis.HV, MeasBasis.DA, MeasBasis.RL):
-            for b in (MeasBasis.HV, MeasBasis.DA):
-                probs = joint_probs(s, a, b)
+        for a in BASES:
+            for b in BASES:
+                probs = _pair_probs(s, a, b)
                 assert probs.sum() == pytest.approx(1.0, abs=1e-10)
                 alice_marginal = probs[0] + probs[1]
                 reduced = _trace_out_second(s.rho)
@@ -247,7 +257,7 @@ def test_intercept_rates_match_branch_oracle(state, eve, eve_bases):
     errors = np.zeros(len(scenarios))   # over the equal-basis settings
     for i, branches in enumerate(scenarios):
         for a, b in np.ndindex(2, 2):
-            probs = sum(p * joint_probs(post, BASES[a], BASES[b])
+            probs = sum(p * kron_outcome_probs(post.rho, BASES[a], BASES[b])
                         for p, post in branches if post is not None)
             cdf[i, a, b, :4] = p1 * np.cumsum(probs)
             cdf[i, a, b, 4:] = p1 + p0 * np.arange(1, 5) / 4

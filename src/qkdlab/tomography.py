@@ -203,7 +203,7 @@ def _replica_blocks(counts: np.ndarray, replicas: int, seed: int):
         yield _spectral_metrics(*_physical_spectrum(draws.astype(float)), target)
 
 
-def bootstrap_metrics(counts, replicas: int = 200, seed: int = 0) -> StateMetrics:
+def bootstrap_metrics(counts, replicas: int, seed: int) -> StateMetrics:
     """Poisson parametric bootstrap of the reconstruction metrics.
 
     Replica ``k`` resamples counts' ~ Poisson(counts), reconstructs and
@@ -242,7 +242,7 @@ class TomographyRun:
     metrics: StateMetrics
 
 
-def run_tomography(counts, replicas: int = 200, seed: int = 0) -> TomographyRun:
+def run_tomography(counts, replicas: int, seed: int) -> TomographyRun:
     """Reconstruct a counts vector and bootstrap its metric uncertainties.
 
     The counts, normalised by the HH+HV+VV+VH flux, are inverted and

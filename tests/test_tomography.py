@@ -399,10 +399,10 @@ def test_bootstrap_golden():
 
 
 def test_bootstrap_memory_does_not_grow_with_replicas():
-    bootstrap_metrics(np.full(16, 5000.0), replicas=2)   # warm numpy.random
+    bootstrap_metrics(np.full(16, 5000.0), replicas=2, seed=0)   # warm numpy.random
     tracemalloc.start()
     try:
-        bootstrap_metrics(np.full(16, 5000.0), replicas=40_960)
+        bootstrap_metrics(np.full(16, 5000.0), replicas=40_960, seed=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -422,7 +422,7 @@ def test_random_basis_eve_leaves_three_halves_bits():
 def test_bootstrap_needs_replicas():
     for replicas in (1, MAX_REPLICAS + 1):
         with pytest.raises(ValueError):
-            bootstrap_metrics(_exact_counts(bell_phi_plus()), replicas=replicas)
+            bootstrap_metrics(_exact_counts(bell_phi_plus()), replicas=replicas, seed=0)
 
 
 def test_run_tomography_composition():

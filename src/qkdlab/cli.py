@@ -90,10 +90,20 @@ def _parse_nested(raw: dict, key: str, cls):
     return _parse_section(cls, section, key)
 
 
-def _apply_plate(eve: EveConfig, plate: QuartzPlate | None, eve_keys) -> EveConfig:
-    """A configured plate pins the dephasing strength and axis, so the eve
-    section, whose keys are ``eve_keys``, may set neither."""
+def _resolve_eve(eve: EveConfig, plate: QuartzPlate | None, eve_keys) -> EveConfig:
+    """Eve from the eve section, whose keys are ``eve_keys``, and an optional
+    plate.  The section may set no key that the run ignores: any key but
+    ``mode`` when Eve is absent, ``strength`` under intercept-resend (always
+    full dephasing), ``basis_angle`` under ``random_per_trial``, and, as a
+    plate pins the dephasing strength and axis, either beside a plate."""
     if plate is None:
+        ignored = sorted(set(eve_keys) - {"mode"}) if eve.mode == "absent" else [
+            key for key, unread in (("strength", eve.mode == "intercept_resend"),
+                                    ("basis_angle", eve.basis_policy == "random_per_trial"))
+            if unread and key in eve_keys]
+        if ignored:
+            raise ConfigError(f"eve.{ignored[0]} has no effect under eve.mode '{eve.mode}' "
+                              f"with eve.basis_policy '{eve.basis_policy}'")
         return eve
     if eve.mode != "dephasing":
         raise ConfigError("a quartz plate only makes sense with eve.mode 'dephasing'")
@@ -137,7 +147,7 @@ def load_config(path: str, kind: str, seed_override: int | None = None) -> dict:
         seed = seed_override
     if seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {seed}")
-    eve = _apply_plate(_parse_nested(raw, "eve", EveConfig) or EveConfig(),
+    eve = _resolve_eve(_parse_nested(raw, "eve", EveConfig) or EveConfig(),
                        _parse_nested(raw, "plate", QuartzPlate), raw.get("eve", {}))
     out = {
         "kind": kind,

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qkdlab import otp
-from qkdlab.cli import ConfigError, _apply_plate, load_config, main
+from qkdlab.cli import ConfigError, _resolve_eve, load_config, main
 from qkdlab.detection import DetectorConfig
 from qkdlab.protocol import SessionConfig
 from qkdlab.states import EveConfig, QuartzPlate
@@ -427,9 +427,21 @@ _ALL_SETTINGS = "".join(f"{a.value},{b.value},100\n" for a, b in TOMO_SCHEDULE)
     ("tomo", json.dumps({"kind": "tomo", "seed": 1, "plate": {"thickness_mm": 1.0},
                          "eve": {"mode": "dephasing", "basis_angle": 45.0, "strength": 1.0}}),
      None, "eve.basis_angle and eve.strength cannot be set beside a quartz plate"),
+    # a key that Eve's mode or basis policy never reads
+    ("session", json.dumps(session_body(eve={"mode": "dephasing", "basis_angle": 22.5,
+                                             "basis_policy": "random_per_trial"})),
+     None, "eve.basis_angle has no effect under eve.mode 'dephasing' "
+           "with eve.basis_policy 'random_per_trial'"),
+    ("tomo", json.dumps({"kind": "tomo", "seed": 1,
+                         "eve": {"mode": "intercept_resend", "strength": 0.3}}),
+     None, "eve.strength has no effect under eve.mode 'intercept_resend'"),
+    ("bell", json.dumps({"kind": "bell", "seed": 1,
+                         "eve": {"mode": "absent", "intercept_fraction": 0.5}}),
+     None, "eve.intercept_fraction has no effect under eve.mode 'absent'"),
 ], ids=["plate_without_dephasing", "unreadable_config", "config_not_json",
         "config_a_list", "unreadable_counts", "counts_row_of_two", "count_not_a_number",
-        "counts_17th_setting", "plate_beside_eve_strength", "plate_beside_eve_axis"])
+        "counts_17th_setting", "plate_beside_eve_strength", "plate_beside_eve_axis",
+        "axis_under_random_bases", "strength_under_intercept", "key_under_absent_eve"])
 def test_bad_input_files_exit_1(tmp_path, monkeypatch, capsys, kind, config, counts, error):
     # a config of None is a missing file, and so is counts.csv with counts None
     monkeypatch.chdir(tmp_path)
@@ -453,7 +465,7 @@ def test_omitted_keys_take_the_dataclass_defaults(tmp_path):
     cfg = write_config(tmp_path, "t.json", {"kind": "tomo", "seed": 5,
                                             "eve": {"mode": "dephasing"},
                                             "plate": {"thickness_mm": 1.0}})
-    expected = _apply_plate(EveConfig(mode="dephasing"), QuartzPlate(1.0), {"mode": "dephasing"})
+    expected = _resolve_eve(EveConfig(mode="dephasing"), QuartzPlate(1.0), {"mode": "dephasing"})
     assert load_config(cfg, "tomo")["eve"] == expected
 
     cfg = write_config(tmp_path, "p.json", {"kind": "tomo", "seed": 5,

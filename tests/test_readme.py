@@ -1,6 +1,8 @@
 import json
 import os
 import re
+import shlex
+import shutil
 import textwrap
 
 import numpy as np
@@ -37,6 +39,23 @@ def test_readme_library_example_runs(capsys):
     assert float(lines[0]) == pytest.approx(1 / 16, abs=0.02)
     assert "0" in lines   # no residual error: Alice's and Bob's keys are equal
     assert float(lines[-1]) == pytest.approx(2 * np.sqrt(2), abs=1e-9)
+
+
+def test_readme_cli_lines_run(tmp_path, monkeypatch, capsys):
+    match = re.search(r"^## CLI\n.*?^```sh\n(.*?)^```", _readme(), re.M | re.S)
+    assert match, "README has no CLI sh block"
+    shutil.copytree(CONFIG_DIR, tmp_path / "configs")
+    monkeypatch.chdir(tmp_path)
+    lines = match.group(1).splitlines()
+    assert lines
+    for line in lines:
+        command, *argv = shlex.split(line)
+        assert command == "qkdlab", line
+        assert main(argv) == 0, line
+        out = capsys.readouterr().out
+        if argv[0] == "otp":
+            # the ciphertext or plaintext, one line of lowercase hex
+            assert re.fullmatch(r"[0-9a-f]+\n", out), (line, out)
 
 
 @pytest.fixture

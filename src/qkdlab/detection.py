@@ -82,9 +82,7 @@ def _cumulative_tables(states: list[TwoQubitState]) -> np.ndarray:
 
     Shape ``(scenarios, 2, 2, 4)``, indexed by the scenario of
     :func:`~qkdlab.states.eve_scenarios` whose state is ``states[i]``,
-    Alice's basis and Bob's basis; one stacked trace builds them all.  Each
-    table is Tr[rho P] over the four joint outcomes, clipped at zero and
-    normalised, then accumulated.
+    Alice's basis and Bob's basis; one stacked trace builds them all.
     """
     rhos = np.array([state.rho for state in states])[:, None, None, None]
     probs = np.clip(qmath.expectation(rhos, _TABLE_PROJECTORS), 0.0, None)

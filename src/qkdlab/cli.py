@@ -1,9 +1,9 @@
 """Command-line entry point: reproducible experiments from JSON configs.
 
-Every command is a pure function of (config file, seed): outputs carry no
-timestamps or machine state, so rerunning a preset yields byte-identical
-files.  Exit codes: 0 success, 1 usage/config error, 2 session aborted on a
-high error rate.
+Every command is a pure function of its config file (for ``session`` and
+``tomo``, with the seed that ``--seed`` may override; ``bell`` draws nothing):
+outputs carry no timestamps or machine state, so rerunning a preset yields
+byte-identical files.  Exit codes: 0 success, 1 usage/config error, 2 session aborted.
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ class ConfigError(ValueError):
 def _check_keys(section: dict, allowed: set, where: str):
     unknown = sorted(set(section) - allowed)
     if unknown:
-        raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+        raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)} "
+                          f"(it reads {', '.join(sorted(allowed))})")
 
 
 def _take(section: dict, key: str, types, where: str, required=False, default=None):
@@ -130,36 +131,33 @@ def load_config(path: str, kind: str, seed_override: int | None = None) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    file_kind = raw.get("kind")
-    if file_kind != kind:
-        raise ConfigError(f"config kind is '{file_kind}', but this command needs '{kind}'")
+    if raw.get("kind") != kind:
+        raise ConfigError(f"config kind is '{raw.get('kind')}', but this command needs '{kind}'")
 
-    common = {"kind", "seed", "source_noise", "eve", "plate"}
-    per_kind = {
-        "session": common | _field_names(SessionConfig),
-        "tomo": common | {"n_per_setting", "replicas", "counts_file"},
-        "bell": common | {"angles"},
-    }
-    _check_keys(raw, per_kind[kind], "config")
+    # The keys each run reads are the only ones its config, or --seed, may set.
+    raw = raw if seed_override is None else dict(raw, seed=seed_override)
+    from_counts = kind == "tomo" and "counts_file" in raw
+    reads = {"seed", "replicas", "counts_file"} if from_counts else {
+        "session": {"seed", "plate"} | _field_names(SessionConfig),
+        "tomo": {"seed", "replicas", "n_per_setting", "source_noise", "eve", "plate"},
+        "bell": {"angles", "source_noise", "eve", "plate"}}[kind]
+    _check_keys(raw, reads | {"kind"}, "config")
 
-    seed = _take(raw, "seed", int, "config", required=seed_override is None)
-    if seed_override is not None:
-        seed = seed_override
-    if seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
-    eve = _resolve_eve(_parse_nested(raw, "eve", EveConfig) or EveConfig(),
-                       _parse_nested(raw, "plate", QuartzPlate), raw.get("eve", {}))
-    out = {
-        "kind": kind,
-        "seed": seed,
-        "source_noise": _take(raw, "source_noise", float, "config",
-                              default=SessionConfig.source_noise),
-        "eve": eve,
-    }
+    out = {"kind": kind}
+    if "seed" in reads:
+        out["seed"] = seed = _take(raw, "seed", int, "config", required=True)
+        if seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {seed}")
+    if "eve" in reads:
+        out["eve"] = eve = _resolve_eve(
+            _parse_nested(raw, "eve", EveConfig) or EveConfig(),
+            _parse_nested(raw, "plate", QuartzPlate), raw.get("eve", {}))
+        out["source_noise"] = _take(raw, "source_noise", float, "config",
+                                    default=SessionConfig.source_noise)
     if kind == "session":
         out["session"] = _parse_section(
-            SessionConfig, raw, "config", seed=seed, source_noise=out["source_noise"],
-            eve=eve, detector=_parse_nested(raw, "detector", DetectorConfig) or DetectorConfig())
+            SessionConfig, raw, "config", seed=seed, source_noise=out["source_noise"], eve=eve,
+            detector=_parse_nested(raw, "detector", DetectorConfig) or DetectorConfig())
     elif kind == "tomo":
         out["n_per_setting"] = _take(raw, "n_per_setting", float, "config", default=10000.0)
         out["replicas"] = _take(raw, "replicas", int, "config", default=200)
@@ -321,7 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
                        ("bell", "CHSH correlation test of the configured state")):
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", required=True, help="JSON config path")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        if name != "bell":
+            p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("otp", help="one-time-pad encrypt/decrypt")
@@ -347,7 +346,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "otp":
             return cmd_otp(args)
-        cfg = load_config(args.config, args.command, args.seed)
+        cfg = load_config(args.config, args.command, getattr(args, "seed", None))
         handler = {"session": cmd_session, "tomo": cmd_tomo, "bell": cmd_bell}
         return handler[args.command](cfg, args.out)
     except (ValueError, OSError, MemoryError) as exc:

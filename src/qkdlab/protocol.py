@@ -21,9 +21,9 @@ from .states import EveConfig, add_white_noise, bell_phi_plus
 from . import otp
 
 
-# 10^8 intervals, the largest session measured, ran in 29.8 s at 778 MB max
-# RSS on a 2-vCPU, 8 GB box: the key half still runs over the whole sifted
-# string, so memory grows with the count.
+# 10^8 intervals, the largest session measured, ran in 14.1 s at 777 MB max
+# RSS on a 2-vCPU, 8 GB box at commit 6e1b523: the key half still runs over
+# the whole sifted string, so memory grows with the count.
 MAX_INTERVALS = 10 ** 8
 
 # Intervals per block, the seeding unit: block b of a session draws from its
@@ -268,14 +268,14 @@ def distil(alice_bits, bob_bits, rng) -> KeyResult:
     :data:`CASCADE_PASSES` passes.  Unequal lengths, or strings that
     :func:`otp.as_bits` refuses, raise ``ValueError`` before any draw.
 
-    After Cascade, Alice and Bob compare a :data:`TAG_BITS`-bit Toeplitz
-    hash of their reconciled strings, seeded by a value drawn after the
-    privacy-amplification seed; the tag counts as leaked, and a mismatch
-    aborts.  The hash is linear over GF(2), so the tags differ exactly when
-    the tag of the residual-error string ``alice ^ bob`` is nonzero, the one
-    tag computed (and only if a bit differs).  Bob's string is then hashed to
-    the final key, removing :data:`PA_SAFETY_BITS` beyond the leak; Alice's
-    key, equal unless a residual error escaped the tag, is not computed.
+    After Cascade, Alice and Bob compare a :data:`TAG_BITS`-bit Toeplitz hash of
+    their reconciled strings, seeded by a value drawn after the
+    privacy-amplification seed; the tag counts as leaked, and a mismatch aborts.
+    The hash is linear over GF(2), so the tags differ exactly when the tag of
+    the residual-error string ``alice ^ bob`` is nonzero, the one tag computed
+    (and only if a bit differs).  Bob's string is then hashed to the final key,
+    removing :data:`PA_SAFETY_BITS` beyond the leak, and a 0-bit key aborts;
+    Alice's key, equal unless an error escaped the tag, is not computed.
     """
     if len(alice_bits) == len(bob_bits) == 0:
         return KeyResult(None, "no_sifted_bits", 0, np.zeros(0, dtype=np.uint8), None)
@@ -294,7 +294,8 @@ def distil(alice_bits, bob_bits, rng) -> KeyResult:
         return KeyResult(qber, "key_verification_failed", leaked, np.zeros(0, dtype=np.uint8),
                          residual_errors)
     final_key = privacy_amplify(corrected_bob, qber, leaked, PA_SAFETY_BITS, pa_seed)
-    return KeyResult(qber, None, leaked, final_key, residual_errors)
+    return KeyResult(qber, None if final_key.size else "no_key_after_amplification", leaked,
+                     final_key, residual_errors)
 
 
 def run_session(config: SessionConfig, sink=None) -> SessionTranscript:

@@ -231,6 +231,16 @@ def test_intercept_session_memory_is_bounded_by_the_key(tmp_path):
     records.unlink()
 
 
+def test_bell_refuses_seed_flag(tmp_path, capsys):
+    # bell draws nothing, so it has no seed to override
+    cfg = os.path.join(CONFIG_DIR, "bell_no_eve.json")
+    assert main(["bell", "--config", cfg, "--seed", "3", "--out", str(tmp_path / "a")]) == 1
+    assert "error: unrecognized arguments: --seed 3" in capsys.readouterr().err
+    assert not (tmp_path / "a").exists()
+    with pytest.raises(ConfigError, match=r"unknown key\(s\) in config: seed "):
+        load_config(cfg, "bell", seed_override=3)
+
+
 def test_session_seed_override_changes_outputs(tmp_path):
     cfg = write_config(tmp_path, "s.json", session_body())
     main(["session", "--config", cfg, "--out", str(tmp_path / "a")])
@@ -247,6 +257,24 @@ def test_session_abort_exit_code(tmp_path):
     summary = json.loads((tmp_path / "a" / "summary.json").read_text())
     assert summary["aborted"] is True
     assert summary["abort_reason"] == "qber_above_threshold"
+    transcript = json.loads((tmp_path / "a" / "transcript.json").read_text())
+    assert transcript == {"final_key_hex": "", "final_key_len": 0}
+
+
+def test_session_that_distils_no_key_aborts(tmp_path, capsys):
+    # Q ~ 0.107 passes the 0.11 threshold, but Cascade's leak and the tag
+    # leave privacy amplification no bit to keep
+    eve = {"mode": "intercept_resend", "basis_angle": 0.0, "intercept_fraction": 0.40}
+    cfg = write_config(tmp_path, "s.json", {
+        "kind": "session", "seed": 0, "n_intervals": 100000, "source_noise": 0.0,
+        "detector": {"dark_rate": 0.0}, "eve": eve})
+    assert main(["session", "--config", cfg, "--out", str(tmp_path / "a")]) == 2
+    assert capsys.readouterr().out == ("sifted 18441 bits, agreement 0.8978, qber 0.1066, "
+                                       "final key 0 bits [aborted: no_key_after_amplification]\n")
+    summary = json.loads((tmp_path / "a" / "summary.json").read_text())
+    assert summary["aborted"] is True
+    assert summary["abort_reason"] == "no_key_after_amplification"
+    assert summary["qber_estimate"] <= 0.11 and summary["final_key_bits"] == 0
     transcript = json.loads((tmp_path / "a" / "transcript.json").read_text())
     assert transcript == {"final_key_hex": "", "final_key_len": 0}
 
@@ -316,6 +344,8 @@ def test_tomo_counts_file_roundtrip(tmp_path):
             "eve": {"mode": "dephasing", "basis_angle": 0.0, "strength": 1.0}}
     cfg = write_config(tmp_path, "t.json", body)
     main(["tomo", "--config", cfg, "--out", str(tmp_path / "a")])
+    # a run from a counts file reads no simulation key
+    body = {"kind": "tomo", "seed": 8, "replicas": 25}
     body2 = dict(body, counts_file=str(tmp_path / "a" / "counts.csv"))
     cfg2 = write_config(tmp_path, "t2.json", body2)
     main(["tomo", "--config", cfg2, "--out", str(tmp_path / "b")])
@@ -370,42 +400,57 @@ def test_tomo_counts_file_repeated_setting_rejected(tmp_path, capsys):
           "--out", str(tmp_path / "a")])
     counts = tmp_path / "a" / "counts.csv"
     counts.write_text(counts.read_text() + "H,H,999999\n")
+    del body["n_per_setting"]   # a run from a counts file does not read it
     cfg = write_config(tmp_path, "t2.json", dict(body, counts_file=str(counts)))
     assert main(["tomo", "--config", cfg, "--out", str(tmp_path / "b")]) == 1
     assert "counts file repeats the HH setting" in capsys.readouterr().err
     assert not (tmp_path / "b" / "metrics.json").exists()
 
 
-@pytest.mark.parametrize("kind, body", [
-    ("tomo", {"n_per_setting": 0}),
-    ("tomo", {"replicas": 1}),
-    ("tomo", {"counts_file": "malformed.csv"}),
+_PLATE_NEEDS_FIXED = ("a quartz plate fixes the dephasing axis, "
+                      "so it needs eve.basis_policy 'fixed'")
+
+
+@pytest.mark.parametrize("kind, body, error", [
+    ("tomo", {"n_per_setting": 0}, "n_per_setting must be positive"),
+    ("tomo", {"replicas": 1}, "bootstrap needs 2 to 10000000 replicas, got 1"),
+    ("tomo", {"counts_file": "malformed.csv"}, "counts file is missing the HV setting"),
     # an empty path is an unreadable file, not a request to simulate
-    ("tomo", {"counts_file": ""}),
-    ("bell", {"angles": [0.0, 45.0, 22.5]}),
+    ("tomo", {"counts_file": ""}, "cannot read counts file: "),
+    ("bell", {"angles": [0.0, 45.0, 22.5]}, "angles must be four finite numbers"),
     # a plate's axis would be ignored by an Eve who picks her basis per trial
     ("tomo", {"eve": {"mode": "dephasing", "basis_policy": "random_per_trial"},
-              "plate": {"thickness_mm": 1.0}}),
+              "plate": {"thickness_mm": 1.0}}, _PLATE_NEEDS_FIXED),
     ("session", {"eve": {"mode": "dephasing", "basis_policy": "random_per_trial"},
-                 "plate": {"thickness_mm": 1.0}}),
+                 "plate": {"thickness_mm": 1.0}}, _PLATE_NEEDS_FIXED),
     # above tomography.MAX_REPLICAS: refused before any replica is drawn
-    ("tomo", {"replicas": 10 ** 12}),
+    ("tomo", {"replicas": 10 ** 12}, "bootstrap needs 2 to 10000000 replicas, got 1000000000000"),
     # an unknown key: the pass count is the constant protocol.CASCADE_PASSES
-    ("session", {"reconciliation_passes": 33}),
+    ("session", {"reconciliation_passes": 33},
+     "unknown key(s) in config: reconciliation_passes"),
     # above protocol.MAX_INTERVALS: refused before records.csv is opened
-    ("session", {"n_intervals": 10 ** 400}),
-])
-def test_failed_run_leaves_no_output_directory(tmp_path, monkeypatch, capsys, kind, body):
+    ("session", {"n_intervals": 10 ** 400}, "config: n_intervals must be in [1, 100000000]"),
+], ids=["no_counts_per_setting", "one_replica", "counts_missing_a_setting", "empty_counts_path",
+        "three_angles", "tomo_plate_under_random_bases", "session_plate_under_random_bases",
+        "replicas_above_max", "protocol_constant_key", "intervals_above_max"])
+def test_failed_run_leaves_no_output_directory(tmp_path, monkeypatch, capsys, kind, body, error):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "malformed.csv").write_text("setting_a,setting_b,count\nH,H,100\n")
-    cfg = write_config(tmp_path, "c.json", dict(body, kind=kind, seed=1))
+    if kind != "bell":  # a seed only where the run reads one: each case fails for its own reason
+        body = dict(body, seed=1)
+    cfg = write_config(tmp_path, "c.json", dict(body, kind=kind))
     assert main([kind, "--config", cfg, "--out", str(tmp_path / "a")]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err.startswith(f"error: {error}")
     assert not (tmp_path / "a").exists()
 
 
 _FROM_COUNTS = json.dumps({"kind": "tomo", "seed": 1, "counts_file": "counts.csv"})
 _ALL_SETTINGS = "".join(f"{a.value},{b.value},100\n" for a, b in TOMO_SCHEDULE)
+_COUNTS_ONLY = "unknown key(s) in config: %s (it reads counts_file, kind, replicas, seed)"
+
+
+def _from_counts(**keys):
+    return json.dumps(dict(json.loads(_FROM_COUNTS), **keys))
 
 
 @pytest.mark.parametrize("kind, config, counts, error", [
@@ -435,13 +480,24 @@ _ALL_SETTINGS = "".join(f"{a.value},{b.value},100\n" for a, b in TOMO_SCHEDULE)
     ("tomo", json.dumps({"kind": "tomo", "seed": 1,
                          "eve": {"mode": "intercept_resend", "strength": 0.3}}),
      None, "eve.strength has no effect under eve.mode 'intercept_resend'"),
-    ("bell", json.dumps({"kind": "bell", "seed": 1,
+    ("bell", json.dumps({"kind": "bell",
                          "eve": {"mode": "absent", "intercept_fraction": 0.5}}),
      None, "eve.intercept_fraction has no effect under eve.mode 'absent'"),
+    # a key that the run never reads: bell draws nothing, and a run from a
+    # counts file simulates nothing
+    ("bell", json.dumps({"kind": "bell", "seed": 1}), None,
+     "unknown key(s) in config: seed (it reads angles, eve, kind, plate, source_noise)"),
+    ("tomo", _from_counts(n_per_setting=5), _ALL_SETTINGS, _COUNTS_ONLY % "n_per_setting"),
+    ("tomo", _from_counts(source_noise=0.9), _ALL_SETTINGS, _COUNTS_ONLY % "source_noise"),
+    ("tomo", _from_counts(eve={"mode": "dephasing", "strength": 1.0, "basis_angle": 45.0}),
+     _ALL_SETTINGS, _COUNTS_ONLY % "eve"),
+    ("tomo", _from_counts(plate={"thickness_mm": 1.0}), _ALL_SETTINGS, _COUNTS_ONLY % "plate"),
 ], ids=["plate_without_dephasing", "unreadable_config", "config_not_json",
         "config_a_list", "unreadable_counts", "counts_row_of_two", "count_not_a_number",
         "counts_17th_setting", "plate_beside_eve_strength", "plate_beside_eve_axis",
-        "axis_under_random_bases", "strength_under_intercept", "key_under_absent_eve"])
+        "axis_under_random_bases", "strength_under_intercept", "key_under_absent_eve",
+        "seed_for_bell", "n_per_setting_from_counts", "source_noise_from_counts",
+        "eve_from_counts", "plate_from_counts"])
 def test_bad_input_files_exit_1(tmp_path, monkeypatch, capsys, kind, config, counts, error):
     # a config of None is a missing file, and so is counts.csv with counts None
     monkeypatch.chdir(tmp_path)
@@ -477,7 +533,7 @@ def test_omitted_keys_take_the_dataclass_defaults(tmp_path):
 
 def test_bell_prints_canonical_violation(tmp_path, capsys):
     cfg = write_config(tmp_path, "b.json",
-                       {"kind": "bell", "seed": 2, "source_noise": 0.0,
+                       {"kind": "bell", "source_noise": 0.0,
                         "angles": [0.0, 45.0, 22.5, 67.5], "eve": {"mode": "absent"}})
     assert main(["bell", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
     out = capsys.readouterr().out.strip().splitlines()
@@ -490,7 +546,7 @@ def test_bell_prints_canonical_violation(tmp_path, capsys):
                                  pytest.param(10 ** 400, id="10**400")])
 def test_bell_rejects_non_finite_angle(tmp_path, capsys, bad):
     cfg = write_config(tmp_path, "b.json",
-                       {"kind": "bell", "seed": 2, "source_noise": 0.0,
+                       {"kind": "bell", "source_noise": 0.0,
                         "angles": [0.0, 45.0, bad, 67.5], "eve": {"mode": "absent"}})
     assert main(["bell", "--config", cfg, "--out", str(tmp_path / "a")]) == 1
     err = capsys.readouterr().err
@@ -501,7 +557,7 @@ def test_bell_rejects_non_finite_angle(tmp_path, capsys, bad):
 @pytest.mark.parametrize("angles", [[True, 45.0, 22.5, 67.5], [0.0, 45.0, 22.5, False]])
 def test_bell_rejects_boolean_angle(tmp_path, capsys, angles):
     cfg = write_config(tmp_path, "b.json",
-                       {"kind": "bell", "seed": 2, "source_noise": 0.0,
+                       {"kind": "bell", "source_noise": 0.0,
                         "angles": angles, "eve": {"mode": "absent"}})
     assert main(["bell", "--config", cfg, "--out", str(tmp_path / "a")]) == 1
     assert "angles must be four finite numbers" in capsys.readouterr().err
@@ -532,7 +588,7 @@ def test_session_rejects_overflowing_detector_rates(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("kind, body", [
-    ("tomo", {"n_per_setting": 4000, "replicas": 20}),
+    ("tomo", {"seed": 6, "n_per_setting": 4000, "replicas": 20}),
     ("bell", {"angles": [0.0, 45.0, 22.5, 67.5]}),
 ])
 @pytest.mark.parametrize("eve", [
@@ -547,7 +603,7 @@ def test_intercept_resend_is_full_dephasing_for_tomo_and_bell(tmp_path, kind, bo
     for name, mode in (("i", {"mode": "intercept_resend"}),
                        ("d", {"mode": "dephasing", "strength": 1.0})):
         cfg = write_config(tmp_path, f"{name}.json", dict(
-            body, kind=kind, seed=6, source_noise=0.04, eve=dict(eve, **mode)))
+            body, kind=kind, source_noise=0.04, eve=dict(eve, **mode)))
         assert main([kind, "--config", cfg, "--out", str(tmp_path / name)]) == 0
         trees.append(read_tree(tmp_path / name))
     assert trees[0] == trees[1]
@@ -644,11 +700,24 @@ def test_session_random_basis_full_dephasing_qber_range(tmp_path):
     assert 0.20 <= summary["qber_estimate"] <= 0.30
 
 
-def test_presets_parse_and_have_mandatory_seeds():
+_PRESET_READS = {
+    "session": {"kind", "seed", "n_intervals", "source_noise", "detector", "eve", "plate"},
+    "tomo": {"kind", "seed", "replicas", "n_per_setting", "source_noise", "eve", "plate"},
+    "bell": {"kind", "angles", "source_noise", "eve", "plate"},
+}
+
+
+def test_presets_set_only_keys_their_run_reads():
+    # every session and tomo preset draws from its own integer seed; bell
+    # draws nothing, and no preset sets a key its run ignores
     names = sorted(os.listdir(CONFIG_DIR))
     assert len(names) >= 4
     for name in names:
         with open(os.path.join(CONFIG_DIR, name), encoding="utf-8") as fh:
             body = json.load(fh)
-        assert isinstance(body["seed"], int)
-        assert body["kind"] in ("session", "tomo", "bell")
+        assert body["kind"] in _PRESET_READS
+        reads = ({"kind", "seed", "replicas", "counts_file"} if "counts_file" in body
+                 else _PRESET_READS[body["kind"]])
+        assert set(body) <= reads, name
+        assert body["kind"] == "bell" or type(body["seed"]) is int, name
+        load_config(os.path.join(CONFIG_DIR, name), body["kind"])

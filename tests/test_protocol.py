@@ -762,6 +762,15 @@ def test_distil_from_plain_strings(alice, bob, reason):
     assert len(key.final_key) > 0
 
 
+def test_distil_aborts_when_amplification_leaves_no_bit():
+    # 80 equal bits after the sample: the tag and PA_SAFETY_BITS alone remove 94
+    bits = _BITS[:100]
+    key = distil(bits, bits.copy(), np.random.default_rng(8))
+    assert key.aborted and key.abort_reason == "no_key_after_amplification"
+    assert key.qber_estimate == 0.0 and key.residual_errors == 0
+    assert len(key.final_key) == 0 and key.leaked_bits >= TAG_BITS
+
+
 def test_distil_rejects_unequal_strings():
     for alice, bob in [(np.zeros(0, np.uint8), np.ones(3, np.uint8)),
                        (np.ones(3, np.uint8), np.zeros(0, np.uint8))]:

@@ -22,8 +22,8 @@ from . import otp, qmath
 from .detection import DetectorConfig, records_to_csv
 from .protocol import (SessionConfig, run_session, transcript_summary,
                        transcript_to_dict)
-from .states import (EveConfig, QuartzPlate, TwoQubitState, add_white_noise,
-                     bell_phi_plus, eve_scenarios, plate_gamma)
+from .states import (EveConfig, QuartzPlate, add_white_noise, after_eve, bell_phi_plus,
+                     plate_gamma)
 from .tomography import (TOMO_SCHEDULE, CHSH_CANONICAL_ANGLES, chsh, correlator,
                          run_tomography, simulate_counts)
 
@@ -171,15 +171,6 @@ def load_config(path: str, kind: str, seed_override: int | None = None) -> dict:
     return out
 
 
-def _prepared_state(cfg: dict) -> TwoQubitState:
-    """The noisy source state after Eve: the mixture of her scenarios from
-    :func:`~qkdlab.states.eve_scenarios`, with the weights a session samples
-    them by, for every Eve mode and basis policy."""
-    weights, states = eve_scenarios(
-        add_white_noise(bell_phi_plus(), cfg["source_noise"]), cfg["eve"])
-    return TwoQubitState(sum(w * state.rho for w, state in zip(weights, states)))
-
-
 def _dump_json(obj, path):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
@@ -244,7 +235,8 @@ def cmd_tomo(cfg: dict, out_dir: str) -> int:
         counts = _read_counts_csv(cfg["counts_file"])
     else:
         rng = np.random.default_rng(cfg["seed"])
-        counts = simulate_counts(_prepared_state(cfg), cfg["n_per_setting"], rng)
+        state = after_eve(add_white_noise(bell_phi_plus(), cfg["source_noise"]), cfg["eve"])
+        counts = simulate_counts(state, cfg["n_per_setting"], rng)
     run = run_tomography(counts, replicas=cfg["replicas"], seed=cfg["seed"])
 
     os.makedirs(out_dir, exist_ok=True)
@@ -260,7 +252,7 @@ def cmd_tomo(cfg: dict, out_dir: str) -> int:
 
 
 def cmd_bell(cfg: dict, out_dir: str) -> int:
-    state = _prepared_state(cfg)
+    state = after_eve(add_white_noise(bell_phi_plus(), cfg["source_noise"]), cfg["eve"])
     a, a_prime, b, b_prime = cfg["angles"]
     table = {
         "E(a,b)": correlator(state, a, b),

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import qmath
 from .optics import MeasBasis
-from .states import EveConfig, TwoQubitState, basis_from_angle, eve_scenarios
+from .states import EveConfig, TwoQubitState, add_white_noise, after_eve, eve_scenarios
 
 
 @dataclass(frozen=True)
@@ -75,19 +75,8 @@ _BIT_PAIRS = ((1, 1), (1, 0), (0, 1), (0, 0))
 # The joint projectors of every (Alice basis, Bob basis) of BASES, shape (2, 2, 4, 4, 4).
 _BASIS_PROJECTORS = np.array([basis.projectors() for basis in BASES])
 _TABLE_PROJECTORS = qmath.joint_projectors(_BASIS_PROJECTORS[:, None], _BASIS_PROJECTORS[None, :])
-
-
-def _cumulative_tables(states: list[TwoQubitState]) -> np.ndarray:
-    """Cumulative joint-outcome tables over :data:`_BIT_PAIRS`.
-
-    Shape ``(scenarios, 2, 2, 4)``, indexed by the scenario of
-    :func:`~qkdlab.states.eve_scenarios` whose state is ``states[i]``,
-    Alice's basis and Bob's basis; one stacked trace builds them all.
-    """
-    rhos = np.array([state.rho for state in states])[:, None, None, None]
-    probs = np.clip(qmath.expectation(rhos, _TABLE_PROJECTORS), 0.0, None)
-    cum = np.cumsum(probs / probs.sum(axis=-1, keepdims=True), axis=-1)
-    return cum / cum[..., -1:]
+# Sifted error, bits (1,0) or (0,1), averaged over the (HV, HV) and (DA, DA) settings.
+_SIFTED_ERROR = sum(_TABLE_PROJECTORS[a, a, 1] + _TABLE_PROJECTORS[a, a, 2] for a in (0, 1)) / 2.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,24 +93,26 @@ class Rates:
       ``dark_only = e^-lam (2mu e^-2mu)^2``, each of the four bit pairs with
       ``dark_only / 4``.
 
-    ``qber`` is the error rate of the kept intervals with equal bases when
-    both parties pick HV or DA at random, ``(single_pair q + dark_only / 2)
-    / kept``, where ``q`` is the pair's error probability averaged over the
-    (HV, HV) and (DA, DA) settings and weighted over Eve's scenarios; it is
-    nan when no interval can be kept.
+    ``qber`` is the sifted error rate when both parties pick HV or DA at
+    random: the Born rule on the kept state, :func:`~qkdlab.states.after_eve`
+    with I/4 (a dark-only interval) at weight ``dark_only / kept``; it is nan
+    when no interval can be kept.
 
     ``outcome_cdf[scenario, a, b]`` holds the cumulative probabilities of
     the eight kept outcomes in the order pair (1,1), (1,0), (0,1), (0,0),
     then dark (1,1), (1,0), (0,1), (0,0); a uniform at or above the last one
     is an interval not kept.  Its last five columns, ``single_pair +
     j dark_only / 4`` for ``j = 0 .. 4``, are the same in every row.
+    ``eve_bases`` holds the basis Eve records in each scenario, as an index
+    into :data:`BASES` (-1: none); she acts with ``intercept_fraction``.
     """
 
     single_pair: float
     dark_only: float
     qber: float
     outcome_cdf: np.ndarray
-    eve: EveConfig   # whose scenarios the tables weigh; the sampler draws her choices
+    intercept_fraction: float
+    eve_bases: np.ndarray
 
     @property
     def kept(self) -> float:
@@ -129,21 +120,31 @@ class Rates:
 
 
 def expected_rates(s: TwoQubitState, detector: DetectorConfig, eve: EveConfig) -> Rates:
-    """The :class:`Rates` of a dwell interval; the sampler draws from them."""
+    """The :class:`Rates` of a dwell interval for the pair ``s`` in each of
+    Eve's scenarios (:func:`~qkdlab.states.eve_scenarios`); the sampler draws from them."""
     lam = detector.pair_rate * detector.dwell
     mu = detector.dark_rate * detector.dwell
     p1 = lam * math.exp(-lam) * math.exp(-4.0 * mu)
     p0 = math.exp(-lam) * (2.0 * mu * math.exp(-2.0 * mu)) ** 2
-    weights, states = eve_scenarios(s, eve)
-    cum = _cumulative_tables(states)
-    # errors are the (1,0) and (0,1) outcomes: cum[2] - cum[0]
-    q = float(weights @ np.mean([cum[:, a, a, 2] - cum[:, a, a, 0] for a in (0, 1)], axis=0))
+    _, states, bases = eve_scenarios(s, eve)
+    # each scenario's cumulative joint-outcome tables over _BIT_PAIRS, shape
+    # (scenarios, 2, 2, 4) by Alice's and Bob's basis: one stacked trace
+    rhos = np.array([state.rho for state in states])[:, None, None, None]
+    probs = np.clip(qmath.expectation(rhos, _TABLE_PROJECTORS), 0.0, None)
+    cum = np.cumsum(probs / probs.sum(axis=-1, keepdims=True), axis=-1)
+    cum = cum / cum[..., -1:]
     kept = p1 + p0
-    qber = (p1 * q + p0 / 2.0) / kept if kept > 0 else math.nan
+    qber = math.nan
+    if kept > 0:
+        rho_kept = add_white_noise(after_eve(s, eve), p0 / kept).rho
+        qber = float(qmath.expectation(rho_kept, _SIFTED_ERROR))
     dark = np.broadcast_to(p1 + p0 * np.arange(1, 5) / 4.0, cum.shape)
     cdf = np.concatenate([p1 * cum, dark], axis=-1)
-    cdf.setflags(write=False)
-    return Rates(single_pair=p1, dark_only=p0, qber=qber, outcome_cdf=cdf, eve=eve)
+    eve_bases = np.array([-1 if b is None else BASES.index(b) for b in bases], dtype=np.int8)
+    for column in (cdf, eve_bases):
+        column.setflags(write=False)
+    return Rates(single_pair=p1, dark_only=p0, qber=qber, outcome_cdf=cdf,
+                 intercept_fraction=eve.intercept_fraction, eve_bases=eve_bases)
 
 
 # Bits of each outcome index of Rates.outcome_cdf; index 8 is "not kept".
@@ -170,28 +171,22 @@ def simulate_dwell_stream(rates: Rates, n_intervals: int, rng) -> Trials:
     the uniform that takes the outcome of ``rates.outcome_cdf`` it falls
     in: one pair with bits from the joint outcome tables, dark counts only
     with random bits, or not kept.  The second word decides, the same way,
-    whether ``rates.eve`` acts, and its bit 0 picks her basis under
-    ``random_per_trial``.
+    whether Eve acts, and its bit 0 picks her basis when she has two; the
+    scenario's ``rates.eve_bases`` entry is the trial's ``eve_basis``.
     """
     if n_intervals < 1:
         raise ValueError("n_intervals must be >= 1")
-    n, eve = n_intervals, rates.eve
-    words = rng.bit_generator.random_raw((n, 1 if eve.mode == "absent" else 2))
+    n, k = n_intervals, len(rates.eve_bases) - 1   # Eve's bases; none when she is absent
+    words = rng.bit_generator.random_raw((n, 2 if k else 1))
     alice_basis = (words[:, 0] & 1).astype(np.int8)
     bob_basis = (words[:, 0] >> 1 & 1).astype(np.int8)
 
-    # scenario 0 is Eve idle; 1 + choice indexes her basis, as in eve_scenarios
-    eve_applied = np.zeros(n, dtype=bool)
-    choice, named = 0, -1
-    if eve.mode != "absent":
-        eve_applied = _uniform(words[:, 1]) < eve.intercept_fraction
-        if eve.basis_policy == "random_per_trial":
-            choice = named = (words[:, 1] & 1).astype(np.int8)
-        else:
-            basis = basis_from_angle(eve.basis_angle)
-            named = -1 if basis is None else BASES.index(basis)
-    eve_basis = np.where(eve_applied, named, -1).astype(np.int8)
-    scenario = np.where(eve_applied, 1 + choice, 0).astype(np.int8)
+    # scenario 0 is Eve idle; 1 + j is Eve acting in her j-th basis, as in eve_scenarios
+    scenario = np.zeros(n, dtype=np.int8)
+    if k:   # 1 or 2, so k - 1 masks bit 0 or nothing
+        acts = _uniform(words[:, 1]) < rates.intercept_fraction
+        scenario = np.where(acts, 1 + (words[:, 1] & (k - 1)).astype(np.int8), 0)
+    eve_basis = rates.eve_bases.take(scenario)
 
     cdf = rates.outcome_cdf.reshape(-1, 8)
     row = scenario * 4 + alice_basis * 2 + bob_basis

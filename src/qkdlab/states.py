@@ -7,9 +7,10 @@ second photon (the one heading to the receiver), through one channel,
 coherence between the two components along its axes.  Intercept-resend, a
 projective measurement of photon 2 whose result is not kept, averages to
 full dephasing along Eve's basis, so it enters the model as that channel
-at strength 1.  :func:`eve_scenarios` turns an :class:`EveConfig` into the
-weighted states that sessions sample from and that ``tomo`` and ``bell``
-measure the mixture of.
+at strength 1.  :func:`eve_scenarios` turns an :class:`EveConfig` into her
+scenarios, the weighted states that sessions sample from and the basis Eve
+records in each, and :func:`after_eve` is their mixture: the state that
+``tomo`` and ``bell`` measure and that a session's QBER reads.
 """
 
 from __future__ import annotations
@@ -149,23 +150,32 @@ def dephase_bob(s: TwoQubitState, basis_angle: float, gamma: float) -> TwoQubitS
     return TwoQubitState((1.0 - gamma) * rho + gamma * pinched)
 
 
-def eve_scenarios(s: TwoQubitState, eve: EveConfig) -> tuple[np.ndarray, list[TwoQubitState]]:
-    """The weight and the pair's state of each of Eve's scenarios.
+def eve_scenarios(s: TwoQubitState, eve: EveConfig) -> tuple[np.ndarray, list, list]:
+    """The weight, pair's state and Eve's recorded basis of each of her scenarios.
 
-    Scenario 0 is Eve idle: ``s`` at weight ``1 - intercept_fraction``.
-    Scenario ``1 + k`` is Eve acting in her k-th basis (HV then DA under
-    ``random_per_trial``, else ``basis_angle``); these share the
-    intercepted fraction equally.  Eve acting is :func:`dephase_bob` along
-    her basis, at ``strength`` for ``dephasing`` and 1 for
-    ``intercept_resend``.  With Eve absent, ``s`` is the one scenario.
+    Scenario 0 is Eve idle: ``s`` at weight ``1 - intercept_fraction``,
+    recording None.  Scenario ``1 + k`` is Eve acting in her k-th basis (HV
+    then DA under ``random_per_trial``, else ``basis_angle``), recording its
+    :func:`basis_from_angle`; these share the intercepted fraction equally.
+    Eve acting is :func:`dephase_bob` along her basis, at ``strength`` for
+    ``dephasing`` and 1 for ``intercept_resend``.  With Eve absent, ``s`` is
+    the one scenario.
     """
     if eve.mode == "absent":
-        return np.array([1.0]), [s]
+        return np.array([1.0]), [s], [None]
     angles = [0.0, 45.0] if eve.basis_policy == "random_per_trial" else [eve.basis_angle]
     gamma = eve.strength if eve.mode == "dephasing" else 1.0
     f, k = eve.intercept_fraction, len(angles)
     weights = np.array([1.0 - f] + [f / k] * k)
-    return weights, [s] + [dephase_bob(s, angle, gamma) for angle in angles]
+    return (weights, [s] + [dephase_bob(s, angle, gamma) for angle in angles],
+            [None] + [basis_from_angle(angle) for angle in angles])
+
+
+def after_eve(s: TwoQubitState, eve: EveConfig) -> TwoQubitState:
+    """The pair ``s`` after Eve: the mixture of her scenarios, with the
+    weights a session samples them by."""
+    weights, states, _ = eve_scenarios(s, eve)
+    return TwoQubitState(sum(w * state.rho for w, state in zip(weights, states)))
 
 
 def plate_delay_fs(plate: QuartzPlate) -> float:
@@ -174,12 +184,14 @@ def plate_delay_fs(plate: QuartzPlate) -> float:
 
 
 def plate_gamma(plate: QuartzPlate) -> float:
-    """Dephasing strength of a plate: 1 - exp(-(tau/tau_c)^2), clamped.
+    """Dephasing strength of a plate: 1 - exp(-(tau/tau_c)^2).
 
     Gaussian mutual-coherence decay in the delay tau; a delay well past the
     coherence time gives gamma ~ 1 (a full eavesdropper), a thin plate only
     partially decoheres the pair.
     """
     tau = plate_delay_fs(plate)
-    gamma = 1.0 - np.exp(-((tau / plate.coherence_time_fs) ** 2))
-    return float(min(max(gamma, 0.0), 1.0))
+    try:
+        return float(1.0 - np.exp(-((tau / plate.coherence_time_fs) ** 2)))
+    except OverflowError:   # a delay whose square overflows is full dephasing
+        return 1.0

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import itertools
 import json
 import os
 import tracemalloc
@@ -585,6 +586,42 @@ def test_session_rejects_overflowing_detector_rates(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "finite" in err
     assert not (tmp_path / "a").exists()
+
+
+@pytest.mark.parametrize("plate", [
+    {"thickness_mm": 1e300},
+    {"thickness_mm": 1.0, "birefringence": 1e300},
+    {"thickness_mm": 1.0, "birefringence": -1e300},
+], ids=["thick", "birefringent", "negative_birefringence"])
+def test_plate_whose_delay_overflows_is_full_dephasing(tmp_path, plate):
+    # the delay's square overflows a float: Eve resolves to dephasing at 0
+    # degrees with strength 1, which is the bell_full_eve_hv preset
+    cfg = write_config(tmp_path, "b.json",
+                       {"kind": "bell", "eve": {"mode": "dephasing"}, "plate": plate})
+    assert main(["bell", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+    preset = os.path.join(CONFIG_DIR, "bell_full_eve_hv.json")
+    assert main(["bell", "--config", preset, "--out", str(tmp_path / "b")]) == 0
+    assert read_tree(tmp_path / "a") == read_tree(tmp_path / "b")
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(CONFIG_DIR)))
+def test_extreme_finite_values_run_or_are_refused(tmp_path, name):
+    # each float of a preset (top level, in its sections, and each bell
+    # angle) set in turn to +-1e300: the run succeeds, is refused or aborts,
+    # and never raises
+    with open(os.path.join(CONFIG_DIR, name), encoding="utf-8") as fh:
+        body = json.load(fh)
+    places = [(body, key) for key, value in body.items() if type(value) is float]
+    places += [(body[section], key) for section in ("detector", "eve", "plate")
+               for key, value in body.get(section, {}).items() if type(value) is float]
+    places += [(body["angles"], i) for i in range(len(body.get("angles", [])))]
+    assert places
+    for run, ((place, key), value) in enumerate(itertools.product(places, (1e300, -1e300))):
+        original, place[key] = place[key], value
+        cfg = write_config(tmp_path, "c.json", body)
+        out = str(tmp_path / f"out{run}")
+        assert main([body["kind"], "--config", cfg, "--out", out]) in (0, 1, 2), (key, value)
+        place[key] = original
 
 
 @pytest.mark.parametrize("kind, body", [

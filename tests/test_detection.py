@@ -10,12 +10,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qkdlab.cli import _prepared_state, load_config
+from qkdlab.cli import load_config
 from qkdlab.detection import (BASES, CSV_COLUMNS, DetectorConfig, Trials, expected_rates,
                               records_to_csv, simulate_dwell_stream)
 from qkdlab.optics import MeasBasis, PolState
 from qkdlab.protocol import TILE_INTERVALS
-from qkdlab.states import (EveConfig, TwoQubitState, add_white_noise, bell_phi_plus,
+from qkdlab.states import (EveConfig, TwoQubitState, add_white_noise, after_eve, bell_phi_plus,
                            bell_phi_plus_ket, eve_scenarios)
 
 from conftest import (assert_close, binomial_sigma, intercept_branches, kron_outcome_probs,
@@ -218,7 +218,7 @@ def test_outcome_tables_are_the_per_state_formula_bit_for_bit(rng, eve):
     detector = DetectorConfig(dark_rate=0.9)
     for s in (add_white_noise(bell_phi_plus(), 0.04), TwoQubitState(random_density(rng))):
         rates = expected_rates(s, detector, eve)
-        _, states = eve_scenarios(s, eve)
+        _, states, _ = eve_scenarios(s, eve)
         for i, state in enumerate(states):
             for a, b in np.ndindex(2, 2):
                 probs = np.array([np.trace(state.rho @ np.kron(pa, pb)).real
@@ -297,7 +297,7 @@ def test_session_eve_matches_the_tomo_and_bell_state(mode, policy, fraction, ang
                     basis_policy=policy)
     detector = DetectorConfig()
     session = expected_rates(add_white_noise(bell_phi_plus(), noise), detector, eve)
-    prepared = expected_rates(_prepared_state({"source_noise": noise, "eve": eve}),
+    prepared = expected_rates(after_eve(add_white_noise(bell_phi_plus(), noise), eve),
                               detector, EveConfig())
     assert session.qber == pytest.approx(prepared.qber, abs=1e-12)
     k = 2 if policy == "random_per_trial" else 1
@@ -332,13 +332,31 @@ def test_stream_deterministic_given_seed():
     assert a == b
 
 
-def test_stream_eve_metadata_recorded():
-    eve = EveConfig(mode="dephasing", basis_angle=45.0, strength=1.0,
-                    intercept_fraction=0.5)
-    trials = _stream(n=2000, eve=eve)
-    applied = trials.eve_basis != -1
-    assert 0 < np.count_nonzero(applied) < len(trials)
-    assert (trials.eve_basis[applied] == 1).all()  # BASES[1] is DA
+@pytest.mark.parametrize("eve, shares", [
+    pytest.param(EveConfig(), {-1: 1.0}, id="absent"),
+    # Eve acts along an unnamed axis, so she records no basis
+    pytest.param(EveConfig(mode="dephasing", basis_angle=22.5, strength=0.7), {-1: 1.0},
+                 id="dephasing_22_5"),
+    pytest.param(EveConfig(mode="dephasing", basis_angle=0.0), {0: 1.0}, id="dephasing_hv"),
+    pytest.param(EveConfig(mode="dephasing", basis_angle=45.0, intercept_fraction=0.5),
+                 {-1: 0.5, 1: 0.5}, id="dephasing_da_half"),
+    pytest.param(EveConfig(mode="intercept_resend", basis_angle=0.0), {0: 1.0},
+                 id="intercept_hv"),
+    pytest.param(EveConfig(mode="intercept_resend", basis_angle=45.0), {1: 1.0},
+                 id="intercept_da"),
+    pytest.param(EveConfig(mode="intercept_resend", basis_policy="random_per_trial"),
+                 {0: 0.5, 1: 0.5}, id="intercept_random"),
+    pytest.param(HALF_INTERCEPTION, {-1: 0.5, 0: 0.25, 1: 0.25}, id="intercept_random_half"),
+])
+def test_stream_eve_metadata_recorded(eve, shares):
+    # eve_basis holds only the bases that Eve's scenarios record (index into
+    # BASES, -1 for none), each at the share of the scenarios recording it
+    n = 20000
+    trials = _stream(n=n, eve=eve)
+    assert set(np.unique(trials.eve_basis).tolist()) <= set(shares)
+    for value, share in shares.items():
+        got = np.count_nonzero(trials.eve_basis == value) / n
+        assert abs(got - share) <= 4 * binomial_sigma(share, n), (value, got, share)
 
 
 def _parse_records_csv(text):

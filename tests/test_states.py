@@ -197,22 +197,30 @@ def test_eve_config_validation():
     assert basis_from_angle(30.0) is None
 
 
-@pytest.mark.parametrize("eve, weights, channels", [
-    (EveConfig(), [1.0], []),
+HV, DA = MeasBasis.HV, MeasBasis.DA
+
+
+@pytest.mark.parametrize("eve, weights, channels, bases", [
+    (EveConfig(), [1.0], [], [None]),
     (EveConfig(mode="dephasing", basis_angle=135.0, strength=0.3, intercept_fraction=0.4),
-     [0.6, 0.4], [(135.0, 0.3)]),
-    (EveConfig(mode="intercept_resend", basis_angle=45.0), [0.0, 1.0], [(45.0, 1.0)]),
+     [0.6, 0.4], [(135.0, 0.3)], [None, DA]),
+    (EveConfig(mode="dephasing", basis_angle=22.5, strength=0.7), [0.0, 1.0], [(22.5, 0.7)],
+     [None, None]),
+    (EveConfig(mode="dephasing", basis_angle=90.0), [0.0, 1.0], [(90.0, 1.0)], [None, HV]),
+    (EveConfig(mode="intercept_resend", basis_angle=45.0), [0.0, 1.0], [(45.0, 1.0)],
+     [None, DA]),
     (EveConfig(mode="intercept_resend", basis_angle=45.0, strength=0.2,
                basis_policy="random_per_trial", intercept_fraction=0.5),
-     [0.5, 0.25, 0.25], [(0.0, 1.0), (45.0, 1.0)]),
+     [0.5, 0.25, 0.25], [(0.0, 1.0), (45.0, 1.0)], [None, HV, DA]),
     (EveConfig(mode="dephasing", basis_angle=30.0, strength=0.7,
                basis_policy="random_per_trial"),
-     [0.0, 0.5, 0.5], [(0.0, 0.7), (45.0, 0.7)]),
+     [0.0, 0.5, 0.5], [(0.0, 0.7), (45.0, 0.7)], [None, HV, DA]),
 ])
-def test_eve_scenarios(rng, eve, weights, channels):
+def test_eve_scenarios(rng, eve, weights, channels, bases):
     s = TwoQubitState(random_density(rng))
-    got_weights, states = eve_scenarios(s, eve)
+    got_weights, states, got_bases = eve_scenarios(s, eve)
     assert_close(got_weights, weights, tol=1e-15)
+    assert got_bases == bases
     assert states[0] is s
     assert len(states) == 1 + len(channels)
     for state, (angle, gamma) in zip(states[1:], channels):

@@ -6,11 +6,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qkdlab.cli import _prepared_state, load_config
+from qkdlab.cli import load_config
 from qkdlab.detection import DetectorConfig, expected_rates
 from qkdlab.optics import PolState, linear_ket
-from qkdlab.states import (EveConfig, TwoQubitState, add_white_noise, bell_phi_plus,
-                           bell_phi_plus_ket, dephase_bob)
+from qkdlab.states import (EveConfig, TwoQubitState, add_white_noise, after_eve,
+                           bell_phi_plus, bell_phi_plus_ket, dephase_bob)
 from qkdlab import qmath
 from qkdlab.tomography import (_BLOCK, _INVERSION, _PAULIS, _PROJECTORS,
                                CHSH_CANONICAL_ANGLES, MAX_REPLICAS, TOMO_SCHEDULE,
@@ -190,8 +190,9 @@ def test_trace_tables_are_the_per_matrix_loops_bit_for_bit(rng):
     presets = sorted(glob.glob(os.path.join(os.path.dirname(__file__), os.pardir,
                                             "configs", "*.json")))
     # a preset's kind is its name up to the first "_"
-    states = [_prepared_state(load_config(path, os.path.basename(path).split("_")[0]))
-              for path in presets]
+    configs = [load_config(path, os.path.basename(path).split("_")[0]) for path in presets]
+    states = [after_eve(add_white_noise(bell_phi_plus(), cfg["source_noise"]), cfg["eve"])
+              for cfg in configs]
     states += [TwoQubitState(random_density(rng)) for _ in range(100)]
     for state in states:
         want = np.array([np.trace(state.rho @ pk).real for pk in _PROJECTORS])
@@ -386,7 +387,8 @@ def test_bootstrap_golden():
     path = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
                         "tomo_no_eve.json")
     cfg = load_config(path, "tomo")
-    counts = simulate_counts(_prepared_state(cfg), cfg["n_per_setting"],
+    state = after_eve(add_white_noise(bell_phi_plus(), cfg["source_noise"]), cfg["eve"])
+    counts = simulate_counts(state, cfg["n_per_setting"],
                              np.random.default_rng(cfg["seed"]))
     metrics = bootstrap_metrics(counts, replicas=cfg["replicas"], seed=cfg["seed"])
     assert dataclasses.asdict(metrics) == pytest.approx({
@@ -412,9 +414,8 @@ def test_bootstrap_memory_does_not_grow_with_replicas():
 def test_random_basis_eve_leaves_three_halves_bits():
     # full dephasing in HV half the time and in DA the other half leaves
     # Phi+ with eigenvalues 1/2, 1/4, 1/4, 0
-    cfg = {"source_noise": 0.0,
-           "eve": EveConfig(mode="dephasing", strength=1.0, basis_policy="random_per_trial")}
-    state = _prepared_state(cfg)
+    state = after_eve(bell_phi_plus(), EveConfig(mode="dephasing", strength=1.0,
+                                                 basis_policy="random_per_trial"))
     assert state_metrics(state).von_neumann == pytest.approx(1.5, abs=1e-9)
     assert correlator(state, 0.0, 22.5) == pytest.approx(np.sqrt(2) / 4, abs=1e-12)
 
@@ -504,20 +505,22 @@ def _chsh_qber_eves():
                             intercept_fraction=fraction)
 
 
+@pytest.mark.parametrize("dark_rate", [0.0, 0.1, 0.9, 3.0])
 @pytest.mark.parametrize("noise", [0.0, 0.04, 0.3, 1.0])
-def test_chsh_is_the_qber_identity(noise):
+def test_chsh_is_the_qber_identity(noise, dark_rate):
     # White noise and every Eve channel keep Phi+ Bell-diagonal with
     # correlators along the linear axes only, so at the canonical angles
-    # S = 2 sqrt 2 (1 - 2Q), Q the model's sifted QBER without dark counts;
-    # the state is the scenario mixture that tomo and bell measure
+    # S = 2 sqrt 2 (1 - 2Q), Q the model's sifted QBER; the state is the kept
+    # one: the scenario mixture that tomo and bell measure, with white noise
+    # at the dark-only share of the kept intervals
     noisy = add_white_noise(bell_phi_plus(), noise)
     eves = list(_chsh_qber_eves())
     assert len(eves) == 55
     for eve in eves:
-        state = _prepared_state({"source_noise": noise, "eve": eve})
-        q = expected_rates(noisy, DetectorConfig(dark_rate=0.0), eve).qber
-        assert chsh(state, *CHSH_CANONICAL_ANGLES) == \
-            pytest.approx(2 * np.sqrt(2) * (1 - 2 * q), abs=1e-12), eve
+        rates = expected_rates(noisy, DetectorConfig(dark_rate=dark_rate), eve)
+        kept = add_white_noise(after_eve(noisy, eve), rates.dark_only / rates.kept)
+        assert chsh(kept, *CHSH_CANONICAL_ANGLES) == \
+            pytest.approx(2 * np.sqrt(2) * (1 - 2 * rates.qber), abs=1e-12), eve
 
 
 def test_state_metrics_point_values():

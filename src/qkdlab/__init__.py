@@ -8,9 +8,8 @@ from .states import (EveConfig, QuartzPlate, TwoQubitState, add_white_noise,
 from .detection import DetectorConfig, Rates, Trials, expected_rates, simulate_dwell_stream
 from .protocol import (KeyResult, SessionConfig, SessionTranscript, distil, estimate_qber,
                        h2, privacy_amplify, reconcile, run_session, sift)
-from .tomography import (TOMO_SCHEDULE, ReconstructionError, StateMetrics,
-                         TomographyRun, bootstrap_metrics, chsh, run_tomography,
-                         simulate_counts, state_metrics)
+from .tomography import (TOMO_SCHEDULE, ReconstructionError, StateMetrics, bootstrap_metrics,
+                         chsh, run_tomography, simulate_counts, state_metrics)
 from .otp import decrypt, encrypt
 
 __version__ = "0.1.0"

@@ -24,8 +24,8 @@ from .protocol import (SessionConfig, run_session, transcript_summary,
                        transcript_to_dict)
 from .states import (EveConfig, QuartzPlate, add_white_noise, after_eve, bell_phi_plus,
                      plate_gamma)
-from .tomography import (TOMO_SCHEDULE, CHSH_CANONICAL_ANGLES, chsh, correlator,
-                         run_tomography, simulate_counts)
+from .tomography import (TOMO_SCHEDULE, CHSH_CANONICAL_ANGLES, correlator, run_tomography,
+                         simulate_counts)
 
 BASIS_LABELS = ("HH", "HV", "VH", "VV")
 
@@ -168,6 +168,9 @@ def load_config(path: str, kind: str, seed_override: int | None = None) -> dict:
                                        and abs(a) <= sys.float_info.max for a in angles):
             raise ConfigError("angles must be four finite numbers [a, a', b, b']")
         out["angles"] = [float(a) for a in angles]
+    # for tomo and bell: a session's SessionConfig has already checked it
+    if not 0.0 <= out.get("source_noise", 0.0) <= 1.0:
+        raise ConfigError("config: source_noise must be in [0, 1]")
     return out
 
 
@@ -237,30 +240,29 @@ def cmd_tomo(cfg: dict, out_dir: str) -> int:
         rng = np.random.default_rng(cfg["seed"])
         state = after_eve(add_white_noise(bell_phi_plus(), cfg["source_noise"]), cfg["eve"])
         counts = simulate_counts(state, cfg["n_per_setting"], rng)
-    run = run_tomography(counts, replicas=cfg["replicas"], seed=cfg["seed"])
+    rho_hat, metrics = run_tomography(counts, replicas=cfg["replicas"], seed=cfg["seed"])
 
     os.makedirs(out_dir, exist_ok=True)
     _write_counts_csv(counts, os.path.join(out_dir, "counts.csv"))
     _dump_json({"basis_order": list(BASIS_LABELS),
-                "rho": qmath.mat_to_json(run.rho_hat.rho)},
+                "rho": qmath.mat_to_json(rho_hat.rho)},
                os.path.join(out_dir, "density_matrix.json"))
-    _dump_json(dataclasses.asdict(run.metrics), os.path.join(out_dir, "metrics.json"))
-    print(f"tangle {run.metrics.tangle:.4f} +- {run.metrics.tangle_sigma:.4f}, "
-          f"entropy {run.metrics.von_neumann:.4f} +- {run.metrics.von_neumann_sigma:.4f}, "
-          f"fidelity {run.metrics.fidelity:.4f}")
+    _dump_json(dataclasses.asdict(metrics), os.path.join(out_dir, "metrics.json"))
+    print(f"tangle {metrics.tangle:.4f} +- {metrics.tangle_sigma:.4f}, "
+          f"entropy {metrics.von_neumann:.4f} +- {metrics.von_neumann_sigma:.4f}, "
+          f"fidelity {metrics.fidelity:.4f}")
     return 0
 
 
 def cmd_bell(cfg: dict, out_dir: str) -> int:
+    """Write the correlators E(a,b), E(a,b'), E(a',b), E(a',b') at the
+    configured angles [a, a', b, b'] and S, their signed sum (+, -, +, +)."""
     state = after_eve(add_white_noise(bell_phi_plus(), cfg["source_noise"]), cfg["eve"])
     a, a_prime, b, b_prime = cfg["angles"]
-    table = {
-        "E(a,b)": correlator(state, a, b),
-        "E(a,b')": correlator(state, a, b_prime),
-        "E(a',b)": correlator(state, a_prime, b),
-        "E(a',b')": correlator(state, a_prime, b_prime),
-    }
-    s_value = chsh(state, *cfg["angles"])
+    e = [correlator(state, x, y)
+         for x, y in ((a, b), (a, b_prime), (a_prime, b), (a_prime, b_prime))]
+    table = dict(zip(("E(a,b)", "E(a,b')", "E(a',b)", "E(a',b')"), e))
+    s_value = e[0] - e[1] + e[2] + e[3]
     os.makedirs(out_dir, exist_ok=True)
     _dump_json({"angles": cfg["angles"], "correlators": table, "s_value": s_value},
                os.path.join(out_dir, "bell.json"))

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import qmath
 from .optics import MeasBasis
-from .states import EveConfig, TwoQubitState, add_white_noise, after_eve, eve_scenarios
+from .states import EveConfig, TwoQubitState, add_white_noise, eve_scenarios, mixture
 
 
 @dataclass(frozen=True)
@@ -94,9 +94,9 @@ class Rates:
       ``dark_only / 4``.
 
     ``qber`` is the sifted error rate when both parties pick HV or DA at
-    random: the Born rule on the kept state, :func:`~qkdlab.states.after_eve`
-    with I/4 (a dark-only interval) at weight ``dark_only / kept``; it is nan
-    when no interval can be kept.
+    random: the Born rule on the kept state, the mixture of Eve's scenarios
+    (:func:`~qkdlab.states.after_eve`) with I/4 (a dark-only interval) at
+    weight ``dark_only / kept``; it is nan when no interval can be kept.
 
     ``outcome_cdf[scenario, a, b]`` holds the cumulative probabilities of
     the eight kept outcomes in the order pair (1,1), (1,0), (0,1), (0,0),
@@ -121,12 +121,13 @@ class Rates:
 
 def expected_rates(s: TwoQubitState, detector: DetectorConfig, eve: EveConfig) -> Rates:
     """The :class:`Rates` of a dwell interval for the pair ``s`` in each of
-    Eve's scenarios (:func:`~qkdlab.states.eve_scenarios`); the sampler draws from them."""
+    Eve's scenarios (:func:`~qkdlab.states.eve_scenarios`), whose mixture by
+    their weights is the kept state ``qber`` reads; the sampler draws from them."""
     lam = detector.pair_rate * detector.dwell
     mu = detector.dark_rate * detector.dwell
     p1 = lam * math.exp(-lam) * math.exp(-4.0 * mu)
     p0 = math.exp(-lam) * (2.0 * mu * math.exp(-2.0 * mu)) ** 2
-    _, states, bases = eve_scenarios(s, eve)
+    weights, states, bases = eve_scenarios(s, eve)
     # each scenario's cumulative joint-outcome tables over _BIT_PAIRS, shape
     # (scenarios, 2, 2, 4) by Alice's and Bob's basis: one stacked trace
     rhos = np.array([state.rho for state in states])[:, None, None, None]
@@ -136,7 +137,7 @@ def expected_rates(s: TwoQubitState, detector: DetectorConfig, eve: EveConfig) -
     kept = p1 + p0
     qber = math.nan
     if kept > 0:
-        rho_kept = add_white_noise(after_eve(s, eve), p0 / kept).rho
+        rho_kept = add_white_noise(mixture(weights, states), p0 / kept).rho
         qber = float(qmath.expectation(rho_kept, _SIFTED_ERROR))
     dark = np.broadcast_to(p1 + p0 * np.arange(1, 5) / 4.0, cum.shape)
     cdf = np.concatenate([p1 * cum, dark], axis=-1)

@@ -9,8 +9,8 @@ projective measurement of photon 2 whose result is not kept, averages to
 full dephasing along Eve's basis, so it enters the model as that channel
 at strength 1.  :func:`eve_scenarios` turns an :class:`EveConfig` into her
 scenarios, the weighted states that sessions sample from and the basis Eve
-records in each, and :func:`after_eve` is their mixture: the state that
-``tomo`` and ``bell`` measure and that a session's QBER reads.
+records in each, and :func:`after_eve` is their :func:`mixture`: the state
+that ``tomo`` and ``bell`` measure and that a session's QBER reads.
 """
 
 from __future__ import annotations
@@ -171,11 +171,16 @@ def eve_scenarios(s: TwoQubitState, eve: EveConfig) -> tuple[np.ndarray, list, l
             [None] + [basis_from_angle(angle) for angle in angles])
 
 
-def after_eve(s: TwoQubitState, eve: EveConfig) -> TwoQubitState:
-    """The pair ``s`` after Eve: the mixture of her scenarios, with the
-    weights a session samples them by."""
-    weights, states, _ = eve_scenarios(s, eve)
+def mixture(weights: np.ndarray, states: list) -> TwoQubitState:
+    """The states mixed with the weights, as :func:`eve_scenarios` gives them."""
     return TwoQubitState(sum(w * state.rho for w, state in zip(weights, states)))
+
+
+def after_eve(s: TwoQubitState, eve: EveConfig) -> TwoQubitState:
+    """The pair ``s`` after Eve: the :func:`mixture` of her scenarios, with
+    the weights a session samples them by (its model mixes the ones it holds)."""
+    weights, states, _ = eve_scenarios(s, eve)
+    return mixture(weights, states)
 
 
 def plate_delay_fs(plate: QuartzPlate) -> float:

@@ -234,16 +234,9 @@ def bootstrap_metrics(counts, replicas: int, seed: int) -> StateMetrics:
     return StateMetrics(*map(float, mean), *map(float, np.sqrt(m2 / n)), clamp_events)
 
 
-@dataclass
-class TomographyRun:
-    """The state reconstructed from a counts vector, and its metrics."""
-
-    rho_hat: TwoQubitState
-    metrics: StateMetrics
-
-
-def run_tomography(counts, replicas: int, seed: int) -> TomographyRun:
-    """Reconstruct a counts vector and bootstrap its metric uncertainties.
+def run_tomography(counts, replicas: int, seed: int) -> tuple[TwoQubitState, StateMetrics]:
+    """Reconstruct a counts vector and bootstrap its metric uncertainties,
+    as the pair ``(rho_hat, metrics)`` that ``qkdlab tomo`` writes.
 
     The counts, normalised by the HH+HV+VV+VH flux, are inverted and
     projected onto the nearest physical state; exact expected counts give
@@ -254,8 +247,7 @@ def run_tomography(counts, replicas: int, seed: int) -> TomographyRun:
     rho_hat = TwoQubitState(qmath.nearest_physical(w, v))
     point = _spectral_metrics(w, v, bell_phi_plus_ket())
     boot = bootstrap_metrics(counts, replicas=replicas, seed=seed)
-    metrics = StateMetrics(*map(float, point), *astuple(boot)[4:])
-    return TomographyRun(rho_hat=rho_hat, metrics=metrics)
+    return rho_hat, StateMetrics(*map(float, point), *astuple(boot)[4:])
 
 
 def correlator(s: TwoQubitState, alpha: float, beta: float) -> float:

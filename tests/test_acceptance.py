@@ -102,7 +102,7 @@ def test_criterion_4_half_interception():
 
 def test_criterion_5_tomography_round_trip_and_finite_stats():
     # exact expected counts: entangled source
-    rho_hat = run_tomography(1e6 * expected_probs(bell_phi_plus()), replicas=2, seed=5).rho_hat
+    rho_hat, _ = run_tomography(1e6 * expected_probs(bell_phi_plus()), replicas=2, seed=5)
     frob = np.linalg.norm(rho_hat.rho - BELL_MATRIX)
     assert frob < 1e-8
     m = state_metrics(rho_hat)
@@ -111,7 +111,7 @@ def test_criterion_5_tomography_round_trip_and_finite_stats():
 
     # exact expected counts: full Eve along HV
     mixture = dephase_bob(bell_phi_plus(), 0.0, 1.0)
-    rho_hat2 = run_tomography(1e6 * expected_probs(mixture), replicas=2, seed=5).rho_hat
+    rho_hat2, _ = run_tomography(1e6 * expected_probs(mixture), replicas=2, seed=5)
     assert np.linalg.norm(rho_hat2.rho - HV_MIXTURE_MATRIX) < 1e-8
     m2 = state_metrics(rho_hat2)
     metrics2 = (m2.tangle, m2.von_neumann, m2.linear_entropy, m2.fidelity)
@@ -121,7 +121,7 @@ def test_criterion_5_tomography_round_trip_and_finite_stats():
     rng = np.random.default_rng(21)
     noisy = add_white_noise(bell_phi_plus(), 0.04)
     counts = simulate_counts(noisy, 1e4, rng)
-    m_fin = run_tomography(counts, replicas=2, seed=21).metrics
+    _, m_fin = run_tomography(counts, replicas=2, seed=21)
     t_fin, f_fin = m_fin.tangle, m_fin.fidelity
     assert 0.85 <= t_fin <= 1.0
     assert 0.93 <= f_fin <= 1.0
@@ -138,7 +138,7 @@ def test_criterion_6_partial_eve_plate():
     rng = np.random.default_rng(27)
     noisy = dephase_bob(add_white_noise(bell_phi_plus(), 0.04),
                         plate.axis_angle_deg, gamma)
-    m_hat = run_tomography(simulate_counts(noisy, 1e4, rng), replicas=2, seed=27).metrics
+    _, m_hat = run_tomography(simulate_counts(noisy, 1e4, rng), replicas=2, seed=27)
     t_hat, s_hat = m_hat.tangle, m_hat.von_neumann
     assert 0.5 <= t_hat <= 0.85
     assert 0.2 <= s_hat <= 0.7

@@ -3,19 +3,22 @@ import hashlib
 import itertools
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from qkdlab import otp
+from qkdlab import cli, otp, tomography
 from qkdlab.cli import ConfigError, _resolve_eve, load_config, main
 from qkdlab.detection import DetectorConfig
 from qkdlab.protocol import SessionConfig
 from qkdlab.states import EveConfig, QuartzPlate
-from qkdlab.tomography import TOMO_SCHEDULE
+from qkdlab.tomography import TOMO_SCHEDULE, correlator
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
 
 def write_config(tmp_path, name, body):
@@ -192,6 +195,40 @@ def test_bell_outputs_golden(tmp_path, preset):
     assert e == pytest.approx(correlators, rel=1e-9, abs=1e-12)
     assert written["s_value"] == pytest.approx(s_value, rel=1e-9)
     assert written["s_value"] == e["E(a,b)"] - e["E(a,b')"] + e["E(a',b)"] + e["E(a',b')"]
+
+
+def test_bell_evaluates_each_correlator_once(tmp_path, monkeypatch):
+    # S is summed from the table's four correlators, not evaluated again
+    calls = []
+
+    def counted(state, alpha, beta):
+        calls.append((alpha, beta))
+        return correlator(state, alpha, beta)
+
+    monkeypatch.setattr(cli, "correlator", counted)
+    monkeypatch.setattr(tomography, "correlator", counted)
+    cfg = os.path.join(CONFIG_DIR, "bell_no_eve.json")
+    assert main(["bell", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert calls == [(0.0, 22.5), (0.0, 67.5), (45.0, 22.5), (45.0, 67.5)]
+
+
+def test_cli_import_leaves_numpy_random_and_fft_unloaded():
+    # numpy.random and numpy.fft load on first use; importing them with the
+    # CLI would only move their cost into every command's start-up
+    probe = ("import json, sys\n"
+             "lazy = ('numpy.random', 'numpy.fft')\n"
+             "import numpy\n"
+             "with_numpy = [m for m in lazy if m in sys.modules]\n"
+             "import qkdlab.cli\n"
+             "print(json.dumps([with_numpy, [m for m in lazy if m in sys.modules]]))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, stdout=subprocess.PIPE,
+                         text=True, check=True).stdout
+    with_numpy, with_cli = json.loads(out)
+    if with_numpy:
+        pytest.skip(f"import numpy alone loads {', '.join(with_numpy)}")
+    assert with_cli == []
 
 
 def test_shorter_session_records_are_a_prefix(tmp_path):
@@ -493,12 +530,18 @@ def _from_counts(**keys):
     ("tomo", _from_counts(eve={"mode": "dephasing", "strength": 1.0, "basis_angle": 45.0}),
      _ALL_SETTINGS, _COUNTS_ONLY % "eve"),
     ("tomo", _from_counts(plate={"thickness_mm": 1.0}), _ALL_SETTINGS, _COUNTS_ONLY % "plate"),
+    # an out-of-range source_noise gets the session's text, which names the key
+    ("bell", json.dumps({"kind": "bell", "source_noise": 1.5}), None,
+     "config: source_noise must be in [0, 1]\n"),
+    ("tomo", json.dumps({"kind": "tomo", "seed": 1, "source_noise": -0.5}), None,
+     "config: source_noise must be in [0, 1]\n"),
 ], ids=["plate_without_dephasing", "unreadable_config", "config_not_json",
         "config_a_list", "unreadable_counts", "counts_row_of_two", "count_not_a_number",
         "counts_17th_setting", "plate_beside_eve_strength", "plate_beside_eve_axis",
         "axis_under_random_bases", "strength_under_intercept", "key_under_absent_eve",
         "seed_for_bell", "n_per_setting_from_counts", "source_noise_from_counts",
-        "eve_from_counts", "plate_from_counts"])
+        "eve_from_counts", "plate_from_counts", "bell_source_noise_above_1",
+        "tomo_source_noise_below_0"])
 def test_bad_input_files_exit_1(tmp_path, monkeypatch, capsys, kind, config, counts, error):
     # a config of None is a missing file, and so is counts.csv with counts None
     monkeypatch.chdir(tmp_path)

@@ -10,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qkdlab import detection, states
 from qkdlab.cli import load_config
 from qkdlab.detection import (BASES, CSV_COLUMNS, DetectorConfig, Trials, expected_rates,
                               records_to_csv, simulate_dwell_stream)
@@ -206,6 +207,30 @@ def test_expected_rates_closed_form():
     nothing = expected_rates(bell_phi_plus(), DetectorConfig(pair_rate=0.0, dark_rate=0.0),
                              EveConfig())
     assert nothing.kept == 0.0 and math.isnan(nothing.qber)
+
+
+@pytest.mark.parametrize("eve, n_bases", [
+    (EveConfig(), 0),
+    (EveConfig(mode="dephasing", basis_angle=45.0, strength=0.7), 1),
+    (EveConfig(mode="intercept_resend", basis_policy="random_per_trial"), 2),
+], ids=["absent", "fixed_basis", "random_basis"])
+def test_expected_rates_builds_eve_scenarios_once(monkeypatch, eve, n_bases):
+    # the kept state that the QBER reads is mixed from the scenarios that
+    # give the outcome tables, not built a second time
+    calls = {"eve_scenarios": 0, "dephase_bob": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    scenarios = counted("eve_scenarios", states.eve_scenarios)
+    monkeypatch.setattr(states, "eve_scenarios", scenarios)
+    monkeypatch.setattr(detection, "eve_scenarios", scenarios)
+    monkeypatch.setattr(states, "dephase_bob", counted("dephase_bob", states.dephase_bob))
+    expected_rates(add_white_noise(bell_phi_plus(), 0.04), DetectorConfig(dark_rate=0.9), eve)
+    assert calls == {"eve_scenarios": 1, "dephase_bob": n_bases}
 
 
 @pytest.mark.parametrize("eve", [

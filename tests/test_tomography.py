@@ -65,7 +65,8 @@ def _replica_metrics(counts, replicas, seed):
 
 def _reconstruct(counts):
     """The state that run_tomography reconstructs from ``counts``."""
-    return run_tomography(counts, replicas=2, seed=0).rho_hat
+    rho_hat, _ = run_tomography(counts, replicas=2, seed=0)
+    return rho_hat
 
 
 def test_reconstruct_exact_bell():
@@ -297,10 +298,10 @@ def test_bootstrap_entropy_spread_above_one_bit():
     for angle, seed in ((0.0, 23), (45.0, 25)):
         state = dephase_bob(add_white_noise(bell_phi_plus(), 0.04), angle, 1.0)
         counts = simulate_counts(state, 10000, np.random.default_rng(seed))
-        run = run_tomography(counts, replicas=200, seed=seed)
-        assert run.metrics.von_neumann > 1.0
-        assert run.metrics.von_neumann_sigma > 0.01
-        assert run.metrics.clamp_events == 0
+        _, metrics = run_tomography(counts, replicas=200, seed=seed)
+        assert metrics.von_neumann > 1.0
+        assert metrics.von_neumann_sigma > 0.01
+        assert metrics.clamp_events == 0
 
 
 def test_bootstrap_blocks_match_single_state_path():
@@ -312,9 +313,9 @@ def test_bootstrap_blocks_match_single_state_path():
     assert rows.shape == (replicas, 4)
     for k in (0, _BLOCK - 1, _BLOCK, 2 * _BLOCK - 1, 2 * _BLOCK, replicas - 1):
         rng = np.random.default_rng(np.random.SeedSequence(11, spawn_key=(k // _BLOCK,)))
-        run = run_tomography(rng.poisson(counts, size=(_BLOCK, 16))[k % _BLOCK],
-                             replicas=2, seed=0)
-        assert_close(rows[k], dataclasses.astuple(run.metrics)[:4], tol=1e-9)
+        _, metrics = run_tomography(rng.poisson(counts, size=(_BLOCK, 16))[k % _BLOCK],
+                                    replicas=2, seed=0)
+        assert_close(rows[k], dataclasses.astuple(metrics)[:4], tol=1e-9)
 
 
 def test_bootstrap_replica_does_not_depend_on_replica_count():
@@ -335,7 +336,8 @@ def test_bootstrap_replica_zero_does_not_replay_the_counts_stream():
     replica_noise, counts_noise = [], []
     for seed in range(200):
         counts = simulate_counts(state, 10000, np.random.default_rng(seed))
-        point = run_tomography(counts, replicas=2, seed=seed).metrics.fidelity
+        _, metrics = run_tomography(counts, replicas=2, seed=seed)
+        point = metrics.fidelity
         replica_noise.append(_replica_metrics(counts.astype(float), 1, seed)[0, 3] - point)
         counts_noise.append(point - truth)
     assert abs(np.corrcoef(replica_noise, counts_noise)[0, 1]) < 0.25
@@ -350,7 +352,7 @@ def test_reconstruct_bias_is_that_of_the_sgs_projection():
     # the two rules, about 4 s.e. of a 200-seed mean from either.
     state = add_white_noise(bell_phi_plus(), 0.04)
     metrics = [run_tomography(simulate_counts(state, 10000, np.random.default_rng(seed)),
-                              replicas=2, seed=seed).metrics
+                              replicas=2, seed=seed)[1]
                for seed in range(200)]
     values = np.array([[m.fidelity, m.tangle, m.von_neumann] for m in metrics])
     mean_fidelity, mean_tangle, mean_entropy = values.mean(axis=0)
@@ -373,7 +375,8 @@ def test_bootstrap_sigma_coverage_is_below_nominal():
     hits = dict.fromkeys(measured, 0)
     for seed in range(seeds):
         counts = simulate_counts(state, 10000, np.random.default_rng(seed))
-        m = dataclasses.asdict(run_tomography(counts, replicas=200, seed=seed).metrics)
+        _, metrics = run_tomography(counts, replicas=200, seed=seed)
+        m = dataclasses.asdict(metrics)
         for name in measured:
             hits[name] += abs(m[name] - truth[name]) <= m[name + "_sigma"]
     for name, count in measured.items():
@@ -427,9 +430,9 @@ def test_bootstrap_needs_replicas():
 
 
 def test_run_tomography_composition():
-    run = run_tomography(_exact_counts(bell_phi_plus(), n=1e6), replicas=50, seed=4)
-    assert run.metrics.tangle == pytest.approx(1.0, abs=1e-6)
-    assert run.metrics.tangle_sigma < 0.01
+    _, metrics = run_tomography(_exact_counts(bell_phi_plus(), n=1e6), replicas=50, seed=4)
+    assert metrics.tangle == pytest.approx(1.0, abs=1e-6)
+    assert metrics.tangle_sigma < 0.01
 
 
 def test_run_tomography_builds_one_spectrum_per_stack(monkeypatch):

@@ -1,4 +1,4 @@
-"""Command-line entry point: reproducible experiments from JSON configs.
+"""Command-line entry point, and the package's one file boundary: every read, write and format.
 
 Every command is a pure function of its config file (for ``session`` and
 ``tomo``, with the seed that ``--seed`` may override; ``bell`` draws nothing):
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -18,10 +19,9 @@ import sys
 
 import numpy as np
 
-from . import otp, qmath
-from .detection import DetectorConfig, records_to_csv
-from .protocol import (SessionConfig, run_session, transcript_summary,
-                       transcript_to_dict)
+from . import otp
+from .detection import BASES, DetectorConfig, Trials
+from .protocol import SessionConfig, SessionTranscript, run_session
 from .states import (EveConfig, QuartzPlate, add_white_noise, after_eve, bell_phi_plus,
                      plate_gamma)
 from .tomography import (TOMO_SCHEDULE, CHSH_CANONICAL_ANGLES, correlator, run_tomography,
@@ -121,14 +121,21 @@ def _resolve_eve(eve: EveConfig, plate: QuartzPlate | None, eve_keys) -> EveConf
                      basis_policy=eve.basis_policy)
 
 
-def load_config(path: str, kind: str, seed_override: int | None = None) -> dict:
+def _read_input(path: str, what: str, syntax: str):
+    """The JSON value, or the nonempty CSV rows, of the file ``path`` as
+    ``syntax`` says, read as UTF-8 with an optional byte-order mark.  Any
+    failure to read or parse it is a ConfigError that names ``what``."""
     try:
-        with open(path, encoding="utf-8-sig") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        with open(path, encoding="utf-8-sig", newline="" if syntax == "CSV" else None) as fh:
+            return json.load(fh) if syntax == "JSON" else [row for row in csv.reader(fh) if row]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what}: {exc}") from exc
+    except (json.JSONDecodeError, RecursionError, csv.Error) as exc:
+        raise ConfigError(f"{what} is not valid {syntax}: {exc}") from exc
+
+
+def load_config(path: str, kind: str, seed_override: int | None = None) -> dict:
+    raw = _read_input(path, "config", "JSON")
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     if raw.get("kind") != kind:
@@ -179,6 +186,85 @@ def _dump_json(obj, path):
         fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
+def _write_counts_csv(counts, path):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["setting_a", "setting_b", "count"])
+        for (a, b), c in zip(TOMO_SCHEDULE, counts):
+            writer.writerow([a.value, b.value, f"{float(c):.10g}"])
+
+
+def mat_to_json(m) -> list:
+    """Row-major nested lists of [re, im] pairs, as ``density_matrix.json`` holds ``rho``."""
+    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
+
+
+# The columns of records.csv: the fields of Trials, in their order.
+CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(Trials))
+
+# Field texts of the values 0, 1 and -1 ("none") at index ``value & 3``;
+# -1 & 3 is 3, and 2 never occurs.
+_BASIS_FIELD = tuple(b.value for b in BASES) + ("", "")
+_BIT_FIELD = ("0", "1", "", "")
+
+# A records.csv row at the code that :func:`records_to_csv` packs from its
+# five fields: 4**5 = 1024 entries.
+_RECORD_TEXT = tuple(",".join(fields) + "\n" for fields in itertools.product(
+    *[_BASIS_FIELD if name.endswith("_basis") else _BIT_FIELD for name in CSV_COLUMNS]))
+
+# The rows' ASCII bytes, one 16-byte item each, zero-padded to that width; no
+# field text holds a NUL byte, so the zero padding is what a row drops.  The
+# longest row is 13 bytes, but numpy's ``take`` copies 16-byte items on a
+# fast path, and 13-byte items were no faster.
+_RECORD_ROWS = np.array(_RECORD_TEXT, dtype="S16")
+
+
+def records_to_csv(trials: Trials, fh, start: int = 0) -> None:
+    """Write one row per dwell interval to the open text file ``fh``.
+
+    Row ``i`` after the header is interval ``i``; there is no index column.
+    ``start`` is the index of the first interval in ``trials``, and the
+    header goes before row 0, so a session's tiles written in order make the
+    whole file.  Absent bases and bits are empty fields; a kept trial is a
+    row with both bits.  The five fields pack two bits each into a 10-bit
+    code, and the rows are one ``take`` of 16-byte items from a table of
+    every code's row; dropping their zero bytes leaves the rows' text.
+    """
+    code = np.zeros(len(trials), dtype=np.int16)
+    for name in CSV_COLUMNS:
+        code <<= 2
+        code |= getattr(trials, name) & 3
+    if start == 0:
+        fh.write(",".join(CSV_COLUMNS) + "\n")
+    raw = _RECORD_ROWS.take(code).view(np.uint8)
+    fh.write(str(raw[raw != 0], "ascii"))   # decodes the buffer, no bytes copy
+
+
+def transcript_summary(t: SessionTranscript) -> dict:
+    """``summary.json``: agreement, error-rate and key-length figures read
+    from the transcript's counts; the agreement of no sifted bits is 0.0."""
+    return {
+        "n_records": t.n_intervals,
+        "n_kept": t.n_kept,
+        "n_sifted": t.n_sifted,
+        "sifted_agreement": t.n_agree / t.n_sifted if t.n_sifted else 0.0,
+        "qber_estimate": t.qber_estimate,
+        "aborted": t.aborted,
+        "abort_reason": t.abort_reason,
+        "leaked_bits": t.leaked_bits,
+        "final_key_bits": int(len(t.final_key)),
+    }
+
+
+def transcript_to_dict(t: SessionTranscript) -> dict:
+    """``transcript.json``: the final key as lowercase hex plus its bit
+    length, the key file that ``qkdlab otp --key-file`` reads."""
+    return {
+        "final_key_hex": otp.bits_to_hex(t.final_key),
+        "final_key_len": int(len(t.final_key)),
+    }
+
+
 def cmd_session(cfg: dict, out_dir: str) -> int:
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "records.csv"), "w", encoding="utf-8", newline="") as fh:
@@ -196,11 +282,7 @@ def cmd_session(cfg: dict, out_dir: str) -> int:
 
 
 def _read_counts_csv(path) -> np.ndarray:
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            rows = [row for row in csv.reader(fh) if row]
-    except OSError as exc:
-        raise ConfigError(f"cannot read counts file: {exc}") from exc
+    rows = _read_input(path, "counts file", "CSV")
     if rows and [field.strip() for field in rows[0][:3]] == ["setting_a", "setting_b", "count"]:
         rows = rows[1:]
     table = {}
@@ -225,14 +307,6 @@ def _read_counts_csv(path) -> np.ndarray:
     return np.array(counts)
 
 
-def _write_counts_csv(counts, path):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["setting_a", "setting_b", "count"])
-        for (a, b), c in zip(TOMO_SCHEDULE, counts):
-            writer.writerow([a.value, b.value, f"{float(c):.10g}"])
-
-
 def cmd_tomo(cfg: dict, out_dir: str) -> int:
     if cfg["counts_file"] is not None:
         counts = _read_counts_csv(cfg["counts_file"])
@@ -245,7 +319,7 @@ def cmd_tomo(cfg: dict, out_dir: str) -> int:
     os.makedirs(out_dir, exist_ok=True)
     _write_counts_csv(counts, os.path.join(out_dir, "counts.csv"))
     _dump_json({"basis_order": list(BASIS_LABELS),
-                "rho": qmath.mat_to_json(rho_hat.rho)},
+                "rho": mat_to_json(rho_hat.rho)},
                os.path.join(out_dir, "density_matrix.json"))
     _dump_json(dataclasses.asdict(metrics), os.path.join(out_dir, "metrics.json"))
     print(f"tangle {metrics.tangle:.4f} +- {metrics.tangle_sigma:.4f}, "
@@ -275,8 +349,7 @@ def cmd_bell(cfg: dict, out_dir: str) -> int:
 def _load_key_bits(args) -> np.ndarray:
     if args.key_hex:
         return otp.hex_to_bits(args.key_hex)
-    with open(args.key_file, encoding="utf-8-sig") as fh:
-        transcript = json.load(fh)
+    transcript = _read_input(args.key_file, "key file", "JSON")
     if not isinstance(transcript, dict):
         raise ConfigError("key file must be a JSON object")
     key_hex = _take(transcript, "final_key_hex", str, "key file", required=True)

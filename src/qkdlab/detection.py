@@ -13,7 +13,6 @@ outcome from them with one uniform draw.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -200,44 +199,3 @@ def simulate_dwell_stream(rates: Rates, n_intervals: int, rng) -> Trials:
     return Trials(alice_basis=alice_basis, bob_basis=bob_basis, eve_basis=eve_basis,
                   alice_bit=_OUTCOME_BITS[0].take(outcome),
                   bob_bit=_OUTCOME_BITS[1].take(outcome))
-
-
-CSV_COLUMNS = ("alice_basis", "bob_basis", "eve_basis", "alice_bit", "bob_bit")
-
-# Field texts of the values 0, 1 and -1 ("none") at index ``value & 3``;
-# -1 & 3 is 3, and 2 never occurs.
-_BASIS_FIELD = tuple(b.value for b in BASES) + ("", "")
-_BIT_FIELD = ("0", "1", "", "")
-
-# A records.csv row at the code that :func:`records_to_csv` packs from its
-# five fields: 4**5 = 1024 entries.
-_RECORD_TEXT = tuple(",".join(fields) + "\n" for fields in itertools.product(
-    *[_BASIS_FIELD] * 3, *[_BIT_FIELD] * 2))
-
-# The rows' ASCII bytes, one 16-byte item each, zero-padded to that width; no
-# field text holds a NUL byte, so the zero padding is what a row drops.  The
-# longest row is 13 bytes, but numpy's ``take`` copies 16-byte items on a
-# fast path, and 13-byte items were no faster.
-_RECORD_ROWS = np.array(_RECORD_TEXT, dtype="S16")
-
-
-def records_to_csv(trials: Trials, fh, start: int = 0) -> None:
-    """Write one row per dwell interval to the open text file ``fh``.
-
-    Row ``i`` after the header is interval ``i``; there is no index column.
-    ``start`` is the index of the first interval in ``trials``, and the
-    header goes before row 0, so a session's tiles written in order make the
-    whole file.  Absent bases and bits are empty fields; a kept trial is a
-    row with both bits.  The five fields pack two bits each into a 10-bit
-    code, and the rows are one ``take`` of 16-byte items from a table of
-    every code's row; dropping their zero bytes leaves the rows' text.
-    """
-    code = np.zeros(len(trials), dtype=np.int16)
-    for column in (trials.alice_basis, trials.bob_basis, trials.eve_basis,
-                   trials.alice_bit, trials.bob_bit):
-        code <<= 2
-        code |= column & 3
-    if start == 0:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-    raw = _RECORD_ROWS.take(code).view(np.uint8)
-    fh.write(str(raw[raw != 0], "ascii"))   # decodes the buffer, no bytes copy

@@ -336,29 +336,3 @@ def run_session(config: SessionConfig, sink=None) -> SessionTranscript:
     key = distil(alice, bob, rng)
     return SessionTranscript(**vars(key), n_intervals=n, n_kept=n_kept, n_sifted=len(alice),
                              n_agree=n_agree)
-
-
-def transcript_summary(t: SessionTranscript) -> dict:
-    """Agreement, error-rate and key-length figures for reporting, read from
-    the transcript's counts; the agreement of no sifted bits is 0.0."""
-    return {
-        "n_records": t.n_intervals,
-        "n_kept": t.n_kept,
-        "n_sifted": t.n_sifted,
-        "sifted_agreement": t.n_agree / t.n_sifted if t.n_sifted else 0.0,
-        "qber_estimate": t.qber_estimate,
-        "aborted": t.aborted,
-        "abort_reason": t.abort_reason,
-        "leaked_bits": t.leaked_bits,
-        "final_key_bits": int(len(t.final_key)),
-    }
-
-
-def transcript_to_dict(t: SessionTranscript) -> dict:
-    """The final key as lowercase hex plus its bit length, the key file that
-    ``qkdlab otp --key-file`` reads; the run's scalars are in
-    :func:`transcript_summary` and the per-trial data in ``records.csv``."""
-    return {
-        "final_key_hex": otp.bits_to_hex(t.final_key),
-        "final_key_len": int(len(t.final_key)),
-    }

@@ -123,9 +123,3 @@ def nearest_physical(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """
     rho = (v * w[..., None, :]) @ dagger(v)
     return (rho + dagger(rho)) / 2.0
-
-
-def mat_to_json(m: np.ndarray) -> list:
-    """Row-major nested lists of [re, im] pairs (the CLI wire format)."""
-    m = as_complex(m)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]

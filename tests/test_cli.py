@@ -498,11 +498,16 @@ def _from_counts(**keys):
     ("session", None, None, "cannot read config: "),
     ("session", "{", None, "config is not valid JSON: "),
     ("session", "[]", None, "config must be a JSON object"),
+    ("session", "[" * 100_000 + "]" * 100_000, None,
+     "config is not valid JSON: maximum recursion depth exceeded"),
     ("tomo", _FROM_COUNTS, None, "cannot read counts file: "),
     ("tomo", _FROM_COUNTS, "H,H\n", "counts file row has 2 fields, expected 3"),
     ("tomo", _FROM_COUNTS, "H,H,many\n", "bad count value 'many'"),
     ("tomo", _FROM_COUNTS, _ALL_SETTINGS + "A,A,100\n",
      "counts file has settings outside the 16-setting schedule"),
+    # a field over the csv module's 131 072-character limit
+    ("tomo", _FROM_COUNTS, "setting_a,setting_b,count\nH,H," + "1" * 200_000 + "\n",
+     "counts file is not valid CSV: field larger than field limit (131072)\n"),
     # a plate sets Eve's axis and strength; the eve section may not set them too
     ("session", json.dumps(session_body(eve={"mode": "dephasing", "strength": 1.0},
                                         plate={"thickness_mm": 1.0})),
@@ -536,12 +541,12 @@ def _from_counts(**keys):
     ("tomo", json.dumps({"kind": "tomo", "seed": 1, "source_noise": -0.5}), None,
      "config: source_noise must be in [0, 1]\n"),
 ], ids=["plate_without_dephasing", "unreadable_config", "config_not_json",
-        "config_a_list", "unreadable_counts", "counts_row_of_two", "count_not_a_number",
-        "counts_17th_setting", "plate_beside_eve_strength", "plate_beside_eve_axis",
-        "axis_under_random_bases", "strength_under_intercept", "key_under_absent_eve",
-        "seed_for_bell", "n_per_setting_from_counts", "source_noise_from_counts",
-        "eve_from_counts", "plate_from_counts", "bell_source_noise_above_1",
-        "tomo_source_noise_below_0"])
+        "config_a_list", "config_nested_too_deep", "unreadable_counts", "counts_row_of_two",
+        "count_not_a_number", "counts_17th_setting", "counts_field_over_csv_limit",
+        "plate_beside_eve_strength", "plate_beside_eve_axis", "axis_under_random_bases",
+        "strength_under_intercept", "key_under_absent_eve", "seed_for_bell",
+        "n_per_setting_from_counts", "source_noise_from_counts", "eve_from_counts",
+        "plate_from_counts", "bell_source_noise_above_1", "tomo_source_noise_below_0"])
 def test_bad_input_files_exit_1(tmp_path, monkeypatch, capsys, kind, config, counts, error):
     # a config of None is a missing file, and so is counts.csv with counts None
     monkeypatch.chdir(tmp_path)
@@ -551,6 +556,40 @@ def test_bad_input_files_exit_1(tmp_path, monkeypatch, capsys, kind, config, cou
         (tmp_path / "counts.csv").write_text(counts, encoding="utf-8")
     assert main([kind, "--config", "c.json", "--out", "a"]) == 1
     assert capsys.readouterr().err.startswith(f"error: {error}")
+    assert not (tmp_path / "a").exists()
+
+
+@pytest.mark.parametrize("which, content, error", [
+    ("config", b"\xff\xfe{}", "cannot read config: 'utf-8' codec can't decode byte 0xff"),
+    ("counts", b"\xff\xfeH,H,1\n",
+     "cannot read counts file: 'utf-8' codec can't decode byte 0xff"),
+    ("key", b"\xff\xfe{}", "cannot read key file: 'utf-8' codec can't decode byte 0xff"),
+    ("key", b"[" * 100_000 + b"]" * 100_000,
+     "key file is not valid JSON: maximum recursion depth exceeded"),
+    ("key", b"{bad",
+     "key file is not valid JSON: Expecting property name enclosed in double quotes"),
+    ("key", None, "cannot read key file: [Errno 21] Is a directory: '.'"),
+], ids=["config_utf16", "counts_utf16", "key_utf16", "key_too_deep",
+        "key_not_json", "key_a_directory"])
+def test_unreadable_input_error_names_its_file(tmp_path, monkeypatch, capsys, which, content,
+                                               error):
+    # content None is the working directory itself as the path
+    monkeypatch.chdir(tmp_path)
+    path = {"config": "c.json", "counts": "counts.csv", "key": "key.json"}[which]
+    if content is None:
+        path = "."
+    else:
+        (tmp_path / path).write_bytes(content)
+    if which == "key":
+        argv = ["otp", "encrypt", "--text", "A", "--key-file", path]
+    else:
+        if which == "counts":
+            (tmp_path / "c.json").write_text(_FROM_COUNTS, encoding="utf-8")
+        argv = ["session" if which == "config" else "tomo", "--config", "c.json", "--out", "a"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {error}") and captured.err.count("\n") == 1
+    assert captured.out == ""
     assert not (tmp_path / "a").exists()
 
 

@@ -7,13 +7,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qkdlab.cli import load_config
-from qkdlab.detection import (DetectorConfig, Trials, expected_rates, records_to_csv,
-                              simulate_dwell_stream)
+from qkdlab.cli import load_config, records_to_csv, transcript_summary
+from qkdlab.detection import DetectorConfig, Trials, expected_rates, simulate_dwell_stream
 from qkdlab.optics import MeasBasis
 from qkdlab.protocol import (BLOCK_INTERVALS, MAX_INTERVALS, TAG_BITS, TILE_INTERVALS,
                              SessionConfig, _toeplitz_hash, distil, estimate_qber, h2,
-                             privacy_amplify, reconcile, run_session, sift, transcript_summary)
+                             privacy_amplify, reconcile, run_session, sift)
 from qkdlab.states import EveConfig, add_white_noise, bell_phi_plus
 from qkdlab import otp, protocol
 

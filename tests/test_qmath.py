@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qkdlab import qmath
+from qkdlab.cli import mat_to_json
 from qkdlab.states import bell_phi_plus, bell_phi_plus_ket
 
 from conftest import assert_close, random_density, random_hermitian
@@ -163,8 +164,8 @@ def test_nearest_physical_idempotent(rng):
 
 def test_matrix_json_roundtrip(rng):
     m = random_density(rng)
-    data = qmath.mat_to_json(m)
+    data = mat_to_json(m)
     assert isinstance(data[0][0], list) and len(data[0][0]) == 2
     assert data == [[[z.real, z.imag] for z in row] for row in m.tolist()]
-    assert qmath.mat_to_json([[1, 0.5j], [-0.5j, 2.5]]) == [
+    assert mat_to_json([[1, 0.5j], [-0.5j, 2.5]]) == [
         [[1.0, 0.0], [0.0, 0.5]], [[0.0, -0.5], [2.5, 0.0]]]

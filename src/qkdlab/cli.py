@@ -24,8 +24,8 @@ from .detection import BASES, DetectorConfig, Trials
 from .protocol import SessionConfig, SessionTranscript, run_session
 from .states import (EveConfig, QuartzPlate, add_white_noise, after_eve, bell_phi_plus,
                      plate_gamma)
-from .tomography import (TOMO_SCHEDULE, CHSH_CANONICAL_ANGLES, correlator, run_tomography,
-                         simulate_counts)
+from .tomography import (MAX_COUNT, TOMO_SCHEDULE, CHSH_CANONICAL_ANGLES, correlator,
+                         run_tomography, simulate_counts)
 
 BASIS_LABELS = ("HH", "HV", "VH", "VV")
 
@@ -191,7 +191,7 @@ def _write_counts_csv(counts, path):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["setting_a", "setting_b", "count"])
         for (a, b), c in zip(TOMO_SCHEDULE, counts):
-            writer.writerow([a.value, b.value, f"{float(c):.10g}"])
+            writer.writerow([a.value, b.value, np.format_float_positional(float(c), trim="-")])
 
 
 def mat_to_json(m) -> list:
@@ -296,6 +296,8 @@ def _read_counts_csv(path) -> np.ndarray:
             table[key] = float(row[2])
         except ValueError as exc:
             raise ConfigError(f"bad count value {row[2]!r}") from exc
+        if not 0 <= table[key] <= MAX_COUNT:
+            raise ConfigError(f"counts file count {row[2]!r} is not in [0, {MAX_COUNT:g}]")
     counts = []
     for a, b in TOMO_SCHEDULE:
         key = (a.value, b.value)

@@ -51,7 +51,7 @@ class SessionConfig:
             raise ValueError(f"n_intervals must be in [1, {MAX_INTERVALS}]")
 
 
-# The protocol is fixed; a config sets only the source, the detectors and Eve.
+# The protocol is fixed: no config or argument sets these; one function reads each.
 # Share of the sifted bits disclosed to estimate the error rate.
 QBER_SAMPLE_FRACTION = 0.2
 # An estimate above this aborts the session; the threshold itself proceeds.
@@ -103,8 +103,8 @@ def sift(trials: Trials) -> tuple[np.ndarray, np.ndarray]:
             trials.bob_bit[mask].astype(np.uint8))
 
 
-def estimate_qber(alice_bits, bob_bits, sample_fraction: float, rng):
-    """Disclose a random sample and measure its mismatch fraction.
+def estimate_qber(alice_bits, bob_bits, rng):
+    """Disclose a random :data:`QBER_SAMPLE_FRACTION` of the bits and measure its error rate.
 
     Returns ``(qber, remaining_alice, remaining_bob, disclosed_positions)``;
     the disclosed positions are removed from the remaining key material.
@@ -115,7 +115,7 @@ def estimate_qber(alice_bits, bob_bits, sample_fraction: float, rng):
     n = len(alice)
     if n == 0:
         raise ValueError("cannot estimate an error rate from an empty string")
-    sample_size = max(1, round(sample_fraction * n))
+    sample_size = max(1, round(QBER_SAMPLE_FRACTION * n))
     disclosed = np.sort(rng.choice(n, size=sample_size, replace=False))
     qber = float(np.mean(alice[disclosed] != bob[disclosed]))
     keep = np.ones(n, dtype=bool)
@@ -133,8 +133,8 @@ def h2(x: float) -> float:
 _INT32_MAX = np.iinfo(np.int32).max
 
 
-def reconcile(alice_bits, bob_bits, passes: int, *, qber_est: float, rng):
-    """Cascade error correction of Bob's string against Alice's.
+def reconcile(alice_bits, bob_bits, *, qber_est: float, rng):
+    """Cascade error correction of Bob's string against Alice's in :data:`CASCADE_PASSES` passes.
 
     Each pass shuffles the positions with the shared seeded stream and
     compares block parities, the first-pass block size being
@@ -168,7 +168,7 @@ def reconcile(alice_bits, bob_bits, passes: int, *, qber_est: float, rng):
     orders, ranks, sizes, parities = [], [], [], []
     leak = 0
 
-    for p in range(passes):
+    for p in range(CASCADE_PASSES):
         k = min(n, k1 * (2 ** p))
         order = np.arange(n, dtype=np.int32)
         rng.shuffle(order)   # the permutation rng.permutation(n) gives
@@ -240,20 +240,19 @@ def _toeplitz_hash(key: np.ndarray, m: int, rng_seed: int) -> np.ndarray:
     return (counts.astype(np.int64) & 1).astype(np.uint8)
 
 
-def privacy_amplify(key_bits, qber: float, leaked_bits: int, safety: int,
-                    rng_seed: int) -> np.ndarray:
+def privacy_amplify(key_bits, qber: float, leaked_bits: int, rng_seed: int) -> np.ndarray:
     """Compress the reconciled key with a seeded binary Toeplitz hash.
 
-    The output length is ``floor(n (1 - h2(qber)) - leaked_bits - safety)``
-    clamped at zero, and the output is :func:`_toeplitz_hash` of the key, a
-    pure function of ``(key, rng_seed)``.  Raises ``ValueError`` for a key
-    that is empty or not a flat sequence of 0s and 1s.
+    The output length is ``floor(n (1 - h2(qber)) - leaked_bits)`` clamped
+    at zero, ``leaked_bits`` including any safety margin, and the output is
+    :func:`_toeplitz_hash` of the key, a pure function of ``(key, rng_seed)``.
+    Raises ``ValueError`` for a key that is empty or not flat 0s and 1s.
     """
     key = otp.as_bits(key_bits)
     n = len(key)
     if n == 0:
         raise ValueError("privacy_amplify needs a nonempty key")
-    m = math.floor(n * (1.0 - h2(qber)) - leaked_bits - safety)
+    m = math.floor(n * (1.0 - h2(qber)) - leaked_bits)
     if m <= 0:
         return np.zeros(0, dtype=np.uint8)
     return _toeplitz_hash(key, m, rng_seed)
@@ -262,29 +261,28 @@ def privacy_amplify(key_bits, qber: float, leaked_bits: int, safety: int,
 def distil(alice_bits, bob_bits, rng) -> KeyResult:
     """Distil a key from Alice's and Bob's sifted strings, every draw from ``rng``.
 
-    Empty strings abort, as does a disclosed sample of
-    :data:`QBER_SAMPLE_FRACTION` whose error rate exceeds
-    :data:`ABORT_THRESHOLD` or that leaves no bits; Cascade then runs
-    :data:`CASCADE_PASSES` passes.  Unequal lengths, or strings that
-    :func:`otp.as_bits` refuses, raise ``ValueError`` before any draw.
+    Empty strings abort, as does a disclosed sample (:func:`estimate_qber`)
+    whose error rate exceeds :data:`ABORT_THRESHOLD` or that leaves no bits;
+    :func:`reconcile` then corrects Bob's string.  Unequal lengths, or strings
+    that :func:`otp.as_bits` refuses, raise ``ValueError`` before any draw.
 
     After Cascade, Alice and Bob compare a :data:`TAG_BITS`-bit Toeplitz hash of
     their reconciled strings, seeded by a value drawn after the
     privacy-amplification seed; the tag counts as leaked, and a mismatch aborts.
     The hash is linear over GF(2), so the tags differ exactly when the tag of
     the residual-error string ``alice ^ bob`` is nonzero, the one tag computed
-    (and only if a bit differs).  Bob's string is then hashed to the final key,
-    removing :data:`PA_SAFETY_BITS` beyond the leak, and a 0-bit key aborts;
-    Alice's key, equal unless an error escaped the tag, is not computed.
+    (and only if a bit differs).  :func:`privacy_amplify` then hashes Bob's string
+    to the final key, removing :data:`PA_SAFETY_BITS` beyond the leak, and a 0-bit
+    key aborts; Alice's key, equal unless an error escaped the tag, is not computed.
     """
     if len(alice_bits) == len(bob_bits) == 0:
         return KeyResult(None, "no_sifted_bits", 0, np.zeros(0, dtype=np.uint8), None)
-    qber, rem_alice, rem_bob, _ = estimate_qber(alice_bits, bob_bits, QBER_SAMPLE_FRACTION, rng)
+    qber, rem_alice, rem_bob, _ = estimate_qber(alice_bits, bob_bits, rng)
     if qber > ABORT_THRESHOLD:
         return KeyResult(qber, "qber_above_threshold", 0, np.zeros(0, dtype=np.uint8), None)
     if len(rem_alice) == 0:
         return KeyResult(qber, "nothing_left_after_sampling", 0, np.zeros(0, dtype=np.uint8), None)
-    corrected_bob, leaked = reconcile(rem_alice, rem_bob, CASCADE_PASSES, qber_est=qber, rng=rng)
+    corrected_bob, leaked = reconcile(rem_alice, rem_bob, qber_est=qber, rng=rng)
     pa_seed = int(rng.integers(0, 2 ** 63))
     tag_seed = int(rng.integers(0, 2 ** 63))
     leaked += TAG_BITS
@@ -293,7 +291,7 @@ def distil(alice_bits, bob_bits, rng) -> KeyResult:
     if residual_errors and _toeplitz_hash(residual, TAG_BITS, tag_seed).any():
         return KeyResult(qber, "key_verification_failed", leaked, np.zeros(0, dtype=np.uint8),
                          residual_errors)
-    final_key = privacy_amplify(corrected_bob, qber, leaked, PA_SAFETY_BITS, pa_seed)
+    final_key = privacy_amplify(corrected_bob, qber, leaked + PA_SAFETY_BITS, pa_seed)
     return KeyResult(qber, None if final_key.size else "no_key_after_amplification", leaked,
                      final_key, residual_errors)
 

@@ -21,11 +21,6 @@ TRACE_TOL = 1e-10
 EIGVAL_FLOOR = -1e-8
 
 
-def as_complex(m) -> np.ndarray:
-    """Return a fresh complex ndarray copy of ``m``."""
-    return np.array(m, dtype=complex)
-
-
 def dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix or of each matrix in a stack."""
     return np.conj(m).swapaxes(-1, -2)
@@ -78,7 +73,7 @@ def herm_eig(m: np.ndarray):
     holding the matching eigenvectors as columns, so that
     ``m == v @ diag(w) @ v.conj().T`` to within 1e-8.  Works on a stack.
     """
-    m = as_complex(m)
+    m = np.array(m, dtype=complex)
     if not is_hermitian(m):
         raise ValueError("herm_eig: input is not Hermitian")
     w, v = np.linalg.eigh(m)

@@ -41,7 +41,7 @@ class TwoQubitState:
     rho: np.ndarray
 
     def __post_init__(self):
-        rho = qmath.as_complex(self.rho)
+        rho = np.array(self.rho, dtype=complex)
         if rho.shape != (4, 4):
             raise ValueError("TwoQubitState needs a 4x4 matrix")
         if not qmath.is_density(rho):

@@ -67,14 +67,17 @@ _BLOCK = 256
 # minutes and pin each sigma to ~0.02 % (1/sqrt(2 replicas)); a larger
 # count is refused rather than left to run for hours or, from a typo, years.
 MAX_REPLICAS = 10 ** 7
+# numpy's Poisson sampler refuses a mean above ~9.2e18: a count stays at or
+# below this, so a simulated count above its mean can still be resampled.
+MAX_COUNT = 1e18
 
 
 def _checked_counts(counts) -> np.ndarray:
     counts = np.asarray(counts, dtype=float)
     if counts.shape != (len(TOMO_SCHEDULE),):
         raise ReconstructionError(f"expected {len(TOMO_SCHEDULE)} counts")
-    if not np.all((counts >= 0) & (counts < np.inf)):
-        raise ReconstructionError("counts must be finite and nonnegative")
+    if not np.all((counts >= 0) & (counts <= MAX_COUNT)):
+        raise ReconstructionError(f"counts must be finite and in [0, {MAX_COUNT:g}]")
     return counts
 
 
@@ -113,6 +116,8 @@ def simulate_counts(s: TwoQubitState, n_per_setting: float, rng) -> np.ndarray:
     """Poisson counts with mean ``n_per_setting * Tr[rho Pi_k]``."""
     if n_per_setting <= 0:
         raise ValueError("n_per_setting must be positive")
+    if n_per_setting > MAX_COUNT:
+        raise ValueError(f"n_per_setting must be at most {MAX_COUNT:g}")
     means = np.clip(n_per_setting * expected_probs(s), 0.0, None)
     return rng.poisson(means)
 

@@ -405,6 +405,18 @@ def test_tomo_counts_file_roundtrip(tmp_path):
     cfg4 = write_config(tmp_path, "t4.json", dict(body, counts_file=str(spaced)))
     assert main(["tomo", "--config", cfg4, "--out", str(tmp_path / "d")]) == 0
     assert read_tree(tmp_path / "d")["density_matrix.json"] == a["density_matrix.json"]
+    # counts of 10^10 and more keep every digit, so the file gives back the same run
+    big = {"kind": "tomo", "seed": 1, "replicas": 2}
+    cfg5 = write_config(tmp_path, "t5.json", dict(big, n_per_setting=1e11))
+    assert main(["tomo", "--config", cfg5, "--out", str(tmp_path / "e")]) == 0
+    cfg6 = write_config(tmp_path, "t6.json",
+                        dict(big, counts_file=str(tmp_path / "e" / "counts.csv")))
+    assert main(["tomo", "--config", cfg6, "--out", str(tmp_path / "f")]) == 0
+    e, f = read_tree(tmp_path / "e"), read_tree(tmp_path / "f")
+    assert "H,H,50000007368\n" in e["counts.csv"].decode()
+    assert e["density_matrix.json"] == f["density_matrix.json"]
+    assert e["metrics.json"] == f["metrics.json"]
+    assert e["counts.csv"] == f["counts.csv"]
 
 
 def test_tomo_partial_gating_equals_scaled_strength(tmp_path):
@@ -468,12 +480,21 @@ _PLATE_NEEDS_FIXED = ("a quartz plate fixes the dephasing axis, "
      "unknown key(s) in config: reconciliation_passes"),
     # above protocol.MAX_INTERVALS: refused before records.csv is opened
     ("session", {"n_intervals": 10 ** 400}, "config: n_intervals must be in [1, 100000000]"),
+    # above tomography.MAX_COUNT: numpy's Poisson draw would refuse the mean
+    ("tomo", {"n_per_setting": 1e300}, "n_per_setting must be at most 1e+18"),
+    ("tomo", {"n_per_setting": 2e19}, "n_per_setting must be at most 1e+18"),
+    # ... or the bootstrap's resampling of the count
+    ("tomo", {"counts_file": "huge.csv"}, "counts file count '2e19' is not in [0, 1e+18]"),
 ], ids=["no_counts_per_setting", "one_replica", "counts_missing_a_setting", "empty_counts_path",
         "three_angles", "tomo_plate_under_random_bases", "session_plate_under_random_bases",
-        "replicas_above_max", "protocol_constant_key", "intervals_above_max"])
+        "replicas_above_max", "protocol_constant_key", "intervals_above_max",
+        "counts_per_setting_1e300", "counts_per_setting_2e19", "counts_file_count_2e19"])
 def test_failed_run_leaves_no_output_directory(tmp_path, monkeypatch, capsys, kind, body, error):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "malformed.csv").write_text("setting_a,setting_b,count\nH,H,100\n")
+    (tmp_path / "huge.csv").write_text("".join(
+        f"{a.value},{b.value},{'2e19' if i == 5 else 100}\n"
+        for i, (a, b) in enumerate(TOMO_SCHEDULE)))
     if kind != "bell":  # a seed only where the run reads one: each case fails for its own reason
         body = dict(body, seed=1)
     cfg = write_config(tmp_path, "c.json", dict(body, kind=kind))

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import io
 import math
@@ -10,9 +11,9 @@ import pytest
 from qkdlab.cli import load_config, records_to_csv, transcript_summary
 from qkdlab.detection import DetectorConfig, Trials, expected_rates, simulate_dwell_stream
 from qkdlab.optics import MeasBasis
-from qkdlab.protocol import (BLOCK_INTERVALS, MAX_INTERVALS, TAG_BITS, TILE_INTERVALS,
-                             SessionConfig, _toeplitz_hash, distil, estimate_qber, h2,
-                             privacy_amplify, reconcile, run_session, sift)
+from qkdlab.protocol import (BLOCK_INTERVALS, CASCADE_PASSES, MAX_INTERVALS, TAG_BITS,
+                             TILE_INTERVALS, SessionConfig, _toeplitz_hash, distil,
+                             estimate_qber, h2, privacy_amplify, reconcile, run_session, sift)
 from qkdlab.states import EveConfig, add_white_noise, bell_phi_plus
 from qkdlab import otp, protocol
 
@@ -76,7 +77,7 @@ def test_sift_drops_rows_with_one_bit():
 
 def test_estimate_qber_identical(rng):
     alice = np.ones(100, dtype=np.uint8)
-    qber, rem_a, rem_b, disclosed = estimate_qber(alice, alice.copy(), 0.2, rng)
+    qber, rem_a, rem_b, disclosed = estimate_qber(alice, alice.copy(), rng)
     assert qber == 0.0
     assert len(rem_a) == len(rem_b) == 80
     assert len(disclosed) == 20
@@ -85,7 +86,7 @@ def test_estimate_qber_identical(rng):
 def test_estimate_qber_all_mismatched(rng):
     alice = np.zeros(50, dtype=np.uint8)
     bob = np.ones(50, dtype=np.uint8)
-    qber, *_ = estimate_qber(alice, bob, 0.5, rng)
+    qber, *_ = estimate_qber(alice, bob, rng)
     assert qber == 1.0
 
 
@@ -95,15 +96,17 @@ def test_estimate_qber_planted_errors(rng):
     bob = alice.copy()
     flipped = rng.choice(n, 250, replace=False)
     bob[flipped] ^= 1
-    qber, rem_a, rem_b, _ = estimate_qber(alice, bob, 1.0, rng)
-    assert qber == pytest.approx(0.25, abs=1e-12)
-    assert len(rem_a) == 0 and len(rem_b) == 0
+    qber, rem_a, rem_b, disclosed = estimate_qber(alice, bob, rng)
+    assert len(disclosed) == 200 and len(rem_a) == len(rem_b) == 800
+    assert qber == np.count_nonzero(alice[disclosed] != bob[disclosed]) / 200
+    # every planted error is either disclosed or left for Cascade
+    assert round(qber * 200) + np.count_nonzero(rem_a != rem_b) == 250
 
 
 def test_estimate_qber_removes_disclosed_positions(rng):
     alice = np.arange(100, dtype=np.uint8) % 2
     bob = alice.copy()
-    _, rem_a, _, disclosed = estimate_qber(alice, bob, 0.3, rng)
+    _, rem_a, _, disclosed = estimate_qber(alice, bob, rng)
     keep = np.ones(100, dtype=bool)
     keep[disclosed] = False
     assert rem_a.tolist() == alice[keep].tolist()
@@ -111,9 +114,9 @@ def test_estimate_qber_removes_disclosed_positions(rng):
 
 def test_estimate_qber_empty_rejected(rng):
     with pytest.raises(ValueError):
-        estimate_qber(np.zeros(0, np.uint8), np.zeros(0, np.uint8), 0.2, rng)
+        estimate_qber(np.zeros(0, np.uint8), np.zeros(0, np.uint8), rng)
     with pytest.raises(ValueError, match="equal length"):
-        estimate_qber(np.zeros(5, np.uint8), np.zeros(6, np.uint8), 0.2, rng)
+        estimate_qber(np.zeros(5, np.uint8), np.zeros(6, np.uint8), rng)
 
 
 def test_session_aborts_only_above_the_threshold(monkeypatch):
@@ -141,13 +144,13 @@ def test_h2_properties():
 
 def test_reconcile_identical_strings_leak_is_block_parities_only(rng):
     alice = rng.integers(0, 2, 64).astype(np.uint8)
-    corrected, leak = reconcile(alice, alice.copy(), 4, qber_est=0.05,
+    corrected, leak = reconcile(alice, alice.copy(), qber_est=0.05,
                                 rng=np.random.default_rng(0))
     assert corrected.tolist() == alice.tolist()
     # first-pass block size ceil(0.73/0.05) = 15, doubling each pass;
     # expected disclosures = number of blocks per pass, nothing else
     expected_leak = 0
-    for p in range(4):
+    for p in range(CASCADE_PASSES):
         k = min(64, 15 * 2 ** p)
         expected_leak += math.ceil(64 / k)
     assert leak == expected_leak
@@ -157,11 +160,12 @@ def test_reconcile_single_error_bisection_count():
     alice = np.zeros(16, dtype=np.uint8)
     bob = alice.copy()
     bob[11] = 1
-    corrected, leak = reconcile(alice, bob, 1, qber_est=0.01,
+    corrected, leak = reconcile(alice, bob, qber_est=0.01,
                                 rng=np.random.default_rng(1))
     assert corrected.tolist() == alice.tolist()
-    # one block parity + ceil(log2 16) bisection parities
-    assert leak == 1 + 4
+    # every pass is one 16-bit block: pass 0 discloses its parity and
+    # ceil(log2 16) bisection parities, each later pass one even parity
+    assert leak == 1 + 4 + (CASCADE_PASSES - 1)
 
 
 def test_reconcile_seeded_case_corrects_everything():
@@ -169,7 +173,7 @@ def test_reconcile_seeded_case_corrects_everything():
     alice = rng.integers(0, 2, 256).astype(np.uint8)
     bob = alice.copy()
     bob[rng.choice(256, 8, replace=False)] ^= 1
-    corrected, leak = reconcile(alice, bob, 4, qber_est=8 / 256, rng=rng)
+    corrected, leak = reconcile(alice, bob, qber_est=8 / 256, rng=rng)
     assert corrected.tolist() == alice.tolist()
     assert leak > 0
 
@@ -185,36 +189,19 @@ def test_reconcile_success_rate_contract(n, qber):
         alice = rng.integers(0, 2, n).astype(np.uint8)
         bob = alice.copy()
         bob[rng.choice(n, n_err, replace=False)] ^= 1
-        corrected, _ = reconcile(alice, bob, 4, qber_est=qber, rng=rng)
+        corrected, _ = reconcile(alice, bob, qber_est=qber, rng=rng)
         ok += int(np.array_equal(corrected, alice))
     floor = math.floor(0.99 * trials - 4 * math.sqrt(trials * 0.99 * 0.01))
     assert ok >= floor, f"success {ok}/{trials}"
 
 
-def test_passes_beyond_the_cap_leak_one_bit_each_and_correct_nothing():
-    # pass index 31 is one whole-string block for any k1 >= 1, so each pass
-    # after the 32nd is one even block: one parity message, no correction
-    extra = 40 - 32
-    for n in (100, 1000, 10_000):
-        for seed in range(5):
-            data = np.random.default_rng([n, seed])
-            alice = data.integers(0, 2, n, dtype=np.uint8)
-            bob = alice ^ (data.random(n) < 0.05).astype(np.uint8)
-            capped, capped_leak = reconcile(alice, bob, 32, qber_est=0.05,
-                                            rng=np.random.default_rng(seed))
-            more, more_leak = reconcile(alice, bob, 40, qber_est=0.05,
-                                        rng=np.random.default_rng(seed))
-            assert np.array_equal(more, capped), (n, seed)
-            assert more_leak == capped_leak + extra, (n, seed)
-
-
 def test_reconcile_length_mismatch_rejected():
     with pytest.raises(ValueError):
-        reconcile(np.zeros(8, np.uint8), np.zeros(9, np.uint8), 4,
+        reconcile(np.zeros(8, np.uint8), np.zeros(9, np.uint8),
                   qber_est=0.05, rng=np.random.default_rng(0))
     # empty strings are equal: nothing to correct, nothing disclosed
     bob = np.zeros(0, np.uint8)
-    corrected, leaked = reconcile(np.zeros(0, np.uint8), bob, 4,
+    corrected, leaked = reconcile(np.zeros(0, np.uint8), bob,
                                   qber_est=0.05, rng=np.random.default_rng(0))
     assert corrected.shape == (0,) and corrected is not bob and leaked == 0
 
@@ -223,7 +210,7 @@ def test_reconcile_rejects_strings_beyond_int32_indices():
     # zero-stride views: the length check must come before any allocation
     too_long = np.broadcast_to(np.uint8(0), (2 ** 31,))
     with pytest.raises(ValueError, match="int32"):
-        reconcile(too_long, too_long, 4, qber_est=0.05, rng=np.random.default_rng(0))
+        reconcile(too_long, too_long, qber_est=0.05, rng=np.random.default_rng(0))
 
 
 class _LedgerCascade:
@@ -278,7 +265,7 @@ class _LedgerCascade:
                     stack.append(other)
 
 
-def _ledger_reconcile(alice_bits, bob_bits, passes, qber_est, rng):
+def _ledger_reconcile(alice_bits, bob_bits, qber_est, rng):
     alice = np.asarray(alice_bits, dtype=np.uint8).copy()
     bob = np.asarray(bob_bits, dtype=np.uint8).copy()
     n = len(alice)
@@ -286,7 +273,7 @@ def _ledger_reconcile(alice_bits, bob_bits, passes, qber_est, rng):
         return bob, 0
     ledger = _LedgerCascade(alice, bob)
     k1 = math.ceil(0.73 / max(qber_est, 0.01))
-    for p in range(passes):
+    for p in range(CASCADE_PASSES):
         k = min(n, k1 * (2 ** p))
         order = rng.permutation(n)
         for start in range(0, n, k):
@@ -297,19 +284,16 @@ def _ledger_reconcile(alice_bits, bob_bits, passes, qber_est, rng):
 def test_reconcile_matches_ledger_reference():
     for n in (1, 2, 7, 64, 257, 1000, 13000):
         for qber in (0.0, 0.005, 0.03, 0.08, 0.15, 0.3):
-            for passes in (1, 2, 4, 6):
-                case = (n, qber, passes)
-                data = np.random.default_rng([n, passes, round(qber * 1000)])
-                alice = data.integers(0, 2, n, dtype=np.uint8)
-                bob = alice ^ (data.random(n) < qber).astype(np.uint8)
-                seed = int(data.integers(0, 2 ** 32))
-                got, leak = reconcile(alice, bob, passes, qber_est=qber,
-                                      rng=np.random.default_rng(seed))
-                want, want_leak = _ledger_reconcile(alice, bob, passes, qber,
-                                                    np.random.default_rng(seed))
-                assert got.dtype == np.uint8, case
-                assert np.array_equal(got, want), case
-                assert leak == want_leak, case
+            case = (n, qber)
+            data = np.random.default_rng([n, CASCADE_PASSES, round(qber * 1000)])
+            alice = data.integers(0, 2, n, dtype=np.uint8)
+            bob = alice ^ (data.random(n) < qber).astype(np.uint8)
+            seed = int(data.integers(0, 2 ** 32))
+            got, leak = reconcile(alice, bob, qber_est=qber, rng=np.random.default_rng(seed))
+            want, want_leak = _ledger_reconcile(alice, bob, qber, np.random.default_rng(seed))
+            assert got.dtype == np.uint8, case
+            assert np.array_equal(got, want), case
+            assert leak == want_leak, case
 
 
 def test_session_keys_golden():
@@ -329,7 +313,7 @@ def test_session_keys_golden():
 
 def test_privacy_amplify_golden_vector():
     key = np.random.default_rng(42).integers(0, 2, size=128, dtype=np.uint8)
-    out = privacy_amplify(key, qber=0.0, leaked_bits=0, safety=0, rng_seed=0)
+    out = privacy_amplify(key, qber=0.0, leaked_bits=0, rng_seed=0)
     assert len(out) == 128
     # independent oracle: explicit double-loop Toeplitz multiply over GF(2)
     n = m = 128
@@ -347,16 +331,16 @@ def test_privacy_amplify_golden_vector():
 
 def test_privacy_amplify_clamps_to_empty():
     key = np.ones(64, dtype=np.uint8)
-    assert len(privacy_amplify(key, 0.0, leaked_bits=64, safety=0, rng_seed=1)) == 0
-    assert len(privacy_amplify(key, 0.5, leaked_bits=0, safety=0, rng_seed=1)) == 0
+    assert len(privacy_amplify(key, 0.0, leaked_bits=64, rng_seed=1)) == 0
+    assert len(privacy_amplify(key, 0.5, leaked_bits=0, rng_seed=1)) == 0
 
 
 def test_privacy_amplify_deterministic():
     key = np.random.default_rng(3).integers(0, 2, 200, dtype=np.uint8)
-    a = privacy_amplify(key, 0.02, 40, 10, rng_seed=99)
-    b = privacy_amplify(key, 0.02, 40, 10, rng_seed=99)
+    a = privacy_amplify(key, 0.02, 40 + 10, rng_seed=99)
+    b = privacy_amplify(key, 0.02, 40 + 10, rng_seed=99)
     assert a.tolist() == b.tolist()
-    c = privacy_amplify(key, 0.02, 40, 10, rng_seed=100)
+    c = privacy_amplify(key, 0.02, 40 + 10, rng_seed=100)
     assert a.tolist() != c.tolist()
 
 
@@ -382,8 +366,8 @@ def test_privacy_amplify_matches_dense_matrix(n, m):
     rng = np.random.default_rng(n * 7919 + m)
     for key in (rng.integers(0, 2, n, dtype=np.uint8),
                 np.ones(n, dtype=np.uint8)):
-        # qber 0 and no safety margin: m = n - leaked_bits.
-        out = privacy_amplify(key, 0.0, n - m, 0, rng_seed=m)
+        # qber 0: m = n - leaked_bits.
+        out = privacy_amplify(key, 0.0, n - m, rng_seed=m)
         assert out.dtype == np.uint8
         assert out.tolist() == _dense_toeplitz_hash(key, m, m).tolist()
 
@@ -391,7 +375,7 @@ def test_privacy_amplify_matches_dense_matrix(n, m):
 def test_privacy_amplify_exact_against_integer_convolution():
     n = 30_000
     key = np.random.default_rng(11).integers(0, 2, n, dtype=np.uint8)
-    out = privacy_amplify(key, 0.03, 500, 30, rng_seed=12)
+    out = privacy_amplify(key, 0.03, 500 + 30, rng_seed=12)
     m = math.floor(n * (1.0 - h2(0.03)) - 500 - 30)
     seed_bits = _seed_bits(n, m, 12).astype(np.int64)
     expected = np.convolve(seed_bits, key.astype(np.int64), "valid") % 2
@@ -418,7 +402,7 @@ def test_privacy_amplify_million_bit_key_stays_bounded():
     key = np.random.default_rng(13).integers(0, 2, n, dtype=np.uint8)
     tracemalloc.start()
     try:
-        out = privacy_amplify(key, 0.02, 1000, 30, rng_seed=14)
+        out = privacy_amplify(key, 0.02, 1000 + 30, rng_seed=14)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -439,7 +423,7 @@ def test_privacy_amplify_rounding_check_raises(monkeypatch):
                         lambda *args: real_irfft(*args) + 0.3)
     key = np.ones(64, dtype=np.uint8)
     with pytest.raises(ArithmeticError, match="rounding"):
-        privacy_amplify(key, 0.0, 0, 0, rng_seed=1)
+        privacy_amplify(key, 0.0, 0, rng_seed=1)
 
 
 def test_privacy_amplify_rejects_non_bit_keys():
@@ -447,9 +431,9 @@ def test_privacy_amplify_rejects_non_bit_keys():
     for key in (np.full(64, 2, dtype=np.uint8), [0, 1, 3],
                 np.ones((8, 8), dtype=np.uint8), [0.9] * 300, [-1] * 64):
         with pytest.raises(ValueError, match="0s and 1s"):
-            privacy_amplify(key, 0.0, 0, 0, rng_seed=1)
+            privacy_amplify(key, 0.0, 0, rng_seed=1)
     with pytest.raises(ValueError, match="nonempty"):
-        privacy_amplify(np.zeros(0, dtype=np.uint8), 0.0, 0, 0, rng_seed=1)
+        privacy_amplify(np.zeros(0, dtype=np.uint8), 0.0, 0, rng_seed=1)
 
 
 @pytest.mark.parametrize("bits", [
@@ -461,9 +445,9 @@ def test_key_half_rejects_non_bit_strings(bits):
     rng = np.random.default_rng(2)
     state = rng.bit_generator.state
     with pytest.raises(ValueError, match="0s and 1s"):
-        estimate_qber(bits, bits, 0.2, rng)
+        estimate_qber(bits, bits, rng)
     with pytest.raises(ValueError, match="0s and 1s"):
-        reconcile(bits, bits, 4, qber_est=0.05, rng=rng)
+        reconcile(bits, bits, qber_est=0.05, rng=rng)
     with pytest.raises(ValueError, match="0s and 1s"):
         distil(bits, bits, rng)
     assert rng.bit_generator.state == state   # refused before any draw
@@ -660,8 +644,8 @@ def test_final_keys_agree_on_200_keygen_seeds(monkeypatch):
     # and Alice's key, hashed as Bob's was, must equal the final key.
     seen = {}
 
-    def spy_reconcile(alice_bits, bob_bits, passes, *, qber_est, rng):
-        corrected, leak = reconcile(alice_bits, bob_bits, passes, qber_est=qber_est, rng=rng)
+    def spy_reconcile(alice_bits, bob_bits, *, qber_est, rng):
+        corrected, leak = reconcile(alice_bits, bob_bits, qber_est=qber_est, rng=rng)
         seen["pair"] = (alice_bits, corrected)
         # the session's next two draws: the PA seed, then the tag seed
         after = np.random.default_rng()
@@ -753,8 +737,8 @@ def test_distil_from_plain_strings(alice, bob, reason):
         return
     # replay the sample and Cascade on the same generator for Cascade's leak
     rng = np.random.default_rng(8)
-    qber, rem_alice, rem_bob, _ = estimate_qber(alice, bob, protocol.QBER_SAMPLE_FRACTION, rng)
-    _, leak = reconcile(rem_alice, rem_bob, protocol.CASCADE_PASSES, qber_est=qber, rng=rng)
+    qber, rem_alice, rem_bob, _ = estimate_qber(alice, bob, rng)
+    _, leak = reconcile(rem_alice, rem_bob, qber_est=qber, rng=rng)
     assert key.qber_estimate == qber == 0.0
     assert key.residual_errors == 0
     assert key.leaked_bits == leak + TAG_BITS
@@ -806,3 +790,40 @@ def test_session_config_validation():
     with pytest.raises(ValueError, match="n_intervals"):
         SessionConfig(seed=1, n_intervals=MAX_INTERVALS + 1)
     SessionConfig(seed=1, n_intervals=MAX_INTERVALS)
+
+
+# Each protocol setting is decided in one place: the function that reads its
+# constant.  No function takes one as an argument.
+PACKAGE = os.path.join(os.path.dirname(__file__), os.pardir, "src", "qkdlab")
+SETTING_READERS = {"QBER_SAMPLE_FRACTION": "protocol.estimate_qber",
+                   "CASCADE_PASSES": "protocol.reconcile", "PA_SAFETY_BITS": "protocol.distil"}
+
+
+def _setting_reads(tree, module):
+    """(constant, reader) for every read of a setting, the reader being the
+    top-level function or class that holds it, or ``<module>``."""
+    for top in tree.body:
+        name = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            read = (node.id if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                    else node.attr if isinstance(node, ast.Attribute) else None)
+            if read in SETTING_READERS:
+                yield read, f"{module}.{name}"
+
+
+def test_each_protocol_setting_is_read_by_one_function_and_passed_by_none():
+    readers = {}
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), filename=name)
+            for constant, reader in _setting_reads(tree, name[:-3]):
+                readers.setdefault(constant, set()).add(reader)
+    assert readers == {constant: {reader} for constant, reader in SETTING_READERS.items()}
+    with open(os.path.join(PACKAGE, "protocol.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    knobs = [f"{node.name}({arg.arg})" for node in tree.body
+             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+             for arg in node.args.args + node.args.kwonlyargs
+             if arg.arg in ("sample_fraction", "passes", "safety")]
+    assert not knobs, "protocol settings passed as arguments: " + ", ".join(knobs)

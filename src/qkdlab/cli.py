@@ -21,10 +21,9 @@ import numpy as np
 
 from . import otp
 from .detection import BASES, DetectorConfig, Trials
-from .protocol import SessionConfig, SessionTranscript, run_session
-from .states import (EveConfig, QuartzPlate, add_white_noise, after_eve, bell_phi_plus,
-                     plate_gamma)
-from .tomography import (MAX_COUNT, TOMO_SCHEDULE, CHSH_CANONICAL_ANGLES, correlator,
+from .protocol import MAX_INTERVALS, SessionConfig, SessionTranscript, run_session
+from .states import EveConfig, QuartzPlate, plate_gamma
+from .tomography import (MAX_COUNT, TOMO_SCHEDULE, BellConfig, TomoConfig, correlator,
                          run_tomography, simulate_counts)
 
 BASIS_LABELS = ("HH", "HV", "VH", "VV")
@@ -41,11 +40,9 @@ def _check_keys(section: dict, allowed: set, where: str):
                           f"(it reads {', '.join(sorted(allowed))})")
 
 
-def _take(section: dict, key: str, types, where: str, required=False, default=None):
+def _take(section: dict, key: str, types, where: str):
     if key not in section:
-        if required:
-            raise ConfigError(f"missing required key '{key}' in {where}")
-        return default
+        raise ConfigError(f"missing required key '{key}' in {where}")
     value = section[key]
     if types is float and isinstance(value, int) and not isinstance(value, bool):
         value = float(value) if abs(value) <= sys.float_info.max else math.inf  # not finite
@@ -56,7 +53,8 @@ def _take(section: dict, key: str, types, where: str, required=False, default=No
     return value
 
 
-_TYPES = {"float": float, "int": int, "str": str}
+# A field's type by its annotation; JSON has no tuple, so a tuple is read from a list.
+_TYPES = {"float": float, "int": int, "str": str, "str | None": str, "tuple[float, ...]": list}
 
 
 def _parse_section(cls, section: dict, where: str, **fixed):
@@ -69,7 +67,7 @@ def _parse_section(cls, section: dict, where: str, **fixed):
     kwargs = dict(fixed)
     for f in dataclasses.fields(cls):
         if f.name not in fixed and (f.name in section or f.default is dataclasses.MISSING):
-            kwargs[f.name] = _take(section, f.name, _TYPES[f.type], where, required=True)
+            kwargs[f.name] = _take(section, f.name, _TYPES[f.type], where)
     try:
         return cls(**kwargs)
     except ValueError as exc:
@@ -115,70 +113,67 @@ def _resolve_eve(eve: EveConfig, plate: QuartzPlate | None, eve_keys) -> EveConf
     if pinned:
         raise ConfigError(f"{' and '.join(pinned)} cannot be set beside a quartz plate, "
                           "whose axis and thickness fix them")
-    return EveConfig(mode="dephasing", basis_angle=plate.axis_angle_deg,
-                     strength=plate_gamma(plate),
-                     intercept_fraction=eve.intercept_fraction,
-                     basis_policy=eve.basis_policy)
+    return dataclasses.replace(eve, basis_angle=plate.axis_angle_deg,
+                               strength=plate_gamma(plate))
 
 
-def _read_input(path: str, what: str, syntax: str):
-    """The JSON value, or the nonempty CSV rows, of the file ``path`` as
-    ``syntax`` says, read as UTF-8 with an optional byte-order mark.  Any
-    failure to read or parse it is a ConfigError that names ``what``."""
+# Files above these sizes are refused unparsed.  A config needs a few hundred bytes; a
+# key file holds at most a MAX_INTERVALS-bit key as hex, plus a config's size for the rest.
+_MAX_CONFIG_BYTES = 1 << 20
+_MAX_KEY_FILE_BYTES = MAX_INTERVALS // 4 + _MAX_CONFIG_BYTES
+
+
+def _read_input(path: str, what: str, syntax: str, max_bytes=None, parse_rows=None):
+    """The file ``path``, read as UTF-8 with an optional byte-order mark: for
+    ``syntax`` "JSON", its value, refused unparsed above ``max_bytes``; for "CSV",
+    ``parse_rows`` of its nonempty rows, read one at a time.  Any failure to read
+    or parse the file is a ConfigError that names ``what``."""
     try:
         with open(path, encoding="utf-8-sig", newline="" if syntax == "CSV" else None) as fh:
-            return json.load(fh) if syntax == "JSON" else [row for row in csv.reader(fh) if row]
+            if syntax == "CSV":
+                return parse_rows(row for row in csv.reader(fh) if row)
+            size = os.fstat(fh.fileno()).st_size
+            # a pipe or device has no size, so its read stops one character past the cap
+            text = fh.read(max_bytes + 1) if size <= max_bytes else ""
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {what}: {exc}") from exc
-    except (json.JSONDecodeError, RecursionError, csv.Error) as exc:
-        raise ConfigError(f"{what} is not valid {syntax}: {exc}") from exc
+    except csv.Error as exc:
+        raise ConfigError(f"{what} is not valid CSV: {exc}") from exc
+    if max(size, len(text)) > max_bytes:
+        raise ConfigError(f"{what} is larger than {max_bytes} bytes")
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also an int past Python's digit limit
+        raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
 
 
-def load_config(path: str, kind: str, seed_override: int | None = None) -> dict:
-    raw = _read_input(path, "config", "JSON")
+_CONFIGS = {"session": SessionConfig, "tomo": TomoConfig, "bell": BellConfig}
+
+
+def load_config(path: str, kind: str, seed_override: int | None = None):
+    """The config of the ``kind`` command, an instance of its class in ``_CONFIGS``."""
+    raw = _read_input(path, "config", "JSON", max_bytes=_MAX_CONFIG_BYTES)
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     if raw.get("kind") != kind:
         raise ConfigError(f"config kind is '{raw.get('kind')}', but this command needs '{kind}'")
 
-    # The keys each run reads are the only ones its config, or --seed, may set.
+    # A run reads its class's fields and the plate, which sets Eve, and no other key may
+    # be set.  The one exception: a tomo run from a counts file reads only these three.
     raw = raw if seed_override is None else dict(raw, seed=seed_override)
-    from_counts = kind == "tomo" and "counts_file" in raw
-    reads = {"seed", "replicas", "counts_file"} if from_counts else {
-        "session": {"seed", "plate"} | _field_names(SessionConfig),
-        "tomo": {"seed", "replicas", "n_per_setting", "source_noise", "eve", "plate"},
-        "bell": {"angles", "source_noise", "eve", "plate"}}[kind]
+    cls = _CONFIGS[kind]
+    fields = _field_names(cls)
+    reads = ({"seed", "replicas", "counts_file"} if kind == "tomo" and "counts_file" in raw
+             else fields | {"plate"})
     _check_keys(raw, reads | {"kind"}, "config")
-
-    out = {"kind": kind}
-    if "seed" in reads:
-        out["seed"] = seed = _take(raw, "seed", int, "config", required=True)
-        if seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {seed}")
-    if "eve" in reads:
-        out["eve"] = eve = _resolve_eve(
-            _parse_nested(raw, "eve", EveConfig) or EveConfig(),
-            _parse_nested(raw, "plate", QuartzPlate), raw.get("eve", {}))
-        out["source_noise"] = _take(raw, "source_noise", float, "config",
-                                    default=SessionConfig.source_noise)
-    if kind == "session":
-        out["session"] = _parse_section(
-            SessionConfig, raw, "config", seed=seed, source_noise=out["source_noise"], eve=eve,
-            detector=_parse_nested(raw, "detector", DetectorConfig) or DetectorConfig())
-    elif kind == "tomo":
-        out["n_per_setting"] = _take(raw, "n_per_setting", float, "config", default=10000.0)
-        out["replicas"] = _take(raw, "replicas", int, "config", default=200)
-        out["counts_file"] = _take(raw, "counts_file", str, "config", default=None)
-    elif kind == "bell":
-        angles = _take(raw, "angles", list, "config", default=list(CHSH_CANONICAL_ANGLES))
-        if len(angles) != 4 or not all(isinstance(a, (int, float)) and not isinstance(a, bool)
-                                       and abs(a) <= sys.float_info.max for a in angles):
-            raise ConfigError("angles must be four finite numbers [a, a', b, b']")
-        out["angles"] = [float(a) for a in angles]
-    # for tomo and bell: a session's SessionConfig has already checked it
-    if not 0.0 <= out.get("source_noise", 0.0) <= 1.0:
-        raise ConfigError("config: source_noise must be in [0, 1]")
-    return out
+    # The beam's sections, parsed and checked here alone, for the classes that have them.
+    beam = {"eve": _resolve_eve(_parse_nested(raw, "eve", EveConfig) or EveConfig(),
+                                _parse_nested(raw, "plate", QuartzPlate), raw.get("eve", {})),
+            "detector": _parse_nested(raw, "detector", DetectorConfig) or DetectorConfig()}
+    cfg = _parse_section(cls, raw, "config", **{k: v for k, v in beam.items() if k in fields})
+    if "seed" in reads and cfg.seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {cfg.seed}")
+    return cfg
 
 
 def _dump_json(obj, path):
@@ -265,11 +260,11 @@ def transcript_to_dict(t: SessionTranscript) -> dict:
     }
 
 
-def cmd_session(cfg: dict, out_dir: str) -> int:
+def cmd_session(cfg: SessionConfig, out_dir: str) -> int:
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "records.csv"), "w", encoding="utf-8", newline="") as fh:
         transcript = run_session(
-            cfg["session"], sink=lambda start, trials: records_to_csv(trials, fh, start))
+            cfg, sink=lambda start, trials: records_to_csv(trials, fh, start))
     _dump_json(transcript_to_dict(transcript), os.path.join(out_dir, "transcript.json"))
     summary = transcript_summary(transcript)
     _dump_json(summary, os.path.join(out_dir, "summary.json"))
@@ -281,17 +276,20 @@ def cmd_session(cfg: dict, out_dir: str) -> int:
     return 2 if transcript.aborted else 0
 
 
-def _read_counts_csv(path) -> np.ndarray:
-    rows = _read_input(path, "counts file", "CSV")
-    if rows and [field.strip() for field in rows[0][:3]] == ["setting_a", "setting_b", "count"]:
-        rows = rows[1:]
+def _counts_from_rows(rows) -> np.ndarray:
+    """The counts in schedule order from a counts file's rows, read until the first
+    that is malformed, repeats a setting or comes after the 16th setting."""
     table = {}
-    for row in rows:
+    for i, row in enumerate(rows):
+        if i == 0 and [field.strip() for field in row[:3]] == ["setting_a", "setting_b", "count"]:
+            continue
         if len(row) != 3:
             raise ConfigError(f"counts file row has {len(row)} fields, expected 3")
         key = (row[0].strip(), row[1].strip())
         if key in table:
             raise ConfigError(f"counts file repeats the {key[0]}{key[1]} setting")
+        if len(table) == len(TOMO_SCHEDULE):
+            raise ConfigError("counts file has settings outside the 16-setting schedule")
         try:
             table[key] = float(row[2])
         except ValueError as exc:
@@ -304,19 +302,16 @@ def _read_counts_csv(path) -> np.ndarray:
         if key not in table:
             raise ConfigError(f"counts file is missing the {key[0]}{key[1]} setting")
         counts.append(table[key])
-    if len(table) != len(TOMO_SCHEDULE):
-        raise ConfigError("counts file has settings outside the 16-setting schedule")
     return np.array(counts)
 
 
-def cmd_tomo(cfg: dict, out_dir: str) -> int:
-    if cfg["counts_file"] is not None:
-        counts = _read_counts_csv(cfg["counts_file"])
+def cmd_tomo(cfg: TomoConfig, out_dir: str) -> int:
+    if cfg.counts_file is not None:
+        counts = _read_input(cfg.counts_file, "counts file", "CSV", parse_rows=_counts_from_rows)
     else:
-        rng = np.random.default_rng(cfg["seed"])
-        state = after_eve(add_white_noise(bell_phi_plus(), cfg["source_noise"]), cfg["eve"])
-        counts = simulate_counts(state, cfg["n_per_setting"], rng)
-    rho_hat, metrics = run_tomography(counts, replicas=cfg["replicas"], seed=cfg["seed"])
+        rng = np.random.default_rng(cfg.seed)
+        counts = simulate_counts(cfg.measured_state(), cfg.n_per_setting, rng)
+    rho_hat, metrics = run_tomography(counts, replicas=cfg.replicas, seed=cfg.seed)
 
     os.makedirs(out_dir, exist_ok=True)
     _write_counts_csv(counts, os.path.join(out_dir, "counts.csv"))
@@ -330,17 +325,17 @@ def cmd_tomo(cfg: dict, out_dir: str) -> int:
     return 0
 
 
-def cmd_bell(cfg: dict, out_dir: str) -> int:
+def cmd_bell(cfg: BellConfig, out_dir: str) -> int:
     """Write the correlators E(a,b), E(a,b'), E(a',b), E(a',b') at the
     configured angles [a, a', b, b'] and S, their signed sum (+, -, +, +)."""
-    state = after_eve(add_white_noise(bell_phi_plus(), cfg["source_noise"]), cfg["eve"])
-    a, a_prime, b, b_prime = cfg["angles"]
+    state = cfg.measured_state()
+    a, a_prime, b, b_prime = cfg.angles
     e = [correlator(state, x, y)
          for x, y in ((a, b), (a, b_prime), (a_prime, b), (a_prime, b_prime))]
     table = dict(zip(("E(a,b)", "E(a,b')", "E(a',b)", "E(a',b')"), e))
     s_value = e[0] - e[1] + e[2] + e[3]
     os.makedirs(out_dir, exist_ok=True)
-    _dump_json({"angles": cfg["angles"], "correlators": table, "s_value": s_value},
+    _dump_json({"angles": cfg.angles, "correlators": table, "s_value": s_value},
                os.path.join(out_dir, "bell.json"))
     for name, value in table.items():
         print(f"{name} = {value:+.6f}")
@@ -351,11 +346,11 @@ def cmd_bell(cfg: dict, out_dir: str) -> int:
 def _load_key_bits(args) -> np.ndarray:
     if args.key_hex:
         return otp.hex_to_bits(args.key_hex)
-    transcript = _read_input(args.key_file, "key file", "JSON")
+    transcript = _read_input(args.key_file, "key file", "JSON", max_bytes=_MAX_KEY_FILE_BYTES)
     if not isinstance(transcript, dict):
         raise ConfigError("key file must be a JSON object")
-    key_hex = _take(transcript, "final_key_hex", str, "key file", required=True)
-    key_len = _take(transcript, "final_key_len", int, "key file", required=True)
+    key_hex = _take(transcript, "final_key_hex", str, "key file")
+    key_len = _take(transcript, "final_key_len", int, "key file")
     bits = otp.hex_to_bits(key_hex)
     if not 0 <= key_len <= len(bits):
         raise ConfigError(f"key file final_key_len {key_len} does not fit "

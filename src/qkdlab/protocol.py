@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .detection import DetectorConfig, Trials, expected_rates, simulate_dwell_stream
-from .states import EveConfig, add_white_noise, bell_phi_plus
+from .states import Beam, EveConfig, add_white_noise, bell_phi_plus
 from . import otp
 
 
@@ -37,7 +37,7 @@ TILE_INTERVALS = 1 << 12
 
 
 @dataclass(frozen=True)
-class SessionConfig:
+class SessionConfig(Beam):
     seed: int
     n_intervals: int = 10000
     source_noise: float = 0.0
@@ -45,8 +45,7 @@ class SessionConfig:
     detector: DetectorConfig = field(default_factory=DetectorConfig)
 
     def __post_init__(self):
-        if not 0.0 <= self.source_noise <= 1.0:
-            raise ValueError("source_noise must be in [0, 1]")
+        super().__post_init__()
         if not 1 <= self.n_intervals <= MAX_INTERVALS:
             raise ValueError(f"n_intervals must be in [1, {MAX_INTERVALS}]")
 

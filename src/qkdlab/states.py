@@ -183,6 +183,19 @@ def after_eve(s: TwoQubitState, eve: EveConfig) -> TwoQubitState:
     return mixture(weights, states)
 
 
+class Beam:
+    """The pairs that a run measures, for a config dataclass with the fields
+    ``source_noise``, the source's white-noise fraction, and ``eve``."""
+
+    def __post_init__(self):
+        if not 0.0 <= self.source_noise <= 1.0:
+            raise ValueError("source_noise must be in [0, 1]")
+
+    def measured_state(self) -> TwoQubitState:
+        """The state that ``tomo`` and ``bell`` measure: the noisy source after Eve."""
+        return after_eve(add_white_noise(bell_phi_plus(), self.source_noise), self.eve)
+
+
 def plate_delay_fs(plate: QuartzPlate) -> float:
     """Temporal walk-off between the plate's fast and slow components."""
     return plate.birefringence * plate.thickness_mm / SPEED_OF_LIGHT_MM_PER_FS

@@ -1,4 +1,4 @@
-"""Two-photon state tomography, state metrics and the CHSH correlator.
+"""Two-photon state tomography, state metrics, CHSH, and the ``tomo`` and ``bell`` configs.
 
 Reconstruction is linear inversion against the fixed 16-setting projective
 schedule, followed by the Smolin-Gambetta-Smith projection onto the nearest
@@ -12,13 +12,14 @@ path as :func:`run_tomography`'s counts vector.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+import sys
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
 from . import qmath
 from .optics import PolState, linear_projectors, projector
-from .states import TwoQubitState, bell_phi_plus_ket
+from .states import Beam, EveConfig, TwoQubitState, bell_phi_plus_ket
 
 # Analyzer filter settings (first photon, second photon) in measurement
 # order.  The first four form a complete basis, so their counts estimate the
@@ -270,3 +271,31 @@ def chsh(s: TwoQubitState, a: float, a_prime: float, b: float, b_prime: float) -
 
 
 CHSH_CANONICAL_ANGLES = (0.0, 45.0, 22.5, 67.5)
+
+
+@dataclass(frozen=True)
+class TomoConfig(Beam):
+    """A ``tomo`` run; :func:`simulate_counts` and :func:`bootstrap_metrics` check its ranges."""
+
+    seed: int
+    replicas: int = 200
+    n_per_setting: float = 10000.0
+    source_noise: float = 0.0
+    eve: EveConfig = field(default_factory=EveConfig)
+    counts_file: str | None = None
+
+
+@dataclass(frozen=True)
+class BellConfig(Beam):
+    """A ``bell`` run at the analyzer angles [a, a', b, b'], in degrees."""
+
+    angles: tuple[float, ...] = CHSH_CANONICAL_ANGLES
+    source_noise: float = 0.0
+    eve: EveConfig = field(default_factory=EveConfig)
+
+    def __post_init__(self):
+        super().__post_init__()
+        if len(self.angles) != 4 or not all(isinstance(a, (int, float)) and not isinstance(a, bool)
+                                            and abs(a) <= sys.float_info.max for a in self.angles):
+            raise ValueError("angles must be four finite numbers [a, a', b, b']")
+        object.__setattr__(self, "angles", tuple(float(a) for a in self.angles))

@@ -467,7 +467,7 @@ _PLATE_NEEDS_FIXED = ("a quartz plate fixes the dephasing axis, "
     ("tomo", {"counts_file": "malformed.csv"}, "counts file is missing the HV setting"),
     # an empty path is an unreadable file, not a request to simulate
     ("tomo", {"counts_file": ""}, "cannot read counts file: "),
-    ("bell", {"angles": [0.0, 45.0, 22.5]}, "angles must be four finite numbers"),
+    ("bell", {"angles": [0.0, 45.0, 22.5]}, "config: angles must be four finite numbers"),
     # a plate's axis would be ignored by an Eve who picks her basis per trial
     ("tomo", {"eve": {"mode": "dephasing", "basis_policy": "random_per_trial"},
               "plate": {"thickness_mm": 1.0}}, _PLATE_NEEDS_FIXED),
@@ -556,18 +556,29 @@ def _from_counts(**keys):
     ("tomo", _from_counts(eve={"mode": "dephasing", "strength": 1.0, "basis_angle": 45.0}),
      _ALL_SETTINGS, _COUNTS_ONLY % "eve"),
     ("tomo", _from_counts(plate={"thickness_mm": 1.0}), _ALL_SETTINGS, _COUNTS_ONLY % "plate"),
+    # a run's keys are its config class's fields, plus kind and plate
+    ("session", json.dumps(session_body(bogus=1)), None,
+     "unknown key(s) in config: bogus (it reads detector, eve, kind, n_intervals, plate, seed, "
+     "source_noise)"),
+    ("tomo", json.dumps({"kind": "tomo", "seed": 1, "bogus": 1}), None,
+     "unknown key(s) in config: bogus (it reads counts_file, eve, kind, n_per_setting, plate, "
+     "replicas, seed, source_noise)"),
     # an out-of-range source_noise gets the session's text, which names the key
     ("bell", json.dumps({"kind": "bell", "source_noise": 1.5}), None,
      "config: source_noise must be in [0, 1]\n"),
     ("tomo", json.dumps({"kind": "tomo", "seed": 1, "source_noise": -0.5}), None,
      "config: source_noise must be in [0, 1]\n"),
+    # an integer past Python's int-string digit limit is a JSON error that names the file
+    ("session", '{"kind": "session", "seed": ' + "1" * 5001 + "}", None,
+     "config is not valid JSON: Exceeds the limit (4300 digits) for integer string conversion"),
 ], ids=["plate_without_dephasing", "unreadable_config", "config_not_json",
         "config_a_list", "config_nested_too_deep", "unreadable_counts", "counts_row_of_two",
         "count_not_a_number", "counts_17th_setting", "counts_field_over_csv_limit",
         "plate_beside_eve_strength", "plate_beside_eve_axis", "axis_under_random_bases",
         "strength_under_intercept", "key_under_absent_eve", "seed_for_bell",
         "n_per_setting_from_counts", "source_noise_from_counts", "eve_from_counts",
-        "plate_from_counts", "bell_source_noise_above_1", "tomo_source_noise_below_0"])
+        "plate_from_counts", "session_unknown_key", "tomo_unknown_key",
+        "bell_source_noise_above_1", "tomo_source_noise_below_0", "config_int_over_digit_limit"])
 def test_bad_input_files_exit_1(tmp_path, monkeypatch, capsys, kind, config, counts, error):
     # a config of None is a missing file, and so is counts.csv with counts None
     monkeypatch.chdir(tmp_path)
@@ -590,15 +601,25 @@ def test_bad_input_files_exit_1(tmp_path, monkeypatch, capsys, kind, config, cou
     ("key", b"{bad",
      "key file is not valid JSON: Expecting property name enclosed in double quotes"),
     ("key", None, "cannot read key file: [Errno 21] Is a directory: '.'"),
+    ("key", b'{"final_key_hex": "ab", "final_key_len": ' + b"1" * 5001 + b"}",
+     "key file is not valid JSON: Exceeds the limit (4300 digits) for integer string conversion"),
+    # above the size caps: refused before a byte is parsed
+    ("config", (1 << 20) + 1, "config is larger than 1048576 bytes\n"),
+    ("key", 10 ** 8 // 4 + (1 << 20) + 1, "key file is larger than 26048576 bytes\n"),
 ], ids=["config_utf16", "counts_utf16", "key_utf16", "key_too_deep",
-        "key_not_json", "key_a_directory"])
+        "key_not_json", "key_a_directory", "key_int_over_digit_limit", "config_over_size_cap",
+        "key_over_size_cap"])
 def test_unreadable_input_error_names_its_file(tmp_path, monkeypatch, capsys, which, content,
                                                error):
-    # content None is the working directory itself as the path
+    # content None is the working directory itself as the path, and an int
+    # the size of a file of NUL bytes that takes no disk space
     monkeypatch.chdir(tmp_path)
     path = {"config": "c.json", "counts": "counts.csv", "key": "key.json"}[which]
     if content is None:
         path = "."
+    elif isinstance(content, int):
+        with open(tmp_path / path, "wb") as fh:
+            fh.truncate(content)
     else:
         (tmp_path / path).write_bytes(content)
     if which == "key":
@@ -616,17 +637,17 @@ def test_unreadable_input_error_names_its_file(tmp_path, monkeypatch, capsys, wh
 
 def test_omitted_keys_take_the_dataclass_defaults(tmp_path):
     cfg = write_config(tmp_path, "s.json", {"kind": "session", "seed": 5})
-    assert load_config(cfg, "session")["session"] == SessionConfig(seed=5)
+    assert load_config(cfg, "session") == SessionConfig(seed=5)
 
     cfg = write_config(tmp_path, "d.json", {"kind": "session", "seed": 5,
                                             "detector": {"dark_rate": 0.7}})
-    assert load_config(cfg, "session")["session"].detector == DetectorConfig(dark_rate=0.7)
+    assert load_config(cfg, "session").detector == DetectorConfig(dark_rate=0.7)
 
     cfg = write_config(tmp_path, "t.json", {"kind": "tomo", "seed": 5,
                                             "eve": {"mode": "dephasing"},
                                             "plate": {"thickness_mm": 1.0}})
     expected = _resolve_eve(EveConfig(mode="dephasing"), QuartzPlate(1.0), {"mode": "dephasing"})
-    assert load_config(cfg, "tomo")["eve"] == expected
+    assert load_config(cfg, "tomo").eve == expected
 
     cfg = write_config(tmp_path, "p.json", {"kind": "tomo", "seed": 5,
                                             "eve": {"mode": "dephasing"},

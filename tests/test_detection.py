@@ -18,6 +18,7 @@ from qkdlab.optics import MeasBasis, PolState
 from qkdlab.protocol import TILE_INTERVALS
 from qkdlab.states import (EveConfig, TwoQubitState, add_white_noise, after_eve, bell_phi_plus,
                            bell_phi_plus_ket, eve_scenarios)
+from qkdlab.tomography import BellConfig
 
 from conftest import (assert_close, binomial_sigma, intercept_branches, kron_outcome_probs,
                       random_density)
@@ -300,7 +301,7 @@ def test_intercept_rates_match_branch_oracle(state, eve, eve_bases):
 def _session_cases():
     """Every session preset, and the ideal one with half interception."""
     def preset(name):
-        return load_config(os.path.join(CONFIG_DIR, name + ".json"), "session")["session"]
+        return load_config(os.path.join(CONFIG_DIR, name + ".json"), "session")
 
     names = sorted(n[:-5] for n in os.listdir(CONFIG_DIR) if n.startswith("session_"))
     return ([pytest.param(preset(name), id=name) for name in names]
@@ -323,7 +324,7 @@ def test_session_eve_matches_the_tomo_and_bell_state(mode, policy, fraction, ang
                     basis_policy=policy)
     detector = DetectorConfig()
     session = expected_rates(add_white_noise(bell_phi_plus(), noise), detector, eve)
-    prepared = expected_rates(after_eve(add_white_noise(bell_phi_plus(), noise), eve),
+    prepared = expected_rates(BellConfig(source_noise=noise, eve=eve).measured_state(),
                               detector, EveConfig())
     assert session.qber == pytest.approx(prepared.qber, abs=1e-12)
     k = 2 if policy == "random_per_trial" else 1

@@ -123,7 +123,7 @@ def test_session_aborts_only_above_the_threshold(monkeypatch):
     # the boundary is inclusive: a QBER estimate equal to the threshold proceeds
     path = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
                         "session_no_eve_imperfect.json")
-    cfg = load_config(path, "session")["session"]
+    cfg = load_config(path, "session")
     q = run_session(cfg).qber_estimate
     assert 0.0 < q < protocol.ABORT_THRESHOLD
     monkeypatch.setattr(protocol, "ABORT_THRESHOLD", q)
@@ -300,7 +300,7 @@ def test_session_keys_golden():
     # Frozen figures: a change here changes the distilled keys.
     path = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
                         "session_no_eve_imperfect.json")
-    preset = run_session(load_config(path, "session")["session"])
+    preset = run_session(load_config(path, "session"))
     assert (preset.leaked_bits, len(preset.final_key)) == (326, 579)
     keygen = run_session(SessionConfig(
         seed=3, n_intervals=100_000, source_noise=0.04,

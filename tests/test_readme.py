@@ -97,7 +97,7 @@ def test_readme_config_example_runs(tmp_path, capsys):
     # 0 for a key, 2 for an abort at the error threshold; never a config error
     assert main(["session", "--config", str(config), "--out", str(tmp_path / "out")]) in (0, 2)
     capsys.readouterr()
-    eve = load_config(str(config), "session")["eve"]
+    eve = load_config(str(config), "session").eve
     plate = QuartzPlate(**body["plate"])
     assert eve.basis_angle == plate.axis_angle_deg
     assert eve.strength == plate_gamma(plate)

@@ -1,13 +1,17 @@
 """Checks at scale, each on a fresh python child so its max RSS is its own:
-a 10^6-interval session writes pinned bytes below 100 MB, and an
+a 10^6-interval session writes pinned bytes below 100 MB; an
 intercept-abort session at 10^5 intervals and tomo at 200 000 bootstrap
-replicas each stay within 4 MB of an import-only child."""
+replicas each stay within 4 MB of an import-only child; and an oversized
+counts file, config or key file is refused in under a second within the same
+4 MB."""
 
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import threading
+import time
 
 import pytest
 
@@ -92,3 +96,62 @@ def test_max_rss_stays_within_4_mb_of_import_only(tmp_path, import_only_mb, case
     assert status == expected
     assert rss_mb - import_only_mb < 4, \
         f"max RSS {rss_mb:.1f} MB, {rss_mb - import_only_mb:+.1f} MB above import only"
+
+
+def _oversized_counts(tmp_path):
+    # a header, then one setting 2·10^6 times: 12 MB, refused at its second row
+    counts = tmp_path / "counts.csv"
+    counts.write_text("setting_a,setting_b,count\n" + "H,H,1\n" * 2_000_000)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"kind": "tomo", "seed": 1, "counts_file": str(counts)}))
+    return ["tomo", "--config", str(config), "--out", str(tmp_path / "out")]
+
+
+def _sparse(path, size):
+    """``path`` as a file of ``size`` NUL bytes that takes no disk space."""
+    with open(path, "wb") as fh:
+        fh.truncate(size)
+    return str(path)
+
+
+def _config_from_a_pipe(tmp_path):
+    # a pipe has no size, so the read stops one character past the cap; the
+    # writer's 64 MiB bound the run's memory even if it does not
+    fifo = tmp_path / "config.json"
+    os.mkfifo(fifo)
+
+    def feed():
+        try:
+            with open(fifo, "wb", buffering=0) as fh:
+                fh.write(b" " * (64 << 20))
+        except BrokenPipeError:   # the reader stopped and closed its end
+            pass
+
+    threading.Thread(target=feed, daemon=True).start()
+    return ["session", "--config", str(fifo), "--out", str(tmp_path / "out")]
+
+
+# each refused before it is parsed: past its first repeated row, or past the
+# size cap of its reader
+OVERSIZED_INPUTS = {
+    "counts_file_12_mb": _oversized_counts,
+    "config_64_mb": lambda tmp_path: [
+        "session", "--config", _sparse(tmp_path / "config.json", 64 << 20),
+        "--out", str(tmp_path / "out")],
+    "config_from_a_pipe": _config_from_a_pipe,
+    "key_file_64_mb": lambda tmp_path: [
+        "otp", "encrypt", "--text", "QKD", "--key-file", _sparse(tmp_path / "key.json", 64 << 20)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERSIZED_INPUTS))
+def test_oversized_input_is_refused_in_bounded_time_and_memory(tmp_path, import_only_mb, case):
+    argv = OVERSIZED_INPUTS[case](tmp_path)
+    start = time.perf_counter()
+    status, rss_mb = _child(CLI, *argv)
+    elapsed = time.perf_counter() - start
+    assert status == 1
+    assert elapsed < 1.0, f"{elapsed:.2f} s"
+    assert rss_mb - import_only_mb < 4, \
+        f"max RSS {rss_mb:.1f} MB, {rss_mb - import_only_mb:+.1f} MB above import only"
+    assert not (tmp_path / "out").exists()

@@ -192,8 +192,7 @@ def test_trace_tables_are_the_per_matrix_loops_bit_for_bit(rng):
                                             "configs", "*.json")))
     # a preset's kind is its name up to the first "_"
     configs = [load_config(path, os.path.basename(path).split("_")[0]) for path in presets]
-    states = [after_eve(add_white_noise(bell_phi_plus(), cfg["source_noise"]), cfg["eve"])
-              for cfg in configs]
+    states = [cfg.measured_state() for cfg in configs]
     states += [TwoQubitState(random_density(rng)) for _ in range(100)]
     for state in states:
         want = np.array([np.trace(state.rho @ pk).real for pk in _PROJECTORS])
@@ -390,10 +389,9 @@ def test_bootstrap_golden():
     path = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
                         "tomo_no_eve.json")
     cfg = load_config(path, "tomo")
-    state = after_eve(add_white_noise(bell_phi_plus(), cfg["source_noise"]), cfg["eve"])
-    counts = simulate_counts(state, cfg["n_per_setting"],
-                             np.random.default_rng(cfg["seed"]))
-    metrics = bootstrap_metrics(counts, replicas=cfg["replicas"], seed=cfg["seed"])
+    counts = simulate_counts(cfg.measured_state(), cfg.n_per_setting,
+                             np.random.default_rng(cfg.seed))
+    metrics = bootstrap_metrics(counts, replicas=cfg.replicas, seed=cfg.seed)
     assert dataclasses.asdict(metrics) == pytest.approx({
         "tangle": 0.8353694316321768, "tangle_sigma": 0.042291581793766415,
         "von_neumann": 0.29110943834738107, "von_neumann_sigma": 0.06490797117764187,

@@ -53,48 +53,43 @@ def _take(section: dict, key: str, types, where: str):
     return value
 
 
-# A field's type by its annotation; JSON has no tuple, so a tuple is read from a list.
-_TYPES = {"float": float, "int": int, "str": str, "str | None": str, "tuple[float, ...]": list}
+# A field's type by its annotation; JSON has no tuple, so a tuple is read from a list.  A
+# field of a config class is a section: the JSON object under the field's name.
+_TYPES = {"float": float, "int": int, "str": str, "str | None": str, "tuple[float, ...]": list,
+          "EveConfig": EveConfig, "DetectorConfig": DetectorConfig}
 
 
-def _parse_section(cls, section: dict, where: str, **fixed):
-    """Build the dataclass ``cls`` from a config section.
-
-    Each field not given in ``fixed`` is read from the key of the same name,
-    typed by the field's annotation; an absent key takes the field's default,
-    and a field without one is required.
-    """
-    kwargs = dict(fixed)
-    for f in dataclasses.fields(cls):
-        if f.name not in fixed and (f.name in section or f.default is dataclasses.MISSING):
-            kwargs[f.name] = _take(section, f.name, _TYPES[f.type], where)
+def _parse_section(cls, section, where: str):
+    """Build the dataclass ``cls`` from the config section ``where``, a JSON object
+    whose keys are fields of ``cls``.  Each field is read from the key of its name
+    and typed by its annotation in ``_TYPES``; a field of a config class is the
+    section of its name, read by this function.  An absent key takes the field's
+    default or default factory, and a field with neither is required."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"config section '{where}' must be a JSON object")
+    fields = dataclasses.fields(cls)
+    _check_keys(section, {f.name for f in fields}, where)
+    kwargs = {}
+    for f in fields:
+        types = _TYPES[f.type]
+        if f.name in section and dataclasses.is_dataclass(types):
+            kwargs[f.name] = _parse_section(types, section[f.name], f.name)
+        elif f.name in section or (f.default is dataclasses.MISSING
+                                   and f.default_factory is dataclasses.MISSING):
+            kwargs[f.name] = _take(section, f.name, types, where)
     try:
         return cls(**kwargs)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _field_names(cls) -> set:
-    return {f.name for f in dataclasses.fields(cls)}
-
-
-def _parse_nested(raw: dict, key: str, cls):
-    """The config's ``key`` section as a ``cls``, or None when it is absent."""
-    if key not in raw:
-        return None
-    section = raw[key]
-    if not isinstance(section, dict):
-        raise ConfigError(f"config section '{key}' must be a JSON object")
-    _check_keys(section, _field_names(cls), key)
-    return _parse_section(cls, section, key)
-
-
-def _resolve_eve(eve: EveConfig, plate: QuartzPlate | None, eve_keys) -> EveConfig:
-    """Eve from the eve section, whose keys are ``eve_keys``, and an optional
-    plate.  The section may set no key that the run ignores: any key but
+def _resolve_eve(cfg, plate: QuartzPlate | None, raw: dict):
+    """``cfg`` with its Eve set from the config ``raw``'s eve section and an
+    optional plate.  The section may set no key that the run ignores: any key but
     ``mode`` when Eve is absent, ``strength`` under intercept-resend (always
     full dephasing), ``basis_angle`` under ``random_per_trial``, and, as a
     plate pins the dephasing strength and axis, either beside a plate."""
+    eve, eve_keys = cfg.eve, raw.get("eve", {})
     if plate is None:
         ignored = sorted(set(eve_keys) - {"mode"}) if eve.mode == "absent" else [
             key for key, unread in (("strength", eve.mode == "intercept_resend"),
@@ -103,7 +98,7 @@ def _resolve_eve(eve: EveConfig, plate: QuartzPlate | None, eve_keys) -> EveConf
         if ignored:
             raise ConfigError(f"eve.{ignored[0]} has no effect under eve.mode '{eve.mode}' "
                               f"with eve.basis_policy '{eve.basis_policy}'")
-        return eve
+        return cfg
     if eve.mode != "dephasing":
         raise ConfigError("a quartz plate only makes sense with eve.mode 'dephasing'")
     if eve.basis_policy == "random_per_trial":
@@ -113,8 +108,8 @@ def _resolve_eve(eve: EveConfig, plate: QuartzPlate | None, eve_keys) -> EveConf
     if pinned:
         raise ConfigError(f"{' and '.join(pinned)} cannot be set beside a quartz plate, "
                           "whose axis and thickness fix them")
-    return dataclasses.replace(eve, basis_angle=plate.axis_angle_deg,
-                               strength=plate_gamma(plate))
+    return dataclasses.replace(cfg, eve=dataclasses.replace(
+        eve, basis_angle=plate.axis_angle_deg, strength=plate_gamma(plate)))
 
 
 # Files above these sizes are refused unparsed.  A config needs a few hundred bytes; a
@@ -162,15 +157,12 @@ def load_config(path: str, kind: str, seed_override: int | None = None):
     # be set.  The one exception: a tomo run from a counts file reads only these three.
     raw = raw if seed_override is None else dict(raw, seed=seed_override)
     cls = _CONFIGS[kind]
-    fields = _field_names(cls)
     reads = ({"seed", "replicas", "counts_file"} if kind == "tomo" and "counts_file" in raw
-             else fields | {"plate"})
+             else {f.name for f in dataclasses.fields(cls)} | {"plate"})
     _check_keys(raw, reads | {"kind"}, "config")
-    # The beam's sections, parsed and checked here alone, for the classes that have them.
-    beam = {"eve": _resolve_eve(_parse_nested(raw, "eve", EveConfig) or EveConfig(),
-                                _parse_nested(raw, "plate", QuartzPlate), raw.get("eve", {})),
-            "detector": _parse_nested(raw, "detector", DetectorConfig) or DetectorConfig()}
-    cfg = _parse_section(cls, raw, "config", **{k: v for k, v in beam.items() if k in fields})
+    plate = _parse_section(QuartzPlate, raw["plate"], "plate") if "plate" in raw else None
+    top = {key: value for key, value in raw.items() if key not in ("kind", "plate")}
+    cfg = _resolve_eve(_parse_section(cls, top, "config"), plate, raw)
     if "seed" in reads and cfg.seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {cfg.seed}")
     return cfg
@@ -414,7 +406,7 @@ def main(argv=None) -> int:
         handler = {"session": cmd_session, "tomo": cmd_tomo, "bell": cmd_bell}
         return handler[args.command](cfg, args.out)
     except (ValueError, OSError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -224,8 +224,11 @@ def _toeplitz_hash(key: np.ndarray, m: int, rng_seed: int) -> np.ndarray:
     prefix of the longer output.
     """
     n = len(key)
-    seed_bits = np.random.default_rng(rng_seed).integers(0, 2, size=n + m - 1,
-                                                         dtype=np.uint8)
+    # The top bit of each byte of PCG64's raw words, read little-endian on any platform;
+    # on NumPy 2.4 they equal default_rng(rng_seed).integers(0, 2, n + m - 1, np.uint8).
+    words = np.random.PCG64(rng_seed).random_raw(-(-(n + m - 1) // 8))
+    seed_bits = np.asarray(words, dtype="<u8").view(np.uint8)[:n + m - 1]
+    seed_bits >>= 7
     # A circular convolution of length >= n + m - 1 leaves entries
     # n - 1 .. n + m - 2 free of wrap-around.
     size = 1 << (n + m - 2).bit_length()
@@ -282,8 +285,9 @@ def distil(alice_bits, bob_bits, rng) -> KeyResult:
     if len(rem_alice) == 0:
         return KeyResult(qber, "nothing_left_after_sampling", 0, np.zeros(0, dtype=np.uint8), None)
     corrected_bob, leaked = reconcile(rem_alice, rem_bob, qber_est=qber, rng=rng)
-    pa_seed = int(rng.integers(0, 2 ** 63))
-    tag_seed = int(rng.integers(0, 2 ** 63))
+    # 63-bit seeds from raw words: NumPy promises PCG64's raw stream across versions
+    pa_seed = rng.bit_generator.random_raw() >> 1
+    tag_seed = rng.bit_generator.random_raw() >> 1
     leaked += TAG_BITS
     residual = rem_alice ^ corrected_bob
     residual_errors = int(np.count_nonzero(residual))

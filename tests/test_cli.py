@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -642,18 +643,45 @@ def test_omitted_keys_take_the_dataclass_defaults(tmp_path):
     cfg = write_config(tmp_path, "d.json", {"kind": "session", "seed": 5,
                                             "detector": {"dark_rate": 0.7}})
     assert load_config(cfg, "session").detector == DetectorConfig(dark_rate=0.7)
+    # a section field is a field like any other: absent, it takes its default factory
+    assert cli._parse_section(tomography.TomoConfig, {"seed": 1}, "config").eve == EveConfig()
 
     cfg = write_config(tmp_path, "t.json", {"kind": "tomo", "seed": 5,
                                             "eve": {"mode": "dephasing"},
                                             "plate": {"thickness_mm": 1.0}})
-    expected = _resolve_eve(EveConfig(mode="dephasing"), QuartzPlate(1.0), {"mode": "dephasing"})
-    assert load_config(cfg, "tomo").eve == expected
+    expected = _resolve_eve(tomography.TomoConfig(seed=5, eve=EveConfig(mode="dephasing")),
+                            QuartzPlate(1.0), {"eve": {"mode": "dephasing"}})
+    assert load_config(cfg, "tomo") == expected
 
     cfg = write_config(tmp_path, "p.json", {"kind": "tomo", "seed": 5,
                                             "eve": {"mode": "dephasing"},
                                             "plate": {"birefringence": 0.01}})
     with pytest.raises(ConfigError, match="missing required key 'thickness_mm' in plate"):
         load_config(cfg, "tomo")
+
+
+def _section_classes(cls):
+    yield cls
+    for f in dataclasses.fields(cls):
+        if dataclasses.is_dataclass(cli._TYPES.get(f.type)):
+            yield from _section_classes(cli._TYPES[f.type])
+
+
+@pytest.mark.parametrize("top", [SessionConfig, tomography.TomoConfig, tomography.BellConfig,
+                                 QuartzPlate], ids=lambda cls: cls.__name__)
+def test_every_config_field_has_a_parsed_type(top):
+    untyped = [f"{cls.__name__}.{f.name}: {f.type}" for cls in _section_classes(top)
+               for f in dataclasses.fields(cls) if f.type not in cli._TYPES]
+    assert not untyped, "config fields of a type the parser cannot read: " + ", ".join(untyped)
+
+
+def test_an_error_without_text_prints_its_class_name(monkeypatch, capsys):
+    def exhausted(*args):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "load_config", exhausted)
+    assert main(["session", "--config", "c.json", "--out", "a"]) == 1
+    assert capsys.readouterr().err == "error: MemoryError\n"
 
 
 def test_bell_prints_canonical_violation(tmp_path, capsys):

@@ -162,10 +162,7 @@ def load_config(path: str, kind: str, seed_override: int | None = None):
     _check_keys(raw, reads | {"kind"}, "config")
     plate = _parse_section(QuartzPlate, raw["plate"], "plate") if "plate" in raw else None
     top = {key: value for key, value in raw.items() if key not in ("kind", "plate")}
-    cfg = _resolve_eve(_parse_section(cls, top, "config"), plate, raw)
-    if "seed" in reads and cfg.seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {cfg.seed}")
-    return cfg
+    return _resolve_eve(_parse_section(cls, top, "config"), plate, raw)
 
 
 def _dump_json(obj, path):

@@ -160,8 +160,9 @@ def _uniform(words: np.ndarray) -> np.ndarray:
 def simulate_dwell_stream(rates: Rates, n_intervals: int, rng) -> Trials:
     """Draw ``n_intervals`` dwell intervals from ``rates``, as columns.
 
-    Both parties draw HV or DA uniformly each interval.  Identical
-    generators reproduce identical trials.
+    Both parties draw HV or DA uniformly each interval.  ``rng`` is a bit
+    generator with ``random_raw``, :class:`~qkdlab.pcg64.PCG64` or NumPy's
+    ``PCG64``; identical generators reproduce identical trials.
 
     Interval ``i`` takes the generator's ``i``-th 64-bit word (the ``i``-th
     pair of words while Eve is present), so the first ``k`` rows of a
@@ -177,7 +178,7 @@ def simulate_dwell_stream(rates: Rates, n_intervals: int, rng) -> Trials:
     if n_intervals < 1:
         raise ValueError("n_intervals must be >= 1")
     n, k = n_intervals, len(rates.eve_bases) - 1   # Eve's bases; none when she is absent
-    words = rng.bit_generator.random_raw((n, 2 if k else 1))
+    words = rng.random_raw((n, 2 if k else 1))
     alice_basis = (words[:, 0] & 1).astype(np.int8)
     bob_basis = (words[:, 0] >> 1 & 1).astype(np.int8)
 

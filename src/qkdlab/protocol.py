@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .detection import DetectorConfig, Trials, expected_rates, simulate_dwell_stream
+from .pcg64 import PCG64, check_seed
 from .states import Beam, EveConfig, add_white_noise, bell_phi_plus
 from . import otp
 
@@ -46,6 +47,7 @@ class SessionConfig(Beam):
 
     def __post_init__(self):
         super().__post_init__()
+        check_seed(self.seed)
         if not 1 <= self.n_intervals <= MAX_INTERVALS:
             raise ValueError(f"n_intervals must be in [1, {MAX_INTERVALS}]")
 
@@ -102,9 +104,34 @@ def sift(trials: Trials) -> tuple[np.ndarray, np.ndarray]:
             trials.bob_bit[mask].astype(np.uint8))
 
 
+# Indices that _permutation writes into its keys per slice
+_INDEX_SLICE = 1 << 16
+
+
+def _permutation(rng, n: int) -> np.ndarray:
+    """A random order of ``range(n)``, as int32, from ``n`` raw words of ``rng``.
+
+    Word ``i`` keeps its top ``64 - b`` bits, ``b = (n - 1).bit_length()``,
+    and takes ``i`` in its low ``b`` bits; the low bits of the sorted words are
+    the order.  No two keys are equal, so the order does not depend on the
+    sort's stability, and equal top bits, a chance of about ``n^2 2^(b - 65)``,
+    keep their index order.
+    """
+    low = np.uint64((1 << (n - 1).bit_length()) - 1)
+    keys = rng.random_raw(n)
+    keys &= ~low
+    for start in range(0, n, _INDEX_SLICE):   # no n-word temporary of indices
+        stop = min(n, start + _INDEX_SLICE)
+        keys[start:stop] |= np.arange(start, stop, dtype=np.uint64)
+    keys.sort()
+    keys &= low
+    return keys.astype(np.int32)
+
+
 def estimate_qber(alice_bits, bob_bits, rng):
     """Disclose a random :data:`QBER_SAMPLE_FRACTION` of the bits and measure its error rate.
 
+    The disclosed positions are the sorted head of one :func:`_permutation`.
     Returns ``(qber, remaining_alice, remaining_bob, disclosed_positions)``;
     the disclosed positions are removed from the remaining key material.
     """
@@ -115,7 +142,7 @@ def estimate_qber(alice_bits, bob_bits, rng):
     if n == 0:
         raise ValueError("cannot estimate an error rate from an empty string")
     sample_size = max(1, round(QBER_SAMPLE_FRACTION * n))
-    disclosed = np.sort(rng.choice(n, size=sample_size, replace=False))
+    disclosed = np.sort(_permutation(rng, n)[:sample_size])
     qber = float(np.mean(alice[disclosed] != bob[disclosed]))
     keep = np.ones(n, dtype=bool)
     keep[disclosed] = False
@@ -135,9 +162,9 @@ _INT32_MAX = np.iinfo(np.int32).max
 def reconcile(alice_bits, bob_bits, *, qber_est: float, rng):
     """Cascade error correction of Bob's string against Alice's in :data:`CASCADE_PASSES` passes.
 
-    Each pass shuffles the positions with the shared seeded stream and
-    compares block parities, the first-pass block size being
-    ``ceil(0.73 / max(qber_est, 0.01))`` and doubling every pass; an
+    Each pass orders the positions by its own :func:`_permutation` of the
+    shared seeded stream and compares block parities, the first-pass block
+    size being ``ceil(0.73 / max(qber_est, 0.01))`` and doubling every pass; an
     odd-parity block is bisected to one error, and each correction re-checks
     all previously formed blocks containing the flipped bit.  Returns
     ``(corrected_bob, leaked_bits)`` with the exact count of parity messages
@@ -169,8 +196,7 @@ def reconcile(alice_bits, bob_bits, *, qber_est: float, rng):
 
     for p in range(CASCADE_PASSES):
         k = min(n, k1 * (2 ** p))
-        order = np.arange(n, dtype=np.int32)
-        rng.shuffle(order)   # the permutation rng.permutation(n) gives
+        order = _permutation(rng, n)
         rank = np.empty(n, dtype=np.int32)
         rank[order] = np.arange(n, dtype=np.int32)
         orders.append(order)
@@ -224,9 +250,8 @@ def _toeplitz_hash(key: np.ndarray, m: int, rng_seed: int) -> np.ndarray:
     prefix of the longer output.
     """
     n = len(key)
-    # The top bit of each byte of PCG64's raw words, read little-endian on any platform;
-    # on NumPy 2.4 they equal default_rng(rng_seed).integers(0, 2, n + m - 1, np.uint8).
-    words = np.random.PCG64(rng_seed).random_raw(-(-(n + m - 1) // 8))
+    # The top bit of each byte of PCG64's raw words, read little-endian on any platform.
+    words = PCG64(rng_seed).random_raw(-(-(n + m - 1) // 8))
     seed_bits = np.asarray(words, dtype="<u8").view(np.uint8)[:n + m - 1]
     seed_bits >>= 7
     # A circular convolution of length >= n + m - 1 leaves entries
@@ -286,8 +311,8 @@ def distil(alice_bits, bob_bits, rng) -> KeyResult:
         return KeyResult(qber, "nothing_left_after_sampling", 0, np.zeros(0, dtype=np.uint8), None)
     corrected_bob, leaked = reconcile(rem_alice, rem_bob, qber_est=qber, rng=rng)
     # 63-bit seeds from raw words: NumPy promises PCG64's raw stream across versions
-    pa_seed = rng.bit_generator.random_raw() >> 1
-    tag_seed = rng.bit_generator.random_raw() >> 1
+    pa_seed = rng.random_raw() >> 1
+    tag_seed = rng.random_raw() >> 1
     leaked += TAG_BITS
     residual = rem_alice ^ corrected_bob
     residual_errors = int(np.count_nonzero(residual))
@@ -323,7 +348,7 @@ def run_session(config: SessionConfig, sink=None) -> SessionTranscript:
     for start in range(0, n, TILE_INTERVALS):
         if start % BLOCK_INTERVALS == 0:
             block = start // BLOCK_INTERVALS
-            rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0, block)))
+            rng = PCG64(config.seed, spawn_key=(0, block))
         trials = simulate_dwell_stream(rates, min(TILE_INTERVALS, n - start), rng)
         if sink is not None:
             sink(start, trials)
@@ -333,7 +358,7 @@ def run_session(config: SessionConfig, sink=None) -> SessionTranscript:
         n_kept += int(np.count_nonzero(trials.kept()))
         n_agree += int(np.count_nonzero(alice == bob))
     alice, bob = np.concatenate(alice_tiles), np.concatenate(bob_tiles)
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(1,)))
+    rng = PCG64(config.seed, spawn_key=(1,))
     key = distil(alice, bob, rng)
     return SessionTranscript(**vars(key), n_intervals=n, n_kept=n_kept, n_sifted=len(alice),
                              n_agree=n_agree)

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import qmath
 from .optics import PolState, linear_projectors, projector
+from .pcg64 import check_seed
 from .states import Beam, EveConfig, TwoQubitState, bell_phi_plus_ket
 
 # Analyzer filter settings (first photon, second photon) in measurement
@@ -275,7 +276,8 @@ CHSH_CANONICAL_ANGLES = (0.0, 45.0, 22.5, 67.5)
 
 @dataclass(frozen=True)
 class TomoConfig(Beam):
-    """A ``tomo`` run; :func:`simulate_counts` and :func:`bootstrap_metrics` check its ranges."""
+    """A ``tomo`` run.  It checks its seed; :func:`simulate_counts` and
+    :func:`bootstrap_metrics` check the other ranges."""
 
     seed: int
     replicas: int = 200
@@ -283,6 +285,10 @@ class TomoConfig(Beam):
     source_noise: float = 0.0
     eve: EveConfig = field(default_factory=EveConfig)
     counts_file: str | None = None
+
+    def __post_init__(self):
+        super().__post_init__()
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)

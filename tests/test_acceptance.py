@@ -15,6 +15,7 @@ from qkdlab import otp
 from qkdlab.cli import main
 from qkdlab.detection import BASES, DetectorConfig, expected_rates, simulate_dwell_stream
 from qkdlab.optics import MeasBasis
+from qkdlab.pcg64 import PCG64
 from qkdlab.protocol import SessionConfig, run_session
 from qkdlab.states import (EveConfig, QuartzPlate, add_white_noise, bell_phi_plus,
                            dephase_bob, plate_gamma)
@@ -164,7 +165,7 @@ def test_criterion_7_chsh():
 
 def test_criterion_8_channel_equivalence():
     # the sampler against Eve's projective measurement, branch by branch
-    rng = np.random.default_rng(88)
+    rng = PCG64(88)
     bell = bell_phi_plus()
     detector = DetectorConfig(dark_rate=0.0)
     hv = BASES.index(MeasBasis.HV)

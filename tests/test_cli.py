@@ -91,23 +91,23 @@ def test_session_output_files_agree(tmp_path):
 SESSION_GOLDEN = {
     "session_full_eve_da": (2, {
         "records.csv": "9897521ac5e82830053a15c7f71d791acf602ae26907d94f26080707c4357746",
-        "summary.json": "513298b1c424cfa6dbc874840ba6171cbc8da0774ba863844e5515eea1521729",
+        "summary.json": "4dffdc391f1033bfe34ebe94ead9c5b094b8cbac09897552290088725651f100",
         "transcript.json": "d4f3100392e6d18885d729f2aa759b0c48bd51903f346a505f55fcf95c366231",
     }),
     "session_intercept_random": (2, {
         "records.csv": "6289ce7da5a479001c4422bf07d12ac2e071110f867d26a5a0275a76fab9a2c6",
-        "summary.json": "bf01c3dd597785d2c37717f3476326df1634ab92e3072b8298d62654397d2765",
+        "summary.json": "ac25bbf4863a331be5743469e5eeb3ee54debed4d475d041590a9dbee35d0d3c",
         "transcript.json": "d4f3100392e6d18885d729f2aa759b0c48bd51903f346a505f55fcf95c366231",
     }),
     "session_no_eve_ideal": (0, {
         "records.csv": "128bec64b442a40c68c18a12fc0aae29f8c60f95eb4eb12e77b74c7254ac2916",
         "summary.json": "f0d376b4e9e315198cb6225f14a257bf56b4aa742a396858260f07bcb20eab98",
-        "transcript.json": "ecf9d8140f0ef43a074ec33b08ac8c801406c23a8c0e5fbcd69a699b87740e06",
+        "transcript.json": "f6180eded59fab5c2dfa6c1817758acf38411cb3c4a8674722e973e350451910",
     }),
     "session_no_eve_imperfect": (0, {
         "records.csv": "96fd897562a6ea6e6b8efbabea5b3616c7876d621fcad09897d52497b1c07e15",
-        "summary.json": "794e27ddeaa260f6384146f606e10683054f51cf8936e28b0641b06d84f0014e",
-        "transcript.json": "9687158302ced7d1875756a4bbebea3e7dfb250d993b34e26890889eebcd396d",
+        "summary.json": "8b90bd53cafbfb2737c42fc2c517b5afd44c661b69013d1399d85148bd820b1b",
+        "transcript.json": "8b2fc8a106ff5f8468d045ded210101ea4663811411e9b1df99fa218195b2846",
     }),
 }
 
@@ -232,6 +232,36 @@ def test_cli_import_leaves_numpy_random_and_fft_unloaded():
     assert with_cli == []
 
 
+def test_session_presets_leave_numpy_random_unloaded(tmp_path):
+    # a session draws from qkdlab.pcg64, whose jump-ahead tables are built on
+    # first use, never at import
+    presets = sorted(name for name in os.listdir(CONFIG_DIR) if name.startswith("session_"))
+    probe = ("import json, sys\n"
+             "import numpy\n"
+             "preloaded = 'numpy.random' in sys.modules\n"
+             "import qkdlab.cli, qkdlab.pcg64\n"
+             "runs = [qkdlab.pcg64._tables.cache_info().currsize]\n"
+             "for config, out in zip(sys.argv[1::2], sys.argv[2::2]):\n"
+             "    code = qkdlab.cli.main(['session', '--config', config, '--out', out])\n"
+             "    runs.append([code, 'numpy.random' in sys.modules])\n"
+             "print(json.dumps([preloaded, runs]))\n")
+    args = [arg for i, name in enumerate(presets)
+            for arg in (os.path.join(CONFIG_DIR, name), str(tmp_path / str(i)))]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", probe, *args], env=env,
+                         stdout=subprocess.PIPE, text=True, check=True).stdout
+    preloaded, runs = json.loads(out.splitlines()[-1])
+    if preloaded:
+        pytest.skip("import numpy alone loads numpy.random")
+    tables_at_import, *sessions = runs
+    assert not tables_at_import
+    assert len(sessions) == 4
+    for name, (code, loaded) in zip(presets, sessions):
+        assert code == SESSION_GOLDEN[name[:-len(".json")]][0], name
+        assert not loaded, f"{name} imported numpy.random"
+
+
 def test_shorter_session_records_are_a_prefix(tmp_path):
     # 70 000 intervals end inside the second block of 65 536
     trees = []
@@ -301,14 +331,14 @@ def test_session_abort_exit_code(tmp_path):
 
 
 def test_session_that_distils_no_key_aborts(tmp_path, capsys):
-    # Q ~ 0.107 passes the 0.11 threshold, but Cascade's leak and the tag
+    # Q ~ 0.10 passes the 0.11 threshold, but Cascade's leak and the tag
     # leave privacy amplification no bit to keep
     eve = {"mode": "intercept_resend", "basis_angle": 0.0, "intercept_fraction": 0.40}
     cfg = write_config(tmp_path, "s.json", {
         "kind": "session", "seed": 0, "n_intervals": 100000, "source_noise": 0.0,
         "detector": {"dark_rate": 0.0}, "eve": eve})
     assert main(["session", "--config", cfg, "--out", str(tmp_path / "a")]) == 2
-    assert capsys.readouterr().out == ("sifted 18441 bits, agreement 0.8978, qber 0.1066, "
+    assert capsys.readouterr().out == ("sifted 18441 bits, agreement 0.8978, qber 0.0995, "
                                        "final key 0 bits [aborted: no_key_after_amplification]\n")
     summary = json.loads((tmp_path / "a" / "summary.json").read_text())
     assert summary["aborted"] is True

@@ -15,6 +15,7 @@ from qkdlab.cli import CSV_COLUMNS, load_config, records_to_csv
 from qkdlab.detection import (BASES, DetectorConfig, Trials, expected_rates,
                               simulate_dwell_stream)
 from qkdlab.optics import MeasBasis, PolState
+from qkdlab.pcg64 import PCG64
 from qkdlab.protocol import TILE_INTERVALS
 from qkdlab.states import (EveConfig, TwoQubitState, add_white_noise, after_eve, bell_phi_plus,
                            bell_phi_plus_ket, eve_scenarios)
@@ -91,7 +92,7 @@ def test_pair_table_normalized_and_marginal_consistent(rng):
 def _fixed_bases(state, a, b, n, seed=1234):
     """Bits of the kept trials of a dark-free stream in which Alice measured
     in ``a`` and Bob in ``b``: about a quarter of the kept trials."""
-    rng = np.random.default_rng(seed)
+    rng = PCG64(seed)
     rates = expected_rates(state, DetectorConfig(dark_rate=0.0), EveConfig())
     trials = simulate_dwell_stream(rates, n, rng)
     mask = ((trials.alice_bit >= 0) & (trials.alice_basis == BASES.index(a))
@@ -115,7 +116,7 @@ def test_sample_trial_cross_basis_agreement_half():
 
 
 def _stream(seed=3, n=10000, dark=0.0, pair_rate=10.0, eve=None):
-    rng = np.random.default_rng(seed)
+    rng = PCG64(seed)
     config = DetectorConfig(dwell=0.1, pair_rate=pair_rate, dark_rate=dark)
     return simulate_dwell_stream(expected_rates(bell_phi_plus(), config, eve or EveConfig()),
                                  n, rng)
@@ -128,7 +129,7 @@ def test_stream_in_pieces_equals_one_stream(eve):
     tile = TILE_INTERVALS
     sizes = [1, tile - 1, tile, tile + 1, 1000]
     config = DetectorConfig(dwell=0.1, pair_rate=10.0, dark_rate=0.9)
-    whole_rng, rng = np.random.default_rng(17), np.random.default_rng(17)
+    whole_rng, rng = np.random.PCG64(17), np.random.PCG64(17)
     rates = expected_rates(bell_phi_plus(), config, eve)
     whole = simulate_dwell_stream(rates, sum(sizes), whole_rng)
     pieces = [simulate_dwell_stream(rates, k, rng) for k in sizes]
@@ -136,7 +137,7 @@ def test_stream_in_pieces_equals_one_stream(eve):
         joined = np.concatenate([getattr(piece, f.name) for piece in pieces])
         assert np.array_equal(joined, getattr(whole, f.name)), f.name
     # the pieces drew exactly the words of the whole stream
-    assert rng.bit_generator.state == whole_rng.bit_generator.state
+    assert rng.state == whole_rng.state
 
 
 def test_stream_keep_fraction_matches_poisson():
@@ -338,7 +339,7 @@ def test_sampler_matches_expected_rates(config):
     n = 1_000_000
     state = add_white_noise(bell_phi_plus(), config.source_noise)
     rates = expected_rates(state, config.detector, config.eve)
-    trials = simulate_dwell_stream(rates, n, np.random.default_rng(config.seed))
+    trials = simulate_dwell_stream(rates, n, PCG64(config.seed))
     kept = np.count_nonzero(trials.alice_bit >= 0)
     assert abs(kept / n - rates.kept) <= 4 * binomial_sigma(rates.kept, n)
     sifted = trials.sifted()
@@ -537,7 +538,7 @@ def test_detector_config_validation():
             DetectorConfig(**{field: float("nan")})
     with pytest.raises(ValueError):
         simulate_dwell_stream(expected_rates(bell_phi_plus(), DetectorConfig(), EveConfig()),
-                              0, np.random.default_rng(0))
+                              0, PCG64(0))
 
 
 @pytest.mark.parametrize("fields", [

@@ -1,11 +1,11 @@
 """The ``Generator`` methods the package draws from, pinned by name.
 
 NumPy promises a fixed seed's raw PCG64 stream across versions, but not the
-streams of ``Generator``'s methods.  ``src/qkdlab`` calls three of them:
-``choice`` draws the disclosed sample, ``shuffle`` Cascade's permutations and
-``poisson`` the tomography counts.  Each is pinned here for a fixed seed, in the
-form the package calls it, so a NumPy that changes one fails here by its name
-rather than as a bare golden mismatch; every other draw reads the raw stream.
+streams of ``Generator``'s methods.  ``src/qkdlab`` calls one of them:
+``poisson`` draws the tomography counts.  It is pinned here for a fixed seed, in
+the form the package calls it, so a NumPy that changes it fails here by its name
+rather than as a bare golden mismatch; every other draw, a session's among them,
+reads the raw stream (``qkdlab.pcg64``).
 """
 
 import ast
@@ -17,18 +17,9 @@ import pytest
 PACKAGE = os.path.join(os.path.dirname(__file__), os.pardir, "src", "qkdlab")
 
 
-def _shuffled(rng):
-    order = np.arange(12, dtype=np.int32)
-    rng.shuffle(order)
-    return order
-
-
 STREAMS = {
     "poisson": (lambda rng: rng.poisson([0.5, 3.0, 40.0, 1e4], size=(2, 4)),
                 [[1, 3, 29, 9959], [0, 2, 42, 9908]]),
-    "choice": (lambda rng: rng.choice(50, size=10, replace=False),
-               [3, 14, 44, 43, 45, 38, 49, 42, 28, 9]),
-    "shuffle": (_shuffled, [5, 7, 10, 2, 3, 11, 0, 1, 4, 9, 6, 8]),
 }
 
 

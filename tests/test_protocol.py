@@ -1,6 +1,8 @@
 import ast
+import copy
 import hashlib
 import io
+import itertools
 import math
 import os
 import tracemalloc
@@ -11,6 +13,7 @@ import pytest
 from qkdlab.cli import load_config, records_to_csv, transcript_summary
 from qkdlab.detection import DetectorConfig, Trials, expected_rates, simulate_dwell_stream
 from qkdlab.optics import MeasBasis
+from qkdlab.pcg64 import PCG64
 from qkdlab.protocol import (BLOCK_INTERVALS, CASCADE_PASSES, MAX_INTERVALS, TAG_BITS,
                              TILE_INTERVALS, SessionConfig, _toeplitz_hash, distil,
                              estimate_qber, h2, privacy_amplify, reconcile, run_session, sift)
@@ -75,18 +78,18 @@ def test_sift_drops_rows_with_one_bit():
     assert _trials([(HV, HV, -1, 0), (DA, DA, 1, 0)]).kept().tolist() == [False, True]
 
 
-def test_estimate_qber_identical(rng):
+def test_estimate_qber_identical():
     alice = np.ones(100, dtype=np.uint8)
-    qber, rem_a, rem_b, disclosed = estimate_qber(alice, alice.copy(), rng)
+    qber, rem_a, rem_b, disclosed = estimate_qber(alice, alice.copy(), PCG64(1))
     assert qber == 0.0
     assert len(rem_a) == len(rem_b) == 80
     assert len(disclosed) == 20
 
 
-def test_estimate_qber_all_mismatched(rng):
+def test_estimate_qber_all_mismatched():
     alice = np.zeros(50, dtype=np.uint8)
     bob = np.ones(50, dtype=np.uint8)
-    qber, *_ = estimate_qber(alice, bob, rng)
+    qber, *_ = estimate_qber(alice, bob, PCG64(1))
     assert qber == 1.0
 
 
@@ -96,27 +99,27 @@ def test_estimate_qber_planted_errors(rng):
     bob = alice.copy()
     flipped = rng.choice(n, 250, replace=False)
     bob[flipped] ^= 1
-    qber, rem_a, rem_b, disclosed = estimate_qber(alice, bob, rng)
+    qber, rem_a, rem_b, disclosed = estimate_qber(alice, bob, rng.bit_generator)
     assert len(disclosed) == 200 and len(rem_a) == len(rem_b) == 800
     assert qber == np.count_nonzero(alice[disclosed] != bob[disclosed]) / 200
     # every planted error is either disclosed or left for Cascade
     assert round(qber * 200) + np.count_nonzero(rem_a != rem_b) == 250
 
 
-def test_estimate_qber_removes_disclosed_positions(rng):
+def test_estimate_qber_removes_disclosed_positions():
     alice = np.arange(100, dtype=np.uint8) % 2
     bob = alice.copy()
-    _, rem_a, _, disclosed = estimate_qber(alice, bob, rng)
+    _, rem_a, _, disclosed = estimate_qber(alice, bob, PCG64(1))
     keep = np.ones(100, dtype=bool)
     keep[disclosed] = False
     assert rem_a.tolist() == alice[keep].tolist()
 
 
-def test_estimate_qber_empty_rejected(rng):
+def test_estimate_qber_empty_rejected():
     with pytest.raises(ValueError):
-        estimate_qber(np.zeros(0, np.uint8), np.zeros(0, np.uint8), rng)
+        estimate_qber(np.zeros(0, np.uint8), np.zeros(0, np.uint8), PCG64(1))
     with pytest.raises(ValueError, match="equal length"):
-        estimate_qber(np.zeros(5, np.uint8), np.zeros(6, np.uint8), rng)
+        estimate_qber(np.zeros(5, np.uint8), np.zeros(6, np.uint8), PCG64(1))
 
 
 def test_session_aborts_only_above_the_threshold(monkeypatch):
@@ -144,8 +147,7 @@ def test_h2_properties():
 
 def test_reconcile_identical_strings_leak_is_block_parities_only(rng):
     alice = rng.integers(0, 2, 64).astype(np.uint8)
-    corrected, leak = reconcile(alice, alice.copy(), qber_est=0.05,
-                                rng=np.random.default_rng(0))
+    corrected, leak = reconcile(alice, alice.copy(), qber_est=0.05, rng=PCG64(0))
     assert corrected.tolist() == alice.tolist()
     # first-pass block size ceil(0.73/0.05) = 15, doubling each pass;
     # expected disclosures = number of blocks per pass, nothing else
@@ -160,8 +162,7 @@ def test_reconcile_single_error_bisection_count():
     alice = np.zeros(16, dtype=np.uint8)
     bob = alice.copy()
     bob[11] = 1
-    corrected, leak = reconcile(alice, bob, qber_est=0.01,
-                                rng=np.random.default_rng(1))
+    corrected, leak = reconcile(alice, bob, qber_est=0.01, rng=PCG64(1))
     assert corrected.tolist() == alice.tolist()
     # every pass is one 16-bit block: pass 0 discloses its parity and
     # ceil(log2 16) bisection parities, each later pass one even parity
@@ -173,7 +174,7 @@ def test_reconcile_seeded_case_corrects_everything():
     alice = rng.integers(0, 2, 256).astype(np.uint8)
     bob = alice.copy()
     bob[rng.choice(256, 8, replace=False)] ^= 1
-    corrected, leak = reconcile(alice, bob, qber_est=8 / 256, rng=rng)
+    corrected, leak = reconcile(alice, bob, qber_est=8 / 256, rng=rng.bit_generator)
     assert corrected.tolist() == alice.tolist()
     assert leak > 0
 
@@ -189,7 +190,7 @@ def test_reconcile_success_rate_contract(n, qber):
         alice = rng.integers(0, 2, n).astype(np.uint8)
         bob = alice.copy()
         bob[rng.choice(n, n_err, replace=False)] ^= 1
-        corrected, _ = reconcile(alice, bob, qber_est=qber, rng=rng)
+        corrected, _ = reconcile(alice, bob, qber_est=qber, rng=rng.bit_generator)
         ok += int(np.array_equal(corrected, alice))
     floor = math.floor(0.99 * trials - 4 * math.sqrt(trials * 0.99 * 0.01))
     assert ok >= floor, f"success {ok}/{trials}"
@@ -197,12 +198,10 @@ def test_reconcile_success_rate_contract(n, qber):
 
 def test_reconcile_length_mismatch_rejected():
     with pytest.raises(ValueError):
-        reconcile(np.zeros(8, np.uint8), np.zeros(9, np.uint8),
-                  qber_est=0.05, rng=np.random.default_rng(0))
+        reconcile(np.zeros(8, np.uint8), np.zeros(9, np.uint8), qber_est=0.05, rng=PCG64(0))
     # empty strings are equal: nothing to correct, nothing disclosed
     bob = np.zeros(0, np.uint8)
-    corrected, leaked = reconcile(np.zeros(0, np.uint8), bob,
-                                  qber_est=0.05, rng=np.random.default_rng(0))
+    corrected, leaked = reconcile(np.zeros(0, np.uint8), bob, qber_est=0.05, rng=PCG64(0))
     assert corrected.shape == (0,) and corrected is not bob and leaked == 0
 
 
@@ -210,7 +209,7 @@ def test_reconcile_rejects_strings_beyond_int32_indices():
     # zero-stride views: the length check must come before any allocation
     too_long = np.broadcast_to(np.uint8(0), (2 ** 31,))
     with pytest.raises(ValueError, match="int32"):
-        reconcile(too_long, too_long, qber_est=0.05, rng=np.random.default_rng(0))
+        reconcile(too_long, too_long, qber_est=0.05, rng=PCG64(0))
 
 
 class _LedgerCascade:
@@ -275,7 +274,9 @@ def _ledger_reconcile(alice_bits, bob_bits, qber_est, rng):
     k1 = math.ceil(0.73 / max(qber_est, 0.01))
     for p in range(CASCADE_PASSES):
         k = min(n, k1 * (2 ** p))
-        order = rng.permutation(n)
+        # the order of n raw words' top 64 - b bits, equal ones in index order
+        b = np.uint64((n - 1).bit_length())
+        order = np.argsort(rng.random_raw(n) >> b, kind="stable")
         for start in range(0, n, k):
             ledger.resolve(ledger.add_block(order[start:start + k]))
     return ledger.bob, ledger.leak
@@ -289,8 +290,8 @@ def test_reconcile_matches_ledger_reference():
             alice = data.integers(0, 2, n, dtype=np.uint8)
             bob = alice ^ (data.random(n) < qber).astype(np.uint8)
             seed = int(data.integers(0, 2 ** 32))
-            got, leak = reconcile(alice, bob, qber_est=qber, rng=np.random.default_rng(seed))
-            want, want_leak = _ledger_reconcile(alice, bob, qber, np.random.default_rng(seed))
+            got, leak = reconcile(alice, bob, qber_est=qber, rng=PCG64(seed))
+            want, want_leak = _ledger_reconcile(alice, bob, qber, np.random.PCG64(seed))
             assert got.dtype == np.uint8, case
             assert np.array_equal(got, want), case
             assert leak == want_leak, case
@@ -301,14 +302,14 @@ def test_session_keys_golden():
     path = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
                         "session_no_eve_imperfect.json")
     preset = run_session(load_config(path, "session"))
-    assert (preset.leaked_bits, len(preset.final_key)) == (326, 579)
+    assert (preset.leaked_bits, len(preset.final_key)) == (297, 541)
     keygen = run_session(SessionConfig(
         seed=3, n_intervals=100_000, source_noise=0.04,
         detector=DetectorConfig(dwell=0.1, pair_rate=10.0, dark_rate=0.9)))
-    assert (keygen.leaked_bits, len(keygen.final_key)) == (2819, 5375)
+    assert (keygen.leaked_bits, len(keygen.final_key)) == (2804, 5060)
     digest = hashlib.sha256(otp.bits_to_hex(keygen.final_key).encode()).hexdigest()
-    assert digest == ("5ccc7533a740c26208bbd88bb41279a3"
-                      "53c92b56a689990391aaf25d8ee95429")
+    assert digest == ("4000e00661378a04007aeedf43f4a212"
+                      "bc94922b9b67c00641a01005b75855be")
 
 
 def test_privacy_amplify_golden_vector():
@@ -442,15 +443,14 @@ def test_privacy_amplify_rejects_non_bit_keys():
 ], ids=["floats_0.9", "floats_0.5", "twos", "minus_ones", "2d"])
 def test_key_half_rejects_non_bit_strings(bits):
     # 0.5 would otherwise be cast to 0 and distil a key
-    rng = np.random.default_rng(2)
-    state = rng.bit_generator.state
+    rng = PCG64(2)
     with pytest.raises(ValueError, match="0s and 1s"):
         estimate_qber(bits, bits, rng)
     with pytest.raises(ValueError, match="0s and 1s"):
         reconcile(bits, bits, qber_est=0.05, rng=rng)
     with pytest.raises(ValueError, match="0s and 1s"):
         distil(bits, bits, rng)
-    assert rng.bit_generator.state == state   # refused before any draw
+    assert rng.random_raw() == PCG64(2).random_raw()   # refused before any draw
 
 
 def test_distil_reads_bit_text_as_the_equal_arrays():
@@ -458,8 +458,8 @@ def test_distil_reads_bit_text_as_the_equal_arrays():
     alice = gen.integers(0, 2, 4000, dtype=np.uint8)
     bob = alice ^ (gen.random(4000) < 0.03)
     text = ["".join(map(str, bits.tolist())) for bits in (alice, bob)]
-    want = distil(alice, bob, np.random.default_rng(3))
-    got = distil(*text, np.random.default_rng(3))
+    want = distil(alice, bob, PCG64(3))
+    got = distil(*text, PCG64(3))
     assert not want.aborted and len(want.final_key) > 0
     assert np.array_equal(got.final_key, want.final_key)
     assert ((got.qber_estimate, got.abort_reason, got.leaked_bits, got.residual_errors)
@@ -551,7 +551,7 @@ def test_session_tiles_write_the_whole_block_streams():
     state = add_white_noise(bell_phi_plus(), config.source_noise)
     want = io.StringIO()
     for block, start in enumerate(range(0, config.n_intervals, BLOCK_INTERVALS)):
-        rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0, block)))
+        rng = np.random.PCG64(np.random.SeedSequence(config.seed, spawn_key=(0, block)))
         trials = simulate_dwell_stream(expected_rates(state, config.detector, config.eve),
                                        min(BLOCK_INTERVALS, config.n_intervals - start), rng)
         records_to_csv(trials, want, start)
@@ -587,7 +587,6 @@ def test_intercept_session_working_set_is_one_tile():
     eve = EveConfig(mode="intercept_resend", basis_policy="random_per_trial",
                     intercept_fraction=1.0)
     config = _session(seed=7, n=2 * BLOCK_INTERVALS, eve=eve)
-    np.random.default_rng(0)   # numpy.random imports lazily; not traced
     with open(os.devnull, "w", encoding="utf-8", newline="") as fh:
         tracemalloc.start()
         try:
@@ -639,18 +638,18 @@ def test_one_cascade_pass_fails_key_verification(monkeypatch):
 
 
 def test_final_keys_agree_on_200_keygen_seeds(monkeypatch):
-    # Cascade leaves residual errors on a few of these seeds; the tag of the
-    # residual must abort exactly the sessions whose two tags would differ,
-    # and Alice's key, hashed as Bob's was, must equal the final key.
+    # Cascade leaves residual errors on about 1 % of these sessions; the tag of
+    # the residual must abort exactly the sessions whose two tags would differ,
+    # and Alice's key, hashed as Bob's was, must equal the final key.  The sweep
+    # runs past seed 199 until one session has exercised the key check.
     seen = {}
 
     def spy_reconcile(alice_bits, bob_bits, *, qber_est, rng):
         corrected, leak = reconcile(alice_bits, bob_bits, qber_est=qber_est, rng=rng)
         seen["pair"] = (alice_bits, corrected)
         # the session's next two draws: the PA seed, then the tag seed
-        after = np.random.default_rng()
-        after.bit_generator.state = rng.bit_generator.state
-        seen["seeds"] = (int(after.integers(0, 2 ** 63)), int(after.integers(0, 2 ** 63)))
+        after = copy.deepcopy(rng)
+        seen["seeds"] = (after.random_raw() >> 1, after.random_raw() >> 1)
         return corrected, leak
 
     def spy_privacy_amplify(key_bits, *args):
@@ -660,7 +659,7 @@ def test_final_keys_agree_on_200_keygen_seeds(monkeypatch):
     monkeypatch.setattr(protocol, "reconcile", spy_reconcile)
     monkeypatch.setattr(protocol, "privacy_amplify", spy_privacy_amplify)
     failed = []
-    for seed in range(200):
+    for seed in itertools.takewhile(lambda seed: seed < 200 or not failed, range(2000)):
         seen.clear()
         t = run_session(_keygen(seed))
         alice, bob = seen["pair"]
@@ -728,7 +727,7 @@ _BITS = np.random.default_rng(3).integers(0, 2, size=2000, dtype=np.uint8)
     (_BITS, _BITS.copy(), None),
 ], ids=["empty", "one_bit", "flipped", "equal"])
 def test_distil_from_plain_strings(alice, bob, reason):
-    key = distil(alice, bob, np.random.default_rng(8))
+    key = distil(alice, bob, PCG64(8))
     assert key.abort_reason == reason
     assert key.aborted == (key.abort_reason is not None)
     if reason is not None:
@@ -736,7 +735,7 @@ def test_distil_from_plain_strings(alice, bob, reason):
         assert key.residual_errors is None
         return
     # replay the sample and Cascade on the same generator for Cascade's leak
-    rng = np.random.default_rng(8)
+    rng = PCG64(8)
     qber, rem_alice, rem_bob, _ = estimate_qber(alice, bob, rng)
     _, leak = reconcile(rem_alice, rem_bob, qber_est=qber, rng=rng)
     assert key.qber_estimate == qber == 0.0
@@ -748,7 +747,7 @@ def test_distil_from_plain_strings(alice, bob, reason):
 def test_distil_aborts_when_amplification_leaves_no_bit():
     # 80 equal bits after the sample: the tag and PA_SAFETY_BITS alone remove 94
     bits = _BITS[:100]
-    key = distil(bits, bits.copy(), np.random.default_rng(8))
+    key = distil(bits, bits.copy(), PCG64(8))
     assert key.aborted and key.abort_reason == "no_key_after_amplification"
     assert key.qber_estimate == 0.0 and key.residual_errors == 0
     assert len(key.final_key) == 0 and key.leaked_bits >= TAG_BITS
@@ -758,14 +757,14 @@ def test_distil_rejects_unequal_strings():
     for alice, bob in [(np.zeros(0, np.uint8), np.ones(3, np.uint8)),
                        (np.ones(3, np.uint8), np.zeros(0, np.uint8))]:
         with pytest.raises(ValueError, match="equal length"):
-            distil(alice, bob, np.random.default_rng(0))
+            distil(alice, bob, PCG64(0))
 
 
 def test_distil_is_the_key_half_of_a_session():
     config = _keygen(seed=0)
     t, trials = session_with_trials(config)
     alice, bob = sift(trials)
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(1,)))
+    rng = np.random.PCG64(np.random.SeedSequence(config.seed, spawn_key=(1,)))
     key = distil(alice, bob, rng)
     assert not key.aborted and len(key.final_key) > 0
     assert np.array_equal(key.final_key, t.final_key)

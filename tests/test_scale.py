@@ -1,10 +1,12 @@
 """Checks at scale, each on a fresh python child so its max RSS is its own:
 a 10^6-interval session writes pinned bytes below 100 MB; an
 intercept-abort session at 10^5 intervals and tomo at 200 000 bootstrap
-replicas each stay within 4 MB of an import-only child; and an oversized
-counts file, config or key file is refused in under a second within the same
-4 MB."""
+replicas each stay within 4 MB of a child that imports what the command
+imports (a session never imports numpy.random); and an oversized counts file,
+config or key file is refused in under a second within 4 MB of an import-only
+child."""
 
+import functools
 import hashlib
 import json
 import os
@@ -50,11 +52,11 @@ def _run(tmp_path, command, body):
 
 
 # the records.csv writer over 10^6 rows written in 4 096-row tiles, the
-# summary, and the final key of about 5.6·10^4 bits
+# summary, and the final key of about 5.5·10^4 bits
 MILLION_GOLDEN = {
     "records.csv": "30cc673826f5a8aa5fd276ce8e20b780589613e914d5071dcd129175ee03126c",
-    "summary.json": "e0ee7d7859c777e9044445e01f9ddfa1acec5ed8c58651631120d7f1af0d4530",
-    "transcript.json": "95975a5739170387ba3eb4eb3a315a5177e7a634679823cf2c2638ee8fe67069",
+    "summary.json": "d97d678704a47340f5fb4c0794e22c3edcad2428b19673286435ca98644c32e9",
+    "transcript.json": "0e66c4a2f9fc5c7c66780b393f52418bf9ade47e9dd6ed53f8f6a3b22437453e",
 }
 
 
@@ -70,28 +72,35 @@ def test_million_interval_session_writes_pinned_bytes_below_100_mb(tmp_path):
     assert digests == MILLION_GOLDEN
 
 
+@functools.cache
+def _import_only_mb(modules):
+    """Max RSS in MB of a child that imports ``modules`` and builds one state."""
+    return _child(f"import {modules}; qkdlab.bell_phi_plus()")[1]
+
+
 @pytest.fixture(scope="module")
 def import_only_mb():
-    return _child("import qkdlab.cli, numpy.random, numpy.fft; qkdlab.bell_phi_plus()")[1]
+    return _import_only_mb("qkdlab.cli, numpy.random, numpy.fft")
 
 
-# (command, config, expected exit code); the session aborts at the error
-# threshold (exit code 2)
+# (command, config, expected exit code, the modules of its import-only child);
+# the session aborts at the error threshold (exit code 2)
 WITHIN_4_MB_OF_IMPORT = {
     "intercept_abort_1e5": ("session", {
         "kind": "session", "seed": 5, "n_intervals": 100000, "source_noise": 0.0,
         "detector": {"dwell": 0.1, "pair_rate": 10.0, "dark_rate": 0.0},
         "eve": {"mode": "intercept_resend", "basis_policy": "random_per_trial",
-                "intercept_fraction": 1.0}}, 2),
+                "intercept_fraction": 1.0}}, 2, "qkdlab.cli, numpy.fft"),
     "tomo_2e5_replicas": ("tomo", {
         "kind": "tomo", "seed": 2, "source_noise": 0.04,
-        "n_per_setting": 10000, "replicas": 200000}, 0),
+        "n_per_setting": 10000, "replicas": 200000}, 0, "qkdlab.cli, numpy.random, numpy.fft"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(WITHIN_4_MB_OF_IMPORT))
-def test_max_rss_stays_within_4_mb_of_import_only(tmp_path, import_only_mb, case):
-    command, body, expected = WITHIN_4_MB_OF_IMPORT[case]
+def test_max_rss_stays_within_4_mb_of_import_only(tmp_path, case):
+    command, body, expected, modules = WITHIN_4_MB_OF_IMPORT[case]
+    import_only_mb = _import_only_mb(modules)
     status, rss_mb = _run(tmp_path, command, body)
     assert status == expected
     assert rss_mb - import_only_mb < 4, \

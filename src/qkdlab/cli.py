@@ -21,6 +21,7 @@ import numpy as np
 
 from . import otp
 from .detection import BASES, DetectorConfig, Trials
+from .pcg64 import PCG64
 from .protocol import MAX_INTERVALS, SessionConfig, SessionTranscript, run_session
 from .states import EveConfig, QuartzPlate, plate_gamma
 from .tomography import (MAX_COUNT, TOMO_SCHEDULE, BellConfig, TomoConfig, correlator,
@@ -298,8 +299,7 @@ def cmd_tomo(cfg: TomoConfig, out_dir: str) -> int:
     if cfg.counts_file is not None:
         counts = _read_input(cfg.counts_file, "counts file", "CSV", parse_rows=_counts_from_rows)
     else:
-        rng = np.random.default_rng(cfg.seed)
-        counts = simulate_counts(cfg.measured_state(), cfg.n_per_setting, rng)
+        counts = simulate_counts(cfg.measured_state(), cfg.n_per_setting, PCG64(cfg.seed))
     rho_hat, metrics = run_tomography(counts, replicas=cfg.replicas, seed=cfg.seed)
 
     os.makedirs(out_dir, exist_ok=True)

@@ -1,19 +1,22 @@
 """NumPy's ``SeedSequence`` and ``PCG64`` raw stream, bit for bit, in Python and numpy.
 
 NumPy promises that a fixed seed's raw PCG64 words stay the same across
-versions (NEP 19), so a session draws only those words, and this module makes
-them without importing ``numpy.random``.  ``PCG64(seed, spawn_key)`` equals
-``np.random.PCG64(np.random.SeedSequence(seed, spawn_key=spawn_key))``.
+versions (NEP 19), so sessions and tomography draw only those words, and this
+module makes them without importing ``numpy.random``.  ``PCG64(seed,
+spawn_key)`` equals ``np.random.PCG64(np.random.SeedSequence(seed,
+spawn_key=spawn_key))``, and its ``jumped(j)`` equals NumPy's ``jumped(j)``.
 
 PCG64 is the 128-bit LCG ``s -> MULT s + inc`` with the XSL-RR output of each
 new state.  After ``j`` steps from ``s`` the state is ``A_j s + G_j inc`` (mod
 2^128), with ``A_j = MULT^j`` and ``G_j = 1 + MULT + ... + MULT^(j-1)``, so a
 tile of up to ``_TILE`` words is one vectorised product with the tables of
-``A_j`` and ``G_j``, built on first use by doubling and never at import.
+``A_j`` and ``G_j``, built on first use by doubling and never at import.  A
+jump of ``_JUMP`` steps is one such step with ``A`` and ``G`` of that length.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import operator
 
@@ -31,6 +34,7 @@ _POOL_SIZE = 4
 
 _MULT = 0x2360ED051FC65DA44385DF649FCCF645   # PCG's default 128-bit multiplier
 _TILE = 4096                                  # words per vectorised step
+_JUMP = 210306068529402873165736369884012333109   # steps per jump of NumPy's ``jumped``
 
 _U32, _U58, _U63, _U64 = np.uint64(32), np.uint64(58), np.uint64(63), np.uint64(64)
 _LOW32 = np.uint64(_M32)
@@ -95,24 +99,27 @@ def seed_state(entropy: int, spawn_key=()) -> list[int]:
 def _mul_add(table, x: int, add_hi, add_lo):
     """``table * x + add`` mod 2^128 as ``(hi, lo)`` uint64 arrays, for a table
     of 128-bit values held as ``(hi, lo, lo % 2^32, lo >> 32)`` arrays and an
-    addend of uint64 halves (arrays or scalars)."""
+    addend of uint64 halves (arrays or scalars).  It holds three arrays of the
+    table's length at a time."""
     hi, lo, lo0, lo1 = table
     x_hi, x_lo = np.uint64(x >> 64), np.uint64(x & _M64)
     x0, x1 = np.uint64(x & _M32), np.uint64(x >> 32 & _M32)
     # the high word of lo * x_lo, from the four 32 x 32-bit products
     t = lo0 * x0
     t >>= _U32
-    t += lo1 * x0
-    u = lo0 * x1
-    u += t & _LOW32
+    u = lo1 * x0
+    t += u
+    np.multiply(lo0, x1, out=u)
+    out_hi = t & _LOW32
+    u += out_hi
     t >>= _U32
     u >>= _U32
-    out_hi = lo1 * x1
+    np.multiply(lo1, x1, out=out_hi)
     out_hi += t
     out_hi += u
-    out_hi += lo * x_hi
-    out_hi += hi * x_lo
-    out_lo = lo * x_lo
+    out_hi += np.multiply(lo, x_hi, out=u)
+    out_hi += np.multiply(hi, x_lo, out=u)
+    out_lo = np.multiply(lo, x_lo, out=t)
     out_lo += add_lo
     out_hi += add_hi
     out_hi += out_lo < add_lo   # the carry
@@ -149,6 +156,23 @@ def _tables():
     return tables
 
 
+@functools.cache
+def _advance(steps: int) -> tuple[int, int]:
+    """``(A_steps, G_steps)`` mod 2^128, by squaring (Brown, "Random number
+    generation with arbitrary strides", 1994): the state after ``steps``
+    steps from ``s`` is ``A_steps s + G_steps inc``."""
+    mult, plus = 1, 0              # A and G of the steps taken so far
+    cur_mult, cur_plus = _MULT, 1  # A and G of 2^i steps
+    while steps:
+        if steps & 1:
+            mult = mult * cur_mult & _M128
+            plus = (plus * cur_mult + cur_plus) & _M128
+        cur_plus = (cur_mult + 1) * cur_plus & _M128
+        cur_mult = cur_mult * cur_mult & _M128
+        steps >>= 1
+    return mult, plus
+
+
 class PCG64:
     """The PCG64 bit generator seeded as ``np.random.PCG64(SeedSequence(seed,
     spawn_key=spawn_key))``; ``random_raw`` gives its raw 64-bit words."""
@@ -159,25 +183,42 @@ class PCG64:
         self._state = ((self._inc + (state_hi << 64 | state_lo)) * _MULT + self._inc) & _M128
         self._offsets = None   # G_j inc for j = 1 .. _TILE, as (hi, lo)
 
+    def _offset_table(self):
+        if self._offsets is None:
+            self._offsets = _mul_add(_tables()[1], self._inc, _ZERO, _ZERO)
+        return self._offsets
+
+    def jumped(self, jumps: int = 1) -> "PCG64":
+        """A new generator ``jumps * _JUMP`` steps (mod 2^128) ahead of this
+        one, as ``np.random.PCG64.jumped`` makes it.  It shares this
+        generator's increment and its table of ``G_j inc``, which neither
+        generator writes, so a chain of jumps builds that table once."""
+        twin = copy.copy(self)
+        twin._offsets = self._offset_table()
+        mult, plus = _advance(_JUMP * operator.index(jumps) & _M128)
+        twin._state = (mult * self._state + plus * self._inc) & _M128
+        return twin
+
     def random_raw(self, size=None):
         """The next raw words: one Python int for ``size`` None, else a uint64
         array of shape ``size``."""
         out = np.empty(() if size is None else size, dtype=np.uint64)
         flat = out.reshape(-1)
-        powers, sums = _tables()
-        if self._offsets is None:
-            self._offsets = _mul_add(sums, self._inc, _ZERO, _ZERO)
-        c_hi, c_lo = self._offsets
         for start in range(0, len(flat), _TILE):
-            n = min(_TILE, len(flat) - start)
-            hi, lo = _mul_add([column[:n] for column in powers], self._state, c_hi[:n], c_lo[:n])
-            self._state = _int((hi, lo), -1)
-            # XSL-RR: the xor of the state's halves, rotated right by its top 6 bits
-            lo ^= hi
-            hi >>= _U58
-            rotated = lo >> hi
-            hi = _U64 - hi
-            hi &= _U63
-            lo <<= hi
-            np.bitwise_or(rotated, lo, out=flat[start:start + n])
+            self._fill(flat[start:start + _TILE])
         return int(out) if size is None else out
+
+    def _fill(self, out) -> None:
+        """Write the next ``len(out) <= _TILE`` words into ``out``."""
+        n = len(out)
+        c_hi, c_lo = self._offset_table()
+        hi, lo = _mul_add([column[:n] for column in _tables()[0]], self._state, c_hi[:n], c_lo[:n])
+        self._state = _int((hi, lo), -1)
+        # XSL-RR: the xor of the state's halves, rotated right by its top 6 bits
+        lo ^= hi
+        hi >>= _U58
+        np.right_shift(lo, hi, out=out)
+        np.subtract(_U64, hi, out=hi)
+        hi &= _U63
+        lo <<= hi
+        out |= lo

@@ -119,9 +119,8 @@ def test_criterion_5_tomography_round_trip_and_finite_stats():
     assert metrics2 == pytest.approx((0.0, 1.0, 2.0 / 3.0, 0.5), abs=1e-6)
 
     # finite statistics with an imperfect source
-    rng = np.random.default_rng(21)
     noisy = add_white_noise(bell_phi_plus(), 0.04)
-    counts = simulate_counts(noisy, 1e4, rng)
+    counts = simulate_counts(noisy, 1e4, PCG64(21))
     _, m_fin = run_tomography(counts, replicas=2, seed=21)
     t_fin, f_fin = m_fin.tangle, m_fin.fidelity
     assert 0.85 <= t_fin <= 1.0
@@ -136,10 +135,9 @@ def test_criterion_6_partial_eve_plate():
     dephased = dephase_bob(bell_phi_plus(), plate.axis_angle_deg, gamma)
     assert state_metrics(dephased).tangle == pytest.approx((1.0 - gamma) ** 2, abs=1e-9)
 
-    rng = np.random.default_rng(27)
     noisy = dephase_bob(add_white_noise(bell_phi_plus(), 0.04),
                         plate.axis_angle_deg, gamma)
-    _, m_hat = run_tomography(simulate_counts(noisy, 1e4, rng), replicas=2, seed=27)
+    _, m_hat = run_tomography(simulate_counts(noisy, 1e4, PCG64(27)), replicas=2, seed=27)
     t_hat, s_hat = m_hat.tangle, m_hat.von_neumann
     assert 0.5 <= t_hat <= 0.85
     assert 0.2 <= s_hat <= 0.7

@@ -125,40 +125,58 @@ def test_session_csv_golden(tmp_path, preset):
 # entry (row-major, [re, im] per entry) of two tomo presets.
 TOMO_GOLDEN = {
     "tomo_no_eve": (
-        {"clamp_events": 0, "fidelity": 0.9602120701615303,
-         "fidelity_sigma": 0.011482494711947315, "linear_entropy": 0.10251547570234099,
-         "linear_entropy_sigma": 0.02833366350363179, "tangle": 0.8506628674882832,
-         "tangle_sigma": 0.042291581793766415,
-         "von_neumann": 0.27947038770852334, "von_neumann_sigma": 0.06490797117764248},
-        [0.49162620156575176, 0.0, 0.0006441383410960615,
-         4.954910316112685e-05, 0.008869289465860741, -0.007680110989990994,
-         0.47032008720642177, -0.006391834307798912, 0.0006441383410960615,
-         -4.954910316112685e-05, 0.010504409870181346, 0.0,
-         -0.0030224952928351017, -0.0003963928252901636, -0.005846794173025485,
-         0.0043603210781885645, 0.008869289465860741, 0.007680110989990994,
-         -0.0030224952928351017, 0.0003963928252901636, 0.009711624219601618,
-         0.0, -0.002180160539094138, -0.0031711426023189556,
-         0.47032008720642177, 0.006391834307798912, -0.005846794173025485,
-         -0.0043603210781885645, -0.002180160539094138, 0.0031711426023189556,
-         0.48815776434446534, 0.0]),
+        {"clamp_events": 0, "fidelity": 0.9741034561062596,
+         "fidelity_sigma": 0.00998457988419363, "linear_entropy": 0.06680379316723635,
+         "linear_entropy_sigma": 0.025423796548069626, "tangle": 0.9008810231784665,
+         "tangle_sigma": 0.03684208517535316,
+         "von_neumann": 0.17241219880597103, "von_neumann_sigma": 0.06084833445552825},
+        [0.4884354437781648, 0.0, -0.002929968268565452,
+         -0.0029604903119440857, -0.007716849179606743, -0.002741144937255299,
+         0.4863476170578805, 0.009972898992744124, -0.002929968268565452,
+         0.0029604903119440857, 0.012428272482551989, 0.0,
+         0.0015944966674661515, -0.012088931555018027, -0.001261609145283895,
+         -0.0025271311359255, -0.007716849179606743, 0.002741144937255299,
+         0.0015944966674661515, 0.012088931555018027, 0.012060049420689684,
+         0.0, -0.0022585890362358347, 0.0035726256260240814,
+         0.4863476170578805, -0.009972898992744124, -0.001261609145283895,
+         0.0025271311359255, -0.0022585890362358347, -0.0035726256260240814,
+         0.4870762343185935, 0.0]),
     "tomo_partial_eve": (
-        {"clamp_events": 0, "fidelity": 0.87465524034673,
-         "fidelity_sigma": 0.01206320397835182, "linear_entropy": 0.2965970570159935,
-         "linear_entropy_sigma": 0.025091463036155764, "tangle": 0.5628752446932271,
-         "tangle_sigma": 0.03609984164649658,
-         "von_neumann": 0.6281730235988708, "von_neumann_sigma": 0.040848351277192996},
-        [0.4867021276595745, 0.0, -0.008323483057525498,
-         -0.006156422379826667, 0.0021178092986604046, -0.0031028368794325557,
-         0.38352048857368054, 0.004777383766745627, -0.008323483057525498,
-         0.006156422379826667, 0.008471237194641433, 0.0,
-         -0.004087864460204864, -0.002216312056737763, -0.008618991331757012,
-         0.00034475965327035625, 0.0021178092986604046, 0.0031028368794325557,
-         -0.004087864460204864, 0.002216312056737763, 0.009259259259259255,
-         0.0, 0.009308510638297905, 0.007042947202521606,
-         0.38352048857368054, -0.004777383766745627, -0.008618991331757012,
-         -0.00034475965327035625, 0.009308510638297905, -0.007042947202521606,
-         0.4955673758865249, 0.0]),
+        {"clamp_events": 0, "fidelity": 0.8716295311976952,
+         "fidelity_sigma": 0.011539225164454969, "linear_entropy": 0.3058498832330271,
+         "linear_entropy_sigma": 0.024220081864392316, "tangle": 0.5552863079410884,
+         "tangle_sigma": 0.03472421899449434,
+         "von_neumann": 0.6569699574549923, "von_neumann_sigma": 0.04221724878040794},
+        [0.4886885002362767, 0.0, -0.005632066138218194,
+         0.0035458297837036748, -0.007834478445035934, 0.008790320112790538,
+         0.38971129277775696, -0.0014674947637839581, -0.005632066138218194,
+         -0.0035458297837036748, 0.018532929194784324, 0.0,
+         0.016611454933914773, -0.0001546553725153394, 0.01104012043250592,
+         0.007978254863512082, -0.007834478445035934, -0.008790320112790538,
+         0.016611454933914773, 0.0001546553725153394, 0.017630593965339225,
+         0.0, -0.006157000180458427, -0.011345405895729858,
+         0.38971129277775696, 0.0014674947637839581, 0.01104012043250592,
+         -0.007978254863512082, -0.006157000180458427, 0.011345405895729858,
+         0.47514797660359986, 0.0]),
 }
+
+# Frozen figures: the sha256 of counts.csv of every tomo preset.  The counts
+# are drawn from the raw words of qkdlab.pcg64 and no LAPACK call enters
+# them, so they depend neither on the platform nor on a numpy.random stream.
+TOMO_COUNTS_GOLDEN = {
+    "tomo_full_eve_da": "d9c9fceac4298937cb38ec27a54b552c3d3422ee51bb1bb97006dd62b987fcd4",
+    "tomo_full_eve_hv": "3afcfafe013ba5a7b1aa72004c6dc9c65b3e9a1dcfaf97044cb3055eff2c3d79",
+    "tomo_no_eve": "948279a9c74444a268994ac002be8d8c8507999ca90ac0e2466a380659031b9a",
+    "tomo_partial_eve": "4079512e105d02378f7443ae3ba80b6f5083d270301d555010efdd9c0a8040a2",
+}
+
+
+@pytest.mark.parametrize("preset", sorted(TOMO_COUNTS_GOLDEN))
+def test_tomo_counts_csv_golden(tmp_path, preset):
+    cfg = os.path.join(CONFIG_DIR, preset + ".json")
+    assert main(["tomo", "--config", cfg, "--out", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / "counts.csv").read_bytes()).hexdigest()
+    assert digest == TOMO_COUNTS_GOLDEN[preset]
 
 
 @pytest.mark.parametrize("preset", sorted(TOMO_GOLDEN))
@@ -232,17 +250,19 @@ def test_cli_import_leaves_numpy_random_and_fft_unloaded():
     assert with_cli == []
 
 
-def test_session_presets_leave_numpy_random_unloaded(tmp_path):
-    # a session draws from qkdlab.pcg64, whose jump-ahead tables are built on
-    # first use, never at import
-    presets = sorted(name for name in os.listdir(CONFIG_DIR) if name.startswith("session_"))
-    probe = ("import json, sys\n"
+def test_every_preset_leaves_numpy_random_unloaded(tmp_path):
+    # sessions and tomo draw from qkdlab.pcg64, whose jump-ahead tables are
+    # built on first use, never at import; a preset's command is its name
+    # up to the first "_"
+    presets = sorted(os.listdir(CONFIG_DIR))
+    probe = ("import json, os, sys\n"
              "import numpy\n"
              "preloaded = 'numpy.random' in sys.modules\n"
              "import qkdlab.cli, qkdlab.pcg64\n"
              "runs = [qkdlab.pcg64._tables.cache_info().currsize]\n"
              "for config, out in zip(sys.argv[1::2], sys.argv[2::2]):\n"
-             "    code = qkdlab.cli.main(['session', '--config', config, '--out', out])\n"
+             "    command = os.path.basename(config).split('_')[0]\n"
+             "    code = qkdlab.cli.main([command, '--config', config, '--out', out])\n"
              "    runs.append([code, 'numpy.random' in sys.modules])\n"
              "print(json.dumps([preloaded, runs]))\n")
     args = [arg for i, name in enumerate(presets)
@@ -254,11 +274,12 @@ def test_session_presets_leave_numpy_random_unloaded(tmp_path):
     preloaded, runs = json.loads(out.splitlines()[-1])
     if preloaded:
         pytest.skip("import numpy alone loads numpy.random")
-    tables_at_import, *sessions = runs
+    tables_at_import, *results = runs
     assert not tables_at_import
-    assert len(sessions) == 4
-    for name, (code, loaded) in zip(presets, sessions):
-        assert code == SESSION_GOLDEN[name[:-len(".json")]][0], name
+    assert len(results) == 10
+    for name, (code, loaded) in zip(presets, results):
+        preset = name[:-len(".json")]
+        assert code == (SESSION_GOLDEN[preset][0] if preset in SESSION_GOLDEN else 0), name
         assert not loaded, f"{name} imported numpy.random"
 
 
@@ -511,7 +532,8 @@ _PLATE_NEEDS_FIXED = ("a quartz plate fixes the dephasing axis, "
      "unknown key(s) in config: reconciliation_passes"),
     # above protocol.MAX_INTERVALS: refused before records.csv is opened
     ("session", {"n_intervals": 10 ** 400}, "config: n_intervals must be in [1, 100000000]"),
-    # above tomography.MAX_COUNT: numpy's Poisson draw would refuse the mean
+    # above tomography.MAX_COUNT: a count would not fit an int64 at ~9.2e18,
+    # and the sampler's law is tested up to 1e18
     ("tomo", {"n_per_setting": 1e300}, "n_per_setting must be at most 1e+18"),
     ("tomo", {"n_per_setting": 2e19}, "n_per_setting must be at most 1e+18"),
     # ... or the bootstrap's resampling of the count

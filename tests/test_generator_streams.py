@@ -1,45 +1,57 @@
-"""The ``Generator`` methods the package draws from, pinned by name.
+"""No module of the package reads a stream of ``numpy.random``.
 
-NumPy promises a fixed seed's raw PCG64 stream across versions, but not the
-streams of ``Generator``'s methods.  ``src/qkdlab`` calls one of them:
-``poisson`` draws the tomography counts.  It is pinned here for a fixed seed, in
-the form the package calls it, so a NumPy that changes it fails here by its name
-rather than as a bare golden mismatch; every other draw, a session's among them,
-reads the raw stream (``qkdlab.pcg64``).
+NumPy promises a fixed seed's raw PCG64 words across versions (NEP 19), but
+not the streams of ``Generator``'s methods, and importing ``numpy.random``
+costs every command its load.  Every draw in ``src/qkdlab`` reads raw words
+from ``qkdlab.pcg64``: sessions through ``random_raw`` and tomography through
+``tomography._poisson``.  This AST check fails on any import of
+``numpy.random``, any use of ``np.random`` and any call of a method that
+``Generator`` defines.
 """
 
 import ast
 import os
 
 import numpy as np
-import pytest
 
 PACKAGE = os.path.join(os.path.dirname(__file__), os.pardir, "src", "qkdlab")
+GENERATOR_METHODS = {name for name in dir(np.random.Generator)
+                     if not name.startswith("_") and callable(getattr(np.random.Generator, name))}
 
 
-STREAMS = {
-    "poisson": (lambda rng: rng.poisson([0.5, 3.0, 40.0, 1e4], size=(2, 4)),
-                [[1, 3, 29, 9959], [0, 2, 42, 9908]]),
-}
+def _findings(tree, name):
+    for node in ast.walk(tree):
+        where = f"{name}:{getattr(node, 'lineno', 0)}"
+        if isinstance(node, ast.Import):
+            yield from (f"{where} import {alias.name}" for alias in node.names
+                        if alias.name.startswith("numpy.random"))
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if module.startswith("numpy.random") or (
+                    module == "numpy" and any(alias.name == "random" for alias in node.names)):
+                yield f"{where} from {module} import ..."
+        elif isinstance(node, ast.Attribute) and node.attr == "random" \
+                and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"):
+            yield f"{where} {node.value.id}.random"
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr in GENERATOR_METHODS:
+            yield f"{where} .{node.func.attr}()"
 
 
-@pytest.mark.parametrize("method", sorted(STREAMS))
-def test_generator_method_stream_is_pinned(method):
-    draw, expected = STREAMS[method]
-    assert draw(np.random.default_rng(2024)).tolist() == expected, (
-        f"Generator.{method} draws a different stream for seed 2024 on NumPy "
-        f"{np.__version__}: every output that uses it moves")
-
-
-def test_package_calls_no_other_generator_method():
-    methods = {name for name in dir(np.random.Generator)
-               if not name.startswith("_") and callable(getattr(np.random.Generator, name))}
+def test_package_reads_no_numpy_random_stream():
     found = []
     for name in sorted(os.listdir(PACKAGE)):
         if name.endswith(".py"):
             with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
-                tree = ast.parse(fh.read(), filename=name)
-            found += [f"{name}:{node.lineno} .{node.func.attr}" for node in ast.walk(tree)
-                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                      and node.func.attr in methods - set(STREAMS)]
-    assert not found, "Generator methods whose stream is not pinned: " + ", ".join(found)
+                found += _findings(ast.parse(fh.read(), filename=name), name)
+    assert not found, "numpy.random in the package: " + ", ".join(found)
+
+
+def test_the_check_finds_each_form():
+    source = ("import numpy.random\n"
+              "from numpy.random import default_rng\n"
+              "from numpy import random\n"
+              "rng = np.random.default_rng(1)\n"
+              "rng.poisson(3.0)\n")
+    assert sorted(f.split(" ", 1)[0] for f in _findings(ast.parse(source), "probe.py")) == [
+        f"probe.py:{line}" for line in range(1, 6)]

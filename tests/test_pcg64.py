@@ -37,6 +37,33 @@ def test_successive_calls_continue_the_stream():
         assert np.array_equal(got.random_raw(size), ref.random_raw(size)), size
 
 
+JUMPS = [1, 2, 7, 2 ** 20]
+
+
+@pytest.mark.parametrize("spawn_key", SPAWN_KEYS, ids=str)
+@pytest.mark.parametrize("seed", SEEDS, ids=["0", "1", "2^32-1", "2^32", "2^64", "10^400"])
+def test_jumped_words_equal_numpy(seed, spawn_key):
+    for jumps in JUMPS:
+        got = PCG64(seed, spawn_key).jumped(jumps)
+        ref = _reference(seed, spawn_key).jumped(jumps)
+        for size in (None, 1, 4097, 10 ** 5):
+            assert np.array_equal(got.random_raw(size), ref.random_raw(size)), (jumps, size)
+
+
+def test_jumped_continues_from_the_position_and_shares_the_offsets():
+    got, ref = PCG64(9, (0,)), _reference(9, (0,))
+    assert np.array_equal(got.random_raw(5000), ref.random_raw(5000))
+    twin, ref_twin = got.jumped(), ref.jumped()
+    chained, ref_chained = twin.jumped(3), ref_twin.jumped(3)
+    for size in (3, 4096, None):
+        assert np.array_equal(twin.random_raw(size), ref_twin.random_raw(size))
+        assert np.array_equal(chained.random_raw(size), ref_chained.random_raw(size))
+    # the parent goes on from where it was
+    assert np.array_equal(got.random_raw(4097), ref.random_raw(4097))
+    # one table of G_j inc serves the whole chain
+    assert twin._offsets is got._offsets and chained._offsets is got._offsets
+
+
 @pytest.mark.parametrize("seed, spawn_key", [(-1, ()), (1, (0, -1)), (-(2 ** 64), (1,))])
 def test_negative_entropy_or_spawn_word_is_refused_as_numpy_refuses_it(seed, spawn_key):
     with pytest.raises(ValueError, match="non-negative"):

@@ -2,8 +2,8 @@
 a 10^6-interval session writes pinned bytes below 100 MB; an
 intercept-abort session at 10^5 intervals and tomo at 200 000 bootstrap
 replicas each stay within 4 MB of a child that imports what the command
-imports (a session never imports numpy.random); and an oversized counts file,
-config or key file is refused in under a second within 4 MB of an import-only
+imports (neither imports numpy.random); and an oversized counts file, config
+or key file is refused in under a second within 4 MB of an import-only
 child."""
 
 import functools
@@ -93,7 +93,7 @@ WITHIN_4_MB_OF_IMPORT = {
                 "intercept_fraction": 1.0}}, 2, "qkdlab.cli, numpy.fft"),
     "tomo_2e5_replicas": ("tomo", {
         "kind": "tomo", "seed": 2, "source_noise": 0.04,
-        "n_per_setting": 10000, "replicas": 200000}, 0, "qkdlab.cli, numpy.random, numpy.fft"),
+        "n_per_setting": 10000, "replicas": 200000}, 0, "qkdlab.cli, numpy.fft"),
 }
 
 

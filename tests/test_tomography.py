@@ -1,23 +1,27 @@
 import dataclasses
 import glob
+import math
 import os
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
+from qkdlab import tomography
 from qkdlab.cli import load_config
 from qkdlab.detection import DetectorConfig, expected_rates
 from qkdlab.optics import PolState, linear_ket
+from qkdlab.pcg64 import PCG64
 from qkdlab.states import (EveConfig, TwoQubitState, add_white_noise, after_eve,
                            bell_phi_plus, bell_phi_plus_ket, dephase_bob)
 from qkdlab import qmath
-from qkdlab.tomography import (_BLOCK, _INVERSION, _PAULIS, _PROJECTORS,
-                               CHSH_CANONICAL_ANGLES, MAX_REPLICAS, TOMO_SCHEDULE,
-                               ReconstructionError, _linear_inversion, _replica_blocks,
-                               _spectral_metrics, _wootters_overlaps, bootstrap_metrics,
-                               chsh, correlator, expected_probs, run_tomography,
-                               simulate_counts, state_metrics)
+from qkdlab.tomography import (_BLOCK, _INVERSION, _PAULIS, _PROJECTORS, _STIRLERR,
+                               CHSH_CANONICAL_ANGLES, MAX_COUNT, MAX_REPLICAS, TOMO_SCHEDULE,
+                               ReconstructionError, _linear_inversion, _log_pmf, _poisson,
+                               _replica_blocks, _spectral_metrics, _wootters_overlaps,
+                               bootstrap_metrics, chsh, correlator, expected_probs,
+                               run_tomography, simulate_counts, state_metrics)
 
 from conftest import assert_close, binomial_sigma, random_density
 
@@ -38,9 +42,11 @@ def _setting_index(name):
     return ["".join((a.value, b.value)) for a, b in TOMO_SCHEDULE].index(name)
 
 
-def test_simulate_counts_means(rng):
+def test_simulate_counts_means():
     n = 100000
+    rng = PCG64(1234)
     counts = simulate_counts(bell_phi_plus(), n, rng)
+    assert counts.dtype == np.int64
     hh = counts[_setting_index("HH")]
     assert abs(hh - n / 2) < 4 * np.sqrt(n / 2)       # Poisson sigma
     assert counts[_setting_index("HV")] == 0           # zero mean, always zero
@@ -49,9 +55,168 @@ def test_simulate_counts_means(rng):
     assert abs(dd - n / 4) < 4 * np.sqrt(n / 4)
 
 
-def test_simulate_counts_rejects_bad_flux(rng):
+def test_simulate_counts_rejects_bad_flux():
     with pytest.raises(ValueError):
-        simulate_counts(bell_phi_plus(), 0.0, rng)
+        simulate_counts(bell_phi_plus(), 0.0, PCG64(1))
+
+
+def _chi2_sf(x, df):
+    """P(chi^2 with ``df`` degrees of freedom > x): one minus the regularised
+    lower incomplete gamma P(df/2, x/2), summed as its series."""
+    a, x = df / 2.0, x / 2.0
+    term = total = 1.0 / a
+    n = a
+    while term > total * 1e-17:
+        n += 1.0
+        term *= x / n
+        total += term
+    return 1.0 - total * math.exp(a * math.log(x) - x - math.lgamma(a))
+
+
+@pytest.mark.parametrize("lam", [0.5, 3.0, 9.99, 10.0, 40.0, 1e4])
+def test_poisson_law_chi_square(lam):
+    # inversion below 10, PTRS from 10 on; the gate p > 1e-6, fixed before
+    # running, fails a correct sampler once in a million seeds.  Bins hold
+    # single counts where 2e5 draws expect at least 5; the tails join the
+    # first and last bins.
+    draws = _poisson([PCG64(2024)], lam, (200_000,))[0]
+    assert draws.min() >= 0 and np.array_equal(draws, np.floor(draws))
+    ks = np.arange(int(max(draws.max(), lam + 12 * math.sqrt(lam) + 20)) + 1)
+    pmf = np.exp([-lam + k * math.log(lam) - math.lgamma(k + 1) for k in ks])
+    observed = np.bincount(draws.astype(np.int64), minlength=ks.size).astype(float)
+    expected = draws.size * pmf
+    keep = np.flatnonzero(expected >= 5)
+    lo, hi = keep[0], keep[-1]
+    obs, exp = observed[lo:hi + 1].copy(), expected[lo:hi + 1].copy()
+    obs[0] += observed[:lo].sum()
+    exp[0] += draws.size * math.fsum(pmf[:lo])
+    obs[-1] += observed[hi + 1:].sum()
+    exp[-1] += draws.size * (1.0 - math.fsum(pmf[:hi + 1]))
+    stat = float(((obs - exp) ** 2 / exp).sum())
+    assert _chi2_sf(stat, obs.size - 1) > 1e-6, (stat, obs.size - 1)
+
+
+@pytest.mark.parametrize("lam", [1e15, 1e16, MAX_COUNT], ids=["1e15", "1e16", "MAX_COUNT"])
+def test_poisson_variance_at_large_means(lam):
+    # var/lam within 1.5 % on 2e5 draws (standard error 0.32 %); numpy's
+    # Generator.poisson reads about 1.036, 1.42 and 1.54 here, its PTRS log
+    # test losing to cancellation
+    draws = _poisson([PCG64(7)], lam, (200_000,))[0]
+    deviation = draws - lam   # exact: both lie within a factor 2
+    assert abs(deviation.mean()) < 5 * math.sqrt(lam / draws.size)
+    assert abs(deviation.var() / lam - 1.0) < 0.015
+
+
+def test_poisson_zero_mean_gives_zero_and_takes_no_word():
+    lam = np.array([3.0, 0.0, 40.0, 0.0])
+    draws = _poisson([PCG64(5)], lam, (64, 4))[0]
+    assert not draws[:, 1::2].any()
+    assert np.array_equal(draws[:, ::2], _poisson([PCG64(5)], lam[::2], (64, 2))[0])
+
+
+def _reference_poisson(rng, lam):
+    """One row of ``_poisson`` in plain Python, a draw at a time, in the
+    documented word order, with the log test in the textbook form
+    ``log V + log(1/alpha) - log(a/us^2 + b) <= -lam + k log lam - log k!``."""
+    def uniform():
+        return (rng.random_raw() >> 11) * 2.0 ** -53
+
+    out = [0.0] * len(lam)
+    for i, mean in enumerate(lam):
+        if 0.0 < mean < 10.0:
+            u, k = uniform(), 0
+            p = cdf = math.exp(-mean)
+            while u >= cdf:
+                k += 1
+                p = p * mean / k
+                if cdf + p <= cdf:
+                    break
+                cdf += p
+            out[i] = float(k)
+    pending = [i for i, mean in enumerate(lam) if mean >= 10.0]
+    while pending:
+        words = [uniform() for _ in range(2 * len(pending))]
+        rejected = []
+        for i, u, v in zip(pending, words, words[len(pending):]):
+            mean = lam[i]
+            b = 0.931 + 2.53 * math.sqrt(mean)
+            a = -0.059 + 0.02483 * b
+            u -= 0.5
+            us = 0.5 - abs(u)
+            k = math.floor((2.0 * a / us + b) * u + mean + 0.43)
+            if (us >= 0.07 and v <= 0.9277 - 3.6224 / (b - 2.0)) or (
+                    k >= 0 and (us >= 0.013 or v <= us)
+                    and math.log(v) + math.log(1.1239 + 1.1328 / (b - 3.4))
+                    - math.log(a / (us * us) + b)
+                    <= -mean + k * math.log(mean) - math.lgamma(k + 1)):
+                out[i] = float(k)
+            else:
+                rejected.append(i)
+        pending = rejected
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_poisson_reads_its_words_in_the_documented_order(seed):
+    lam = [0.0, 2.5, 12.0, 7.0, 300.0, 1e4, 0.3, 10.0]
+    shape = (40, len(lam))
+    want = _reference_poisson(PCG64(seed), np.broadcast_to(lam, shape).ravel().tolist())
+    assert _poisson([PCG64(seed)], lam, shape)[0].ravel().tolist() == want
+
+
+def test_poisson_rows_read_only_their_own_generator(monkeypatch):
+    lam = np.array([0.0, 4.0, 25.0, 900.0])
+
+    def generators():
+        return [PCG64(3, (0,)), PCG64(4), PCG64(3, (0,)).jumped()]
+
+    together = _poisson(generators(), lam, (300, 4))
+    alone = np.array([_poisson([rng], lam, (300, 4))[0] for rng in generators()])
+    assert np.array_equal(together, alone)
+    # a generator that reads too few words ahead reads more, in stream order
+    monkeypatch.setattr(tomography, "_SPARE", 0.0)
+    assert np.array_equal(_poisson(generators(), lam, (300, 4)), together)
+
+
+def _decimal_log_pmf(k, lam):
+    """log Poisson(k; lam) in 60-digit decimals: log k! summed below 2000,
+    else Stirling's series to its k^-11 term."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        k, lam = Decimal(k), Decimal(lam)
+        if k < 2000:
+            log_fact = sum((Decimal(i).ln() for i in range(2, int(k) + 1)), Decimal(0))
+        else:
+            pi = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
+            log_fact = (k + Decimal("0.5")) * k.ln() - k + (2 * pi).ln() / 2
+            for j, c in enumerate((Decimal(1) / 12, Decimal(-1) / 360, Decimal(1) / 1260,
+                                   Decimal(-1) / 1680, Decimal(1) / 1188,
+                                   Decimal(-691) / 360360)):
+                log_fact += c / k ** (2 * j + 1)
+        return float(-lam + k * lam.ln() - log_fact)
+
+
+def test_stirlerr_table_is_loaders_to_the_last_bit():
+    # stirlerr(n) = log n! - (n + 1/2) log n + n - log sqrt(2 pi)
+    for n in range(1, 16):
+        with localcontext() as ctx:
+            ctx.prec = 60
+            pi = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
+            log_fact = sum((Decimal(i).ln() for i in range(2, n + 1)), Decimal(0))
+            want = log_fact - (n + Decimal("0.5")) * Decimal(n).ln() + n - (2 * pi).ln() / 2
+        assert _STIRLERR[n] == float(want), n
+
+
+@pytest.mark.parametrize("k, lam", [
+    (0.0, 12.5), (3.0, 12.5), (12.0, 12.5), (15.0, 12.5), (16.0, 12.5), (40.0, 12.5),
+    (9500.0, 1e4), (10001.0, 1e4), (10320.0, 1e4), (1e15 + 3e7, 1e15),
+    (1e18 - 2.0 ** 32, 1e18), (1e18 + 2.0 ** 33, 1e18), (1e18, 1e18)])
+def test_log_pmf_is_free_of_cancellation(k, lam):
+    # -lam + k log lam - log k! at lam = 1e18 cancels terms of ~4e19, whose
+    # rounding alone is ~8e3; the log pmf itself is ~-21 to -30
+    got = float(_log_pmf(np.array([k]), np.array([lam]))[0])
+    want = _decimal_log_pmf(k, lam)
+    assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (got, want)
 
 
 def _exact_counts(state, n=1e6):
@@ -296,7 +461,7 @@ def test_bootstrap_entropy_spread_above_one_bit():
     # would collapse the spread and count a clamp on nearly every replica
     for angle, seed in ((0.0, 23), (45.0, 25)):
         state = dephase_bob(add_white_noise(bell_phi_plus(), 0.04), angle, 1.0)
-        counts = simulate_counts(state, 10000, np.random.default_rng(seed))
+        counts = simulate_counts(state, 10000, PCG64(seed))
         _, metrics = run_tomography(counts, replicas=200, seed=seed)
         assert metrics.von_neumann > 1.0
         assert metrics.von_neumann_sigma > 0.01
@@ -304,15 +469,18 @@ def test_bootstrap_entropy_spread_above_one_bit():
 
 
 def test_bootstrap_blocks_match_single_state_path():
-    # replica k's metrics must not depend on the block it is stacked in
-    counts = simulate_counts(add_white_noise(bell_phi_plus(), 0.04), 10000,
-                             np.random.default_rng(7))
+    # replica k's metrics must not depend on the block it is stacked in; its
+    # counts are row k % _BLOCK of block k // _BLOCK, drawn alone from the
+    # block's jumped generator
+    counts = simulate_counts(add_white_noise(bell_phi_plus(), 0.04), 10000, PCG64(7))
     replicas = 2 * _BLOCK + 3
     rows = _replica_metrics(counts.astype(float), replicas, seed=11)
     assert rows.shape == (replicas, 4)
     for k in (0, _BLOCK - 1, _BLOCK, 2 * _BLOCK - 1, 2 * _BLOCK, replicas - 1):
-        rng = np.random.default_rng(np.random.SeedSequence(11, spawn_key=(k // _BLOCK,)))
-        _, metrics = run_tomography(rng.poisson(counts, size=(_BLOCK, 16))[k % _BLOCK],
+        rng = PCG64(11, spawn_key=(0,))
+        for _ in range(k // _BLOCK):
+            rng = rng.jumped()
+        _, metrics = run_tomography(_poisson([rng], counts, (_BLOCK, 16))[0, k % _BLOCK],
                                     replicas=2, seed=0)
         assert_close(rows[k], dataclasses.astuple(metrics)[:4], tol=1e-9)
 
@@ -320,21 +488,21 @@ def test_bootstrap_blocks_match_single_state_path():
 def test_bootstrap_replica_does_not_depend_on_replica_count():
     # a short last block draws a prefix of a full block's rows
     counts = simulate_counts(add_white_noise(bell_phi_plus(), 0.04), 10000,
-                             np.random.default_rng(5)).astype(float)
+                             PCG64(5)).astype(float)
     short = _replica_metrics(counts, _BLOCK + 3, seed=9)
     full = _replica_metrics(counts, 2 * _BLOCK, seed=9)
     assert_close(short, full[:_BLOCK + 3], tol=1e-9)
 
 
 def test_bootstrap_replica_zero_does_not_replay_the_counts_stream():
-    # cmd_tomo draws the counts from default_rng(seed) and bootstraps with
-    # the same seed: replica 0's resampling noise must not repeat the counts'
-    # own noise, which would make it a copy of the counts' deviation
+    # cmd_tomo draws the counts from PCG64(seed) and bootstraps with the
+    # same seed: replica 0's resampling noise must not repeat the counts' own
+    # noise, which would make it a copy of the counts' deviation
     state = add_white_noise(bell_phi_plus(), 0.04)
     truth = state_metrics(state).fidelity
     replica_noise, counts_noise = [], []
     for seed in range(200):
-        counts = simulate_counts(state, 10000, np.random.default_rng(seed))
+        counts = simulate_counts(state, 10000, PCG64(seed))
         _, metrics = run_tomography(counts, replicas=2, seed=seed)
         point = metrics.fidelity
         replica_noise.append(_replica_metrics(counts.astype(float), 1, seed)[0, 3] - point)
@@ -350,7 +518,7 @@ def test_reconstruct_bias_is_that_of_the_sgs_projection():
     # truth 0.9700 / 0.8836 / 0.2419 bits.  Each bound lies midway between
     # the two rules, about 4 s.e. of a 200-seed mean from either.
     state = add_white_noise(bell_phi_plus(), 0.04)
-    metrics = [run_tomography(simulate_counts(state, 10000, np.random.default_rng(seed)),
+    metrics = [run_tomography(simulate_counts(state, 10000, PCG64(seed)),
                               replicas=2, seed=seed)[1]
                for seed in range(200)]
     values = np.array([[m.fidelity, m.tangle, m.von_neumann] for m in metrics])
@@ -364,16 +532,16 @@ def test_bootstrap_sigma_coverage_is_below_nominal():
     # Werner p = 0.04 at 1e4 counts per setting, 200 seeds of 200 replicas:
     # the share of seeds whose true value lies within one bootstrap sigma of
     # run_tomography's point estimate, against a nominal 68 %.  Measured:
-    # tangle 125, von Neumann entropy 108, linear entropy 121 and fidelity
-    # 122 of 200; each is pinned within 4 binomial s.e. (~0.035) and below
+    # tangle 122, von Neumann entropy 114, linear entropy 121 and fidelity
+    # 127 of 200; each is pinned within 4 binomial s.e. (~0.035) and below
     # the nominal share.
     state = add_white_noise(bell_phi_plus(), 0.04)
     truth = dataclasses.asdict(state_metrics(state))
-    measured = {"tangle": 125, "von_neumann": 108, "linear_entropy": 121, "fidelity": 122}
+    measured = {"tangle": 122, "von_neumann": 114, "linear_entropy": 121, "fidelity": 127}
     seeds = 200
     hits = dict.fromkeys(measured, 0)
     for seed in range(seeds):
-        counts = simulate_counts(state, 10000, np.random.default_rng(seed))
+        counts = simulate_counts(state, 10000, PCG64(seed))
         _, metrics = run_tomography(counts, replicas=200, seed=seed)
         m = dataclasses.asdict(metrics)
         for name in measured:
@@ -389,20 +557,19 @@ def test_bootstrap_golden():
     path = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
                         "tomo_no_eve.json")
     cfg = load_config(path, "tomo")
-    counts = simulate_counts(cfg.measured_state(), cfg.n_per_setting,
-                             np.random.default_rng(cfg.seed))
+    counts = simulate_counts(cfg.measured_state(), cfg.n_per_setting, PCG64(cfg.seed))
     metrics = bootstrap_metrics(counts, replicas=cfg.replicas, seed=cfg.seed)
     assert dataclasses.asdict(metrics) == pytest.approx({
-        "tangle": 0.8353694316321768, "tangle_sigma": 0.042291581793766415,
-        "von_neumann": 0.29110943834738107, "von_neumann_sigma": 0.06490797117764187,
-        "linear_entropy": 0.11338216568275956,
-        "linear_entropy_sigma": 0.028333663503631753,
-        "fidelity": 0.9553442599684174, "fidelity_sigma": 0.011482494711947327,
+        "tangle": 0.8837990923860033, "tangle_sigma": 0.03684208517535316,
+        "von_neumann": 0.2060567058039794, "von_neumann_sigma": 0.06084833445552825,
+        "linear_entropy": 0.07945358251161537,
+        "linear_entropy_sigma": 0.025423796548069626,
+        "fidelity": 0.96880029272134, "fidelity_sigma": 0.00998457988419363,
         "clamp_events": 0}, rel=1e-9)
 
 
 def test_bootstrap_memory_does_not_grow_with_replicas():
-    bootstrap_metrics(np.full(16, 5000.0), replicas=2, seed=0)   # warm numpy.random
+    bootstrap_metrics(np.full(16, 5000.0), replicas=2, seed=0)   # warm the jump tables
     tracemalloc.start()
     try:
         bootstrap_metrics(np.full(16, 5000.0), replicas=40_960, seed=0)
@@ -444,8 +611,7 @@ def test_run_tomography_builds_one_spectrum_per_stack(monkeypatch):
         return spectrum(m)
 
     monkeypatch.setattr(qmath, "physical_spectrum", counted)
-    counts = simulate_counts(add_white_noise(bell_phi_plus(), 0.04), 10000,
-                             np.random.default_rng(3))
+    counts = simulate_counts(add_white_noise(bell_phi_plus(), 0.04), 10000, PCG64(3))
     run_tomography(counts, replicas=2 * _BLOCK + 3, seed=3)
     assert shapes == [(4, 4), (_BLOCK, 4, 4), (_BLOCK, 4, 4), (3, 4, 4)]
 

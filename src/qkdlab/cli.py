@@ -266,32 +266,33 @@ def cmd_session(cfg: SessionConfig, out_dir: str) -> int:
     return 2 if transcript.aborted else 0
 
 
+_SCHEDULE_SLOTS = {(a.value, b.value): i for i, (a, b) in enumerate(TOMO_SCHEDULE)}
+
+
 def _counts_from_rows(rows) -> np.ndarray:
     """The counts in schedule order from a counts file's rows, read until the first
-    that is malformed, repeats a setting or comes after the 16th setting."""
-    table = {}
+    that is malformed, names a setting outside the schedule or repeats one."""
+    counts = [None] * len(TOMO_SCHEDULE)
     for i, row in enumerate(rows):
         if i == 0 and [field.strip() for field in row[:3]] == ["setting_a", "setting_b", "count"]:
             continue
         if len(row) != 3:
             raise ConfigError(f"counts file row has {len(row)} fields, expected 3")
-        key = (row[0].strip(), row[1].strip())
-        if key in table:
-            raise ConfigError(f"counts file repeats the {key[0]}{key[1]} setting")
-        if len(table) == len(TOMO_SCHEDULE):
-            raise ConfigError("counts file has settings outside the 16-setting schedule")
+        a, b = row[0].strip(), row[1].strip()
+        slot = _SCHEDULE_SLOTS.get((a, b))
+        if slot is None:
+            raise ConfigError(f"counts file has settings outside the 16-setting schedule: {a},{b}")
+        if counts[slot] is not None:
+            raise ConfigError(f"counts file repeats the {a}{b} setting")
         try:
-            table[key] = float(row[2])
+            counts[slot] = float(row[2])
         except ValueError as exc:
             raise ConfigError(f"bad count value {row[2]!r}") from exc
-        if not 0 <= table[key] <= MAX_COUNT:
+        if not 0 <= counts[slot] <= MAX_COUNT:
             raise ConfigError(f"counts file count {row[2]!r} is not in [0, {MAX_COUNT:g}]")
-    counts = []
-    for a, b in TOMO_SCHEDULE:
-        key = (a.value, b.value)
-        if key not in table:
-            raise ConfigError(f"counts file is missing the {key[0]}{key[1]} setting")
-        counts.append(table[key])
+    for (a, b), slot in _SCHEDULE_SLOTS.items():
+        if counts[slot] is None:
+            raise ConfigError(f"counts file is missing the {a}{b} setting")
     return np.array(counts)
 
 

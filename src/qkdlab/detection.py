@@ -20,6 +20,7 @@ import numpy as np
 
 from . import qmath
 from .optics import MeasBasis
+from .pcg64 import uniform
 from .states import EveConfig, TwoQubitState, add_white_noise, eve_scenarios, mixture
 
 
@@ -151,12 +152,6 @@ def expected_rates(s: TwoQubitState, detector: DetectorConfig, eve: EveConfig) -
 _OUTCOME_BITS = np.array(list(_BIT_PAIRS) * 2 + [(-1, -1)], dtype=np.int8).T
 
 
-def _uniform(words: np.ndarray) -> np.ndarray:
-    """The top 53 bits of 64-bit words as floats in [0, 1), as numpy's
-    ``Generator.random`` maps them."""
-    return (words >> 11) * 2.0 ** -53
-
-
 def simulate_dwell_stream(rates: Rates, n_intervals: int, rng) -> Trials:
     """Draw ``n_intervals`` dwell intervals from ``rates``, as columns.
 
@@ -168,12 +163,12 @@ def simulate_dwell_stream(rates: Rates, n_intervals: int, rng) -> Trials:
     pair of words while Eve is present), so the first ``k`` rows of a
     stream do not depend on its length, and a stream simulated in pieces
     from one generator equals the stream simulated at once.  Bits 0 and 1
-    of the first word pick Alice's and Bob's bases, and its top 53 bits are
-    the uniform that takes the outcome of ``rates.outcome_cdf`` it falls
-    in: one pair with bits from the joint outcome tables, dark counts only
-    with random bits, or not kept.  The second word decides, the same way,
-    whether Eve acts, and its bit 0 picks her basis when she has two; the
-    scenario's ``rates.eve_bases`` entry is the trial's ``eve_basis``.
+    of the first word pick Alice's and Bob's bases, and its top 53 bits
+    (:func:`~qkdlab.pcg64.uniform`) pick the outcome of ``rates.outcome_cdf``
+    they fall in: one pair with bits from the joint outcome tables, dark
+    counts only with random bits, or not kept.  The second word decides,
+    the same way, whether Eve acts, and its bit 0 picks her basis when she
+    has two; the scenario's ``rates.eve_bases`` entry is the trial's ``eve_basis``.
     """
     if n_intervals < 1:
         raise ValueError("n_intervals must be >= 1")
@@ -185,13 +180,13 @@ def simulate_dwell_stream(rates: Rates, n_intervals: int, rng) -> Trials:
     # scenario 0 is Eve idle; 1 + j is Eve acting in her j-th basis, as in eve_scenarios
     scenario = np.zeros(n, dtype=np.int8)
     if k:   # 1 or 2, so k - 1 masks bit 0 or nothing
-        acts = _uniform(words[:, 1]) < rates.intercept_fraction
+        acts = uniform(words[:, 1]) < rates.intercept_fraction
         scenario = np.where(acts, 1 + (words[:, 1] & (k - 1)).astype(np.int8), 0)
     eve_basis = rates.eve_bases.take(scenario)
 
     cdf = rates.outcome_cdf.reshape(-1, 8)
     row = scenario * 4 + alice_basis * 2 + bob_basis
-    u = _uniform(words[:, 0])
+    u = uniform(words[:, 0])
     outcome = np.zeros(n, dtype=np.int8)   # searchsorted(cdf[row], u, side="right")
     for column in cdf[:, :3].T:
         outcome += column.take(row) <= u

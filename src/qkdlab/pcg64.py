@@ -5,6 +5,7 @@ versions (NEP 19), so sessions and tomography draw only those words, and this
 module makes them without importing ``numpy.random``.  ``PCG64(seed,
 spawn_key)`` equals ``np.random.PCG64(np.random.SeedSequence(seed,
 spawn_key=spawn_key))``, and its ``jumped(j)`` equals NumPy's ``jumped(j)``.
+:func:`uniform` is the package's one map from words to floats, NumPy's own.
 
 PCG64 is the 128-bit LCG ``s -> MULT s + inc`` with the XSL-RR output of each
 new state.  After ``j`` steps from ``s`` the state is ``A_j s + G_j inc`` (mod
@@ -38,6 +39,14 @@ _JUMP = 210306068529402873165736369884012333109   # steps per jump of NumPy's ``
 
 _U32, _U58, _U63, _U64 = np.uint64(32), np.uint64(58), np.uint64(63), np.uint64(64)
 _LOW32 = np.uint64(_M32)
+
+
+def uniform(words: np.ndarray) -> np.ndarray:
+    """Floats in [0, 1) from raw 64-bit words: each word's top 53 bits times
+    2^-53, the map ``Generator.random`` applies to the same words."""
+    out = (words >> 11).astype(float)
+    out *= 2.0 ** -53
+    return out
 
 
 def check_seed(seed) -> None:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import qmath
 from .optics import PolState, linear_projectors, projector
-from .pcg64 import PCG64, check_seed
+from .pcg64 import PCG64, check_seed, uniform
 from .states import Beam, EveConfig, TwoQubitState, bell_phi_plus_ket
 
 # Analyzer filter settings (first photon, second photon) in measurement
@@ -125,7 +125,6 @@ def expected_probs(s: TwoQubitState) -> np.ndarray:
 # Poisson sampling.  Below _PTRS_MIN a draw inverts the CDF; at or above it,
 # Hoermann's PTRS (Insurance: Math. Econ. 12, 1993), whose hat is valid there.
 _PTRS_MIN = 10.0
-_U53 = np.uint64(11)   # a word's top 53 bits make a uniform, as Generator.random does
 # Loader's stirlerr(n) = log n! - log(sqrt(2 pi n) (n/e)^n) for n = 0 .. 15
 # ("Fast and accurate computation of binomial probabilities", 2000); 0 is a
 # placeholder, since k = 0 takes the log pmf -lambda directly.
@@ -148,13 +147,6 @@ _HALF_LOG_2PI = 0.5 * np.log(2 * np.pi)
 # PTRS draw: the retries need ~0.27 on average.  A stream that runs short
 # reads more.
 _SPARE = 0.35
-
-
-def _uniform(words: np.ndarray) -> np.ndarray:
-    """Uniforms in [0, 1) from raw words' top 53 bits."""
-    out = (words >> _U53).astype(float)
-    out *= 2.0 ** -53
-    return out
 
 
 def _log_pmf(k: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -210,11 +202,11 @@ def _ptrs_constants(lam: np.ndarray) -> np.ndarray:
 def _ptrs(c: np.ndarray, u_words: np.ndarray, v_words: np.ndarray):
     """One PTRS attempt per column of constants ``c`` from its words U and V:
     the candidate counts (floats) and which of them are accepted."""
-    u = _uniform(u_words)
+    u = uniform(u_words)
     u -= 0.5
     us = np.abs(u)
     np.subtract(0.5, us, out=us)
-    v = _uniform(v_words)
+    v = uniform(v_words)
     k = np.divide(c[0], us)
     k += c[3]
     k *= u
@@ -238,14 +230,15 @@ def _poisson(rngs, lam, shape) -> np.ndarray:
 
     In each row a mean of 0 gives 0 and reads no word.  A row reads its
     words in this order: one for each draw with 0 < mean < ``_PTRS_MIN``,
-    whose uniform inverts the CDF; then one PTRS attempt for each draw with
-    mean >= ``_PTRS_MIN``, as the U words of all such draws, then their V
-    words; then, while any of its draws is rejected, one more attempt for
-    each rejected draw in the same form.  Draws take their words in C order
-    of ``shape``, so the words a row reads depend on ``lam``, ``shape`` and
-    the words alone, and its counts on its own generator alone.  The rows'
-    retries run in shared rounds, and each generator reads ahead, so its
-    position after the call is not defined."""
+    whose :func:`~qkdlab.pcg64.uniform` inverts the CDF; then one PTRS
+    attempt for each draw with mean >= ``_PTRS_MIN``, as the U words of all
+    such draws, then their V words; then, while any of its draws is
+    rejected, one more attempt for each rejected draw in the same form.
+    Draws take their words in C order of ``shape``, so the words a row
+    reads depend on ``lam``, ``shape`` and the words alone, and its counts
+    on its own generator alone.  The rows' retries run in shared rounds,
+    and each generator reads ahead, so its position after the call is not
+    defined."""
     lam = np.broadcast_to(np.asarray(lam, dtype=float), shape).reshape(-1)
     small = (lam > 0.0) & (lam < _PTRS_MIN)
     large = lam >= _PTRS_MIN
@@ -259,7 +252,7 @@ def _poisson(rngs, lam, shape) -> np.ndarray:
     pools = []   # each row's words after its first attempt
     for row, rng in enumerate(rngs):
         words = rng.random_raw(first + spare)
-        uniforms[row] = _uniform(words[:lam_small.size])
+        uniforms[row] = uniform(words[:lam_small.size])
         k_large[row], done[row] = _ptrs(consts, words[lam_small.size:first - n],
                                         words[first - n:first])
         pools.append(words[first:].copy())

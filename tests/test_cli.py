@@ -493,7 +493,7 @@ def test_tomo_malformed_counts_file(tmp_path, capsys):
     body = {"kind": "tomo", "seed": 1, "counts_file": str(counts)}
     cfg = write_config(tmp_path, "t.json", body)
     assert main(["tomo", "--config", cfg, "--out", str(tmp_path / "a")]) == 1
-    assert "missing" in capsys.readouterr().err
+    assert "outside the 16-setting schedule: HH,HH" in capsys.readouterr().err
 
 
 def test_tomo_counts_file_repeated_setting_rejected(tmp_path, capsys):
@@ -578,7 +578,12 @@ def _from_counts(**keys):
     ("tomo", _FROM_COUNTS, "H,H\n", "counts file row has 2 fields, expected 3"),
     ("tomo", _FROM_COUNTS, "H,H,many\n", "bad count value 'many'"),
     ("tomo", _FROM_COUNTS, _ALL_SETTINGS + "A,A,100\n",
-     "counts file has settings outside the 16-setting schedule"),
+     "counts file has settings outside the 16-setting schedule: A,A\n"),
+    # an unknown setting is refused at its own row, which the error names
+    ("tomo", _FROM_COUNTS, _ALL_SETTINGS.replace("R,V,100", "X,Y,5"),
+     "counts file has settings outside the 16-setting schedule: X,Y\n"),
+    ("tomo", _FROM_COUNTS, "H,H,100\n X , Y ,5\nH,H\n",
+     "counts file has settings outside the 16-setting schedule: X,Y\n"),
     # a field over the csv module's 131 072-character limit
     ("tomo", _FROM_COUNTS, "setting_a,setting_b,count\nH,H," + "1" * 200_000 + "\n",
      "counts file is not valid CSV: field larger than field limit (131072)\n"),
@@ -626,7 +631,8 @@ def _from_counts(**keys):
      "config is not valid JSON: Exceeds the limit (4300 digits) for integer string conversion"),
 ], ids=["plate_without_dephasing", "unreadable_config", "config_not_json",
         "config_a_list", "config_nested_too_deep", "unreadable_counts", "counts_row_of_two",
-        "count_not_a_number", "counts_17th_setting", "counts_field_over_csv_limit",
+        "count_not_a_number", "counts_17th_setting", "counts_setting_outside_schedule",
+        "counts_stop_at_setting_outside_schedule", "counts_field_over_csv_limit",
         "plate_beside_eve_strength", "plate_beside_eve_axis", "axis_under_random_bases",
         "strength_under_intercept", "key_under_absent_eve", "seed_for_bell",
         "n_per_setting_from_counts", "source_noise_from_counts", "eve_from_counts",

@@ -1,10 +1,11 @@
 """The package's PCG64 against NumPy's, the reference: the same words for
-every seed, spawn key and size, and the same keys from ``distil``."""
+every seed, spawn key and size, the same floats from ``uniform`` as from
+``Generator.random``, and the same keys from ``distil``."""
 
 import numpy as np
 import pytest
 
-from qkdlab.pcg64 import PCG64, check_seed, seed_state
+from qkdlab.pcg64 import PCG64, check_seed, seed_state, uniform
 from qkdlab.protocol import SessionConfig, distil
 from qkdlab.tomography import TomoConfig
 
@@ -62,6 +63,15 @@ def test_jumped_continues_from_the_position_and_shares_the_offsets():
     assert np.array_equal(got.random_raw(4097), ref.random_raw(4097))
     # one table of G_j inc serves the whole chain
     assert twin._offsets is got._offsets and chained._offsets is got._offsets
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 40, 10 ** 30], ids=["0", "1", "2^40", "10^30"])
+def test_uniform_equals_generator_random(seed):
+    for size in (1, 4097, 10 ** 5):
+        got = uniform(PCG64(seed).random_raw(size))
+        want = np.random.Generator(np.random.PCG64(seed)).random(size)
+        assert got.dtype == want.dtype and np.array_equal(got.view(np.uint64),
+                                                           want.view(np.uint64)), size
 
 
 @pytest.mark.parametrize("seed, spawn_key", [(-1, ()), (1, (0, -1)), (-(2 ** 64), (1,))])
